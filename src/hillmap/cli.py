@@ -164,9 +164,8 @@ def _cmd_bands(cfg, timestamp):
         rows = []
         ks = np.linspace(0.0, math.pi / l, cfg["k_points"])
         for idx in range(1, len(blist.bands) + 1):
-            for k in ks:
-                lam = hill.band_function(V, l, idx, float(k))
-                rows.append((idx, float(k), lam))
+            lams = hill.band_function(V, l, idx, ks)
+            rows.extend((idx, float(k), float(lam)) for k, lam in zip(ks, lams))
         _write_csv(cfg["out"], ["band_index", "k", "lambda"], rows, cfg, timestamp)
     for warning in blist.warnings:
         print(f"warning: {warning}", file=sys.stderr)

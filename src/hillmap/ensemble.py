@@ -18,9 +18,13 @@ from .maps import gen_logistic_coeffs
 DOMAIN = (-2.0, 2.0)
 CHUNK = 1 << 16
 
-# Statistical floor of the quantile-matched W1 estimator against the arcsine
-# law, calibrated on exact invariant samples at n = 10^6 (measured 9.5e-4):
-# E W1 ~ W1_FLOOR_COEFF / sqrt(n).
+# Nominal statistical floor of the quantile-matched W1 estimator against the
+# arcsine law: noise_floor = W1_FLOOR_COEFF / sqrt(n).  The estimator's mean on
+# exact invariant samples is larger, sqrt(2/pi) * int sqrt(F(1-F)) dx / sqrt(n)
+# = 1.421 / sqrt(n) (40 seeds at n = 10^6: mean 1.415e-3, sd 6.6e-4), so
+# pure-noise distances clear 3x this floor now and then.  Kept at 1.0: readers
+# of the report's noise_floor (the benchmark's ensemble oracle among them) take
+# it as it stands, and a larger value would widen their tolerance.
 W1_FLOOR_COEFF = 1.0
 
 
@@ -167,7 +171,12 @@ def detect_linear_region(distances: Sequence[float], noise_floor: float) -> tupl
 
 @dataclass(frozen=True)
 class EnsembleReport:
-    """Everything needed to audit one convergence experiment."""
+    """Everything needed to audit one convergence experiment.
+
+    ``fitted_slope`` is the least-squares slope of log W1 over ``fit_range``
+    = [1, n*], pre-asymptotic iterations included, so it is not the
+    asymptotic decay rate.
+    """
 
     m: int
     n_samples: int
@@ -204,8 +213,11 @@ def convergence_experiment(
 
     Records the Wasserstein-1 distance to the invariant measure after every
     iteration (including iteration 0) and fits log W1 against the iteration
-    index over the detected linear region.  Identical inputs give a
-    bit-identical report, independent of ``threads``.
+    index over the detected linear region [1, n*].  That region starts at
+    iteration 1 and so includes pre-asymptotic steps: ``fitted_slope`` is the
+    mean decay over [1, n*], not the asymptotic rate (at m = 2 the exact W1
+    of the shifted-gamma start is not even monotone).  Identical inputs give
+    a bit-identical report, independent of ``threads``.
     """
     if m < 2:
         raise ValueError("m must be at least 2")

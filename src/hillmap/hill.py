@@ -12,7 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import IVP_TOL, ToleranceSpec, find_root, integrate_ivp
+from .numerics import IVP_TOL, ToleranceSpec, find_roots, integrate_ivp
+from .numerics import find_root  # noqa: F401  (perfbench/tracing.py wraps hill.find_root)
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,6 +37,18 @@ class Potential:
     def __post_init__(self):
         if not self.period > 0:
             raise ValueError("period must be positive")
+        # Interpolation table (nodes, values) over one period, built once: the
+        # ODE kernels evaluate V once per right-hand side.  Not a field, so
+        # equality and the hash see only the defining data.
+        table = None
+        if self.kind == "piecewise_linear":
+            bp, vals = self.params
+            table = (np.array([*bp, bp[0] + self.period]), np.array([*vals, vals[0]]))
+        elif self.kind == "tabulated":
+            (vals,) = self.params
+            n = len(vals)
+            table = (np.arange(n + 1) * (self.period / n), np.array([*vals, vals[0]]))
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def constant(cls, value: float, period: float = 1.0) -> "Potential":
@@ -83,19 +96,9 @@ class Potential:
         if self.kind == "cosine":
             amp, freq = self.params
             return amp * np.cos(freq * x)
-        if self.kind == "piecewise_linear":
-            bp, vals = self.params
-            xm = (np.asarray(x) - bp[0]) % self.period + bp[0]
-            xp = np.array([*bp, bp[0] + self.period])
-            fp = np.array([*vals, vals[0]])
-            out = np.interp(xm, xp, fp)
-            return out if isinstance(x, np.ndarray) else float(out)
-        if self.kind == "tabulated":
-            (vals,) = self.params
-            n = len(vals)
-            grid = np.arange(n + 1) * (self.period / n)
-            fp = np.array([*vals, vals[0]])
-            out = np.interp(np.asarray(x) % self.period, grid, fp)
+        if self.kind in ("piecewise_linear", "tabulated"):
+            xp, fp = self._table
+            out = np.interp((np.asarray(x) - xp[0]) % self.period + xp[0], xp, fp)
             return out if isinstance(x, np.ndarray) else float(out)
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
@@ -262,23 +265,86 @@ def _disc_batch(
     return z[0] + z[3]
 
 
-def _disc_and_derivative(
-    V: Potential, l: float, lam: float, tol: ToleranceSpec
-) -> tuple[float, float]:
-    """(Delta(lam), dDelta/dlam) via the variational equations."""
+# scipy's step control bounds the RMS of the error over all components, so in
+# a stack of c components a single one may be off by sqrt(c) times the request.
+# _traces divides both tolerances by sqrt(c), which bounds every lam on its
+# own.  It stacks at most _TRACE_STACK lams per solve, so the reduced rel_tol
+# stays above the 100 eps floor of integrate_ivp for every rel_tol >= 1e-11.
+_TRACE_STACK = 64
 
-    def rhs(t, y):
-        w = V(t) - lam
-        u1, du1, p1, dp1, u2, du2, p2, dp2 = y
-        return np.array(
-            [du1, w * u1, dp1, w * p1 - u1, du2, w * u2, dp2, w * p2 - u2]
+
+def _traces(
+    V: Potential, l: float, lams, tol: ToleranceSpec, derivative: bool = False
+):
+    """Delta(lam) for an array of lam, each held to ``tol``, in stacked solves.
+
+    With ``derivative`` returns (Delta, dDelta/dlam), the derivative from the
+    variational equations.
+    """
+    lams = np.asarray(lams, dtype=float)
+    delta = np.empty(lams.shape)
+    ddelta = np.empty(lams.shape)
+    rows = 8 if derivative else 4
+    order = np.argsort(lams, axis=None)  # close lams share a stack's step sizes
+    stacks = np.array_split(order, -(-lams.size // _TRACE_STACK)) if lams.size else []
+    for idx in stacks:
+        lam = lams.flat[idx]
+        n = lam.size
+        shrink = math.sqrt(rows * n)
+        stack_tol = ToleranceSpec(
+            tol.abs_tol / shrink, tol.rel_tol / shrink, tol.max_steps
         )
+        if derivative:
+            # rows u1, u1', du1/dlam, du1'/dlam, then the same for u2
+            def rhs(t, y):
+                z = y.reshape(8, n)
+                w = V(t) - lam
+                return np.concatenate([
+                    z[1], w * z[0], z[3], w * z[2] - z[0],
+                    z[5], w * z[4], z[7], w * z[6] - z[4],
+                ])
+        else:
+            def rhs(t, y):
+                z = y.reshape(4, n)
+                w = V(t) - lam
+                return np.concatenate([z[1], w * z[0], z[3], w * z[2]])
 
-    y0 = [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
-    y = integrate_ivp(rhs, y0, 0.0, l, tol, V.breakpoints_in(0.0, l))
-    delta = y[0] + y[5]
-    ddelta = y[2] + y[7]
-    return float(delta), float(ddelta)
+        y0 = np.zeros((rows, n))
+        y0[0] = y0[rows // 2 + 1] = 1.0
+        y = integrate_ivp(rhs, y0.ravel(), 0.0, l, stack_tol, V.breakpoints_in(0.0, l))
+        z = y.reshape(rows, n)
+        if derivative:
+            delta.flat[idx] = z[0] + z[5]
+            ddelta.flat[idx] = z[2] + z[7]
+        else:
+            delta.flat[idx] = z[0] + z[3]
+    return (delta, ddelta) if derivative else delta
+
+
+# Accuracy in lam of refined band edges, touch points and dispersion points.
+_EDGE_TOL = ToleranceSpec(1e-10, 0.0, 256)
+
+
+def _refine_tol(tol: ToleranceSpec) -> ToleranceSpec:
+    """Per-lam tolerance of the traces behind refined edges and dispersion
+    points: a decade below ``tol``, no tighter than 1e-11.  An edge inherits
+    the trace's error divided by |dDelta/dlam|, which is ~5e-3 beside the
+    0.76-wide gap at lam ~ 39.3 of the cosine cell A = 7.8326; at 1e-10 that
+    edge is ~2e-9 off, at 1e-11 ~1.5e-10."""
+    return ToleranceSpec(
+        max(tol.abs_tol / 10, 1e-11), max(tol.rel_tol / 10, 1e-11), tol.max_steps
+    )
+
+
+def _level_roots(V: Potential, l: float, lo, hi, levels, refine: ToleranceSpec):
+    """lam in each bracket [lo, hi] with Delta(lam) = level, all brackets in
+    one batched root solve.  A bracket whose ends do not straddle its level
+    at ``refine`` takes find_root over monodromy, even-root branch included."""
+    return find_roots(
+        lambda x, level: _traces(V, l, x, refine) - level,
+        lo, hi, _EDGE_TOL, args=(levels,),
+        scalar=lambda x, level: monodromy(V, l, x, refine).trace - level,
+    )
 
 
 def spectrum_bands(
@@ -294,7 +360,8 @@ def spectrum_bands(
     near-linear growth of band counts.  Simple band edges are refined by root
     finding on ``Delta -+ 2``; flat touches between bands (no sign change) are
     located as zeros of ``dDelta/dlam``.  Bands narrower than the grid cannot
-    be detected and are reported in ``warnings``.
+    be detected and are reported in ``warnings``.  Each kind of refinement
+    runs as one batched root solve over all its brackets.
     """
     _check_cell_length(V, l)
     floor = V.min_value()
@@ -310,37 +377,33 @@ def spectrum_bands(
     )
     deltas = _disc_batch(V, l, lams, scan_tol)
 
-    edge_tol = ToleranceSpec(1e-10, 0.0, 256)
-    refine = ToleranceSpec(
-        max(tol.abs_tol, 1e-11), max(tol.rel_tol, 1e-11), tol.max_steps
-    )
+    refine = _refine_tol(tol)
 
-    def disc(lam: float) -> float:
-        return monodromy(V, l, lam, refine).trace
+    def slope(x):
+        return _traces(V, l, x, refine, derivative=True)[1]
 
     warnings: list[str] = []
-    events: list[float] = []
 
     # simple crossings of +2 and -2
-    for level in (2.0, -2.0):
-        g = deltas - level
-        hits = np.nonzero(g[:-1] * g[1:] < 0)[0]
-        for i in hits:
-            events.append(find_root(lambda x: disc(x) - level, lams[i], lams[i + 1], edge_tol))
+    levels = np.array([2.0, -2.0])
+    g = deltas - levels[:, None]
+    which, idx = np.nonzero(g[:, :-1] * g[:, 1:] < 0)
+    events = _level_roots(V, l, lams[idx], lams[idx + 1], levels[which], refine).tolist()
 
     # interior extrema: grazing touches and gaps narrower than the grid
     d = np.diff(deltas)
     turns = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
-    for i in turns:
-        lo, hi = lams[i - 1], lams[i + 1]
-        dd_lo = _disc_and_derivative(V, l, lo, refine)[1]
-        dd_hi = _disc_and_derivative(V, l, hi, refine)[1]
-        if dd_lo * dd_hi > 0:
-            continue  # grid wiggle, not a true extremum
-        lam_star = find_root(
-            lambda x: _disc_and_derivative(V, l, x, refine)[1], lo, hi, edge_tol
-        )
-        d_star = disc(lam_star)
+    lo, hi = lams[turns - 1], lams[turns + 1]
+    dd = slope(np.concatenate([lo, hi]))
+    dd_lo, dd_hi = dd[: turns.size], dd[turns.size :]
+    true_turn = dd_lo * dd_hi <= 0  # else a grid wiggle
+    turns, lo, hi = turns[true_turn], lo[true_turn], hi[true_turn]
+    lam_stars = find_roots(
+        slope, lo, hi, _EDGE_TOL, f_ends=(dd_lo[true_turn], dd_hi[true_turn])
+    )
+    d_stars = _traces(V, l, lam_stars, refine)
+    narrow = []  # brackets (lo, hi, level) of the gaps the scan did not see
+    for i, lo_i, hi_i, lam_star, d_star in zip(turns, lo, hi, lam_stars, d_stars):
         gap = abs(d_star) - 2.0
         if abs(gap) <= 1e-7:
             events.extend([lam_star, lam_star])  # bands touch here
@@ -350,8 +413,7 @@ def spectrum_bands(
             if not resolved:
                 # gap narrower than the grid: the scan's crossing detector
                 # saw nothing, but both crossings live in (lo, hi)
-                events.append(find_root(lambda x: disc(x) - level, lo, lam_star, edge_tol))
-                events.append(find_root(lambda x: disc(x) - level, lam_star, hi, edge_tol))
+                narrow += [(lo_i, lam_star, level), (lam_star, hi_i, level)]
                 warnings.append(
                     f"gap near lambda={lam_star:.6g} is narrower than the scan grid"
                 )
@@ -359,6 +421,8 @@ def spectrum_bands(
             warnings.append(
                 f"interior extremum with |Delta|<2 near lambda={lam_star:.6g}"
             )
+    if narrow:
+        events.extend(_level_roots(V, l, *np.array(narrow).T, refine).tolist())
 
     events.sort()
     if abs(deltas[0]) <= 2.0:
@@ -386,17 +450,20 @@ def band_function(
     V: Potential,
     l: float,
     band_index: int,
-    k: float,
+    k,
     tol: ToleranceSpec = IVP_TOL,
-) -> float:
+):
     """Eigenvalue on the given band at reduced quasi-momentum ``k``.
 
     Solves the dispersion relation ``Delta_l(lam) = 2 cos(l k)`` inside band
     ``band_index`` (1-based).  ``k`` must lie in the reduced zone [0, pi/l].
+    An array of ``k`` gives an array of eigenvalues, solved together in one
+    batched root solve; a scalar ``k`` gives a float.
     """
     if band_index < 1:
         raise ValueError("band_index is 1-based")
-    if not 0.0 <= k <= math.pi / l + 1e-12:
+    ks = np.asarray(k, dtype=float)
+    if not np.all((0.0 <= ks) & (ks <= math.pi / l + 1e-12)):
         raise DomainError("k must lie in the reduced zone [0, pi/l]")
 
     # grow lambda_max until enough bands are resolved
@@ -410,29 +477,24 @@ def band_function(
         raise RuntimeError("could not resolve enough bands")
     a, b = blist.bands[band_index - 1]
 
-    target = 2.0 * math.cos(l * k)
     # On odd bands Delta runs +2 -> -2, on even bands -2 -> +2.
     k_zero_edge = a if band_index % 2 == 1 else b
     k_pi_edge = b if band_index % 2 == 1 else a
-    if k < 1e-12:
-        return k_zero_edge
-    if k > math.pi / l - 1e-12:
-        return k_pi_edge
+    at_zero = ks < 1e-12
+    at_pi = ~at_zero & (ks > math.pi / l - 1e-12)
+    inside = ~(at_zero | at_pi)
+    lam = np.where(at_zero, k_zero_edge, k_pi_edge)
 
-    refine = ToleranceSpec(
-        max(tol.abs_tol, 1e-11), max(tol.rel_tol, 1e-11), tol.max_steps
-    )
-
-    def g(lam: float) -> float:
-        return monodromy(V, l, lam, refine).trace - target
-
-    try:
-        return find_root(g, a, b, ToleranceSpec(1e-10, 0.0, 256))
-    except Exception as exc:
-        raise RuntimeError(
-            f"dispersion target not bracketed in band {band_index}; "
-            "band edges may be inaccurate"
-        ) from exc
+    refine = _refine_tol(tol)
+    if inside.any():
+        try:
+            lam[inside] = _level_roots(V, l, a, b, 2.0 * np.cos(l * ks[inside]), refine)
+        except Exception as exc:
+            raise RuntimeError(
+                f"dispersion target not bracketed in band {band_index}; "
+                "band edges may be inaccurate"
+            ) from exc
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def free_discriminant(l: float, lam: float) -> float:

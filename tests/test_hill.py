@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import mathieu_a, mathieu_b
+
 from hillmap.errors import DomainError
 from hillmap.hill import (
     Monodromy,
@@ -15,6 +17,8 @@ from hillmap.hill import (
     monodromy,
     monodromy_power,
     spectrum_bands,
+    _disc_batch,
+    _traces,
 )
 from hillmap.numerics import ToleranceSpec, quad_singular
 
@@ -55,6 +59,18 @@ class TestPotential:
         V = Potential.piecewise_linear([0.0, 0.25], [1.0, -1.0])
         pts = V.breakpoints_in(0.0, 2.0)
         assert pts == [0.25, 1.0, 1.25]
+
+
+    def test_interpolation_table_is_not_a_field(self):
+        import dataclasses
+
+        a = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
+        b = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
+        assert [f.name for f in dataclasses.fields(a)] == ["period", "kind", "params"]
+        assert a == b and hash(a) == hash(b)
+        # nodes and values close the period: V(bp[0] + period) = V(bp[0])
+        assert a(1.0) == a(0.0) == 0.0
+        assert a(0.5) == pytest.approx(0.25)
 
 
 class TestMonodromy:
@@ -181,6 +197,89 @@ class TestEigenvalueClass:
         assert eigenvalue_class(delta) == expected
 
 
+class TestTraces:
+    """The batched kernel behind edge refinement holds every lam to ``tol``."""
+
+    A = 7.8326  # the cosine cell whose scan tolerance misses most (1.6e-8)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        V = Potential.cosine(self.A)
+        lams = np.linspace(-10.0, 300.0, 200)
+        tight = ToleranceSpec(1e-13, 1e-13, 1_000_000)
+        ref = np.array([monodromy(V, 1.0, lam, tight).trace for lam in lams])
+        return V, lams, ref
+
+    def test_per_lambda_bound(self, grid):
+        V, lams, ref = grid
+        # measured 4.6e-12; without the sqrt(components) scaling of the
+        # tolerances the same grid misses by 7.2e-11
+        tol = ToleranceSpec(1e-11, 1e-11, 1_000_000)
+        assert np.max(np.abs(_traces(V, 1.0, lams, tol) - ref)) <= 2e-11
+        delta, _ = _traces(V, 1.0, lams, tol, derivative=True)
+        assert np.max(np.abs(delta - ref)) <= 2e-11
+
+    def test_scan_kernel_is_bounded_only_in_rms(self, grid):
+        # the stacked scan shares one RMS error norm over all lams; at the same
+        # tolerance it misses the per-lam bound, which is why _traces scales
+        V, lams, ref = grid
+        tol = ToleranceSpec(1e-11, 1e-11, 1_000_000)
+        assert np.max(np.abs(_disc_batch(V, 1.0, lams, tol) - ref)) > 1e-10
+
+    def test_derivative_matches_central_difference(self):
+        V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
+        lams = np.array([-0.5, 3.0, 17.0, 60.0])
+        tight = ToleranceSpec(1e-12, 1e-12, 1_000_000)
+        _, dd = _traces(V, 1.0, lams, tight, derivative=True)
+        h = 1e-5
+        fd = _traces(V, 1.0, lams + h, tight) - _traces(V, 1.0, lams - h, tight)
+        fd /= 2 * h
+        assert np.max(np.abs(dd - fd)) < 1e-7
+
+    def test_empty(self):
+        tol = ToleranceSpec(1e-11, 1e-11, 1_000_000)
+        assert _traces(FREE, 1.0, [], tol).shape == (0,)
+        delta, ddelta = _traces(FREE, 1.0, [], tol, derivative=True)
+        assert delta.shape == ddelta.shape == (0,)
+
+    def test_shape_and_order_preserved(self):
+        lams = np.array([[9.0, -1.0], [4.0, 30.0]])
+        out = _traces(FREE, 1.0, lams, ToleranceSpec(1e-11, 1e-11, 1_000_000))
+        assert out.shape == (2, 2)
+        expected = np.vectorize(lambda lam: free_discriminant(1.0, lam))(lams)
+        assert np.max(np.abs(out - expected)) < 1e-9
+
+
+def mathieu_edges(amplitude: float) -> np.ndarray:
+    """Band edges of the cosine cell from scipy's Mathieu characteristic
+    values: lam = pi^2 a with q = A / (2 pi^2), ordered a0 < b1 < a1 < b2 ..."""
+    q = amplitude / (2.0 * math.pi**2)
+    vals = [mathieu_a(0, q)]
+    for r in range(1, 12):
+        vals += [mathieu_b(r, q), mathieu_a(r, q)]
+    return math.pi**2 * np.array(vals)
+
+
+class TestMathieuOracle:
+    @pytest.mark.parametrize("amplitude", [1.0, 7.8326])
+    def test_edges_beside_wide_gaps(self, amplitude):
+        lambda_max = 200.0
+        ref = mathieu_edges(amplitude)
+        got = np.array(spectrum_bands(Potential.cosine(amplitude), 1.0, lambda_max).bands)
+        got = got.ravel()
+        checked = 0
+        for j, edge in enumerate(ref):
+            if edge > lambda_max - 1.0:
+                break
+            # ref[2i+1], ref[2i+2] bound gap i+1; ref[0] borders the spectrum floor
+            lo = j if j % 2 == 1 else j - 1
+            if j > 0 and ref[lo + 1] - ref[lo] <= 0.5:
+                continue
+            assert np.min(np.abs(got - edge)) <= 1e-9, (amplitude, edge)
+            checked += 1
+        assert checked >= 3
+
+
 class TestSpectrumBands:
     def test_free_bands_touch_at_squares(self):
         blist = spectrum_bands(FREE, 1.0, 45.0)
@@ -210,6 +309,12 @@ class TestSpectrumBands:
         assert blist.bands[1][1] - blist.bands[1][0] > 20.0
         gap2 = blist.bands[2][0] - blist.bands[1][1]
         assert 0.0 < gap2 < 0.1  # second-order in the amplitude, grid-rescued
+
+    def test_single_band_without_turning_points(self):
+        blist = spectrum_bands(FREE, 1.0, 5.0)
+        assert len(blist.bands) == 1
+        assert blist.bands[0][0] == pytest.approx(0.0, abs=1e-9)
+        assert blist.bands[0][1] == 5.0
 
     def test_band_ordering_invariant(self):
         for V in (FREE, COS):
@@ -259,6 +364,30 @@ class TestBandFunction:
     def test_bad_k_rejected(self):
         with pytest.raises(DomainError):
             band_function(FREE, 1.0, 1, 4.0)
+
+    @pytest.mark.parametrize(
+        "V",
+        [
+            FREE,
+            Potential.cosine(7.8326),
+            Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5]),
+        ],
+        ids=["free", "cosine", "piecewise"],
+    )
+    @pytest.mark.parametrize("band", [1, 2])
+    def test_array_matches_scalar_loop(self, V, band):
+        ks = np.linspace(0.0, math.pi, 7)
+        lams = band_function(V, 1.0, band, ks)
+        assert isinstance(lams, np.ndarray) and lams.shape == ks.shape
+        loop = np.array([band_function(V, 1.0, band, float(k)) for k in ks])
+        assert np.max(np.abs(lams - loop)) <= 1e-9
+        # the zone ends are the band edges themselves
+        a, b = sorted((lams[0], lams[-1]))
+        assert np.all((a <= lams) & (lams <= b))
+
+    def test_array_with_bad_k_rejected(self):
+        with pytest.raises(DomainError):
+            band_function(FREE, 1.0, 1, np.array([0.5, 4.0]))
 
 
 class TestDiscriminantDensity:

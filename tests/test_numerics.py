@@ -10,6 +10,7 @@ from hillmap.numerics import (
     ROOT_TOL,
     ToleranceSpec,
     find_root,
+    find_roots,
     integrate_ivp,
     quad_singular,
 )
@@ -98,6 +99,83 @@ class TestFindRoot:
     def test_deterministic(self):
         f = lambda x: math.cos(3 * x) - 0.2
         assert find_root(f, 0.0, 1.0) == find_root(f, 0.0, 1.0)
+
+
+class TestFindRoots:
+    def test_matches_closed_forms(self):
+        roots = find_roots(np.cos, [1.0, 4.0], [2.0, 5.0])
+        assert np.max(np.abs(roots - [math.pi / 2, 3 * math.pi / 2])) < 1e-10
+
+    def test_args_follow_their_brackets(self):
+        c = np.array([1.0, 8.0, 27.0])
+        roots = find_roots(lambda x, c: x**3 - c, 0.0, 4.0, args=(c,))
+        assert roots.shape == (3,)
+        assert np.max(np.abs(roots - [1.0, 2.0, 3.0])) < 1e-10
+
+    def test_touch_bracket_returns_find_root_value(self):
+        # (x - 1)^2 keeps its sign on [0, 3]: the bracket goes to find_root's
+        # even-root branch, with the same function, and must return its value
+        f = lambda x: (x - 1.0) ** 2
+        expected = find_root(f, 0.0, 3.0)
+        roots = find_roots(f, [0.0, 0.5], [3.0, 2.0])
+        assert roots[0] == expected
+        assert roots[1] == find_root(f, 0.5, 2.0)
+        # a straddling bracket in the same batch is solved as usual
+        mixed = find_roots(lambda x: (x - 1.0) ** 2 - 0.25, [0.0, 0.0], [3.0, 1.0])
+        assert mixed[0] == find_root(lambda x: (x - 1.0) ** 2 - 0.25, 0.0, 3.0)
+        assert abs(mixed[1] - 0.5) < 1e-12
+
+    def test_scalar_function_serves_touch_brackets(self):
+        seen = []
+
+        def scalar(x):
+            seen.append(x)
+            return (x - 1.0) ** 2
+
+        root = find_roots(lambda x: (x - 1.0) ** 2, [0.0], [3.0], scalar=scalar)
+        assert seen and root[0] == find_root(lambda x: (x - 1.0) ** 2, 0.0, 3.0)
+
+    def test_invalid_bracket_raises_like_find_root(self):
+        with pytest.raises(BracketError):
+            find_roots(lambda x: x * x + 1.0, [-1.0], [1.0])
+
+    def test_zero_at_an_endpoint(self):
+        roots = find_roots(lambda x: x - 1.0, [1.0, 0.0], [2.0, 1.0])
+        assert roots.tolist() == [1.0, 1.0]
+        assert find_roots(lambda x: x - 1.0, [1.0], [2.0])[0] == find_root(
+            lambda x: x - 1.0, 1.0, 2.0
+        )
+
+    def test_known_end_values_are_not_recomputed(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return x - 0.3
+
+        a, b = np.zeros(4), np.ones(4)
+        find_roots(f, a, b, f_ends=(a - 0.3, b - 0.3))
+        with_ends = len(calls)
+        calls.clear()
+        find_roots(f, a, b)
+        assert calls[0] == 8  # both ends in one call
+        assert len(calls) == with_ends + 1
+
+    def test_tolerance_is_met(self):
+        tol = ToleranceSpec(1e-6, 0.0, 256)
+        roots = find_roots(lambda x: np.tanh(x - 0.123456789), [-2.0], [2.0], tol)
+        assert abs(roots[0] - 0.123456789) <= 1e-6
+
+    def test_shapes(self):
+        assert find_roots(np.cos, [], []).shape == (0,)
+        assert find_roots(np.cos, 1.0, 2.0).shape == ()
+
+    def test_step_budget(self):
+        with pytest.raises(NonConvergenceError):
+            find_roots(
+                lambda x: np.tanh(50.0 * (x - 0.3)), [0.0], [1.0],
+                ToleranceSpec(1e-15, 0.0, 2),
+            )
 
 
 class TestQuadSingular:
