@@ -12,8 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import IVP_TOL, ToleranceSpec, find_roots, integrate_ivp
-from .numerics import find_root  # noqa: F401  (perfbench/tracing.py wraps hill.find_root)
+from .numerics import IVP_TOL, ToleranceSpec, find_root, find_roots, integrate_ivp
 
 TWO_PI = 2.0 * math.pi
 
@@ -294,30 +293,25 @@ def _traces(
         stack_tol = ToleranceSpec(
             tol.abs_tol / shrink, tol.rel_tol / shrink, tol.max_steps
         )
-        if derivative:
-            # rows u1, u1', du1/dlam, du1'/dlam, then the same for u2
-            def rhs(t, y):
-                z = y.reshape(8, n)
-                w = V(t) - lam
-                return np.concatenate([
-                    z[1], w * z[0], z[3], w * z[2] - z[0],
-                    z[5], w * z[4], z[7], w * z[6] - z[4],
-                ])
-        else:
-            def rhs(t, y):
-                z = y.reshape(4, n)
-                w = V(t) - lam
-                return np.concatenate([z[1], w * z[0], z[3], w * z[2]])
+        if not derivative:
+            delta.flat[idx] = _disc_batch(V, l, lam, stack_tol)
+            continue
 
-        y0 = np.zeros((rows, n))
-        y0[0] = y0[rows // 2 + 1] = 1.0
+        # rows u1, u1', du1/dlam, du1'/dlam, then the same for u2
+        def rhs(t, y):
+            z = y.reshape(8, n)
+            w = V(t) - lam
+            return np.concatenate([
+                z[1], w * z[0], z[3], w * z[2] - z[0],
+                z[5], w * z[4], z[7], w * z[6] - z[4],
+            ])
+
+        y0 = np.zeros((8, n))
+        y0[0] = y0[5] = 1.0
         y = integrate_ivp(rhs, y0.ravel(), 0.0, l, stack_tol, V.breakpoints_in(0.0, l))
-        z = y.reshape(rows, n)
-        if derivative:
-            delta.flat[idx] = z[0] + z[5]
-            ddelta.flat[idx] = z[2] + z[7]
-        else:
-            delta.flat[idx] = z[0] + z[3]
+        z = y.reshape(8, n)
+        delta.flat[idx] = z[0] + z[5]
+        ddelta.flat[idx] = z[2] + z[7]
     return (delta, ddelta) if derivative else delta
 
 
@@ -340,11 +334,17 @@ def _level_roots(V: Potential, l: float, lo, hi, levels, refine: ToleranceSpec):
     """lam in each bracket [lo, hi] with Delta(lam) = level, all brackets in
     one batched root solve.  A bracket whose ends do not straddle its level
     at ``refine`` takes find_root over monodromy, even-root branch included."""
-    return find_roots(
+    roots = find_roots(
         lambda x, level: _traces(V, l, x, refine) - level,
         lo, hi, _EDGE_TOL, args=(levels,),
-        scalar=lambda x, level: monodromy(V, l, x, refine).trace - level,
     )
+    lo, hi, levels = np.broadcast_arrays(lo, hi, levels)
+    for i in np.flatnonzero(np.isnan(roots)):
+        roots.flat[i] = find_root(
+            lambda x: monodromy(V, l, x, refine).trace - levels.flat[i],
+            lo.flat[i], hi.flat[i], _EDGE_TOL,
+        )
+    return roots
 
 
 def spectrum_bands(
@@ -379,9 +379,6 @@ def spectrum_bands(
 
     refine = _refine_tol(tol)
 
-    def slope(x):
-        return _traces(V, l, x, refine, derivative=True)[1]
-
     warnings: list[str] = []
 
     # simple crossings of +2 and -2
@@ -393,14 +390,13 @@ def spectrum_bands(
     # interior extrema: grazing touches and gaps narrower than the grid
     d = np.diff(deltas)
     turns = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
-    lo, hi = lams[turns - 1], lams[turns + 1]
-    dd = slope(np.concatenate([lo, hi]))
-    dd_lo, dd_hi = dd[: turns.size], dd[turns.size :]
-    true_turn = dd_lo * dd_hi <= 0  # else a grid wiggle
-    turns, lo, hi = turns[true_turn], lo[true_turn], hi[true_turn]
     lam_stars = find_roots(
-        slope, lo, hi, _EDGE_TOL, f_ends=(dd_lo[true_turn], dd_hi[true_turn])
+        lambda x: _traces(V, l, x, refine, derivative=True)[1],
+        lams[turns - 1], lams[turns + 1], _EDGE_TOL,
     )
+    true_turn = ~np.isnan(lam_stars)  # else dDelta/dlam keeps its sign: a grid wiggle
+    turns, lam_stars = turns[true_turn], lam_stars[true_turn]
+    lo, hi = lams[turns - 1], lams[turns + 1]
     d_stars = _traces(V, l, lam_stars, refine)
     narrow = []  # brackets (lo, hi, level) of the gaps the scan did not see
     for i, lo_i, hi_i, lam_star, d_star in zip(turns, lo, hi, lam_stars, d_stars):

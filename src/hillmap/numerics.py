@@ -158,8 +158,6 @@ def find_roots(
     b,
     tol: ToleranceSpec = ROOT_TOL,
     args: Sequence = (),
-    scalar: Callable[..., float] | None = None,
-    f_ends: tuple | None = None,
 ) -> np.ndarray:
     """Roots of ``f`` in every bracket ``[a[i], b[i]]``, all solved together.
 
@@ -171,53 +169,31 @@ def find_roots(
     what it means for :func:`find_root`: ``xatol = abs_tol``,
     ``xrtol = max(rel_tol, 4 eps)``, ``maxiter = max_steps``.
 
-    ``f`` at the bracket ends takes one call, or none when the caller passes
-    the values as ``f_ends = (f(a), f(b))``.  A bracket whose ends share a
-    sign is handed to :func:`find_root`, even-root branch included, with
-    ``scalar(x, *args_i)``: the same function of one float (by default ``f``
-    on a one-element array).
+    A bracket whose ends share a sign gives NaN: whether it holds an
+    even-order root (find_root's minimisation branch) or none is left to
+    the caller.
     """
     # imported here: it adds ~9 ms to the start-up of every CLI call
     from scipy.optimize.elementwise import find_root as chandrupatla
 
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
-    shape = arrays[0].shape
-    a, b, *args = (v.ravel() for v in arrays)
+    a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
     if a.size == 0:
-        return np.empty(shape)
-    if f_ends is None:
-        both = f(np.concatenate([a, b]), *(np.concatenate([v, v]) for v in args))
-        f_ends = (both[: a.size], both[a.size :])
-    ends = [(a, np.ravel(f_ends[0])), (b, np.ravel(f_ends[1]))]
-
-    def f_known_ends(x, *arg):
-        for x_end, f_end in ends:
-            if x.shape == x_end.shape and np.array_equal(x, x_end):
-                return f_end.copy()
-        return f(x, *arg)
-
+        return np.empty(a.shape)
     res = chandrupatla(
-        f_known_ends,
+        f,
         (a, b),
         args=tuple(args),
         tolerances={"xatol": tol.abs_tol, "xrtol": max(tol.rel_tol, 4 * _EPS)},
         maxiter=tol.max_steps,
     )
-    roots = np.array(res.x, dtype=float)
     status = np.asarray(res.status)
-    stuck = (status != 0) & (status != -1)
+    stuck = (status != 0) & (status != -1)  # -1: ends of one sign
     if stuck.any():
         raise NonConvergenceError(
             f"{int(stuck.sum())} of {a.size} brackets did not converge "
             f"(statuses {sorted(set(status[stuck].tolist()))})"
         )
-    if scalar is None:
-        def scalar(x, *arg_i):
-            return float(f(np.array([x]), *(np.array([v]) for v in arg_i))[0])
-    for i in np.flatnonzero(status == -1):
-        arg_i = [float(v[i]) for v in args]
-        roots[i] = find_root(lambda x: scalar(x, *arg_i), a[i], b[i], tol)
-    return roots.reshape(shape)
+    return np.where(status == -1, np.nan, res.x)
 
 
 def quad_singular(

@@ -17,10 +17,12 @@ from hillmap.hill import (
     monodromy,
     monodromy_power,
     spectrum_bands,
-    _disc_batch,
+    _EDGE_TOL,
+    _level_roots,
+    _refine_tol,
     _traces,
 )
-from hillmap.numerics import ToleranceSpec, quad_singular
+from hillmap.numerics import IVP_TOL, ToleranceSpec, find_root, quad_singular
 
 FREE = Potential.free()
 COS = Potential.cosine()  # cos(2 pi x), period 1
@@ -213,18 +215,12 @@ class TestTraces:
     def test_per_lambda_bound(self, grid):
         V, lams, ref = grid
         # measured 4.6e-12; without the sqrt(components) scaling of the
-        # tolerances the same grid misses by 7.2e-11
+        # tolerances the same grid misses by 7.2e-11, and the scan kernel
+        # _disc_batch, bounded only in RMS over the stack, by 1.4e-10
         tol = ToleranceSpec(1e-11, 1e-11, 1_000_000)
         assert np.max(np.abs(_traces(V, 1.0, lams, tol) - ref)) <= 2e-11
         delta, _ = _traces(V, 1.0, lams, tol, derivative=True)
         assert np.max(np.abs(delta - ref)) <= 2e-11
-
-    def test_scan_kernel_is_bounded_only_in_rms(self, grid):
-        # the stacked scan shares one RMS error norm over all lams; at the same
-        # tolerance it misses the per-lam bound, which is why _traces scales
-        V, lams, ref = grid
-        tol = ToleranceSpec(1e-11, 1e-11, 1_000_000)
-        assert np.max(np.abs(_disc_batch(V, 1.0, lams, tol) - ref)) > 1e-10
 
     def test_derivative_matches_central_difference(self):
         V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
@@ -235,6 +231,20 @@ class TestTraces:
         fd = _traces(V, 1.0, lams + h, tight) - _traces(V, 1.0, lams - h, tight)
         fd /= 2 * h
         assert np.max(np.abs(dd - fd)) < 1e-7
+
+    def test_touch_bracket_takes_find_root(self):
+        # Delta = 2 cos(sqrt(lam)) grazes +2 at 4 pi^2 without crossing: that
+        # bracket goes to find_root over monodromy, its even-root branch
+        # included; the crossing of 0 beside it is solved in the batch
+        refine = _refine_tol(IVP_TOL)
+        roots = _level_roots(FREE, 1.0, [38.0, 1.0], [41.0, 4.0], [2.0, 0.0], refine)
+        touch = find_root(
+            lambda lam: monodromy(FREE, 1.0, lam, refine).trace - 2.0,
+            38.0, 41.0, _EDGE_TOL,
+        )
+        assert roots[0] == touch
+        assert abs(touch - 4.0 * math.pi**2) < 1e-7
+        assert abs(roots[1] - math.pi**2 / 4.0) < 1e-10
 
     def test_empty(self):
         tol = ToleranceSpec(1e-11, 1e-11, 1_000_000)

@@ -112,32 +112,15 @@ class TestFindRoots:
         assert roots.shape == (3,)
         assert np.max(np.abs(roots - [1.0, 2.0, 3.0])) < 1e-10
 
-    def test_touch_bracket_returns_find_root_value(self):
-        # (x - 1)^2 keeps its sign on [0, 3]: the bracket goes to find_root's
-        # even-root branch, with the same function, and must return its value
-        f = lambda x: (x - 1.0) ** 2
-        expected = find_root(f, 0.0, 3.0)
-        roots = find_roots(f, [0.0, 0.5], [3.0, 2.0])
-        assert roots[0] == expected
-        assert roots[1] == find_root(f, 0.5, 2.0)
-        # a straddling bracket in the same batch is solved as usual
-        mixed = find_roots(lambda x: (x - 1.0) ** 2 - 0.25, [0.0, 0.0], [3.0, 1.0])
-        assert mixed[0] == find_root(lambda x: (x - 1.0) ** 2 - 0.25, 0.0, 3.0)
-        assert abs(mixed[1] - 0.5) < 1e-12
-
-    def test_scalar_function_serves_touch_brackets(self):
-        seen = []
-
-        def scalar(x):
-            seen.append(x)
-            return (x - 1.0) ** 2
-
-        root = find_roots(lambda x: (x - 1.0) ** 2, [0.0], [3.0], scalar=scalar)
-        assert seen and root[0] == find_root(lambda x: (x - 1.0) ** 2, 0.0, 3.0)
-
-    def test_invalid_bracket_raises_like_find_root(self):
-        with pytest.raises(BracketError):
-            find_roots(lambda x: x * x + 1.0, [-1.0], [1.0])
+    def test_same_sign_bracket_gives_nan(self):
+        # (x - 1)^2 touches zero on [0, 3] without a sign change, x^2 + 1 has
+        # no root; neither is a bracket, and neither stops the others
+        roots = find_roots(
+            lambda x, c: (x - 1.0) ** 2 - c, [0.0, 0.0, -1.0], [3.0, 1.0, 1.0],
+            args=([0.0, 0.25, -1.0],),
+        )
+        assert np.isnan(roots[0]) and np.isnan(roots[2])
+        assert abs(roots[1] - 0.5) < 1e-12
 
     def test_zero_at_an_endpoint(self):
         roots = find_roots(lambda x: x - 1.0, [1.0, 0.0], [2.0, 1.0])
@@ -145,21 +128,6 @@ class TestFindRoots:
         assert find_roots(lambda x: x - 1.0, [1.0], [2.0])[0] == find_root(
             lambda x: x - 1.0, 1.0, 2.0
         )
-
-    def test_known_end_values_are_not_recomputed(self):
-        calls = []
-
-        def f(x):
-            calls.append(x.size)
-            return x - 0.3
-
-        a, b = np.zeros(4), np.ones(4)
-        find_roots(f, a, b, f_ends=(a - 0.3, b - 0.3))
-        with_ends = len(calls)
-        calls.clear()
-        find_roots(f, a, b)
-        assert calls[0] == 8  # both ends in one call
-        assert len(calls) == with_ends + 1
 
     def test_tolerance_is_met(self):
         tol = ToleranceSpec(1e-6, 0.0, 256)
