@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .maps import gen_logistic_coeffs
+from .transfer import invariant_quantile
 
 DOMAIN = (-2.0, 2.0)
 CHUNK = 1 << 16
@@ -118,7 +119,7 @@ def sample_initial(
                 bad[bad_idx] = True
                 n_bad = bad_idx.size
                 rejections += n_bad
-            else:
+            if n_bad:
                 raise ConfigurationError("rejection resampling did not terminate")
         out[produced : produced + want] = vals
         produced += want
@@ -137,12 +138,23 @@ def wasserstein1(samples: Sequence[float]) -> float:
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise ValueError("empty sample")
-    if np.any(np.diff(s) < 0):
+    return _w1_sorted(s, _quantile_grid(s.size), np.empty_like(s))
+
+
+def _quantile_grid(n: int) -> np.ndarray:
+    """Invariant quantiles at the midpoints u_i = (i + 1/2)/n."""
+    return invariant_quantile(np.arange(0.5, n) / n)
+
+
+def _w1_sorted(s: np.ndarray, grid: np.ndarray, scratch: np.ndarray) -> float:
+    """mean |s - grid| for sorted s in [-2, 2], computed in ``scratch``."""
+    if np.any(s[1:] < s[:-1]):
         raise ValueError("samples must be sorted ascending")
     if s[0] < DOMAIN[0] - 1e-9 or s[-1] > DOMAIN[1] + 1e-9:
         raise DomainError("samples must lie in [-2, 2]")
-    u = (np.arange(s.size) + 0.5) / s.size
-    return float(np.mean(np.abs(s - (-2.0 * np.cos(math.pi * u)))))
+    np.subtract(s, grid, out=scratch)
+    np.abs(scratch, out=scratch)
+    return float(np.mean(scratch))
 
 
 def detect_linear_region(distances: Sequence[float], noise_floor: float) -> tuple[int, int]:
@@ -192,13 +204,29 @@ class EnsembleReport:
         return json.dumps(asdict(self))
 
 
-def _apply_map(values: np.ndarray, coeffs: np.ndarray, threads: int) -> np.ndarray:
+def _apply_map(values: np.ndarray, coeffs: np.ndarray, out: np.ndarray,
+               threads: int) -> None:
+    """out = np.polyval(coeffs, values), bit for bit.
+
+    Horner's steps y = y*x + c run in place, one CHUNK-sized block at a time
+    so that a block stays in cache; with threads, each block is written by
+    one worker.
+    """
+    def horner(start: int) -> None:
+        x = values[start : start + CHUNK]
+        y = out[start : start + CHUNK]
+        y.fill(coeffs[0])  # np.polyval's first step, 0*x + c0
+        for c in coeffs[1:]:
+            np.multiply(y, x, out=y)
+            np.add(y, c, out=y)
+
+    starts = range(0, values.size, CHUNK)
     if threads <= 1 or values.size < 4 * CHUNK:
-        return np.polyval(coeffs, values)
-    pieces = np.array_split(values, threads)
+        for start in starts:
+            horner(start)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        done = list(pool.map(lambda v: np.polyval(coeffs, v), pieces))
-    return np.concatenate(done)
+        list(pool.map(horner, starts))
 
 
 def convergence_experiment(
@@ -229,17 +257,26 @@ def convergence_experiment(
             f"initial ensemble leaves [-2, 2] (dist={dist}); enable truncation"
         )
     coeffs = np.asarray(gen_logistic_coeffs(m).coefficients, dtype=float)
-    distances = [wasserstein1(np.sort(samples))]
+    # The map acts elementwise, so mapping the sorted ensemble gives the same
+    # multiset of values, and so the same sorted array, as mapping it in draw
+    # order: sort once and keep the ensemble sorted.  Each iteration maps into
+    # the spare buffer and swaps; W1 then uses the stale one as scratch.
+    samples.sort()
+    spare = np.empty_like(samples)
+    grid = _quantile_grid(n_samples)
+    distances = [_w1_sorted(samples, grid, spare)]
     for it in range(n_iters):
-        samples = _apply_map(samples, coeffs, threads)
-        worst = float(np.max(np.abs(samples)))
+        _apply_map(samples, coeffs, spare, threads)
+        samples, spare = spare, samples
+        worst = max(-float(samples.min()), float(samples.max()))
         if worst > 2.0 + 1e-9:
             raise ConfigurationError(
                 f"ensemble escaped to |x|={worst:.3g} at iteration {it + 1} "
                 f"(m={m}, dist={dist}, seed={seed})"
             )
         np.clip(samples, DOMAIN[0], DOMAIN[1], out=samples)
-        distances.append(wasserstein1(np.sort(samples)))
+        samples.sort()
+        distances.append(_w1_sorted(samples, grid, spare))
 
     noise_floor = W1_FLOOR_COEFF / math.sqrt(n_samples)
     slope = None

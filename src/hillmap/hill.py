@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import IVP_TOL, ToleranceSpec, find_root, find_roots, integrate_ivp
+from .transfer import invariant_density
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,7 +223,7 @@ def discriminant_density(delta: float) -> float:
     """Universal density of discriminant values, (1/pi)/sqrt(4 - delta^2)."""
     if not -2.0 < delta < 2.0:
         raise DomainError("discriminant density is defined on the open (-2, 2)")
-    return 1.0 / (math.pi * math.sqrt(4.0 - delta * delta))
+    return invariant_density("discriminant_D", delta)
 
 
 @dataclass(frozen=True)

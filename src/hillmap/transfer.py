@@ -144,11 +144,19 @@ def invariant_cdf(delta: float) -> float:
     return 0.5 + math.asin(delta / 2.0) / math.pi
 
 
-def invariant_quantile(u: float) -> float:
-    """Quantile of the discriminant invariant density: -2 cos(pi u)."""
-    if not 0.0 <= u <= 1.0:
+def invariant_quantile(u: float | np.ndarray) -> float | np.ndarray:
+    """Quantile of the discriminant invariant density: -2 cos(pi u).
+
+    A scalar gives a float; an array gives an array, elementwise.
+    """
+    if np.ndim(u) == 0:
+        if not 0.0 <= u <= 1.0:
+            raise DomainError("u must lie in [0, 1]")
+        return -2.0 * math.cos(math.pi * u)
+    u = np.asarray(u, dtype=float)
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
         raise DomainError("u must lie in [0, 1]")
-    return -2.0 * math.cos(math.pi * u)
+    return -2.0 * np.cos(math.pi * u)
 
 
 # Exact pushforward under the piecewise-linear folds ---------------------------

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from hillmap import ensemble
 from hillmap.ensemble import (
+    CHUNK,
     InitialDistribution,
     W1_FLOOR_COEFF,
     convergence_experiment,
@@ -12,6 +16,7 @@ from hillmap.ensemble import (
     wasserstein1,
 )
 from hillmap.errors import ConfigurationError
+from hillmap.maps import gen_logistic_coeffs
 from hillmap.transfer import StepDensity, pushforward_genlogistic
 
 # Frozen output of the Philox-keyed sampler: uniform(-2, 2), n=4, seed 20240601.
@@ -62,6 +67,38 @@ class TestSampleInitial:
         with pytest.raises(ConfigurationError):
             sample_initial(wide, 10_000, 1)
 
+    @staticmethod
+    def _draws_good_at(monkeypatch, good_round):
+        """Patch ``_draw``: the first draw has one value out of the domain, and
+        every redraw stays out of it until round ``good_round``."""
+        calls = []
+
+        def fake(dist, rng, size):
+            calls.append(size)
+            if len(calls) == 1:
+                vals = np.zeros(size)
+                vals[0] = 5.0
+                return vals
+            return np.array([0.5 if len(calls) - 1 == good_round else 5.0])
+
+        monkeypatch.setattr(ensemble, "_draw", fake)
+        return calls
+
+    def test_redraw_succeeding_on_last_round(self, monkeypatch):
+        calls = self._draws_good_at(monkeypatch, 64)
+        samples, rejections = sample_initial(
+            InitialDistribution.shifted_gamma(), 10, 1, return_rejections=True
+        )
+        assert len(calls) == 65
+        assert samples[0] == 0.5 and np.all(samples[1:] == 0.0)
+        assert rejections == 64
+
+    def test_redraw_still_bad_after_last_round(self, monkeypatch):
+        calls = self._draws_good_at(monkeypatch, 65)
+        with pytest.raises(ConfigurationError, match="did not terminate"):
+            sample_initial(InitialDistribution.shifted_gamma(), 10, 1)
+        assert len(calls) == 65
+
     def test_clamp_alternative(self):
         dist = InitialDistribution.shifted_gamma(clamp_to_domain=True)
         samples, rejections = sample_initial(dist, 50_000, 3, return_rejections=True)
@@ -99,6 +136,28 @@ class TestWasserstein1:
             wasserstein1(np.array([]))
 
 
+_sorted_samples = st.lists(
+    st.floats(-2.0, 2.0), min_size=1, max_size=300
+).map(sorted)
+
+
+@given(_sorted_samples)
+def test_wasserstein1_equals_reference_formula(xs):
+    s = np.array(xs)
+    u = (np.arange(s.size) + 0.5) / s.size
+    assert wasserstein1(s) == float(np.mean(np.abs(s - (-2.0 * np.cos(math.pi * u)))))
+
+
+@given(_sorted_samples, st.data())
+def test_wasserstein1_rejects_any_adjacent_swap(xs, data):
+    distinct = [i for i in range(len(xs) - 1) if xs[i] != xs[i + 1]]
+    assume(distinct)
+    i = data.draw(st.sampled_from(distinct))
+    xs[i], xs[i + 1] = xs[i + 1], xs[i]
+    with pytest.raises(ValueError, match="sorted"):
+        wasserstein1(np.array(xs))
+
+
 class TestDetectLinearRegion:
     def test_geometric_above_floor(self):
         d = [1.0 * 0.5**i for i in range(8)]
@@ -131,6 +190,24 @@ class TestConvergenceExperiment:
         c = convergence_experiment(2, dist, 50_000, 4, seed=123, threads=4)
         assert a.distances == b.distances == c.distances
         assert a.fitted_slope == b.fitted_slope == c.fitted_slope
+
+    def test_threaded_map_matches_serial_and_draw_order_formula(self):
+        # large enough for the threaded map (4 * CHUNK samples and up)
+        n, m, iters, seed = 300_000, 3, 3, 123
+        assert n >= 4 * CHUNK
+        dist = InitialDistribution.shifted_gamma()
+        reps = [convergence_experiment(m, dist, n, iters, seed, threads=t) for t in (1, 2, 3)]
+        assert reps[0].distances == reps[1].distances == reps[2].distances
+        # the same distances from np.polyval on the ensemble in draw order,
+        # a sorted copy per iteration and the quantile grid written out
+        x = sample_initial(dist, n, seed)
+        coeffs = np.asarray(gen_logistic_coeffs(m).coefficients, dtype=float)
+        q = -2.0 * np.cos(math.pi * ((np.arange(n) + 0.5) / n))
+        want = [float(np.mean(np.abs(np.sort(x) - q)))]
+        for _ in range(iters):
+            x = np.clip(np.polyval(coeffs, x), -2.0, 2.0)
+            want.append(float(np.mean(np.abs(np.sort(x) - q))))
+        assert reps[0].distances == tuple(want)
 
     def test_zero_iterations(self):
         rep = convergence_experiment(3, InitialDistribution.shifted_gamma(), 10_000, 0, seed=5)

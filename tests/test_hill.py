@@ -23,6 +23,7 @@ from hillmap.hill import (
     _traces,
 )
 from hillmap.numerics import IVP_TOL, ToleranceSpec, find_root, quad_singular
+from hillmap.transfer import invariant_density
 
 FREE = Potential.free()
 COS = Potential.cosine()  # cos(2 pi x), period 1
@@ -404,6 +405,10 @@ class TestDiscriminantDensity:
     def test_values(self):
         assert abs(discriminant_density(0.0) - 1.0 / (2 * math.pi)) < 1e-15
         assert abs(discriminant_density(math.sqrt(3.0)) - 1.0 / math.pi) < 1e-14
+
+    def test_is_the_invariant_density(self):
+        for delta in (-1.999, -0.3, 0.0, 1.2):
+            assert discriminant_density(delta) == invariant_density("discriminant_D", delta)
 
     def test_domain_error(self):
         for bad in (-2.0, 2.0, 2.5):

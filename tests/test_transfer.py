@@ -378,6 +378,18 @@ class TestInvariantDensities:
         for u in np.linspace(0.0, 1.0, 101):
             assert abs(invariant_cdf(invariant_quantile(float(u))) - u) < 1e-12
 
+    def test_quantile_of_array(self):
+        u = (np.arange(7) + 0.5) / 7
+        got = invariant_quantile(u)
+        assert isinstance(got, np.ndarray) and got.shape == u.shape
+        assert np.array_equal(got, -2.0 * np.cos(math.pi * u))
+        assert np.allclose(got, [invariant_quantile(float(v)) for v in u], rtol=0, atol=1e-15)
+        assert isinstance(invariant_quantile(0.25), float)
+        assert invariant_quantile(np.empty(0)).shape == (0,)
+        for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+            with pytest.raises(DomainError):
+                invariant_quantile(np.array(bad))
+
     def test_q_density_normalised(self):
         val = quad_singular(Q_DENSITY, 0.0, 1.0, singular_points=[0.0, 1.0])
         assert abs(val - 1.0) < 1e-9
