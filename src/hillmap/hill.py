@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.special import airy
 
 from .errors import DomainError
 from .numerics import IVP_TOL, ToleranceSpec, find_root, find_roots, integrate_ivp
@@ -37,9 +38,9 @@ class Potential:
     def __post_init__(self):
         if not self.period > 0:
             raise ValueError("period must be positive")
-        # Interpolation table (nodes, values) over one period, built once: the
-        # ODE kernels evaluate V once per right-hand side.  Not a field, so
-        # equality and the hash see only the defining data.
+        # Interpolation table (nodes, values) over one period and the linear
+        # pieces, built once.  Not fields, so equality and the hash see only
+        # the defining data.
         table = None
         if self.kind == "piecewise_linear":
             bp, vals = self.params
@@ -49,6 +50,22 @@ class Potential:
             n = len(vals)
             table = (np.arange(n + 1) * (self.period / n), np.array([*vals, vals[0]]))
         object.__setattr__(self, "_table", table)
+        # (v0, slope, length) of the linear pieces of [0, period] in order:
+        # the closed-form kernel multiplies one exact matrix per piece
+        pieces = None
+        if table is not None:
+            xp, fp = table
+            x = np.mod(xp[:-1], self.period)
+            order = np.argsort(x)
+            x, v = x[order], fp[:-1][order]
+            if x[0] > 0.0:
+                x, v = np.insert(x, 0, 0.0), np.insert(v, 0, self(0.0))
+            x, v = np.append(x, self.period), np.append(v, v[0])
+            h = np.diff(x)
+            keep = h > 0.0  # a node that np.mod put on the period's end
+            pieces = tuple(zip(v[:-1][keep].tolist(), (np.diff(v)[keep] / h[keep]).tolist(),
+                               h[keep].tolist()))
+        object.__setattr__(self, "_pieces", pieces)
 
     @classmethod
     def constant(cls, value: float, period: float = 1.0) -> "Potential":
@@ -102,27 +119,14 @@ class Potential:
             return out if isinstance(x, np.ndarray) else float(out)
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
-    def breakpoints_in(self, t0: float, t1: float) -> list[float]:
-        """Non-smooth points of V inside (t0, t1), for the integrator."""
-        if self.kind in ("constant", "cosine"):
-            return []
-        if self.kind == "piecewise_linear":
-            base = np.array(self.params[0])
-        else:
-            n = len(self.params[0])
-            base = np.arange(n) * (self.period / n)
-        k0 = math.floor((t0 - base[-1]) / self.period)
-        k1 = math.ceil((t1 - base[0]) / self.period)
-        pts = (base[None, :] + self.period * np.arange(k0, k1 + 1)[:, None]).ravel()
-        return [float(p) for p in pts if t0 < p < t1]
-
     def min_value(self) -> float:
-        """Sampled minimum over one period (lower bound of the spectrum)."""
+        """Minimum over one period (lower bound of the spectrum); sampled for
+        the cosine kind."""
         if self.kind == "constant":
             return self.params[0]
-        xs = np.linspace(0.0, self.period, 2049)
-        xs = np.append(xs, self.breakpoints_in(0.0, self.period))
-        return float(np.min(self(xs)))
+        if self._table is not None:  # piecewise linear: the least node value
+            return float(np.min(self._table[1]))
+        return float(np.min(self(np.linspace(0.0, self.period, 2049))))
 
 
 @dataclass(frozen=True)
@@ -170,19 +174,226 @@ def _check_cell_length(V: Potential, l: float) -> None:
         raise ValueError("cell length must be a positive multiple of the period")
 
 
+def _matrices(a, b, c, d) -> np.ndarray:
+    """Stack of 2x2 matrices [[a, b], [c, d]] from equal-shaped arrays."""
+    return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+
+
+def _trace(M: np.ndarray) -> np.ndarray:
+    return M[..., 0, 0] + M[..., 1, 1]
+
+
+# One linear piece: u'' = q(x) u on [0, h] with q = v0 - lam + s x, q0 = q(0),
+# q1 = q(h).  Three exact forms cover every (s, h, lam):
+#
+# * Airy: u is a combination of Ai(z), Bi(z) with z = q / c^2, c = s^(1/3).
+#   Ai and Bi carry the phase zeta = (2/3) |q|^(3/2) / |s| in full, so the
+#   matrix, a difference of such products, loses about eps * zeta.
+# * Asymptotic: for zeta >= _ZETA at both ends (no turning point inside), the
+#   Airy functions' modulus-phase expansions in w = 1 / zeta (DLMF 9.7.5,
+#   9.7.9-9.7.12) to _SERIES_ORDER, with the phase difference taken in a form
+#   free of cancellation.  At s = 0 (w = 0) this is the cos/sin or cosh/sinh
+#   matrix of a flat piece.
+# * Magnus: when |c| h is small, q varies little and q h^2 is small, and the
+#   Airy difference cancels (error ~ eps / (|c| h)); there one sixth-order
+#   Magnus step, the exponential of a traceless 2x2 matrix, is exact to
+#   rounding.
+#
+# Thresholds, measured against 40-digit mpmath Airy matrices over random
+# pieces (slopes 1e-3..1e2 and beyond): Airy is within 3.5e-14 relative for
+# zeta < 40, the asymptotic form with terms up to w^12 within 2e-15 for
+# zeta >= 40 (it reaches 1.5e-13 at zeta = 20).  The Magnus step is within
+# 3e-14 for |c| h <= 1.6e-2, where Airy is off by up to 1.3e-13 (5e-12 at
+# |c| h = 1e-3, 1.3e-10 at 1e-5).  The asymptotic form also needs
+# |q| h^2 >= 1e-4 (below that, with zeta >= 40, |c| h < 3e-3: Magnus).
+_ZETA = 40.0
+_SERIES_ORDER = 12
+_FLAT = 1e-4
+_CORNER = 1.6e-2
+# Complex step for the lam-derivative of the asymptotic and Magnus forms:
+# T(q - i eps) = T(q) - i eps dT/dq + O(eps^2), without cancellation.
+_STEP = 1e-30
+
+
+def _airy_series_coeffs(order: int):
+    """Even and odd parts (highest power first) of the Airy asymptotic
+    series u_k and v_k = -(6k+1)/(6k-1) u_k, DLMF 9.7.2."""
+    u = [1.0]
+    for k in range(1, order + 1):
+        u.append(u[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216 * k))
+    v = [1.0] + [-(6 * k + 1) / (6 * k - 1) * u[k] for k in range(1, order + 1)]
+    return [np.array(c[start::2][::-1]) for c in (u, v) for start in (0, 1)]
+
+
+_U_EVEN, _U_ODD, _V_EVEN, _V_ODD = _airy_series_coeffs(_SERIES_ORDER)
+
+
+def _airy_piece(q0, s, h, derivative):
+    c = float(np.cbrt(s))
+    z0 = q0 / (c * c)
+    z1 = z0 + c * h
+    a0, ap0, b0, bp0 = airy(z0)
+    a1, ap1, b1, bp1 = airy(z1)
+    # T = Phi(h) Phi(0)^-1 with Phi = [[Ai, Bi], [c Ai', c Bi']], det c / pi
+    inv0 = _matrices(c * bp0, -b0, -c * ap0, a0) * (math.pi / c)
+    phi1 = _matrices(a1, b1, c * ap1, c * bp1)
+    T = phi1 @ inv0
+    if not derivative:
+        return T, None
+    dz = -1.0 / (c * c)  # dz/dlam; Ai'' = z Ai
+    dinv0 = _matrices(c * z0 * b0, -bp0, -c * z0 * a0, ap0) * (dz * math.pi / c)
+    dphi1 = _matrices(ap1, bp1, c * z1 * a1, c * z1 * b1) * dz
+    return T, dphi1 @ inv0 + phi1 @ dinv0
+
+
+def _asymptotic_piece(q0, s, h):
+    q1 = q0 + s * h
+    nu = np.where(q0.real < 0.0, 1.0, -1.0)  # 1 oscillatory, -1 forbidden
+    p0, p1 = -nu * q0, -nu * q1
+    r0, r1 = np.sqrt(p0), np.sqrt(p1)
+    f0, f1 = np.sqrt(r0), np.sqrt(r1)
+    sg = math.copysign(1.0, s)
+    # zeta(h) - zeta(0), with zeta = (2/3) p^(3/2) / |s|, times the direction
+    phase = (2.0 / 3.0) * sg * h * (p0 + r0 * r1 + p1) / (r0 + r1)
+    osc = nu > 0
+    cd, sd = np.empty_like(phase), np.empty_like(phase)
+    cd[osc], sd[osc] = np.cos(phase[osc]), np.sin(phase[osc])
+    cd[~osc], sd[~osc] = np.cosh(phase[~osc]), np.sinh(phase[~osc])
+
+    def series(p, r):
+        w = 1.5 * abs(s) / (p * r)
+        y = -nu * w * w
+        return (np.polyval(_U_EVEN, y), w * np.polyval(_U_ODD, y),
+                np.polyval(_V_EVEN, y), w * np.polyval(_V_ODD, y))
+
+    P0, Q0, R0, S0 = series(p0, r0)  # Ai-type (P, Q), Ai'-type (R, S) sums
+    P1, Q1, R1, S1 = series(p1, r1)
+    return _matrices(
+        f0 / f1 * ((P1 * R0 + nu * Q1 * S0) * cd + nu * (P1 * S0 - Q1 * R0) * sd),
+        sg / (f0 * f1) * ((Q1 * P0 - P1 * Q0) * cd + (P1 * P0 + nu * Q1 * Q0) * sd),
+        -nu * sg * f0 * f1 * ((S1 * R0 - R1 * S0) * cd + (R1 * R0 + nu * S1 * S0) * sd),
+        f1 / f0 * ((R1 * P0 + nu * S1 * Q0) * cd - nu * (S1 * P0 - R1 * Q0) * sd),
+    )
+
+
+_COSH_SQRT = np.array([1.0 / math.factorial(2 * k) for k in range(5, -1, -1)])
+_SINHC_SQRT = np.array([1.0 / math.factorial(2 * k + 1) for k in range(5, -1, -1)])
+
+
+def _magnus_piece(q0, s, h):
+    qm = q0 + 0.5 * s * h  # q at the midpoint
+    d = s * h**3 * (qm * h * h / 180.0 - 1.0 / 12.0)
+    low = h * (qm - s * s * h**4 / 120.0)
+    # exp [[d, h], [low, -d]] = C I + S Omega, Omega^2 = w I; |w| < 5e-3 here
+    w = d * d + h * low
+    C, S = np.polyval(_COSH_SQRT, w), np.polyval(_SINHC_SQRT, w)
+    return _matrices(C + S * d, S * h, S * low, C - S * d)
+
+
+def _piece(q0: np.ndarray, s: float, h: float, derivative: bool):
+    """Exact transfer matrices of one linear piece for every q0 = v0 - lam;
+    with ``derivative`` also their lam-derivatives, else None."""
+    q1 = q0 + s * h
+    p = np.minimum(np.abs(q0), np.abs(q1))
+    asymptotic = (q0 * q1 > 0) & (p * h * h >= _FLAT) & (p**1.5 >= 1.5 * _ZETA * abs(s))
+    magnus = ~asymptotic & (abs(s) ** (1.0 / 3.0) * h <= _CORNER)
+    rest = ~(asymptotic | magnus)
+    T = np.empty(q0.shape + (2, 2))
+    dT = np.empty_like(T) if derivative else None
+    for mask, form in ((asymptotic, _asymptotic_piece), (magnus, _magnus_piece)):
+        if not mask.any():
+            continue
+        if derivative:
+            Tc = form(q0[mask] - 1j * _STEP, s, h)
+            T[mask], dT[mask] = Tc.real, Tc.imag / _STEP
+        else:
+            T[mask] = form(q0[mask], s, h)
+    if rest.any():
+        T[rest], dTr = _airy_piece(q0[rest], s, h, derivative)
+        if derivative:
+            dT[rest] = dTr
+    return T, dT
+
+
+def _closed_form(V: Potential, l: float, lams: np.ndarray, derivative: bool):
+    if V.kind == "constant":
+        pieces, cells = ((V.params[0], 0.0, l),), 1
+    else:
+        pieces, cells = V._pieces, round(l / V.period)
+    M = np.zeros(lams.shape + (2, 2))
+    M[..., 0, 0] = M[..., 1, 1] = 1.0
+    dM = np.zeros_like(M) if derivative else None
+    mats = [_piece(v0 - lams, s, h, derivative) for v0, s, h in pieces]
+    for _ in range(cells):
+        for T, dT in mats:
+            if derivative:
+                dM = dT @ M + T @ dM
+            M = T @ M
+    return M, dM
+
+
+def _integrated(V: Potential, l: float, lams: np.ndarray, tol: ToleranceSpec,
+                derivative: bool):
+    """One stacked DOP853 solve; its step control bounds the error in RMS
+    over the whole stack (see _traces)."""
+    n = lams.size
+    rows = 4 if derivative else 2  # per basis solution: u, u' [, du/dlam, du'/dlam]
+
+    def rhs(t, y):
+        z = y.reshape(2, rows, n)
+        w = V(t) - lams
+        dz = np.empty_like(z)
+        dz[:, 0::2] = z[:, 1::2]
+        dz[:, 1::2] = w * z[:, 0::2]
+        if derivative:
+            dz[:, 3] -= z[:, 0]
+        return dz.ravel()
+
+    y0 = np.zeros((2, rows, n))
+    y0[0, 0] = y0[1, 1] = 1.0
+    z = integrate_ivp(rhs, y0.ravel(), 0.0, l, tol).reshape(2, rows, n).transpose(2, 1, 0)
+    return z[:, :2], (z[:, 2:] if derivative else None)
+
+
+def transfer_matrices(
+    V: Potential, l: float, lams, tol: ToleranceSpec = IVP_TOL, derivative: bool = False
+):
+    """Transfer matrices over ``[0, l]`` of ``-u'' + V u = lam u`` for every lam.
+
+    Returns an array of shape ``lams.shape + (2, 2)`` (columns as in
+    :class:`Monodromy`); with ``derivative``, the pair (M, dM/dlam).
+
+    ``constant``, ``piecewise_linear`` and ``tabulated`` potentials are
+    linear on each piece of a period: each piece gets its exact matrix (Airy
+    functions, their asymptotic expansions, or one Magnus step, picked per
+    piece and lam, accurate to ~1e-13 relative), the pieces are multiplied
+    across the cell, and ``tol`` is not used.  ``cosine`` potentials are
+    integrated in one stacked DOP853 solve held to ``tol``, which bounds the
+    error in RMS over the stack.
+    """
+    _check_cell_length(V, l)
+    lams = np.asarray(lams, dtype=float)
+    shape = lams.shape + (2, 2)
+    if lams.size == 0:
+        M, dM = np.empty(shape), np.empty(shape)
+    elif V.kind == "cosine":
+        M, dM = _integrated(V, l, lams.ravel(), tol, derivative)
+    else:
+        M, dM = _closed_form(V, l, lams.ravel(), derivative)
+    M = M.reshape(shape)
+    return (M, dM.reshape(shape)) if derivative else M
+
+
 def monodromy(
     V: Potential, l: float, lam: float, tol: ToleranceSpec = IVP_TOL
 ) -> Monodromy:
-    """Transfer matrix over ``[0, l]`` for ``-u'' + V u = lam u``."""
-    _check_cell_length(V, l)
+    """Transfer matrix over ``[0, l]`` for ``-u'' + V u = lam u``.
 
-    def rhs(t, y):
-        w = V(t) - lam
-        return np.array([y[1], w * y[0], y[3], w * y[2]])
-
-    y = integrate_ivp(rhs, [1.0, 0.0, 0.0, 1.0], 0.0, l, tol, V.breakpoints_in(0.0, l))
-    entries = np.array([[y[0], y[2]], [y[1], y[3]]])
-    return Monodromy(entries, l, lam)
+    ``tol`` binds only for cosine cells, which are integrated; the other
+    kinds are piecewise linear and their matrices exact
+    (:func:`transfer_matrices`).
+    """
+    return Monodromy(transfer_matrices(V, l, [lam], tol)[0], l, lam)
 
 
 def monodromy_power(M: Monodromy, m: int) -> Monodromy:
@@ -199,11 +410,6 @@ def monodromy_power(M: Monodromy, m: int) -> Monodromy:
         if k:
             base = base @ base
     return Monodromy(result, M.cell_length * m, M.lam)
-
-
-def discriminant(M: Monodromy) -> float:
-    """Trace of the transfer matrix; |trace| <= 2 characterises the spectrum."""
-    return M.trace
 
 
 def eigenvalue_class(delta: float, parabolic_tol: float = 1e-12) -> str:
@@ -247,73 +453,37 @@ class BandList:
         )
 
 
-def _disc_batch(
-    V: Potential, l: float, lams: np.ndarray, tol: ToleranceSpec
-) -> np.ndarray:
-    """Discriminants for a whole grid of spectral parameters in one solve."""
-    lams = np.asarray(lams, dtype=float)
-    n = lams.size
-
-    def rhs(t, y):
-        z = y.reshape(4, n)
-        w = V(t) - lams
-        return np.concatenate([z[1], w * z[0], z[3], w * z[2]])
-
-    y0 = np.concatenate([np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)])
-    y = integrate_ivp(rhs, y0, 0.0, l, tol, V.breakpoints_in(0.0, l))
-    z = y.reshape(4, n)
-    return z[0] + z[3]
-
-
-# scipy's step control bounds the RMS of the error over all components, so in
-# a stack of c components a single one may be off by sqrt(c) times the request.
-# _traces divides both tolerances by sqrt(c), which bounds every lam on its
-# own.  It stacks at most _TRACE_STACK lams per solve, so the reduced rel_tol
-# stays above the 100 eps floor of integrate_ivp for every rel_tol >= 1e-11.
+# For cosine cells scipy's step control bounds the RMS of the error over all
+# components, so in a stack of c components a single one may be off by
+# sqrt(c) times the request.  _traces divides both tolerances by sqrt(c),
+# which bounds every lam on its own.  It stacks at most _TRACE_STACK lams per
+# solve, so the reduced rel_tol stays above the 100 eps floor of
+# integrate_ivp for every rel_tol >= 1e-11.
 _TRACE_STACK = 64
 
 
 def _traces(
     V: Potential, l: float, lams, tol: ToleranceSpec, derivative: bool = False
 ):
-    """Delta(lam) for an array of lam, each held to ``tol``, in stacked solves.
-
-    With ``derivative`` returns (Delta, dDelta/dlam), the derivative from the
-    variational equations.
-    """
+    """Delta(lam) for an array of lam, each held to ``tol``; with
+    ``derivative``, (Delta, dDelta/dlam).  Cosine cells take stacked solves;
+    the other kinds are exact in one call."""
     lams = np.asarray(lams, dtype=float)
-    delta = np.empty(lams.shape)
-    ddelta = np.empty(lams.shape)
-    rows = 8 if derivative else 4
+    if V.kind != "cosine":
+        got = transfer_matrices(V, l, lams, tol, derivative)
+        return (_trace(got[0]), _trace(got[1])) if derivative else _trace(got)
+    out = (np.empty(lams.shape), np.empty(lams.shape))
     order = np.argsort(lams, axis=None)  # close lams share a stack's step sizes
     stacks = np.array_split(order, -(-lams.size // _TRACE_STACK)) if lams.size else []
     for idx in stacks:
-        lam = lams.flat[idx]
-        n = lam.size
-        shrink = math.sqrt(rows * n)
+        shrink = math.sqrt((8 if derivative else 4) * idx.size)
         stack_tol = ToleranceSpec(
             tol.abs_tol / shrink, tol.rel_tol / shrink, tol.max_steps
         )
-        if not derivative:
-            delta.flat[idx] = _disc_batch(V, l, lam, stack_tol)
-            continue
-
-        # rows u1, u1', du1/dlam, du1'/dlam, then the same for u2
-        def rhs(t, y):
-            z = y.reshape(8, n)
-            w = V(t) - lam
-            return np.concatenate([
-                z[1], w * z[0], z[3], w * z[2] - z[0],
-                z[5], w * z[4], z[7], w * z[6] - z[4],
-            ])
-
-        y0 = np.zeros((8, n))
-        y0[0] = y0[5] = 1.0
-        y = integrate_ivp(rhs, y0.ravel(), 0.0, l, stack_tol, V.breakpoints_in(0.0, l))
-        z = y.reshape(8, n)
-        delta.flat[idx] = z[0] + z[5]
-        ddelta.flat[idx] = z[2] + z[7]
-    return (delta, ddelta) if derivative else delta
+        got = transfer_matrices(V, l, lams.flat[idx], stack_tol, derivative)
+        for dest, M in zip(out, got if derivative else (got,)):
+            dest.flat[idx] = _trace(M)
+    return out if derivative else out[0]
 
 
 # Accuracy in lam of refined band edges, touch points and dispersion points.
@@ -376,7 +546,7 @@ def spectrum_bands(
     scan_tol = ToleranceSpec(
         max(tol.abs_tol, 1e-9), max(tol.rel_tol, 1e-9), tol.max_steps
     )
-    deltas = _disc_batch(V, l, lams, scan_tol)
+    deltas = _trace(transfer_matrices(V, l, lams, scan_tol))
 
     refine = _refine_tol(tol)
 

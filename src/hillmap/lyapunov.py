@@ -143,12 +143,33 @@ def I_integral(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:
     it vanishes identically on [-2, 2] and equals log((|a| + sqrt(a^2 - 4))/2)
     outside.  The integrand's singularity at y = asin(a/2) is declared.
     """
-    sing = []
-    if abs(a) <= 2.0:
-        sing.append(math.asin(a / 2.0))
+    # |2 sin y - a| in factored forms: near a = +-2 the difference cancels, so
+    # that it is 0 in floating point at nodes beside its zero, or rounds away
+    # the part that sets the integral's value just outside [-2, 2].
+    if abs(a) > 2.0:
+        # The integrand dips like log((|a| - 2) + phi^2) within
+        # phi ~ sqrt(|a| - 2) of the end y = sign pi/2.  Unsplit, QUADPACK
+        # misses a dip narrower than ~3e-6 (|a| - 2 < 1e-11: off by up to
+        # 3e-6) while reporting a small bound; split there when it is narrow.
+        # (A split at a wide dip, |a| - 2 ~ 0.07-0.26, cuts the integral
+        # into panels of opposite sign whose bounds sum past rel_tol |I|.)
+        sign = math.copysign(1.0, a)
+        sing = []
+        if abs(a) - 2.0 < 1e-4:
+            sing.append(sign * (math.pi / 2.0 - math.sqrt(abs(a) - 2.0)))
 
-    def integrand(y: float) -> float:
-        return math.log(abs(2.0 * math.sin(y) - a))
+        def integrand(y: float) -> float:
+            # |a| - 2 sin(sign y) = (|a| - 2) + 4 sin^2((pi/2 - sign y)/2)
+            half = math.sin(0.5 * (math.pi / 2.0 - sign * y))
+            return math.log((abs(a) - 2.0) + 4.0 * half * half)
+    else:
+        # 2 sin y - 2 sin y* = 4 sin((y - y*)/2) cos((y + y*)/2)
+        ys = math.asin(a / 2.0)
+        sing = [ys]
+
+        def integrand(y: float) -> float:
+            return (math.log(4.0) + math.log(abs(math.sin(0.5 * (y - ys))))
+                    + math.log(abs(math.cos(0.5 * (y + ys)))))
 
     val = quad_singular(integrand, -math.pi / 2.0, math.pi / 2.0, sing, tol)
     return val / math.pi

@@ -25,6 +25,8 @@ class ToleranceSpec:
 
     ``abs_tol`` and ``rel_tol`` are error targets; ``max_steps`` bounds the
     work (accepted ODE steps, root iterations, or quadrature subdivisions).
+    :func:`quad_singular` accepts a result whose summed error bound is at
+    most ``max(abs_tol, rel_tol * |result|)``, QUADPACK's own stopping rule.
     """
 
     abs_tol: float
@@ -245,7 +247,7 @@ def quad_singular(
         if len(out) > 3:
             worst = f"[{lo:.6g}, {hi:.6g}]: {out[3]}"
     # the contract is on the achieved error bound, not per-panel grumbling
-    if err_bound > max(tol.abs_tol, eps_each * len(panels)):
+    if err_bound > max(tol.abs_tol, tol.rel_tol * abs(total)):
         raise NonConvergenceError(
             f"quadrature error bound {err_bound:.3g} exceeds the request"
             + (f" ({worst})" if worst else ""),

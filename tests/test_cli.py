@@ -1,5 +1,9 @@
 import json
 import math
+import shlex
+from pathlib import Path
+
+import pytest
 
 from hillmap.cli import run
 
@@ -180,3 +184,24 @@ def test_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HILLMAP_OUT_DIR", str(tmp_path))
     assert run(["coeffs", "--m", "2", "--out", "sub/c.csv", "--no-timestamp"]) == 0
     assert (tmp_path / "sub" / "c.csv").exists()
+
+
+def readme_cli_lines():
+    """Every command line of the README's ``## CLI`` section, as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("\n## ", 1)[0].split("```")[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("hillmap ")]
+
+
+def test_readme_covers_every_subcommand():
+    assert {argv[0] for argv in readme_cli_lines()} == {
+        "coeffs", "bands", "orbit", "density-evolve", "ensemble", "lyapunov",
+        "integral-sweep", "mathieu", "mixing-check",
+    }
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_example_exits_zero(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("HILLMAP_OUT_DIR", str(tmp_path))
+    assert run(argv) == 0

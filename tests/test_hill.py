@@ -10,19 +10,19 @@ from hillmap.hill import (
     Monodromy,
     Potential,
     band_function,
-    discriminant,
     discriminant_density,
     eigenvalue_class,
     free_discriminant,
     monodromy,
     monodromy_power,
     spectrum_bands,
+    transfer_matrices,
     _EDGE_TOL,
     _level_roots,
     _refine_tol,
     _traces,
 )
-from hillmap.numerics import IVP_TOL, ToleranceSpec, find_root, quad_singular
+from hillmap.numerics import IVP_TOL, ToleranceSpec, find_root, integrate_ivp, quad_singular
 from hillmap.transfer import invariant_density
 
 FREE = Potential.free()
@@ -59,10 +59,14 @@ class TestPotential:
             Potential.cosine(frequency=3.0)
 
     def test_breakpoints_tile(self):
+        # the linear pieces (v0, slope, length) of one period from x = 0
         V = Potential.piecewise_linear([0.0, 0.25], [1.0, -1.0])
-        pts = V.breakpoints_in(0.0, 2.0)
-        assert pts == [0.25, 1.0, 1.25]
-
+        assert V._pieces == ((1.0, -8.0, 0.25), (-1.0, 8.0 / 3.0, 0.75))
+        # breakpoints off 0 wrap: the piece through x = 0 is split there
+        W = Potential.piecewise_linear([0.5, 1.25], [1.0, -1.0])
+        assert [p[2] for p in W._pieces] == pytest.approx([0.25, 0.25, 0.5])
+        assert [p[0] for p in W._pieces] == pytest.approx([W(0.0), -1.0, 1.0])
+        assert W(0.0) == pytest.approx(-1.0 / 3.0)
 
     def test_interpolation_table_is_not_a_field(self):
         import dataclasses
@@ -126,8 +130,9 @@ class TestMonodromy:
             assert abs(gap) < 5e-4
 
     def test_invalid_cell_length(self):
-        with pytest.raises(ValueError):
-            monodromy(COS, 1.5, 0.0)
+        for V in (COS, Potential.tabulated([0.0, 1.0])):
+            with pytest.raises(ValueError):
+                monodromy(V, 1.5, 0.0)
 
     def test_bad_determinant_rejected(self):
         with pytest.raises(ValueError):
@@ -174,19 +179,19 @@ class TestMonodromyPower:
 
 class TestDiscriminant:
     def test_identity_trace(self):
-        assert discriminant(Monodromy(np.eye(2), 1.0, 0.0)) == 2.0
+        assert Monodromy(np.eye(2), 1.0, 0.0).trace == 2.0
 
     def test_free_closed_forms(self):
         lam = (math.pi / 2) ** 2
-        assert abs(discriminant(monodromy(FREE, 2.0, lam)) - (-2.0)) < 1e-8
+        assert abs(monodromy(FREE, 2.0, lam).trace - (-2.0)) < 1e-8
         lam = (math.pi / 3) ** 2
-        assert abs(discriminant(monodromy(FREE, 1.0, lam)) - 1.0) < 1e-8
+        assert abs(monodromy(FREE, 1.0, lam).trace - 1.0) < 1e-8
 
     def test_free_grid(self):
         lams = np.linspace(0.0, 100.0, 200)
         for l in (1.0, 2.0, 4.0):
             for lam in lams:
-                got = discriminant(monodromy(FREE, l, float(lam)))
+                got = monodromy(FREE, l, float(lam)).trace
                 assert abs(got - free_discriminant(l, float(lam))) < 1e-6
 
 
@@ -259,6 +264,92 @@ class TestTraces:
         assert out.shape == (2, 2)
         expected = np.vectorize(lambda lam: free_discriminant(1.0, lam))(lams)
         assert np.max(np.abs(out - expected)) < 1e-9
+
+
+def ode_matrix(V, knots, l, lam):
+    """Transfer matrix by one tight DOP853 solve, restarted at the knots of V:
+    a reference independent of the closed forms."""
+
+    def rhs(t, y):
+        w = V(t) - lam
+        return np.array([y[1], w * y[0], y[3], w * y[2]])
+
+    cuts = [k + j for j in range(int(round(l))) for k in knots]
+    tight = ToleranceSpec(1e-14, 1e-14, 1_000_000)
+    y = integrate_ivp(rhs, [1.0, 0.0, 0.0, 1.0], 0.0, l, tight, cuts)
+    return np.array([[y[0], y[2]], [y[1], y[3]]])
+
+
+SLOPES = [0.0, 1e-12, 1e-8, 1e-4, 1e-2, 1.0, 60.0]
+
+
+def sloped_cells(slope):
+    """(potential, knots) of every piecewise-linear kind with pieces of slope
+    ``slope`` (and 4/3 ``slope`` and 0 for piecewise_linear)."""
+    return [
+        (Potential.piecewise_linear([0.0, 0.3, 0.7], [1.0, 1.0 + 0.4 * slope, 1.0]),
+         [0.3, 0.7]),
+        (Potential.tabulated([-0.5, -0.5 + 0.5 * slope]), [0.5]),
+    ]
+
+
+class TestTransferMatrices:
+    """The closed forms of piecewise-linear cells against a tight ODE solve."""
+
+    @pytest.mark.parametrize("slope", SLOPES)
+    @pytest.mark.parametrize("l", [1.0, 2.0])
+    def test_entries_match_ode(self, slope, l):
+        cells = sloped_cells(slope) + [(Potential.constant(slope - 0.5), [])]
+        for V, knots in cells:
+            floor = V.min_value()
+            # from deep below the spectrum to high up, plus lam at a node
+            # value (a turning point on a knot)
+            lams = np.array([floor - 50.0, floor - 1.0, floor, 1.0, 20.0, 150.0, 400.0])
+            got = transfer_matrices(V, l, lams)
+            assert got.shape == (lams.size, 2, 2) and np.all(np.isfinite(got))
+            for lam, M in zip(lams, got):
+                ref = ode_matrix(V, knots, l, lam)
+                scale = max(1.0, np.max(np.abs(ref)))
+                # the bound is the reference's: on this grid the solve is off
+                # by up to 4.3e-11 (slope 1e-4, l = 2), the closed forms by
+                # 3e-15 against products of 50-digit Airy matrices
+                assert np.max(np.abs(M - ref)) <= 2e-10 * scale, (V, lam)
+                Monodromy(M, l, lam)  # the determinant contract holds
+
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_derivative_matches_central_difference(self, slope):
+        for V, _ in sloped_cells(slope):
+            lams = np.array([V.min_value() - 50.0, -0.5, 1.0, 7.3, 150.0, 400.0])
+            for l in (1.0, 2.0):
+                M, dM = transfer_matrices(V, l, lams, derivative=True)
+                assert np.all(np.isfinite(dM))
+                plain = transfer_matrices(V, l, lams)
+                assert np.all(np.abs(M - plain) <= 1e-13 * np.maximum(1.0, np.abs(plain)))
+                step = 1e-5 * np.maximum(1.0, np.abs(lams))[:, None, None]
+                fd = transfer_matrices(V, l, lams + step[:, 0, 0])
+                fd = (fd - transfer_matrices(V, l, lams - step[:, 0, 0])) / (2 * step)
+                scale = np.maximum(1.0, np.max(np.abs(dM), axis=(1, 2)))[:, None, None]
+                assert np.all(np.abs(dM - fd) <= 1e-6 * scale), (V, l)
+
+    def test_monodromy_takes_the_kernel(self):
+        V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
+        lams = np.array([[-3.0, 2.0], [40.0, 9.5]])
+        got = transfer_matrices(V, 2.0, lams)
+        assert got.shape == (2, 2, 2, 2)
+        for idx in np.ndindex(lams.shape):
+            assert np.array_equal(got[idx], monodromy(V, 2.0, lams[idx]).entries)
+
+    def test_cosine_is_integrated(self):
+        # only cosine cells take the ODE, one stacked solve for every lam
+        lams = np.array([-1.0, 3.0, 30.0])
+        tight = ToleranceSpec(1e-12, 1e-12, 1_000_000)
+        M, dM = transfer_matrices(COS, 1.0, lams, tight, derivative=True)
+        for lam, Mi in zip(lams, M):
+            assert np.max(np.abs(Mi - monodromy(COS, 1.0, lam, tight).entries)) < 1e-9
+        h = 1e-5
+        fd = (transfer_matrices(COS, 1.0, lams + h, tight)
+              - transfer_matrices(COS, 1.0, lams - h, tight)) / (2 * h)
+        assert np.max(np.abs(dM - fd)) < 1e-6
 
 
 def mathieu_edges(amplitude: float) -> np.ndarray:

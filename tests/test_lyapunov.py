@@ -127,3 +127,27 @@ class TestIIntegral:
     def test_endpoint_singularity(self):
         # |a| = 2 puts the singularity at the integration endpoint
         assert abs(I_integral(2.0)) < 1e-6
+
+    def test_one_ulp_inside_the_edges(self):
+        # at a = -(2 - ulp) asin(a/2) rounds, and 2 sin y - a was exactly 0 at
+        # a quadrature node beside it (log of 0: a math domain error)
+        inside = float(np.nextafter(2.0, 0.0))
+        for a in (inside, -inside):
+            assert abs(I_integral(a)) < 1e-12
+
+    @pytest.mark.parametrize("gap", [4.4e-16, 1e-13, 1e-11, 1e-8, 1e-4])
+    def test_just_outside_the_edges(self, gap):
+        # the value, ~sqrt(|a| - 2), is set within phi ~ sqrt(|a| - 2) of the
+        # end y = pi/2, where 2 sin y - a cancels and QUADPACK can miss it
+        a = 2.0 + gap
+        closed = math.log((a + math.sqrt(a * a - 4.0)) / 2.0)
+        assert abs(I_integral(a) - closed) < 1e-12
+        assert abs(I_integral(-a) - closed) < 1e-12
+
+    @pytest.mark.parametrize("a", [2.2034, 2.2080, 2.2894, 2.4, 2.857, 2.872, 3.8, 3.99])
+    def test_bound_within_rel_tol_is_accepted(self, a):
+        # where an integral sweep exited 2: QUADPACK stops on its relative
+        # rule, err <= rel_tol |I|, with a bound above abs_tol
+        closed = math.log((a + math.sqrt(a * a - 4.0)) / 2.0)
+        assert abs(I_integral(a) - closed) < 1e-10
+        assert abs(I_integral(-a) - closed) < 1e-10

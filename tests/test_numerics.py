@@ -181,6 +181,15 @@ class TestQuadSingular:
     def test_empty_interval(self):
         assert quad_singular(math.log, 1.0, 1.0) == 0.0
 
+    def test_relative_acceptance_rule(self):
+        # accepted when the bound is within max(abs_tol, rel_tol |I|), as
+        # QUADPACK itself stops; with rel_tol = 0 abs_tol alone binds
+        f = lambda x: 1e6 * math.log(x)
+        tol = ToleranceSpec(abs_tol=1e-12, rel_tol=1e-10, max_steps=400)
+        assert abs(quad_singular(f, 0.0, 1.0, [0.0], tol) + 1e6) < 1e-4
+        with pytest.raises(NonConvergenceError):
+            quad_singular(f, 0.0, 1.0, [0.0], ToleranceSpec(1e-12, 0.0, 400))
+
 
 def test_defaults_are_sane():
     assert IVP_TOL.abs_tol == 1e-10 and IVP_TOL.rel_tol == 1e-10
