@@ -331,6 +331,16 @@ class TestTransferMatrices:
                 scale = np.maximum(1.0, np.max(np.abs(dM), axis=(1, 2)))[:, None, None]
                 assert np.all(np.abs(dM - fd) <= 1e-6 * scale), (V, l)
 
+    def test_short_nearly_flat_pieces(self):
+        # slope c^3 on pieces of length 0.5, so |c| h reaches the Magnus
+        # threshold 1.6e-2, with lam beside the potential: a fourth-order
+        # Magnus step is off by 5.6e-11 here, the sixth-order one by 7e-14
+        for c in (0.01, 0.02, 0.032):
+            V = Potential.tabulated([0.0, 0.5 * c**3])
+            for lam in (-0.012, -0.004, 0.0, 0.003, 0.01):
+                M = transfer_matrices(V, 1.0, [lam])[0]
+                assert np.max(np.abs(M - ode_matrix(V, [0.5], 1.0, lam))) < 1e-12
+
     def test_monodromy_takes_the_kernel(self):
         V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
         lams = np.array([[-3.0, 2.0], [40.0, 9.5]])
