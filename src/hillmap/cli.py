@@ -215,9 +215,8 @@ def _cmd_ensemble(cfg, timestamp):
     dist = ensemble.InitialDistribution.shifted_gamma(clamp_to_domain=cfg["clamp"])
     if cfg["dist"] == "uniform":
         dist = ensemble.InitialDistribution.uniform(-2.0, 2.0)
-    threads = cfg["threads"] or (os.cpu_count() or 1)  # 0 = auto
     report = ensemble.convergence_experiment(
-        cfg["m"], dist, cfg["samples"], cfg["iters"], cfg["seed"], threads=threads
+        cfg["m"], dist, cfg["samples"], cfg["iters"], cfg["seed"]
     )
     fmt = cfg["format"] or ("csv" if cfg["out"].endswith(".csv") else "json")
     if fmt == "csv":
@@ -225,6 +224,9 @@ def _cmd_ensemble(cfg, timestamp):
         _write_csv(cfg["out"], ["iteration", "wasserstein1"], rows, cfg, timestamp)
     else:
         payload = json.loads(report.to_json())
+        # --threads has no effect; it is still accepted and echoed (0 = the
+        # CPU count), so that config files and reports keep their shape
+        payload["config"]["threads"] = cfg["threads"] or (os.cpu_count() or 1)
         _write_json(cfg["out"], {"report": payload}, cfg, timestamp)
     if report.fitted_slope is not None:
         print(f"fitted_slope = {report.fitted_slope:.6f} over iterations {report.fit_range}")

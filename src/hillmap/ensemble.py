@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .maps import gen_logistic_coeffs
+from .maps import trace_poly
 from .transfer import invariant_quantile
 
 DOMAIN = (-2.0, 2.0)
@@ -204,29 +203,11 @@ class EnsembleReport:
         return json.dumps(asdict(self))
 
 
-def _apply_map(values: np.ndarray, coeffs: np.ndarray, out: np.ndarray,
-               threads: int) -> None:
-    """out = np.polyval(coeffs, values), bit for bit.
-
-    Horner's steps y = y*x + c run in place, one CHUNK-sized block at a time
-    so that a block stays in cache; with threads, each block is written by
-    one worker.
-    """
-    def horner(start: int) -> None:
-        x = values[start : start + CHUNK]
-        y = out[start : start + CHUNK]
-        y.fill(coeffs[0])  # np.polyval's first step, 0*x + c0
-        for c in coeffs[1:]:
-            np.multiply(y, x, out=y)
-            np.add(y, c, out=y)
-
-    starts = range(0, values.size, CHUNK)
-    if threads <= 1 or values.size < 4 * CHUNK:
-        for start in starts:
-            horner(start)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(horner, starts))
+def _apply_map(m: int, values: np.ndarray, out: np.ndarray) -> None:
+    """out = f_m(values), one CHUNK-sized block at a time so that the
+    recurrence's temporaries stay in cache."""
+    for start in range(0, values.size, CHUNK):
+        out[start : start + CHUNK] = trace_poly(m, values[start : start + CHUNK])
 
 
 def convergence_experiment(
@@ -235,7 +216,6 @@ def convergence_experiment(
     n_samples: int,
     n_iters: int,
     seed: int,
-    threads: int = 1,
 ) -> EnsembleReport:
     """Iterate the degree-m map over a seeded ensemble and fit the W1 decay.
 
@@ -245,7 +225,7 @@ def convergence_experiment(
     iteration 1 and so includes pre-asymptotic steps: ``fitted_slope`` is the
     mean decay over [1, n*], not the asymptotic rate (at m = 2 the exact W1
     of the shifted-gamma start is not even monotone).  Identical inputs give
-    a bit-identical report, independent of ``threads``.
+    a bit-identical report.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -256,7 +236,6 @@ def convergence_experiment(
         raise ConfigurationError(
             f"initial ensemble leaves [-2, 2] (dist={dist}); enable truncation"
         )
-    coeffs = np.asarray(gen_logistic_coeffs(m).coefficients, dtype=float)
     # The map acts elementwise, so mapping the sorted ensemble gives the same
     # multiset of values, and so the same sorted array, as mapping it in draw
     # order: sort once and keep the ensemble sorted.  Each iteration maps into
@@ -266,7 +245,7 @@ def convergence_experiment(
     grid = _quantile_grid(n_samples)
     distances = [_w1_sorted(samples, grid, spare)]
     for it in range(n_iters):
-        _apply_map(samples, coeffs, spare, threads)
+        _apply_map(m, samples, spare)
         samples, spare = spare, samples
         worst = max(-float(samples.min()), float(samples.max()))
         if worst > 2.0 + 1e-9:
@@ -295,9 +274,5 @@ def convergence_experiment(
         fit_range=fit_range,
         noise_floor=noise_floor,
         rejections=rejections,
-        config={
-            "dist": asdict(dist),
-            "n_iters": n_iters,
-            "threads": threads,
-        },
+        config={"dist": asdict(dist), "n_iters": n_iters},
     )

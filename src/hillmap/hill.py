@@ -426,9 +426,8 @@ def eigenvalue_class(delta: float, parabolic_tol: float = 1e-12) -> str:
 
 
 def discriminant_density(delta: float) -> float:
-    """Universal density of discriminant values, (1/pi)/sqrt(4 - delta^2)."""
-    if not -2.0 < delta < 2.0:
-        raise DomainError("discriminant density is defined on the open (-2, 2)")
+    """Universal density of discriminant values, (1/pi)/sqrt(4 - delta^2),
+    on the open (-2, 2)."""
     return invariant_density("discriminant_D", delta)
 
 

@@ -81,21 +81,13 @@ class PolynomialCoeffs:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        return horner(self.coefficients, x)
-
-    def derivative(self) -> "PolynomialCoeffs":
-        n = self.degree
-        return PolynomialCoeffs(
-            tuple(c * (n - i) for i, c in enumerate(self.coefficients[:-1]))
-        )
-
-
-def horner(coeffs: Sequence, x):
-    """Evaluate a polynomial (highest degree first) at scalar or array x."""
-    acc = coeffs[0] * (x * 0 + 1) if isinstance(x, np.ndarray) else coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * x + c
-    return acc
+        """Horner's rule: exact on ints and Fractions.  For floats on [-2, 2]
+        use :func:`trace_poly`, whose rounding error does not grow with the
+        coefficients."""
+        acc = 0 * x
+        for c in self.coefficients:
+            acc = acc * x + c
+        return acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,6 +111,24 @@ def gen_logistic_coeffs(m: int) -> PolynomialCoeffs:
     return PolynomialCoeffs(tuple(cur))
 
 
+def trace_poly(m: int, x, derivative: bool = False):
+    """f_m(x), or with ``derivative`` f_m'(x) = m U_{m-1}(x/2).
+
+    Both run the trace recursion y_{k+1} = x y_k - y_{k-1}: from f_0 = 2 and
+    f_1 = x it gives f_m = 2 T_m(x/2); from U_{-1} = 0 and U_0 = 1 it gives
+    the Chebyshev polynomials of the second kind at x/2.  Works elementwise on
+    ndarrays and exactly on Fractions.  On [-2, 2] the rounding error grows
+    like m^2 eps, where Horner on the monomial coefficients loses
+    (1 + sqrt 2)^m eps.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    prev, y = (0, 1 + 0 * x) if derivative else (2, x)
+    for _ in range(m - 1):
+        prev, y = y, x * y - prev
+    return m * y if derivative else y
+
+
 def _tent_eval(x, slope: int):
     """Piecewise-linear fold of slope +-slope onto [0, 1].
 
@@ -132,16 +142,6 @@ def _tent_eval(x, slope: int):
     return u if u <= 1 else 2 - u
 
 
-def _chebyshev_eval(m: int, x):
-    """T_m via the three-term recurrence."""
-    if m == 0:
-        return x * 0 + 1
-    prev, cur = x * 0 + 1, x
-    for _ in range(m - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
-
-
 def eval_map(md: MapDescriptor, x):
     """Apply the map once; accepts scalars, Fractions, or ndarrays."""
     if not md.contains(x):
@@ -149,10 +149,10 @@ def eval_map(md: MapDescriptor, x):
     if md.family == "logistic":
         return md.r * x * (1 - x)
     if md.family == "gen_logistic":
-        return horner(gen_logistic_coeffs(md.m).coefficients, x)
+        return trace_poly(md.m, x)
     if md.family in ("tent", "fold"):
         return _tent_eval(x, md.m)
-    return _chebyshev_eval(md.m, x)
+    return trace_poly(md.m, 2 * x) / 2  # T_m(x) = f_m(2x) / 2
 
 
 @dataclass(frozen=True)

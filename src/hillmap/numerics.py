@@ -204,19 +204,20 @@ def quad_singular(
     b: float,
     singular_points: Sequence[float] = (),
     tol: ToleranceSpec = QUAD_TOL,
-) -> float:
-    """Integral of ``f`` over ``[a, b]`` with declared singular points.
+) -> tuple[float, float]:
+    """Integral of ``f`` over ``[a, b]`` with declared singular points, and
+    the achieved error bound: ``(value, bound)``.
 
     The interval is split at every interior singular point, so each panel has
     singularities only at its endpoints, where the adaptive Gauss-Kronrod rule
     with extrapolation handles logarithmic and x^(-1/2)-type blow-ups.  The
     quadrature nodes are interior, so ``f`` is never evaluated exactly at a
-    declared singular point.
+    declared singular point.  ``bound`` is the sum of the panels' bounds.
     """
     if b < a:
         raise ValueError("b must not precede a")
     if b == a:
-        return 0.0
+        return 0.0, 0.0
     singular = {float(s) for s in singular_points}
     cuts = sorted({s for s in singular if a < s < b})
     panels = list(zip([a, *cuts], [*cuts, b]))
@@ -254,4 +255,4 @@ def quad_singular(
             estimate=total,
             error_bound=err_bound,
         )
-    return total
+    return total, err_bound

@@ -161,29 +161,30 @@ def invariant_quantile(u: float | np.ndarray) -> float | np.ndarray:
 
 # Exact pushforward under the piecewise-linear folds ---------------------------
 
-def _push_fold(p: StepDensity, slope: int) -> StepDensity:
-    """Exact image density under the fold of slope +-``slope`` onto [0, 1].
+def pushforward_fold(p: StepDensity, l: int) -> StepDensity:
+    """Exact image on [0, 1], under the fold of slope +-``l``, of a compactly
+    supported density on [0, inf).
 
-    Every source cell is split at the fold breakpoints j/slope, mapped through
-    its (single) linear branch onto [0, 1] with weight value/slope, and the
+    Every source cell is split at the fold breakpoints j/l, mapped through its
+    (single) linear branch onto [0, 1] with weight value/l, and the
     overlapping images are summed by an event sweep over their endpoints.
     """
     lo, hi = p.domain
     if lo < -1e-12:
         raise DomainError("fold input must live on [0, inf)")
-    j0 = int(math.floor(lo * slope))
-    j1 = int(math.ceil(hi * slope))
-    grid = np.arange(j0, j1 + 1) / slope
+    j0 = int(math.floor(lo * l))
+    j1 = int(math.ceil(hi * l))
+    grid = np.arange(j0, j1 + 1) / l
     edges = np.union1d(p.edges, grid[(grid > lo) & (grid < hi)])
     mids = 0.5 * (edges[:-1] + edges[1:])
     vals = p(mids)
 
-    branch = np.floor(mids * slope).astype(int)
+    branch = np.floor(mids * l).astype(int)
     up = branch % 2 == 0
     e_lo, e_hi = edges[:-1], edges[1:]
-    ya = np.where(up, e_lo * slope - branch, -e_hi * slope + branch + 1)
-    yb = np.where(up, e_hi * slope - branch, -e_lo * slope + branch + 1)
-    weights = vals / slope
+    ya = np.where(up, e_lo * l - branch, -e_hi * l + branch + 1)
+    yb = np.where(up, e_hi * l - branch, -e_lo * l + branch + 1)
+    weights = vals / l
 
     nz = weights != 0.0
     ya, yb, weights = ya[nz], yb[nz], weights[nz]
@@ -202,12 +203,7 @@ def pushforward_tent(p: StepDensity, m: int) -> StepDensity:
     lo, hi = p.domain
     if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise DomainError("tent pushforward expects a density on [0, 1]")
-    return _push_fold(p, m)
-
-
-def pushforward_fold(p: StepDensity, l: int) -> StepDensity:
-    """Exact image on [0, 1] of a compactly supported density on [0, inf)."""
-    return _push_fold(p, l)
+    return pushforward_fold(p, m)
 
 
 # Conjugate route for the polynomial maps --------------------------------------
@@ -328,12 +324,12 @@ def l1_distance(
     total = 0.0
     for lo, hi, v in cells:
         sing = [s for s in q.singularities if lo <= s <= hi]
-        total += quad_singular(lambda x: abs(v - q(x)), lo, hi, sing, budget)
+        total += quad_singular(lambda x: abs(v - q(x)), lo, hi, sing, budget)[0]
     # tails of q outside the step support
     if plo > qlo:
-        total += quad_singular(q, qlo, plo, [s for s in q.singularities if s <= plo], budget)
+        total += quad_singular(q, qlo, plo, [s for s in q.singularities if s <= plo], budget)[0]
     if phi < qhi:
-        total += quad_singular(q, phi, qhi, [s for s in q.singularities if s >= phi], budget)
+        total += quad_singular(q, phi, qhi, [s for s in q.singularities if s >= phi], budget)[0]
     return total
 
 

@@ -97,6 +97,28 @@ def test_ensemble_json_and_determinism(tmp_path):
     assert len(doc["report"]["distances"]) == 4
 
 
+def test_threads_accepted_without_effect(tmp_path):
+    # --threads is still parsed and echoed, but the report does not depend on it
+    docs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"t{threads}.json"
+        assert run(["ensemble", "--m", "3", "--samples", "20000", "--iters", "2",
+                    "--threads", threads, "--out", str(out), "--no-timestamp"]) == 0
+        docs.append(json.loads(out.read_text())["report"])
+    assert [d["config"].pop("threads") for d in docs] == [1, 3]
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("m", ["24", "64"])
+def test_ensemble_high_order_stays_in_domain(tmp_path, m):
+    # Horner's rounding error, ~(1 + sqrt 2)^m eps, threw these ensembles out
+    # of [-2, 2] at the first iteration (exit 1)
+    out = tmp_path / "e.json"
+    assert run(["ensemble", "--m", m, "--iters", "1", "--out", str(out),
+                "--no-timestamp"]) == 0
+    assert len(json.loads(out.read_text())["report"]["distances"]) == 2
+
+
 def test_ensemble_csv(tmp_path):
     out = tmp_path / "d.csv"
     assert run(["ensemble", "--m", "2", "--samples", "5000", "--iters", "2",
@@ -112,6 +134,17 @@ def test_lyapunov_quadrature(capsys, tmp_path):
     doc = json.loads(out.read_text())
     assert abs(doc["result"]["value"] - math.log(3.0)) < 1e-4
     assert "lyapunov(3)" in capsys.readouterr().out
+
+
+def test_lyapunov_quadrature_high_order(tmp_path):
+    # the x quadrature exited 2 for every m >= 22; in the angle it reaches
+    # log m to 1e-12 and reports a bound that covers its error
+    out = tmp_path / "l128.json"
+    assert run(["lyapunov", "--m", "128", "--out", str(out), "--no-timestamp"]) == 0
+    res = json.loads(out.read_text())["result"]
+    err = abs(res["value"] - math.log(128.0))
+    assert err <= 1e-12
+    assert err <= res["error_estimate"] <= 1e-10
 
 
 def test_integral_sweep(tmp_path):

@@ -16,8 +16,18 @@ from hillmap.ensemble import (
     wasserstein1,
 )
 from hillmap.errors import ConfigurationError
-from hillmap.maps import gen_logistic_coeffs
+from hillmap.maps import trace_poly
 from hillmap.transfer import StepDensity, pushforward_genlogistic
+
+# convergence_experiment(2, shifted_gamma(), 50_000, 4, seed=123).distances as
+# the monomial (Horner) evaluation of f_2 gave them.
+PINNED_M2_DISTANCES = [
+    "0x1.14c9930b810e0p+0",
+    "0x1.75934ca57b91ap-3",
+    "0x1.97c3379a756c9p-2",
+    "0x1.47e83bef10298p-4",
+    "0x1.b6811cbd3c8f1p-7",
+]
 
 # Frozen output of the Philox-keyed sampler: uniform(-2, 2), n=4, seed 20240601.
 GOLDEN_UNIFORM_4 = [
@@ -183,31 +193,36 @@ class TestDetectLinearRegion:
 
 
 class TestConvergenceExperiment:
-    def test_deterministic_and_thread_invariant(self):
-        dist = InitialDistribution.shifted_gamma()
-        a = convergence_experiment(2, dist, 50_000, 4, seed=123, threads=1)
-        b = convergence_experiment(2, dist, 50_000, 4, seed=123, threads=1)
-        c = convergence_experiment(2, dist, 50_000, 4, seed=123, threads=4)
-        assert a.distances == b.distances == c.distances
-        assert a.fitted_slope == b.fitted_slope == c.fitted_slope
-
-    def test_threaded_map_matches_serial_and_draw_order_formula(self):
-        # large enough for the threaded map (4 * CHUNK samples and up)
+    def test_deterministic_and_matches_draw_order_formula(self):
+        # several CHUNK blocks, so the blocked map meets block boundaries
         n, m, iters, seed = 300_000, 3, 3, 123
         assert n >= 4 * CHUNK
         dist = InitialDistribution.shifted_gamma()
-        reps = [convergence_experiment(m, dist, n, iters, seed, threads=t) for t in (1, 2, 3)]
-        assert reps[0].distances == reps[1].distances == reps[2].distances
-        # the same distances from np.polyval on the ensemble in draw order,
-        # a sorted copy per iteration and the quantile grid written out
+        a = convergence_experiment(m, dist, n, iters, seed)
+        b = convergence_experiment(m, dist, n, iters, seed)
+        assert a.distances == b.distances
+        assert a.fitted_slope == b.fitted_slope
+        # the same distances from the recurrence on the whole ensemble in
+        # draw order, a sorted copy per iteration and the quantile grid
+        # written out
         x = sample_initial(dist, n, seed)
-        coeffs = np.asarray(gen_logistic_coeffs(m).coefficients, dtype=float)
         q = -2.0 * np.cos(math.pi * ((np.arange(n) + 0.5) / n))
         want = [float(np.mean(np.abs(np.sort(x) - q)))]
         for _ in range(iters):
-            x = np.clip(np.polyval(coeffs, x), -2.0, 2.0)
+            x = np.clip(trace_poly(m, x), -2.0, 2.0)
             want.append(float(np.mean(np.abs(np.sort(x) - q))))
-        assert reps[0].distances == tuple(want)
+        assert a.distances == tuple(want)
+
+    def test_m2_distances_pinned(self):
+        # f_2(x) = x*x - 2 from the recurrence and from Horner on the monomial
+        # coefficients alike: these are the monomial form's distances and
+        # slope, bit for bit
+        rep = convergence_experiment(
+            2, InitialDistribution.shifted_gamma(), 50_000, 4, seed=123
+        )
+        assert rep.distances == tuple(map(float.fromhex, PINNED_M2_DISTANCES))
+        assert rep.fitted_slope == float.fromhex("-0x1.a5a6929fd5369p-2")
+        assert rep.fit_range == (1, 3)
 
     def test_zero_iterations(self):
         rep = convergence_experiment(3, InitialDistribution.shifted_gamma(), 10_000, 0, seed=5)

@@ -517,7 +517,7 @@ class TestDiscriminantDensity:
                 discriminant_density(bad)
 
     def test_normalisation(self):
-        val = quad_singular(
+        val, _ = quad_singular(
             discriminant_density, -2.0, 2.0, singular_points=[-2.0, 2.0]
         )
         assert abs(val - 1.0) < 1e-10

@@ -5,6 +5,7 @@ import pytest
 
 from hillmap.errors import SingularityError
 from hillmap.lyapunov import (
+    EXPONENT_TOL,
     I_integral,
     I_integral_xform,
     average_lyapunov_orbit,
@@ -13,7 +14,12 @@ from hillmap.lyapunov import (
     local_lyapunov,
     roots_fm,
 )
-from hillmap.maps import MapDescriptor, eval_map
+from hillmap.maps import MapDescriptor, eval_map, trace_poly
+
+# Every order the angle quadrature is checked at: all of 2-24 (the range the
+# Horner-based x quadrature failed from m = 17 on), powers of two up to 128,
+# and 49, 63 and 113, where a relative request let the error pass 1e-12.
+QUADRATURE_ORDERS = [*range(2, 25), 32, 49, 63, 64, 113, 128]
 
 
 class TestLocalLyapunov:
@@ -55,12 +61,9 @@ class TestRoots:
                 assert abs(eval_map(md, float(r))) < 1e-9
 
     def test_critical_points_flatten_derivative(self):
-        from hillmap.lyapunov import derivative_coeffs
-        from hillmap.maps import horner
-
         for m in range(2, 9):
             for c in critical_points(m):
-                assert abs(horner(derivative_coeffs(m), float(c))) < 1e-9
+                assert abs(trace_poly(m, float(c), derivative=True)) < 1e-9
 
 
 class TestQuadrature:
@@ -69,6 +72,16 @@ class TestQuadrature:
         res = average_lyapunov_quadrature(m)
         assert res.method == "quadrature"
         assert abs(res.value - math.log(m)) < 1e-4
+
+    @pytest.mark.parametrize("m", QUADRATURE_ORDERS)
+    def test_error_estimate_is_achieved_bound(self, m):
+        # the reported estimate is the quadrature's achieved bound: it covers
+        # the true error and, divided by pi like the value, stays inside the
+        # request on the angle integral
+        res = average_lyapunov_quadrature(m)
+        err = abs(res.value - math.log(m))
+        assert err <= res.error_estimate <= EXPONENT_TOL.abs_tol / math.pi
+        assert err <= 1e-12
 
     def test_decomposition_identity(self):
         for m in range(2, 8):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hillmap.errors import DomainError
 from hillmap.maps import (
@@ -19,7 +21,10 @@ from hillmap.maps import (
     mathieu_formula,
     mathieu_lambda0,
     sine_formula,
+    trace_poly,
 )
+
+EPS = float(np.finfo(float).eps)
 
 
 def falling_factorial_coeffs(m):
@@ -61,6 +66,43 @@ class TestGenLogisticCoeffs:
             assert np.trace(M @ M) == f2(np.trace(M))
 
 
+class TestTracePoly:
+    @given(st.integers(2, 128), st.floats(-2.0, 2.0))
+    def test_matches_multiple_angle_formula(self, m, x):
+        # f_m(2 cos t) = 2 cos(m t); the recurrence's error grows like m^2 eps
+        exact = 2.0 * math.cos(m * math.acos(x / 2.0))
+        assert abs(trace_poly(m, x) - exact) <= 4.0 * m * m * EPS
+
+    def test_first_order_is_identity(self):
+        xs = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(trace_poly(1, xs), xs)
+        assert np.array_equal(trace_poly(1, xs, derivative=True), np.ones(9))
+
+    def test_exact_on_fractions(self):
+        xs = [Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(2), Fraction(-19, 10)]
+        for m in range(1, 16):
+            coeffs = gen_logistic_coeffs(m).coefficients
+            # the derivative of the coefficient polynomial, term by term
+            dcoeffs = [c * (m - i) for i, c in enumerate(coeffs[:-1])]
+            for x in xs:
+                assert trace_poly(m, x) == gen_logistic_coeffs(m)(x)
+                want = sum(c * x ** (m - 1 - i) for i, c in enumerate(dcoeffs))
+                assert trace_poly(m, x, derivative=True) == want
+                assert isinstance(trace_poly(m, x, derivative=True), Fraction)
+
+    def test_derivative_closed_form(self):
+        # f_m'(2 cos t) = m sin(m t) / sin t, away from x = +-2
+        ts = np.linspace(0.05, math.pi - 0.05, 1001)
+        for m in (2, 3, 5, 17, 64, 128):
+            got = trace_poly(m, 2.0 * np.cos(ts), derivative=True)
+            want = m * np.sin(m * ts) / np.sin(ts)
+            assert np.max(np.abs(got - want)) <= 1e-11 * m * m
+
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError):
+            trace_poly(0, 0.5)
+
+
 class TestEvalMap:
     def test_logistic_peak(self):
         assert eval_map(MapDescriptor.logistic(4.0), 0.5) == 1.0
@@ -89,6 +131,13 @@ class TestEvalMap:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             eval_map(MapDescriptor.tent(2), 1.5)
+
+    @pytest.mark.parametrize("m", [24, 64])
+    def test_gen_logistic_high_order(self, m):
+        # Horner on the monomial coefficients was off by 8e-8 at m = 24
+        t = np.linspace(0.0, math.pi, 4001)
+        got = eval_map(MapDescriptor.gen_logistic(m), 2.0 * np.cos(t))
+        assert np.max(np.abs(got - 2.0 * np.cos(m * t))) <= 4.0 * m * m * EPS
 
     def test_array_evaluation(self):
         md = MapDescriptor.gen_logistic(3)
@@ -148,6 +197,15 @@ class TestConjugacies:
             lhs = 2.0 * np.cos(np.pi * tent)
             rhs = eval_map(MapDescriptor.gen_logistic(m), cx)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    def test_chebyshev_is_its_own_recurrence(self):
+        # T_m(x) = f_m(2x)/2 only rescales the recurrence by powers of two, so
+        # it gives T_{k+1} = 2x T_k - T_{k-1} bit for bit
+        xs = np.linspace(-1.0, 1.0, 2001)
+        prev, cur = np.ones_like(xs), xs
+        for m in range(1, 40):
+            assert np.array_equal(eval_map(MapDescriptor.chebyshev(m), xs), cur)
+            prev, cur = cur, 2 * xs * cur - prev
 
     def test_chebyshev_rescaling(self):
         xs = np.linspace(-1.0, 1.0, 10_001)

@@ -148,25 +148,25 @@ class TestFindRoots:
 
 class TestQuadSingular:
     def test_log_endpoint(self):
-        val = quad_singular(math.log, 0.0, 1.0, singular_points=[0.0])
-        assert abs(val - (-1.0)) < 1e-10
+        val, bound = quad_singular(math.log, 0.0, 1.0, singular_points=[0.0])
+        assert abs(val - (-1.0)) <= bound <= QUAD_TOL.abs_tol
 
     def test_arcsine_endpoints(self):
         f = lambda x: 1.0 / math.sqrt(1.0 - x * x)
-        val = quad_singular(f, -1.0, 1.0, singular_points=[-1.0, 1.0])
+        val, _ = quad_singular(f, -1.0, 1.0, singular_points=[-1.0, 1.0])
         assert abs(val - math.pi) < 1e-9
 
     def test_log_sine_interior_singularity(self):
         f = lambda y: math.log(abs(2.0 * math.sin(y)))
-        val = quad_singular(f, -math.pi / 2, math.pi / 2, singular_points=[0.0])
+        val, _ = quad_singular(f, -math.pi / 2, math.pi / 2, singular_points=[0.0])
         assert abs(val / math.pi) < 1e-10
 
     def test_additive_over_subintervals(self):
         f = lambda x: math.log(abs(x)) if x != 0 else 0.0
         tol = ToleranceSpec(abs_tol=1e-11, rel_tol=1e-11, max_steps=400)
-        whole = quad_singular(f, -1.0, 2.0, singular_points=[0.0], tol=tol)
-        left = quad_singular(f, -1.0, 0.5, singular_points=[0.0], tol=tol)
-        right = quad_singular(f, 0.5, 2.0, singular_points=[], tol=tol)
+        whole, _ = quad_singular(f, -1.0, 2.0, singular_points=[0.0], tol=tol)
+        left, _ = quad_singular(f, -1.0, 0.5, singular_points=[0.0], tol=tol)
+        right, _ = quad_singular(f, 0.5, 2.0, singular_points=[], tol=tol)
         assert abs(whole - (left + right)) < 2 * tol.abs_tol
 
     def test_nonconvergence_carries_partial(self):
@@ -179,14 +179,29 @@ class TestQuadSingular:
         assert hasattr(info.value, "error_bound")
 
     def test_empty_interval(self):
-        assert quad_singular(math.log, 1.0, 1.0) == 0.0
+        assert quad_singular(math.log, 1.0, 1.0) == (0.0, 0.0)
+
+    def test_bound_sums_the_panels(self):
+        # log|x| on [-1, 2] split at 0: the reported bound is the sum of the
+        # two panels' achieved bounds, and it covers the error of the sum
+        # (the halves get the same per-panel request and budget as the whole)
+        f = lambda x: math.log(abs(x))
+        whole, bound = quad_singular(f, -1.0, 2.0, [0.0], ToleranceSpec(2e-10, 0.0, 400))
+        half = ToleranceSpec(1e-10, 0.0, 200)
+        _, left = quad_singular(f, -1.0, 0.0, [0.0], half)
+        _, right = quad_singular(f, 0.0, 2.0, [0.0], half)
+        exact = -1.0 + (2.0 * math.log(2.0) - 2.0)
+        assert 0.0 < bound == left + right
+        assert abs(whole - exact) <= bound
 
     def test_relative_acceptance_rule(self):
         # accepted when the bound is within max(abs_tol, rel_tol |I|), as
         # QUADPACK itself stops; with rel_tol = 0 abs_tol alone binds
         f = lambda x: 1e6 * math.log(x)
         tol = ToleranceSpec(abs_tol=1e-12, rel_tol=1e-10, max_steps=400)
-        assert abs(quad_singular(f, 0.0, 1.0, [0.0], tol) + 1e6) < 1e-4
+        val, bound = quad_singular(f, 0.0, 1.0, [0.0], tol)
+        assert abs(val + 1e6) < 1e-4
+        assert tol.abs_tol < bound <= tol.rel_tol * abs(val)
         with pytest.raises(NonConvergenceError):
             quad_singular(f, 0.0, 1.0, [0.0], ToleranceSpec(1e-12, 0.0, 400))
 
