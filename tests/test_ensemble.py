@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -193,15 +194,36 @@ class TestDetectLinearRegion:
 
 
 class TestConvergenceExperiment:
-    def test_deterministic_and_matches_draw_order_formula(self):
+    def test_deterministic_and_thread_invariant(self):
+        # the experiment keeps no state between calls: repeated runs and
+        # concurrent runs in worker threads agree bit for bit
+        dist = InitialDistribution.shifted_gamma()
+
+        def run(_=None):
+            return convergence_experiment(2, dist, 50_000, 4, seed=123)
+
+        a = run()
+        b = run()
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = list(pool.map(run, range(3)))
+        for c in (b, *threaded):
+            assert c.distances == a.distances
+            assert c.fitted_slope == a.fitted_slope
+
+    def test_threaded_map_matches_serial_and_draw_order_formula(self):
         # several CHUNK blocks, so the blocked map meets block boundaries
         n, m, iters, seed = 300_000, 3, 3, 123
         assert n >= 4 * CHUNK
         dist = InitialDistribution.shifted_gamma()
-        a = convergence_experiment(m, dist, n, iters, seed)
-        b = convergence_experiment(m, dist, n, iters, seed)
-        assert a.distances == b.distances
-        assert a.fitted_slope == b.fitted_slope
+
+        def run(_=None):
+            return convergence_experiment(m, dist, n, iters, seed)
+
+        serial = run()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(run, range(2)))
+        for rep in threaded:
+            assert rep.distances == serial.distances
         # the same distances from the recurrence on the whole ensemble in
         # draw order, a sorted copy per iteration and the quantile grid
         # written out
@@ -211,7 +233,7 @@ class TestConvergenceExperiment:
         for _ in range(iters):
             x = np.clip(trace_poly(m, x), -2.0, 2.0)
             want.append(float(np.mean(np.abs(np.sort(x) - q))))
-        assert a.distances == tuple(want)
+        assert serial.distances == tuple(want)
 
     def test_m2_distances_pinned(self):
         # f_2(x) = x*x - 2 from the recurrence and from Horner on the monomial
