@@ -150,21 +150,23 @@ def _cmd_coeffs(cfg, timestamp):
 
 def _cmd_bands(cfg, timestamp):
     V = _potential_from(cfg)
-    l = cfg["l"]
-    blist = hill.spectrum_bands(V, l, cfg["lambda_max"])
+    l, lambda_max = cfg["l"], cfg["lambda_max"]
     fmt = cfg["format"] or ("json" if cfg["out"].endswith(".json") else "csv")
     if fmt == "json":
-        _write_json(
-            cfg["out"],
-            {"bands": [list(b) for b in blist.bands], "warnings": list(blist.warnings)},
-            cfg,
-            timestamp,
-        )
+        blist = hill.spectrum_bands(V, l, lambda_max)
+        _write_json(cfg["out"], json.loads(blist.to_json()), cfg, timestamp)
     else:
-        rows = []
+        # Rows need whole bands.  Band n lies in [((n-1) pi/l)^2 + min V,
+        # (n pi/l)^2 + max V] (the edges grow with V), so every band that
+        # starts at or below lambda_max ends at or below top.
+        top = (math.sqrt(lambda_max - V.min_value()) + math.pi / l) ** 2 + V.max_value()
+        blist = hill.spectrum_bands(V, l, top)
         ks = np.linspace(0.0, math.pi / l, cfg["k_points"])
-        for idx in range(1, len(blist.bands) + 1):
-            lams = hill.band_function(V, l, idx, ks)
+        rows = []
+        for idx, (a, _) in enumerate(blist.bands, start=1):
+            if a > lambda_max:
+                break
+            lams = hill.band_function(V, l, blist, idx, ks)
             rows.extend((idx, float(k), float(lam)) for k, lam in zip(ks, lams))
         _write_csv(cfg["out"], ["band_index", "k", "lambda"], rows, cfg, timestamp)
     for warning in blist.warnings:

@@ -3,23 +3,27 @@ discriminants, spectral bands, and the universal discriminant density.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import airy
 
-from .errors import DomainError
-from .numerics import IVP_TOL, ToleranceSpec, find_root, find_roots, integrate_ivp
+from .errors import DomainError, NonConvergenceError
+# find_root is not called here; it stays importable as hill.find_root, the
+# name under which perfbench/tracing.py counts root solves.
+from .numerics import IVP_TOL, ToleranceSpec, find_root, find_roots, integrate_ivp  # noqa: F401
 from .transfer import invariant_density
 
 TWO_PI = 2.0 * math.pi
 
 # How close a monodromy determinant must stay to 1.
 DET_TOL = 1e-8
+# Bisection of the Fourier-Hill chains runs to the last bit of each eigenvalue.
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -120,13 +124,20 @@ class Potential:
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
     def min_value(self) -> float:
-        """Minimum over one period (lower bound of the spectrum); sampled for
-        the cosine kind."""
+        """Minimum over one period (lower bound of the spectrum)."""
         if self.kind == "constant":
             return self.params[0]
-        if self._table is not None:  # piecewise linear: the least node value
-            return float(np.min(self._table[1]))
-        return float(np.min(self(np.linspace(0.0, self.period, 2049))))
+        if self.kind == "cosine":
+            return -abs(self.params[0])
+        return float(np.min(self._table[1]))  # piecewise linear: a node value
+
+    def max_value(self) -> float:
+        """Maximum over one period."""
+        if self.kind == "constant":
+            return self.params[0]
+        if self.kind == "cosine":
+            return abs(self.params[0])
+        return float(np.max(self._table[1]))
 
 
 @dataclass(frozen=True)
@@ -335,7 +346,7 @@ def _closed_form(V: Potential, l: float, lams: np.ndarray, derivative: bool):
 def _integrated(V: Potential, l: float, lams: np.ndarray, tol: ToleranceSpec,
                 derivative: bool):
     """One stacked DOP853 solve; its step control bounds the error in RMS
-    over the whole stack (see _traces)."""
+    over the whole stack, not per lam."""
     n = lams.size
     rows = 4 if derivative else 2  # per basis solution: u, u' [, du/dlam, du'/dlam]
 
@@ -452,143 +463,113 @@ class BandList:
         )
 
 
-# For cosine cells scipy's step control bounds the RMS of the error over all
-# components, so in a stack of c components a single one may be off by
-# sqrt(c) times the request.  _traces divides both tolerances by sqrt(c),
-# which bounds every lam on its own.  It stacks at most _TRACE_STACK lams per
-# solve, so the reduced rel_tol stays above the 100 eps floor of
-# integrate_ivp for every rel_tol >= 1e-11.
-_TRACE_STACK = 64
+def _traces(V: Potential, l: float, lams, derivative: bool = False):
+    """Delta(lam) for an array of lam; with ``derivative``, (Delta,
+    dDelta/dlam).  Exact for the piecewise-linear kinds, whose edges are
+    scanned and refined on it."""
+    got = transfer_matrices(V, l, lams, derivative=derivative)
+    return (_trace(got[0]), _trace(got[1])) if derivative else _trace(got)
 
 
-def _traces(
-    V: Potential, l: float, lams, tol: ToleranceSpec, derivative: bool = False
-):
-    """Delta(lam) for an array of lam, each held to ``tol``; with
-    ``derivative``, (Delta, dDelta/dlam).  Cosine cells take stacked solves;
-    the other kinds are exact in one call."""
-    lams = np.asarray(lams, dtype=float)
-    if V.kind != "cosine":
-        got = transfer_matrices(V, l, lams, tol, derivative)
-        return (_trace(got[0]), _trace(got[1])) if derivative else _trace(got)
-    out = (np.empty(lams.shape), np.empty(lams.shape))
-    order = np.argsort(lams, axis=None)  # close lams share a stack's step sizes
-    stacks = np.array_split(order, -(-lams.size // _TRACE_STACK)) if lams.size else []
-    for idx in stacks:
-        shrink = math.sqrt((8 if derivative else 4) * idx.size)
-        stack_tol = ToleranceSpec(
-            tol.abs_tol / shrink, tol.rel_tol / shrink, tol.max_steps
-        )
-        got = transfer_matrices(V, l, lams.flat[idx], stack_tol, derivative)
-        for dest, M in zip(out, got if derivative else (got,)):
-            dest.flat[idx] = _trace(M)
-    return out if derivative else out[0]
-
-
-# Accuracy in lam of refined band edges, touch points and dispersion points.
+# Accuracy in lam of refined band edges, turning points and dispersion points.
 _EDGE_TOL = ToleranceSpec(1e-10, 0.0, 256)
+# Scan points per unit of sqrt(lam - lam_floor).
+_SCAN_DENSITY = 512
+# Relative rounding of the exact transfer matrices, allowed on top of what
+# the error of a turning point admits in the coexistence test.
+_ROUNDING = 1e-12
+# Fourier modes kept past those that carry the eigenfunctions below lam_top.
+# Mode j couples in through (|A|/2) / ((q + omega j)^2 - lam_top), so a few
+# modes past sqrt(lam_top + |A|) + sqrt(|A|) decide every eigenvalue below
+# lam_top to rounding: against 40-digit eigenvalues, A = 1, 7.8326, 20, 200
+# and lam <= 300, within 5.7e-14.  The chains are bisected to the last bit
+# (_TINY); LAPACK's default solver is held to eps times the matrix's norm,
+# ~(omega n)^2, and with 40 modes of margin was 2e-11 off.
+_FOURIER_MARGIN = 8
 
 
-def _refine_tol(tol: ToleranceSpec) -> ToleranceSpec:
-    """Per-lam tolerance of the traces behind refined edges and dispersion
-    points: a decade below ``tol``, no tighter than 1e-11.  An edge inherits
-    the trace's error divided by |dDelta/dlam|, which is ~5e-3 beside the
-    0.76-wide gap at lam ~ 39.3 of the cosine cell A = 7.8326; at 1e-10 that
-    edge is ~2e-9 off, at 1e-11 ~1.5e-10."""
-    return ToleranceSpec(
-        max(tol.abs_tol / 10, 1e-11), max(tol.rel_tol / 10, 1e-11), tol.max_steps
-    )
-
-
-def _level_roots(V: Potential, l: float, lo, hi, levels, refine: ToleranceSpec):
+def _level_roots(V: Potential, l: float, lo, hi, levels):
     """lam in each bracket [lo, hi] with Delta(lam) = level, all brackets in
-    one batched root solve.  A bracket whose ends do not straddle its level
-    at ``refine`` takes find_root over monodromy, even-root branch included."""
-    roots = find_roots(
-        lambda x, level: _traces(V, l, x, refine) - level,
-        lo, hi, _EDGE_TOL, args=(levels,),
+    one batched root solve; NaN where a bracket does not straddle its level."""
+    return find_roots(
+        lambda x, level: _traces(V, l, x) - level, lo, hi, _EDGE_TOL, args=(levels,)
     )
-    lo, hi, levels = np.broadcast_arrays(lo, hi, levels)
-    for i in np.flatnonzero(np.isnan(roots)):
-        roots.flat[i] = find_root(
-            lambda x: monodromy(V, l, x, refine).trace - levels.flat[i],
-            lo.flat[i], hi.flat[i], _EDGE_TOL,
-        )
-    return roots
 
 
-def spectrum_bands(
-    V: Potential,
-    l: float,
-    lambda_max: float,
-    tol: ToleranceSpec = IVP_TOL,
-    points_per_unit: int = 512,
-) -> BandList:
-    """All maximal intervals of ``{lam <= lambda_max : |Delta_l(lam)| <= 2}``.
+def _hill_eigenvalues(V: Potential, qs, lam_top: float) -> np.ndarray:
+    """Sorted eigenvalues, exact to rounding up to lam_top, of the
+    Fourier-Hill chains of a cosine cell at wavenumbers ``qs`` (Deconinck &
+    Kutz, J. Comput. Phys. 219, 2006).
 
-    The scan runs on a grid uniform in sqrt(lam - lam_floor), which tracks the
-    near-linear growth of band counts.  Simple band edges are refined by root
-    finding on ``Delta -+ 2``; flat touches between bands (no sign change) are
-    located as zeros of ``dDelta/dlam``.  Bands narrower than the grid cannot
-    be detected and are reported in ``warnings``.  Each kind of refinement
-    runs as one batched root solve over all its brackets.
+    A Bloch wave exp(i k x) sum_n u_n exp(2 pi i n x / l) of
+    ``-u'' + A cos(omega x) u`` couples u_n only to u_(n +- c), c = omega l /
+    2 pi, so the matrix H(k) splits into c symmetric tridiagonal chains, one
+    per q = k + 2 pi r / l, r = 0..c-1: diagonal (q + omega j)^2,
+    off-diagonal A / 2.
     """
-    _check_cell_length(V, l)
-    floor = V.min_value()
-    if lambda_max <= floor:
-        raise ValueError("lambda_max must exceed the spectral floor")
-    start = floor - 1.0
+    amp, freq = V.params
+    freq = abs(freq)
+    reach = math.sqrt(max(lam_top, 0.0) + abs(amp)) + math.sqrt(abs(amp))
+    n = int(reach / freq) + _FOURIER_MARGIN
+    j = freq * np.arange(-n, n + 1)
+    off = np.full(2 * n, 0.5 * amp)
+    qs = np.asarray(qs)
+    chains = [
+        eigvalsh_tridiagonal((q + j) ** 2, off, lapack_driver="stebz", tol=_TINY)
+        for q in qs - freq * np.round(qs / freq)  # centred: |q| <= omega / 2
+    ]
+    return np.sort(np.concatenate(chains))
+
+
+def _scanned_edges(V: Potential, l: float, lambda_max: float):
+    """Band edges below lambda_max of an exactly solved kind, in order, with
+    lambda_max closing a band it cuts; and the warnings."""
+    start = V.min_value() - 1.0
     s_max = math.sqrt(lambda_max - start)
-    n_pts = max(int(points_per_unit * s_max), 64) + 1
-    s = np.linspace(0.0, s_max, n_pts)
+    s = np.linspace(0.0, s_max, max(int(_SCAN_DENSITY * s_max), 64) + 1)
     lams = start + s * s
-    scan_tol = ToleranceSpec(
-        max(tol.abs_tol, 1e-9), max(tol.rel_tol, 1e-9), tol.max_steps
-    )
-    deltas = _trace(transfer_matrices(V, l, lams, scan_tol))
-
-    refine = _refine_tol(tol)
-
-    warnings: list[str] = []
+    deltas = _traces(V, l, lams)
 
     # simple crossings of +2 and -2
     levels = np.array([2.0, -2.0])
     g = deltas - levels[:, None]
     which, idx = np.nonzero(g[:, :-1] * g[:, 1:] < 0)
-    events = _level_roots(V, l, lams[idx], lams[idx + 1], levels[which], refine).tolist()
+    events = _level_roots(V, l, lams[idx], lams[idx + 1], levels[which]).tolist()
 
-    # interior extrema: grazing touches and gaps narrower than the grid
+    # turning points of Delta where the grid stays inside |Delta| <= 2: a
+    # touch of two bands, or a gap narrower than the grid
     d = np.diff(deltas)
     turns = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
+    turns = turns[np.all(np.abs(deltas[turns[:, None] + [-1, 0, 1]]) <= 2.0, axis=1)]
+    lo, hi = lams[turns - 1], lams[turns + 1]
     lam_stars = find_roots(
-        lambda x: _traces(V, l, x, refine, derivative=True)[1],
-        lams[turns - 1], lams[turns + 1], _EDGE_TOL,
+        lambda x: _traces(V, l, x, derivative=True)[1], lo, hi, _EDGE_TOL
     )
     true_turn = ~np.isnan(lam_stars)  # else dDelta/dlam keeps its sign: a grid wiggle
-    turns, lam_stars = turns[true_turn], lam_stars[true_turn]
-    lo, hi = lams[turns - 1], lams[turns + 1]
-    d_stars = _traces(V, l, lam_stars, refine)
-    narrow = []  # brackets (lo, hi, level) of the gaps the scan did not see
-    for i, lo_i, hi_i, lam_star, d_star in zip(turns, lo, hi, lam_stars, d_stars):
-        gap = abs(d_star) - 2.0
-        if abs(gap) <= 1e-7:
-            events.extend([lam_star, lam_star])  # bands touch here
-        elif gap > 0:
-            level = 2.0 if d_star > 0 else -2.0
-            resolved = np.max(np.abs(deltas[i - 1 : i + 2])) > 2.0
-            if not resolved:
-                # gap narrower than the grid: the scan's crossing detector
-                # saw nothing, but both crossings live in (lo, hi)
-                narrow += [(lo_i, lam_star, level), (lam_star, hi_i, level)]
-                warnings.append(
-                    f"gap near lambda={lam_star:.6g} is narrower than the scan grid"
-                )
-        else:
-            warnings.append(
-                f"interior extremum with |Delta|<2 near lambda={lam_star:.6g}"
-            )
-    if narrow:
-        events.extend(_level_roots(V, l, *np.array(narrow).T, refine).tolist())
+    lo, hi, lam_stars = lo[true_turn], hi[true_turn], lam_stars[true_turn]
+    M, dM = transfer_matrices(V, l, lam_stars, derivative=True)
+    d_stars = _trace(M)
+    sign = np.where(d_stars > 0.0, 1.0, -1.0)
+    # Coexistence: the bands touch iff M = sign I there.  lam* is within
+    # _EDGE_TOL of the touch, so M may miss sign I by |dM/dlam| times that;
+    # beside a gap of width w it misses by ~|dM/dlam| w (Delta -+ 2 only by
+    # ~w^2, which no fixed threshold on Delta separates from rounding).
+    norm = lambda X: np.linalg.norm(X, axis=(-2, -1))
+    touch = norm(M - sign[:, None, None] * np.eye(2)) <= (
+        norm(dM) * _EDGE_TOL.abs_tol + _ROUNDING * norm(M)
+    )
+    gap = ~touch & (np.abs(d_stars) > 2.0)
+    events += np.repeat(lam_stars[touch], 2).tolist()
+    # the grid stepped over this gap: Delta -+ 2 changes sign on each side of lam*
+    events += _level_roots(
+        V, l, np.concatenate([lo[gap], lam_stars[gap]]),
+        np.concatenate([lam_stars[gap], hi[gap]]), 2.0 * np.tile(sign[gap], 2),
+    ).tolist()
+    warnings = [
+        f"turning point near lambda={lam:.6g} is neither a touch (M != +-I) "
+        "nor a gap (|Delta| <= 2)"
+        for lam in lam_stars[~(touch | gap)]
+    ]
 
     events.sort()
     if abs(deltas[0]) <= 2.0:
@@ -596,52 +577,64 @@ def spectrum_bands(
         warnings.append("scan started inside the spectrum")
     if len(events) % 2 == 1:
         events.append(float(lambda_max))  # last band clipped at lambda_max
+    return events, warnings
 
+
+def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
+    """The bands [a_i, b_i] of ``-u'' + V u`` on cells of length ``l`` that
+    start at or below ``lambda_max``, the last one clipped there.  Bands that
+    touch are listed apart, ``b_i = a_(i+1)``.
+
+    Cosine cells: the edges are the eigenvalues of the Fourier-Hill matrices
+    at k = 0 and k = pi/l (periodic and antiperiodic), sorted and paired.
+
+    The other kinds are exact: a scan of Delta on a grid uniform in
+    sqrt(lam - lam_floor) finds the crossings of +-2, refined in one batched
+    root solve.  At each turning point lam* that the grid does not see
+    leave [-2, 2], the bands touch iff M(lam*) = +-I to within the accuracy
+    of lam* (the coexistence test); else, if |Delta(lam*)| > 2, both edges
+    of the gap lie on either side of lam*.  A turning point that is neither
+    is reported in ``warnings``.
+    """
+    _check_cell_length(V, l)
+    if lambda_max <= V.min_value():
+        raise ValueError("lambda_max must exceed the spectral floor")
+    if V.kind == "cosine":
+        # the chains of k = 0 and k = pi/l sit at q = pi m / l, m = 0..2c-1;
+        # q and -q give one spectrum, whose doubled eigenvalues are touches
+        c = round(l * abs(V.params[1]) / TWO_PI)
+        m = np.arange(2 * c)
+        qs = math.pi / l * np.minimum(m, 2 * c - m)
+        edges, warnings = _hill_eigenvalues(V, qs, lambda_max), []
+    else:
+        edges, warnings = _scanned_edges(V, l, lambda_max)
     bands = []
-    for a, b in zip(events[0::2], events[1::2]):
+    for a, b in zip(edges[0::2], edges[1::2]):
         b = min(b, lambda_max)
-        if a < b and a <= lambda_max:
+        if a < b:
             bands.append((float(a), float(b)))
     return BandList(tuple(bands), tuple(warnings))
 
 
-@functools.lru_cache(maxsize=64)
-def _bands_cached(
-    V: Potential, l: float, lambda_max: float, tol: ToleranceSpec
-) -> BandList:
-    return spectrum_bands(V, l, lambda_max, tol)
+def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
+    """Eigenvalue on band ``band_index`` (1-based) of ``bands``, the caller's
+    :func:`spectrum_bands` result, at reduced quasi-momentum ``k`` in
+    [0, pi/l].  An array of ``k`` gives an array of eigenvalues, a scalar
+    ``k`` a float.
 
-
-def band_function(
-    V: Potential,
-    l: float,
-    band_index: int,
-    k,
-    tol: ToleranceSpec = IVP_TOL,
-):
-    """Eigenvalue on the given band at reduced quasi-momentum ``k``.
-
-    Solves the dispersion relation ``Delta_l(lam) = 2 cos(l k)`` inside band
-    ``band_index`` (1-based).  ``k`` must lie in the reduced zone [0, pi/l].
-    An array of ``k`` gives an array of eigenvalues, solved together in one
-    batched root solve; a scalar ``k`` gives a float.
+    At k = 0 and pi/l it is the band's edge from ``bands``, so the band
+    must be whole (not clipped at ``lambda_max``).  Inside the zone, cosine
+    cells take the ``band_index``-th eigenvalue of the Fourier-Hill matrix
+    H(k); the other kinds solve the dispersion relation
+    ``Delta_l(lam) = 2 cos(l k)`` between the band's edges, all k in one
+    batched root solve.
     """
-    if band_index < 1:
-        raise ValueError("band_index is 1-based")
+    if not 1 <= band_index <= len(bands.bands):
+        raise ValueError(f"band_index must lie in 1..{len(bands.bands)}")
     ks = np.asarray(k, dtype=float)
     if not np.all((0.0 <= ks) & (ks <= math.pi / l + 1e-12)):
         raise DomainError("k must lie in the reduced zone [0, pi/l]")
-
-    # grow lambda_max until enough bands are resolved
-    guess = ((band_index + 1) * math.pi / l) ** 2 + abs(V.min_value()) + 2.0
-    for _ in range(6):
-        blist = _bands_cached(V, l, float(guess), tol)
-        if len(blist.bands) >= band_index:
-            break
-        guess *= 1.6
-    else:
-        raise RuntimeError("could not resolve enough bands")
-    a, b = blist.bands[band_index - 1]
+    a, b = bands.bands[band_index - 1]
 
     # On odd bands Delta runs +2 -> -2, on even bands -2 -> +2.
     k_zero_edge = a if band_index % 2 == 1 else b
@@ -650,16 +643,17 @@ def band_function(
     at_pi = ~at_zero & (ks > math.pi / l - 1e-12)
     inside = ~(at_zero | at_pi)
     lam = np.where(at_zero, k_zero_edge, k_pi_edge)
-
-    refine = _refine_tol(tol)
-    if inside.any():
-        try:
-            lam[inside] = _level_roots(V, l, a, b, 2.0 * np.cos(l * ks[inside]), refine)
-        except Exception as exc:
-            raise RuntimeError(
-                f"dispersion target not bracketed in band {band_index}; "
-                "band edges may be inaccurate"
-            ) from exc
+    if inside.any() and V.kind == "cosine":
+        shifts = TWO_PI / l * np.arange(round(l * abs(V.params[1]) / TWO_PI))
+        lam[inside] = [_hill_eigenvalues(V, q + shifts, b)[band_index - 1]
+                       for q in ks[inside]]
+    elif inside.any():
+        lam[inside] = _level_roots(V, l, a, b, 2.0 * np.cos(l * ks[inside]))
+        if np.isnan(lam).any():
+            raise NonConvergenceError(
+                f"dispersion target not bracketed in band {band_index} "
+                f"[{a:.6g}, {b:.6g}]; is it clipped at lambda_max?"
+            )
     return float(lam) if lam.ndim == 0 else lam
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import CHUNK
 from .errors import SingularityError
 from .maps import MapDescriptor, trace_poly
 from .numerics import QUAD_TOL, ToleranceSpec, quad_singular
@@ -117,21 +118,31 @@ def average_lyapunov_orbit(
         y = trace_poly(m, x)
         x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
 
-    orbit = np.empty(n)
-    for i in range(n):
-        for c in crit:
-            if abs(c - x) < CRITICAL_EPS:
-                x += 1e-9
-                restarts += 1
-                break
-        orbit[i] = x
-        y = trace_poly(m, x)
-        x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
-
-    logs = np.log(np.abs(trace_poly(m, orbit, derivative=True)))
-    value = float(np.mean(logs))
-    stderr = float(np.std(logs, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return LyapunovResult(m, value, "orbit_average", stderr, restarts)
+    # log |f'| is taken one CHUNK of the orbit at a time, and the blocks'
+    # means and sums of squared deviations are merged by Chan's update.
+    block = np.empty(min(n, CHUNK))
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n, CHUNK):
+        size = min(CHUNK, n - start)
+        for i in range(size):
+            for c in crit:
+                if abs(c - x) < CRITICAL_EPS:
+                    x += 1e-9
+                    restarts += 1
+                    break
+            block[i] = x
+            y = trace_poly(m, x)
+            x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
+        logs = np.log(np.abs(trace_poly(m, block[:size], derivative=True)))
+        block_mean = float(np.mean(logs))
+        logs -= block_mean
+        delta = block_mean - mean
+        weight = size / (count + size)  # 1.0 for the first block: mean exact
+        mean += delta * weight
+        m2 += float(np.dot(logs, logs)) + delta * delta * count * weight
+        count += size
+    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
+    return LyapunovResult(m, mean, "orbit_average", stderr, restarts)
 
 
 def I_integral(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import DOP853, quad
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import BracketError, NonConvergenceError
 
@@ -113,10 +113,7 @@ def find_root(
     result ``x`` satisfies ``|f(x)| <= abs_tol`` or lies in a sub-bracket of
     width ``<= abs_tol``.
 
-    A bracket whose endpoints share a sign is accepted only when ``f`` has an
-    even-order root inside (a flat touch, e.g. a discriminant grazing +-2):
-    the touch point is then located by bounded minimisation of ``|f|``.  If no
-    such point reaches ``|f| <= abs_tol``, the invalid bracket is reported.
+    A bracket whose endpoints share a sign raises :class:`BracketError`.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -124,21 +121,9 @@ def find_root(
     if fb == 0.0:
         return float(b)
     if fa * fb > 0:
-        sign = 1.0 if fa > 0 else -1.0
-        res = minimize_scalar(
-            lambda x: sign * f(x),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": max(tol.abs_tol, 1e-13)},
+        raise BracketError(
+            f"f({a:.6g})={fa:.6g} and f({b:.6g})={fb:.6g} have the same sign"
         )
-        if res.fun < 0:
-            b = float(res.x)  # an interior crossing after all: bracket it
-        elif res.fun <= tol.abs_tol:
-            return float(res.x)
-        else:
-            raise BracketError(
-                f"f({a:.6g})={fa:.6g} and f({b:.6g})={fb:.6g} have the same sign"
-            )
     try:
         return float(
             brentq(
@@ -171,9 +156,8 @@ def find_roots(
     what it means for :func:`find_root`: ``xatol = abs_tol``,
     ``xrtol = max(rel_tol, 4 eps)``, ``maxiter = max_steps``.
 
-    A bracket whose ends share a sign gives NaN: whether it holds an
-    even-order root (find_root's minimisation branch) or none is left to
-    the caller.
+    A bracket whose ends share a sign gives NaN, and the caller decides
+    what that means.
     """
     # imported here: it adds ~9 ms to the start-up of every CLI call
     from scipy.optimize.elementwise import find_root as chandrupatla

@@ -65,6 +65,32 @@ def test_bands_piecewise_potential(tmp_path):
     assert a < b
 
 
+@pytest.mark.parametrize("cell", [
+    ["--potential", "cosine", "--value", "7.8326", "--lambda-max", "60"],
+    ["--potential=piecewise", "--breakpoints=0,0.3,0.7", "--values=0,1,-0.5",
+     "--lambda-max", "40"],
+], ids=["cosine", "piecewise"])
+def test_bands_csv_zone_ends_are_the_json_edges(tmp_path, cell):
+    base = ["bands", *cell, "--k-points", "5", "--no-timestamp", "--out"]
+    assert run([*base, str(tmp_path / "b.json")]) == 0
+    assert run([*base, str(tmp_path / "x.csv")]) == 0
+    first = (tmp_path / "x.csv").read_bytes()
+    assert run([*base, str(tmp_path / "x.csv")]) == 0
+    assert (tmp_path / "x.csv").read_bytes() == first
+    bands = json.loads((tmp_path / "b.json").read_text())["bands"]
+    rows = read_rows(tmp_path / "x.csv", 3)
+    assert len(rows) == 5 * len(bands)
+    lambda_max = float(cell[-1])
+    assert bands[-1][1] == lambda_max  # the JSON clips the last band ...
+    for i, (a, b) in enumerate(bands):
+        ends = sorted((rows[5 * i][2], rows[5 * i + 4][2]))  # k = 0 and pi
+        assert abs(ends[0] - a) <= 1e-9
+        if b < lambda_max:
+            assert abs(ends[1] - b) <= 1e-9
+        else:  # ... the CSV writes it whole
+            assert ends[1] > lambda_max + 1.0
+
+
 def test_orbit_csv(tmp_path):
     out = tmp_path / "o.csv"
     assert run(["orbit", "--map", "logistic", "--x0", "0.75", "--n", "4",

@@ -17,12 +17,9 @@ from hillmap.hill import (
     monodromy_power,
     spectrum_bands,
     transfer_matrices,
-    _EDGE_TOL,
-    _level_roots,
-    _refine_tol,
     _traces,
 )
-from hillmap.numerics import IVP_TOL, ToleranceSpec, find_root, integrate_ivp, quad_singular
+from hillmap.numerics import ToleranceSpec, integrate_ivp, quad_singular
 from hillmap.transfer import invariant_density
 
 FREE = Potential.free()
@@ -206,61 +203,24 @@ class TestEigenvalueClass:
 
 
 class TestTraces:
-    """The batched kernel behind edge refinement holds every lam to ``tol``."""
-
-    A = 7.8326  # the cosine cell whose scan tolerance misses most (1.6e-8)
-
-    @pytest.fixture(scope="class")
-    def grid(self):
-        V = Potential.cosine(self.A)
-        lams = np.linspace(-10.0, 300.0, 200)
-        tight = ToleranceSpec(1e-13, 1e-13, 1_000_000)
-        ref = np.array([monodromy(V, 1.0, lam, tight).trace for lam in lams])
-        return V, lams, ref
-
-    def test_per_lambda_bound(self, grid):
-        V, lams, ref = grid
-        # measured 4.6e-12; without the sqrt(components) scaling of the
-        # tolerances the same grid misses by 7.2e-11, and the scan kernel
-        # _disc_batch, bounded only in RMS over the stack, by 1.4e-10
-        tol = ToleranceSpec(1e-11, 1e-11, 1_000_000)
-        assert np.max(np.abs(_traces(V, 1.0, lams, tol) - ref)) <= 2e-11
-        delta, _ = _traces(V, 1.0, lams, tol, derivative=True)
-        assert np.max(np.abs(delta - ref)) <= 2e-11
+    """The exact discriminant and its derivative behind the band scan."""
 
     def test_derivative_matches_central_difference(self):
         V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
         lams = np.array([-0.5, 3.0, 17.0, 60.0])
-        tight = ToleranceSpec(1e-12, 1e-12, 1_000_000)
-        _, dd = _traces(V, 1.0, lams, tight, derivative=True)
+        _, dd = _traces(V, 1.0, lams, derivative=True)
         h = 1e-5
-        fd = _traces(V, 1.0, lams + h, tight) - _traces(V, 1.0, lams - h, tight)
-        fd /= 2 * h
+        fd = (_traces(V, 1.0, lams + h) - _traces(V, 1.0, lams - h)) / (2 * h)
         assert np.max(np.abs(dd - fd)) < 1e-7
 
-    def test_touch_bracket_takes_find_root(self):
-        # Delta = 2 cos(sqrt(lam)) grazes +2 at 4 pi^2 without crossing: that
-        # bracket goes to find_root over monodromy, its even-root branch
-        # included; the crossing of 0 beside it is solved in the batch
-        refine = _refine_tol(IVP_TOL)
-        roots = _level_roots(FREE, 1.0, [38.0, 1.0], [41.0, 4.0], [2.0, 0.0], refine)
-        touch = find_root(
-            lambda lam: monodromy(FREE, 1.0, lam, refine).trace - 2.0,
-            38.0, 41.0, _EDGE_TOL,
-        )
-        assert roots[0] == touch
-        assert abs(touch - 4.0 * math.pi**2) < 1e-7
-        assert abs(roots[1] - math.pi**2 / 4.0) < 1e-10
-
     def test_empty(self):
-        tol = ToleranceSpec(1e-11, 1e-11, 1_000_000)
-        assert _traces(FREE, 1.0, [], tol).shape == (0,)
-        delta, ddelta = _traces(FREE, 1.0, [], tol, derivative=True)
+        assert _traces(FREE, 1.0, []).shape == (0,)
+        delta, ddelta = _traces(FREE, 1.0, [], derivative=True)
         assert delta.shape == ddelta.shape == (0,)
 
     def test_shape_and_order_preserved(self):
         lams = np.array([[9.0, -1.0], [4.0, 30.0]])
-        out = _traces(FREE, 1.0, lams, ToleranceSpec(1e-11, 1e-11, 1_000_000))
+        out = _traces(FREE, 1.0, lams)
         assert out.shape == (2, 2)
         expected = np.vectorize(lambda lam: free_discriminant(1.0, lam))(lams)
         assert np.max(np.abs(out - expected)) < 1e-9
@@ -362,34 +322,32 @@ class TestTransferMatrices:
         assert np.max(np.abs(dM - fd)) < 1e-6
 
 
-def mathieu_edges(amplitude: float) -> np.ndarray:
-    """Band edges of the cosine cell from scipy's Mathieu characteristic
-    values: lam = pi^2 a with q = A / (2 pi^2), ordered a0 < b1 < a1 < b2 ..."""
+def mathieu_edges(amplitude: float, lam_cap: float) -> np.ndarray:
+    """Band edges of the cosine cell below lam_cap and the next one, from
+    scipy's Mathieu characteristic values: lam = pi^2 a with
+    q = A / (2 pi^2), ordered a0 < b1 < a1 < b2 ..."""
     q = amplitude / (2.0 * math.pi**2)
     vals = [mathieu_a(0, q)]
-    for r in range(1, 12):
+    for r in range(1, int(math.sqrt(lam_cap + amplitude) / math.pi) + 3):
         vals += [mathieu_b(r, q), mathieu_a(r, q)]
-    return math.pi**2 * np.array(vals)
+    vals = math.pi**2 * np.array(vals)
+    return vals[: np.searchsorted(vals, lam_cap) + 1]
 
 
 class TestMathieuOracle:
-    @pytest.mark.parametrize("amplitude", [1.0, 7.8326])
-    def test_edges_beside_wide_gaps(self, amplitude):
-        lambda_max = 200.0
-        ref = mathieu_edges(amplitude)
-        got = np.array(spectrum_bands(Potential.cosine(amplitude), 1.0, lambda_max).bands)
-        got = got.ravel()
-        checked = 0
-        for j, edge in enumerate(ref):
-            if edge > lambda_max - 1.0:
-                break
-            # ref[2i+1], ref[2i+2] bound gap i+1; ref[0] borders the spectrum floor
-            lo = j if j % 2 == 1 else j - 1
-            if j > 0 and ref[lo + 1] - ref[lo] <= 0.5:
-                continue
-            assert np.min(np.abs(got - edge)) <= 1e-9, (amplitude, edge)
-            checked += 1
-        assert checked >= 3
+    @pytest.mark.parametrize("amplitude", [1.0, 7.8326, 20.0, 200.0])
+    def test_every_edge_and_gap_matches_mathieu(self, amplitude):
+        # the narrowest gaps, 4.5e-11 at lam ~ 279 and 4.0e-5 at lam ~ 88.8
+        # for A = 1, lie where a threshold of 1e-7 on |Delta| - 2 merges them
+        lambda_max = 300.0
+        ref = mathieu_edges(amplitude, lambda_max)
+        got = spectrum_bands(Potential.cosine(amplitude), 1.0, lambda_max).bands
+        assert len(got) == (len(ref) + 1) // 2  # Mathieu's band count
+        got = np.array(got).ravel()
+        below = ref <= lambda_max
+        assert np.max(np.abs(got[: below.sum()] - ref[below])) <= 1e-9
+        # every gap stays open, however narrow
+        assert np.all(np.diff(got)[1::2] > 0.0)
 
 
 class TestSpectrumBands:
@@ -400,6 +358,23 @@ class TestSpectrumBands:
         assert len(edges) == len(expected)
         for got, want in zip(edges, expected):
             assert abs(got - want) < 1e-6
+
+    def test_gap_narrower_than_touch_rule_of_exact_cell(self):
+        # max |Delta| - 2 is ~4e-8 over this 1.27e-2-wide gap.  At its turning
+        # point lam* = 246.0108, |M + I| = 9.5e-4 against the coexistence
+        # bound 5.2e-11, so it is no touch; at the free cell's touches
+        # (3 pi)^2, (4 pi)^2 the same norm is 1.3e-14 and 8.0e-12 against
+        # 5.1e-11 (test_free_bands_touch_at_squares).
+        knots = [0.38, 0.545, 0.727]
+        V = Potential.piecewise_linear([0.0, *knots], [-3.365, 2.554, -2.01, 0.086])
+        blist = spectrum_bands(V, 1.0, 273.742)
+        assert blist.warnings == ()
+        gaps = [(b, a) for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])]
+        inside = [(b, a) for b, a in gaps if 246.004 <= b < a <= 246.018]
+        assert len(inside) == 1
+        for edge in inside[0]:
+            # |Delta| = 2 at both edges by an independent ODE solve
+            assert abs(abs(np.trace(ode_matrix(V, knots, 1.0, edge))) - 2.0) <= 1e-8
 
     def test_constant_shift(self):
         a = 2.5
@@ -453,29 +428,40 @@ class TestSpectrumBands:
         assert data["bands"][0][0] == pytest.approx(0.0, abs=1e-8)
 
 
+def bands_of(V, l=1.0, lambda_max=45.0):
+    return spectrum_bands(V, l, lambda_max)
+
+
 class TestBandFunction:
     def test_free_band_one_k_zero(self):
-        assert abs(band_function(FREE, 1.0, 1, 0.0)) < 1e-8
+        assert abs(band_function(FREE, 1.0, bands_of(FREE), 1, 0.0)) < 1e-8
 
     def test_free_band_one_k_pi(self):
-        lam = band_function(FREE, 1.0, 1, math.pi)
+        lam = band_function(FREE, 1.0, bands_of(FREE), 1, math.pi)
         assert abs(lam - math.pi**2) < 1e-6
 
     def test_free_l2_band_one(self):
-        lam = band_function(FREE, 2.0, 1, math.pi / 2)
+        lam = band_function(FREE, 2.0, bands_of(FREE, 2.0), 1, math.pi / 2)
         assert abs(lam - (math.pi / 2) ** 2) < 1e-6
 
     def test_free_interior_matches_parabola(self):
+        bands = bands_of(FREE)
         for k in (0.4, 1.1, 2.2):
-            lam = band_function(FREE, 1.0, 1, k)
+            lam = band_function(FREE, 1.0, bands, 1, k)
             assert abs(lam - k * k) < 1e-6
         # second band folds back: lam = (2 pi - k)^2
-        lam = band_function(FREE, 1.0, 2, 1.0)
+        lam = band_function(FREE, 1.0, bands, 2, 1.0)
         assert abs(lam - (2 * math.pi - 1.0) ** 2) < 1e-5
 
     def test_bad_k_rejected(self):
         with pytest.raises(DomainError):
-            band_function(FREE, 1.0, 1, 4.0)
+            band_function(FREE, 1.0, bands_of(FREE), 1, 4.0)
+
+    def test_band_index_outside_the_list_rejected(self):
+        bands = bands_of(FREE, lambda_max=5.0)  # one band
+        for index in (0, 2):
+            with pytest.raises(ValueError):
+                band_function(FREE, 1.0, bands, index, 0.5)
 
     @pytest.mark.parametrize(
         "V",
@@ -488,18 +474,58 @@ class TestBandFunction:
     )
     @pytest.mark.parametrize("band", [1, 2])
     def test_array_matches_scalar_loop(self, V, band):
+        bands = bands_of(V)
         ks = np.linspace(0.0, math.pi, 7)
-        lams = band_function(V, 1.0, band, ks)
+        lams = band_function(V, 1.0, bands, band, ks)
         assert isinstance(lams, np.ndarray) and lams.shape == ks.shape
-        loop = np.array([band_function(V, 1.0, band, float(k)) for k in ks])
+        loop = np.array([band_function(V, 1.0, bands, band, float(k)) for k in ks])
         assert np.max(np.abs(lams - loop)) <= 1e-9
         # the zone ends are the band edges themselves
-        a, b = sorted((lams[0], lams[-1]))
+        a, b = bands.bands[band - 1]
+        assert sorted((lams[0], lams[-1])) == pytest.approx([a, b], abs=1e-9)
         assert np.all((a <= lams) & (lams <= b))
 
     def test_array_with_bad_k_rejected(self):
         with pytest.raises(DomainError):
-            band_function(FREE, 1.0, 1, np.array([0.5, 4.0]))
+            band_function(FREE, 1.0, bands_of(FREE), 1, np.array([0.5, 4.0]))
+
+    @pytest.mark.parametrize("l", [1.0, 2.0])
+    @pytest.mark.parametrize("amplitude", [1.0, 7.8326])
+    def test_cosine_dispersion_against_ode(self, amplitude, l):
+        # lam(k) from the Fourier-Hill matrix meets Delta(lam) = 2 cos(l k)
+        # on a tight ODE monodromy
+        V = Potential.cosine(amplitude)
+        bands = spectrum_bands(V, l, 60.0)
+        tight = ToleranceSpec(1e-13, 1e-13, 1_000_000)
+        ks = np.linspace(0.0, math.pi / l, 6)
+        for band in range(1, len(bands.bands)):  # the last band is clipped
+            a, b = bands.bands[band - 1]
+            for k, lam in zip(ks, band_function(V, l, bands, band, ks)):
+                assert a <= lam <= b
+                delta = monodromy(V, l, lam, tight).trace
+                assert abs(delta - 2.0 * math.cos(l * k)) <= 1e-8, (band, k)
+
+    def test_cosine_two_cells_fold_the_same_spectrum(self):
+        # over cells of two periods the bands split at new touches, but
+        # their union is the spectrum of the one-period cell
+        V = Potential.cosine(7.8326)
+
+        def union(bands):
+            merged = [list(bands[0])]
+            for a, b in bands[1:]:
+                if a - merged[-1][1] <= 1e-9:
+                    merged[-1][1] = b
+                else:
+                    merged.append([a, b])
+            return np.array(merged)
+
+        # lambda_max in the gap [88.914, 88.933]: no band is clipped
+        one = spectrum_bands(V, 1.0, 88.92).bands
+        two = spectrum_bands(V, 2.0, 88.92).bands
+        assert len(one) == 3 and len(two) == 6
+        # the new touches are doubled eigenvalues, equal to the last bit
+        assert all(two[i][1] == two[i + 1][0] for i in (0, 2, 4))
+        assert np.max(np.abs(union(two) - np.array(one))) <= 1e-9
 
 
 class TestDiscriminantDensity:

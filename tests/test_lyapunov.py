@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hillmap.ensemble import CHUNK
 from hillmap.errors import SingularityError
 from hillmap.lyapunov import (
+    BURN_IN,
     EXPONENT_TOL,
     I_integral,
     I_integral_xform,
@@ -105,6 +107,23 @@ class TestOrbitAverage:
         assert res.method == "piecewise_exact"
         assert res.value == math.log(4.0)
         assert res.error_estimate == 0.0
+
+    def test_blocks_merge_to_the_one_shot_mean_and_error(self):
+        # the orbit's log |f'| is taken per CHUNK block and the blocks merged;
+        # compare with the whole orbit held at once
+        m, x0, n = 3, 0.37071, 3 * CHUNK + 5
+        res = average_lyapunov_orbit(m, x0, n)
+        x = x0
+        for _ in range(BURN_IN):
+            x = min(2.0, max(-2.0, trace_poly(m, x)))
+        orbit = np.empty(n)
+        for i in range(n):
+            orbit[i] = x
+            x = min(2.0, max(-2.0, trace_poly(m, x)))
+        logs = np.log(np.abs(trace_poly(m, orbit, derivative=True)))
+        assert res.restarts == 0
+        assert abs(res.value - np.mean(logs)) <= 1e-13
+        assert abs(res.error_estimate - np.std(logs, ddof=1) / math.sqrt(n)) <= 1e-13
 
     def test_agrees_with_quadrature(self):
         for m in (2, 3, 4):

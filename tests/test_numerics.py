@@ -76,12 +76,10 @@ class TestFindRoot:
 
     def test_free_discriminant_zero(self):
         # 2 cos(sqrt(lambda)) + 2 touches zero at lambda = pi^2 without a sign
-        # change; only the even-root fallback can locate it, and the flatness
-        # of the touch limits the attainable accuracy in lambda.
+        # change: no bracket, so no root (band touches are decided in hill)
         f = lambda lam: 2.0 * math.cos(math.sqrt(lam)) + 2.0
-        root = find_root(f, 8.0, 12.0)
-        assert abs(root - math.pi**2) < 1e-5
-        assert abs(f(root)) <= 1e-12
+        with pytest.raises(BracketError):
+            find_root(f, 8.0, 12.0)
 
     def test_root_inside_bracket(self):
         rng = np.random.default_rng(7)
