@@ -343,32 +343,21 @@ def _closed_form(V: Potential, l: float, lams: np.ndarray, derivative: bool):
     return M, dM
 
 
-def _integrated(V: Potential, l: float, lams: np.ndarray, tol: ToleranceSpec,
-                derivative: bool):
-    """One stacked DOP853 solve; its step control bounds the error in RMS
-    over the whole stack, not per lam."""
+def _integrated(V: Potential, l: float, lams: np.ndarray) -> np.ndarray:
+    """One stacked DOP853 solve at ``IVP_TOL``; its step control bounds the
+    error in RMS over the whole stack, not per lam."""
     n = lams.size
-    rows = 4 if derivative else 2  # per basis solution: u, u' [, du/dlam, du'/dlam]
 
     def rhs(t, y):
-        z = y.reshape(2, rows, n)
-        w = V(t) - lams
-        dz = np.empty_like(z)
-        dz[:, 0::2] = z[:, 1::2]
-        dz[:, 1::2] = w * z[:, 0::2]
-        if derivative:
-            dz[:, 3] -= z[:, 0]
-        return dz.ravel()
+        z = y.reshape(2, 2, n)  # basis solution, (u, u'), lam
+        return np.stack([z[:, 1], (V(t) - lams) * z[:, 0]], 1).ravel()
 
-    y0 = np.zeros((2, rows, n))
+    y0 = np.zeros((2, 2, n))
     y0[0, 0] = y0[1, 1] = 1.0
-    z = integrate_ivp(rhs, y0.ravel(), 0.0, l, tol).reshape(2, rows, n).transpose(2, 1, 0)
-    return z[:, :2], (z[:, 2:] if derivative else None)
+    return integrate_ivp(rhs, y0.ravel(), 0.0, l, IVP_TOL).reshape(2, 2, n).transpose(2, 1, 0)
 
 
-def transfer_matrices(
-    V: Potential, l: float, lams, tol: ToleranceSpec = IVP_TOL, derivative: bool = False
-):
+def transfer_matrices(V: Potential, l: float, lams, derivative: bool = False):
     """Transfer matrices over ``[0, l]`` of ``-u'' + V u = lam u`` for every lam.
 
     Returns an array of shape ``lams.shape + (2, 2)`` (columns as in
@@ -377,34 +366,34 @@ def transfer_matrices(
     ``constant``, ``piecewise_linear`` and ``tabulated`` potentials are
     linear on each piece of a period: each piece gets its exact matrix (Airy
     functions, their asymptotic expansions, or one Magnus step, picked per
-    piece and lam, accurate to ~1e-13 relative), the pieces are multiplied
-    across the cell, and ``tol`` is not used.  ``cosine`` potentials are
-    integrated in one stacked DOP853 solve held to ``tol``, which bounds the
-    error in RMS over the stack.
+    piece and lam, accurate to ~1e-13 relative), and the pieces are
+    multiplied across the cell.  ``cosine`` potentials are integrated in one
+    stacked DOP853 solve held to ``IVP_TOL``, which bounds the error in RMS
+    over the stack; they have no ``derivative``.
     """
     _check_cell_length(V, l)
+    if derivative and V.kind == "cosine":
+        raise ValueError(
+            "derivative is available for the exact kinds only "
+            "(constant, piecewise_linear, tabulated)"
+        )
     lams = np.asarray(lams, dtype=float)
     shape = lams.shape + (2, 2)
     if lams.size == 0:
         M, dM = np.empty(shape), np.empty(shape)
     elif V.kind == "cosine":
-        M, dM = _integrated(V, l, lams.ravel(), tol, derivative)
+        M, dM = _integrated(V, l, lams.ravel()), None
     else:
         M, dM = _closed_form(V, l, lams.ravel(), derivative)
     M = M.reshape(shape)
     return (M, dM.reshape(shape)) if derivative else M
 
 
-def monodromy(
-    V: Potential, l: float, lam: float, tol: ToleranceSpec = IVP_TOL
-) -> Monodromy:
-    """Transfer matrix over ``[0, l]`` for ``-u'' + V u = lam u``.
-
-    ``tol`` binds only for cosine cells, which are integrated; the other
-    kinds are piecewise linear and their matrices exact
-    (:func:`transfer_matrices`).
-    """
-    return Monodromy(transfer_matrices(V, l, [lam], tol)[0], l, lam)
+def monodromy(V: Potential, l: float, lam: float) -> Monodromy:
+    """Transfer matrix over ``[0, l]`` for ``-u'' + V u = lam u``: exact for
+    the piecewise-linear kinds, integrated at ``IVP_TOL`` for cosine cells
+    (:func:`transfer_matrices`)."""
+    return Monodromy(transfer_matrices(V, l, [lam])[0], l, lam)
 
 
 def monodromy_power(M: Monodromy, m: int) -> Monodromy:

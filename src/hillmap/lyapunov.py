@@ -161,7 +161,8 @@ def I_integral(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:
         # misses a dip narrower than ~3e-6 (|a| - 2 < 1e-11: off by up to
         # 3e-6) while reporting a small bound; split there when it is narrow.
         # (A split at a wide dip, |a| - 2 ~ 0.07-0.26, cuts the integral
-        # into panels of opposite sign whose bounds sum past rel_tol |I|.)
+        # into panels of opposite sign, which quad_singular meets only on
+        # its second, absolute request per panel.)
         sign = math.copysign(1.0, a)
         sing = []
         if abs(a) - 2.0 < 1e-4:

@@ -13,7 +13,9 @@ import numpy as np
 
 from . import hill
 from .errors import DomainError, DomainEscapeError
-from .numerics import IVP_TOL, ToleranceSpec, find_root
+# find_root is not called here; it stays importable as maps.find_root, the
+# name under which perfbench/tracing.py counts root solves.
+from .numerics import find_root  # noqa: F401
 
 _FAMILIES = ("logistic", "gen_logistic", "tent", "fold", "chebyshev")
 
@@ -226,79 +228,44 @@ def sine_formula(x0: float, n: int) -> float:
 _MATHIEU_V = hill.Potential.cosine(amplitude=-1.0)
 
 
-def _mathieu_cell(lam: float, tol: ToleranceSpec) -> hill.Monodromy:
-    return hill.monodromy(_MATHIEU_V, 1.0, -lam, tol)
+@functools.cache
+def _mathieu_bands() -> hill.BandList:
+    """The bands of the cell up to pi^2 + max V, past which band 1 cannot
+    end: it lies in [min V, pi^2 + max V], so the list holds it whole."""
+    return hill.spectrum_bands(_MATHIEU_V, 1.0, math.pi**2 + _MATHIEU_V.max_value())
 
 
-def _mathieu_x(lam: float, tol: ToleranceSpec) -> float:
-    return conj_mandelbrot(_mathieu_cell(lam, tol).trace)
+def mathieu_lambda0() -> float:
+    """Leftmost parameter of the invertible branch: x(lambda0) = 1, the top
+    edge of the first band."""
+    return -_mathieu_bands().bands[0][1]
 
 
-@functools.lru_cache(maxsize=8)
-def mathieu_lambda0(tol: ToleranceSpec = IVP_TOL) -> float:
-    """Leftmost parameter of the invertible branch: x(lambda0) = 1.
-
-    Scans downward from 0 until x - 1 changes sign, then root-finds.
-    """
-    f = lambda lam: _mathieu_x(lam, tol) - 1.0
-    hi = 0.0
-    fhi = f(hi)
-    for _ in range(64):
-        lo = hi - 0.5
-        flo = f(lo)
-        if flo * fhi <= 0:
-            return find_root(f, lo, hi, ToleranceSpec(1e-11, 0.0, 256))
-        hi, fhi = lo, flo
-    raise RuntimeError("could not bracket lambda0")
+# No caller in the package: the branch end stays a named function for the
+# tests and for perfbench/tracing.py, which wraps it.
+def _mathieu_lambda_top() -> float:
+    """Right end of the invertible branch: x(lambda_top) = 0 (trace = 2),
+    the bottom edge of the first band.  It sits just above 0 because the
+    cell's spectral floor is slightly below the mean of the potential."""
+    return -_mathieu_bands().bands[0][0]
 
 
-@functools.lru_cache(maxsize=8)
-def _mathieu_lambda_top(tol: ToleranceSpec = IVP_TOL) -> float:
-    """Right end of the invertible branch: x(lambda_top) = 0 (trace = 2).
-
-    Sits just above 0 because the cosine cell's spectral floor is slightly
-    below the mean of the potential.
-    """
-    f = lambda lam: _mathieu_x(lam, tol)
-    lo = 0.0
-    flo = f(lo)
-    if flo <= 0.0:
-        return 0.0
-    hi = 0.05
-    for _ in range(64):
-        if f(hi) <= 0:
-            return find_root(f, lo, hi, ToleranceSpec(1e-12, 0.0, 256))
-        lo = hi
-        hi += 0.05
-    raise RuntimeError("could not bracket the top of the invertible branch")
-
-
-def mathieu_formula(x0: float, n: int, tol: ToleranceSpec = IVP_TOL) -> float:
+def mathieu_formula(x0: float, n: int) -> float:
     """Logistic (r=4) orbit value x_n through the cosine-cell discriminants.
 
-    Inverts x0 = (2 - trace(M_1(lam))) / 4 on the first invertible branch,
-    then returns (2 - trace(M_1(lam)^(2^n))) / 4: doubling the cell length
-    squares the transfer matrix, which is the logistic recursion in trace
-    coordinates.
+    The invertible branch x in [0, 1] is the first band, on which the trace
+    2 - 4 x runs from 2 to -2: the point with trace 2 cos k is the first
+    band function at quasi-momentum k.  Returns (2 - trace(M_1(lam)^(2^n)))
+    / 4 there: doubling the cell length squares the transfer matrix, which
+    is the logistic recursion in trace coordinates.
     """
     if not 0.0 <= x0 <= 1.0:
         raise DomainError("x0 must lie in [0, 1]")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lam0 = mathieu_lambda0(tol)
-    lam_top = _mathieu_lambda_top(tol)
-    if x0 == 0.0:
-        lam = lam_top
-    elif x0 == 1.0:
-        lam = lam0
-    else:
-        lam = find_root(
-            lambda u: _mathieu_x(u, tol) - x0,
-            lam0,
-            lam_top,
-            ToleranceSpec(1e-11, 0.0, 256),
-        )
-    cell = _mathieu_cell(lam, tol)
+    k = math.pi * conj_cosine_inv(conj_mandelbrot_inv(x0))
+    mu = hill.band_function(_MATHIEU_V, 1.0, _mathieu_bands(), 1, k)
+    cell = hill.monodromy(_MATHIEU_V, 1.0, mu)
     return conj_mandelbrot(hill.monodromy_power(cell, 2**n).trace)
 
 

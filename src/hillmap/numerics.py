@@ -197,6 +197,9 @@ def quad_singular(
     with extrapolation handles logarithmic and x^(-1/2)-type blow-ups.  The
     quadrature nodes are interior, so ``f`` is never evaluated exactly at a
     declared singular point.  ``bound`` is the sum of the panels' bounds.
+    If every panel converged but that sum misses the request, the panels
+    run once more, each asked for its share of the request in absolute
+    terms.
     """
     if b < a:
         raise ValueError("b must not precede a")
@@ -205,34 +208,41 @@ def quad_singular(
     singular = {float(s) for s in singular_points}
     cuts = sorted({s for s in singular if a < s < b})
     panels = list(zip([a, *cuts], [*cuts, b]))
-    # requesting below ~1e-13 per panel just trips QUADPACK's roundoff
-    # detector near singular endpoints
-    eps_each = max(tol.abs_tol / len(panels), 1e-13)
     limit = max(tol.max_steps // len(panels), 50)
 
-    total = 0.0
-    err_bound = 0.0
-    worst = None
-    for lo, hi in panels:
-        mid = 0.5 * (lo + hi)
+    def run(epsabs: float, epsrel: float):
+        # requesting below ~1e-13 per panel just trips QUADPACK's roundoff
+        # detector near singular endpoints
+        epsabs = max(epsabs, 1e-13)
+        total = err_bound = 0.0
+        worst = None
+        for lo, hi in panels:
+            mid = 0.5 * (lo + hi)
 
-        def fenced(x, _mid=mid):
-            # deep subdivision can round a quadrature node onto a declared
-            # singular point; step one ulp back into the panel
-            if x in singular:
-                x = np.nextafter(x, _mid)
-            return f(x)
+            def fenced(x, _mid=mid):
+                # deep subdivision can round a quadrature node onto a declared
+                # singular point; step one ulp back into the panel
+                if x in singular:
+                    x = np.nextafter(x, _mid)
+                return f(x)
 
-        out = quad(
-            fenced, lo, hi, epsabs=eps_each, epsrel=tol.rel_tol, limit=limit,
-            full_output=1,
-        )
-        total += out[0]
-        err_bound += out[1]
-        if len(out) > 3:
-            worst = f"[{lo:.6g}, {hi:.6g}]: {out[3]}"
+            out = quad(fenced, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                       full_output=1)
+            total += out[0]
+            err_bound += out[1]
+            if len(out) > 3:
+                worst = f"[{lo:.6g}, {hi:.6g}]: {out[3]}"
+        return total, err_bound, worst
+
+    target = lambda total: max(tol.abs_tol, tol.rel_tol * abs(total))
+    total, err_bound, worst = run(tol.abs_tol / len(panels), tol.rel_tol)
+    if err_bound > target(total) and worst is None:
+        # Panels of opposite sign can each meet rel_tol times their own
+        # value while their bounds sum past rel_tol |total|: ask each panel
+        # once more for its share of the target, absolutely.
+        total, err_bound, worst = run(target(total) / len(panels), 0.0)
     # the contract is on the achieved error bound, not per-panel grumbling
-    if err_bound > max(tol.abs_tol, tol.rel_tol * abs(total)):
+    if err_bound > target(total):
         raise NonConvergenceError(
             f"quadrature error bound {err_bound:.3g} exceeds the request"
             + (f" ({worst})" if worst else ""),

@@ -4,6 +4,7 @@ import shlex
 from pathlib import Path
 
 import pytest
+from scipy.special import mathieu_b
 
 from hillmap.cli import run
 
@@ -199,9 +200,14 @@ def test_mathieu_pipeline(capsys, tmp_path):
     text = capsys.readouterr().out
     assert "lambda0" in text
     lam0 = float(text.splitlines()[0].split("=")[1])
-    assert -10.0 < lam0 < -9.0
+    # printed to 8 decimals: -pi^2 b_1(q) at q = 1 / (2 pi^2)
+    assert abs(lam0 + math.pi**2 * mathieu_b(1, 1.0 / (2.0 * math.pi**2))) <= 5e-9
     rows = read_rows(out, 4)
     assert all(r[3] < 1e-5 for r in rows)
+    first = out.read_bytes()
+    assert run(["mathieu", "--x0", "0.2", "--n", "2", "--out", str(out),
+                "--no-timestamp"]) == 0
+    assert out.read_bytes() == first
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -89,7 +89,7 @@ class TestMonodromy:
         assert np.allclose(M.entries, expected, atol=1e-8)
 
     def test_cosine_cell_matches_reference(self):
-        M = monodromy(COS, 1.0, 0.0, ToleranceSpec(1e-12, 1e-12, 10**6))
+        M = monodromy(COS, 1.0, 0.0)
         assert abs(M.det - 1.0) < 1e-8
         assert abs(M.trace - MATHIEU_TRACE_AT_ZERO) < 1e-9
 
@@ -312,14 +312,14 @@ class TestTransferMatrices:
     def test_cosine_is_integrated(self):
         # only cosine cells take the ODE, one stacked solve for every lam
         lams = np.array([-1.0, 3.0, 30.0])
-        tight = ToleranceSpec(1e-12, 1e-12, 1_000_000)
-        M, dM = transfer_matrices(COS, 1.0, lams, tight, derivative=True)
+        M = transfer_matrices(COS, 1.0, lams)
         for lam, Mi in zip(lams, M):
-            assert np.max(np.abs(Mi - monodromy(COS, 1.0, lam, tight).entries)) < 1e-9
-        h = 1e-5
-        fd = (transfer_matrices(COS, 1.0, lams + h, tight)
-              - transfer_matrices(COS, 1.0, lams - h, tight)) / (2 * h)
-        assert np.max(np.abs(dM - fd)) < 1e-6
+            assert np.max(np.abs(Mi - monodromy(COS, 1.0, lam).entries)) < 1e-9
+            assert np.max(np.abs(Mi - ode_matrix(COS, [], 1.0, lam))) < 1e-9
+
+    def test_cosine_has_no_derivative(self):
+        with pytest.raises(ValueError, match="constant, piecewise_linear, tabulated"):
+            transfer_matrices(COS, 1.0, [0.0, 1.0], derivative=True)
 
 
 def mathieu_edges(amplitude: float, lam_cap: float) -> np.ndarray:
@@ -496,13 +496,12 @@ class TestBandFunction:
         # on a tight ODE monodromy
         V = Potential.cosine(amplitude)
         bands = spectrum_bands(V, l, 60.0)
-        tight = ToleranceSpec(1e-13, 1e-13, 1_000_000)
         ks = np.linspace(0.0, math.pi / l, 6)
         for band in range(1, len(bands.bands)):  # the last band is clipped
             a, b = bands.bands[band - 1]
             for k, lam in zip(ks, band_function(V, l, bands, band, ks)):
                 assert a <= lam <= b
-                delta = monodromy(V, l, lam, tight).trace
+                delta = np.trace(ode_matrix(V, [], l, lam))
                 assert abs(delta - 2.0 * math.cos(l * k)) <= 1e-8, (band, k)
 
     def test_cosine_two_cells_fold_the_same_spectrum(self):

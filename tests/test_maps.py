@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import mathieu_a, mathieu_b
 
 from hillmap.errors import DomainError
 from hillmap.maps import (
     MapDescriptor,
+    _mathieu_lambda_top,
     conj_cosine,
     conj_cosine_inv,
     conj_mandelbrot,
@@ -265,18 +267,28 @@ class TestSineFormula:
 
 class TestMathieuFormula:
     def test_lambda0_interval(self):
+        # the branch ends are the first band's edges of u'' + cos(2 pi x) u,
+        # -pi^2 b_1(q) and -pi^2 a_0(q) at q = 1 / (2 pi^2)
+        q = 1.0 / (2.0 * math.pi**2)
         lam0 = mathieu_lambda0()
         assert -10.0 < lam0 < -9.0
+        assert abs(lam0 + math.pi**2 * mathieu_b(1, q)) <= 1e-12
+        assert abs(_mathieu_lambda_top() + math.pi**2 * mathieu_a(0, q)) <= 1e-12
 
     def test_roundtrip_n0(self):
-        for x0 in (0.03, 0.2, 0.5, 0.8, 0.97):
+        for x0 in (0.0, 1e-9, 0.03, 0.2, 0.5, 0.8, 0.97, 1.0 - 1e-9, 1.0):
             assert abs(mathieu_formula(x0, 0) - x0) < 1e-8
 
     def test_matches_direct_iteration(self):
-        md = MapDescriptor.logistic(4.0)
-        orbit = iterate(md, 0.2, 4)
-        for n in range(5):
-            assert abs(mathieu_formula(0.2, n) - orbit.values[n]) < 1e-5
+        # against the exact orbit of the float start, within a bound that
+        # grows with the orbit's gain |dx_n/dx_0| = prod |4 (1 - 2 x_i)|
+        for x0 in (0.0, 1e-9, 0.03, 0.2, 0.5, 0.7071, 0.97, 1.0):
+            x, gain = Fraction(x0), 1.0
+            for n in range(9):
+                bound = 2.5e-9 * max(1.0, gain)
+                assert abs(mathieu_formula(x0, n) - float(x)) <= bound, (x0, n)
+                gain *= abs(4.0 * (1.0 - 2.0 * float(x)))
+                x = 4 * x * (1 - x)
 
 
 class TestDigits:

@@ -167,6 +167,23 @@ class TestQuadSingular:
         right, _ = quad_singular(f, 0.5, 2.0, singular_points=[], tol=tol)
         assert abs(whole - (left + right)) < 2 * tol.abs_tol
 
+    @pytest.mark.parametrize("a", [2.072, -2.072, 2.252, 2.256])
+    def test_panels_of_opposite_sign_meet_the_summed_request(self, a):
+        # the integrand of lyapunov.I_integral for |a| > 2, split at the dip
+        # y = +-(pi/2 - sqrt(|a| - 2)): the two panels' integrals differ in
+        # sign, and each panel's relative request summed misses rel_tol |I|
+        sign = math.copysign(1.0, a)
+
+        def f(y):
+            half = math.sin(0.5 * (math.pi / 2.0 - sign * y))
+            return math.log((abs(a) - 2.0) + 4.0 * half * half)
+
+        cut = sign * (math.pi / 2.0 - math.sqrt(abs(a) - 2.0))
+        val, bound = quad_singular(f, -math.pi / 2, math.pi / 2, singular_points=[cut])
+        exact = math.pi * math.log((abs(a) + math.sqrt(a * a - 4.0)) / 2.0)
+        assert bound <= max(QUAD_TOL.abs_tol, QUAD_TOL.rel_tol * abs(val))
+        assert abs(val - exact) <= max(bound, 1e-15)
+
     def test_nonconvergence_carries_partial(self):
         # nastier than the budget allows: dense oscillation with limit=1 panels
         bad_tol = ToleranceSpec(abs_tol=1e-13, rel_tol=1e-13, max_steps=1)
