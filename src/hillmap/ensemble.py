@@ -100,25 +100,21 @@ def sample_initial(
             rejections += int(np.count_nonzero((vals < DOMAIN[0]) | (vals > DOMAIN[1])))
             np.clip(vals, DOMAIN[0], DOMAIN[1], out=vals)
         elif dist.truncated_to_domain:
-            bad = (vals < DOMAIN[0]) | (vals > DOMAIN[1])
-            n_bad = int(np.count_nonzero(bad))
-            rejections += n_bad
-            if n_bad > 0.5 * want:
+            bad = np.nonzero((vals < DOMAIN[0]) | (vals > DOMAIN[1]))[0]
+            rejections += bad.size
+            if bad.size > 0.5 * want:
                 raise ConfigurationError(
-                    f"rejection rate {n_bad / want:.0%} exceeds 50% for {dist}"
+                    f"rejection rate {bad.size / want:.0%} exceeds 50% for {dist}"
                 )
             for _ in range(64):
-                if n_bad == 0:
+                if bad.size == 0:
                     break
-                redraw = _draw(dist, rng, n_bad)
-                still = (redraw < DOMAIN[0]) | (redraw > DOMAIN[1])
-                vals[np.nonzero(bad)[0][~still]] = redraw[~still]
-                bad_idx = np.nonzero(bad)[0][still]
-                bad = np.zeros_like(bad)
-                bad[bad_idx] = True
-                n_bad = bad_idx.size
-                rejections += n_bad
-            if n_bad:
+                redraw = _draw(dist, rng, bad.size)
+                ok = (redraw >= DOMAIN[0]) & (redraw <= DOMAIN[1])
+                vals[bad[ok]] = redraw[ok]
+                bad = bad[~ok]
+                rejections += bad.size
+            if bad.size:
                 raise ConfigurationError("rejection resampling did not terminate")
         out[produced : produced + want] = vals
         produced += want

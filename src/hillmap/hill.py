@@ -1,5 +1,5 @@
 """Periodic Hill operators -d^2/dx^2 + V(x): potentials, monodromy matrices,
-discriminants, spectral bands, and the universal discriminant density.
+discriminants, spectral bands and band functions.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .errors import DomainError, NonConvergenceError
 # find_root is not called here; it stays importable as hill.find_root, the
 # name under which perfbench/tracing.py counts root solves.
 from .numerics import IVP_TOL, ToleranceSpec, find_root, find_roots, integrate_ivp  # noqa: F401
-from .transfer import invariant_density
 
 TWO_PI = 2.0 * math.pi
 
@@ -397,19 +396,10 @@ def monodromy(V: Potential, l: float, lam: float) -> Monodromy:
 
 
 def monodromy_power(M: Monodromy, m: int) -> Monodromy:
-    """M^m by binary exponentiation of the stored entries (no re-integration)."""
+    """M^m from the stored entries by repeated squaring (no re-integration)."""
     if m < 1:
         raise ValueError("power must be a positive integer")
-    result = np.eye(2)
-    base = M.entries.copy()
-    k = m
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return Monodromy(result, M.cell_length * m, M.lam)
+    return Monodromy(np.linalg.matrix_power(M.entries, m), M.cell_length * m, M.lam)
 
 
 def eigenvalue_class(delta: float, parabolic_tol: float = 1e-12) -> str:
@@ -423,12 +413,6 @@ def eigenvalue_class(delta: float, parabolic_tol: float = 1e-12) -> str:
     if abs(gap) <= parabolic_tol:
         return "parabolic"
     return "elliptic" if gap < 0 else "hyperbolic"
-
-
-def discriminant_density(delta: float) -> float:
-    """Universal density of discriminant values, (1/pi)/sqrt(4 - delta^2),
-    on the open (-2, 2)."""
-    return invariant_density("discriminant_D", delta)
 
 
 @dataclass(frozen=True)
@@ -561,9 +545,6 @@ def _scanned_edges(V: Potential, l: float, lambda_max: float):
     ]
 
     events.sort()
-    if abs(deltas[0]) <= 2.0:
-        events.insert(0, float(lams[0]))
-        warnings.append("scan started inside the spectrum")
     if len(events) % 2 == 1:
         events.append(float(lambda_max))  # last band clipped at lambda_max
     return events, warnings

@@ -399,32 +399,26 @@ def _exactish(x):
 def preimage_intervals(m: int, n: int, target: tuple) -> list[tuple]:
     """The n-fold tent-map preimage of an interval, as disjoint intervals.
 
-    Pulls the target back through each linear branch recursively; adjacent
-    intervals that share an endpoint are merged.  Integer or Fraction inputs
-    are processed in exact rational arithmetic.
+    n steps of the m-piece fold are the single fold of slope M = m^n
+    (g_m^n = g_{m^n}), so the target is pulled back once through its M
+    branches: branch j holds one interval, in order of j, and intervals that
+    touch at a branch end are merged.  Integer or Fraction inputs are
+    processed in exact rational arithmetic.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     a, b = (_exactish(v) for v in target)
     if a > b or a < 0 or b > 1:
         raise DomainError("target must be a subinterval of [0, 1]")
-    intervals = [(a, b)]
-    for _ in range(n):
-        pulled = []
-        for lo, hi in intervals:
-            for j in range(m):
-                if j % 2 == 0:
-                    pulled.append(((lo + j) / m, (hi + j) / m))
-                else:
-                    pulled.append(((j + 1 - hi) / m, (j + 1 - lo) / m))
-        pulled.sort()
-        merged = [pulled[0]]
-        for lo, hi in pulled[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-            else:
-                merged.append((lo, hi))
-        intervals = merged
+    M = m**n
+    intervals = []
+    for j in range(M):
+        lo, hi = (j + a, j + b) if j % 2 == 0 else (j + 1 - b, j + 1 - a)
+        lo, hi = lo / M, hi / M
+        if intervals and lo <= intervals[-1][1]:
+            intervals[-1] = (intervals[-1][0], hi)
+        else:
+            intervals.append((lo, hi))
     return intervals
 
 

@@ -10,7 +10,6 @@ from hillmap.hill import (
     Monodromy,
     Potential,
     band_function,
-    discriminant_density,
     eigenvalue_class,
     free_discriminant,
     monodromy,
@@ -19,8 +18,7 @@ from hillmap.hill import (
     transfer_matrices,
     _traces,
 )
-from hillmap.numerics import ToleranceSpec, integrate_ivp, quad_singular
-from hillmap.transfer import invariant_density
+from hillmap.numerics import ToleranceSpec, integrate_ivp
 
 FREE = Potential.free()
 COS = Potential.cosine()  # cos(2 pi x), period 1
@@ -369,6 +367,9 @@ class TestSpectrumBands:
         V = Potential.piecewise_linear([0.0, *knots], [-3.365, 2.554, -2.01, 0.086])
         blist = spectrum_bands(V, 1.0, 273.742)
         assert blist.warnings == ()
+        # the scan starts at min V - 1, where V - lam >= 1 bounds Delta below
+        # by 2 cosh l (compare with u'' = u): outside the spectrum
+        assert _traces(V, 1.0, [V.min_value() - 1.0])[0] >= 2.0 * math.cosh(1.0)
         gaps = [(b, a) for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])]
         inside = [(b, a) for b, a in gaps if 246.004 <= b < a <= 246.018]
         assert len(inside) == 1
@@ -525,24 +526,3 @@ class TestBandFunction:
         # the new touches are doubled eigenvalues, equal to the last bit
         assert all(two[i][1] == two[i + 1][0] for i in (0, 2, 4))
         assert np.max(np.abs(union(two) - np.array(one))) <= 1e-9
-
-
-class TestDiscriminantDensity:
-    def test_values(self):
-        assert abs(discriminant_density(0.0) - 1.0 / (2 * math.pi)) < 1e-15
-        assert abs(discriminant_density(math.sqrt(3.0)) - 1.0 / math.pi) < 1e-14
-
-    def test_is_the_invariant_density(self):
-        for delta in (-1.999, -0.3, 0.0, 1.2):
-            assert discriminant_density(delta) == invariant_density("discriminant_D", delta)
-
-    def test_domain_error(self):
-        for bad in (-2.0, 2.0, 2.5):
-            with pytest.raises(DomainError):
-                discriminant_density(bad)
-
-    def test_normalisation(self):
-        val, _ = quad_singular(
-            discriminant_density, -2.0, 2.0, singular_points=[-2.0, 2.0]
-        )
-        assert abs(val - 1.0) < 1e-10

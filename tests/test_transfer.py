@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from hillmap.errors import DomainError
+from hillmap.maps import MapDescriptor, eval_map
 from hillmap.numerics import ToleranceSpec, quad_singular
 from hillmap.transfer import (
     COUNTEREXAMPLE_ERROR_CONSTANT,
@@ -395,6 +397,31 @@ class TestInvariantDensities:
         assert abs(val - 1.0) < 1e-9
 
 
+def discriminant_D(delta):
+    return invariant_density("discriminant_D", delta)
+
+
+class TestDiscriminantDensity:
+    def test_values(self):
+        assert abs(discriminant_D(0.0) - 1.0 / (2 * math.pi)) < 1e-15
+        assert abs(discriminant_D(math.sqrt(3.0)) - 1.0 / math.pi) < 1e-14
+
+    def test_is_the_invariant_density(self):
+        # D_DENSITY, the callable that quadrature callers integrate against
+        assert D_DENSITY.domain == (-2.0, 2.0) and D_DENSITY.singularities == (-2.0, 2.0)
+        for delta in (-1.999, -0.3, 0.0, 1.2):
+            assert D_DENSITY(delta) == discriminant_D(delta)
+
+    def test_domain_error(self):
+        for bad in (-2.0, 2.0, 2.5):
+            with pytest.raises(DomainError):
+                discriminant_D(bad)
+
+    def test_normalisation(self):
+        val, _ = quad_singular(discriminant_D, -2.0, 2.0, singular_points=[-2.0, 2.0])
+        assert abs(val - 1.0) < 1e-10
+
+
 class TestPreimages:
     def test_two_branches(self):
         got = preimage_intervals(2, 1, (Fraction(0), Fraction(1, 2)))
@@ -420,6 +447,31 @@ class TestPreimages:
 
     def test_count_bound(self):
         assert len(preimage_intervals(2, 5, (Fraction(1, 3), Fraction(2, 3)))) <= 2**5
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_membership_matches_the_iterated_map(self, m):
+        # x lies in the preimage iff a <= g^n(x) <= b, g iterated on Fractions;
+        # interval ends and points just beside them probe the boundaries
+        tent = MapDescriptor.tent(m)
+        rng = np.random.default_rng(m)
+        eps = Fraction(1, 10**9)
+        for n in range(5):
+            for _ in range(4):
+                den = int(rng.integers(1, 13))
+                a, b = sorted(Fraction(int(i), den) for i in rng.integers(0, den + 1, 2))
+                got = preimage_intervals(m, n, (a, b))
+                assert all(lo <= hi for lo, hi in got)
+                assert all(hi < nxt for (_, hi), (nxt, _) in zip(got, got[1:]))
+                assert sum(hi - lo for lo, hi in got) == b - a
+                xs = [Fraction(int(i), 10**6) for i in rng.integers(0, 10**6 + 1, 50)]
+                ends = [x for iv in got[:: max(1, len(got) // 32)] for x in iv]
+                xs += [x + d for x in ends for d in (-eps, 0, eps) if 0 <= x + d <= 1]
+                for x in xs:
+                    y = x
+                    for _ in range(n):
+                        y = eval_map(tent, y)
+                    i = bisect.bisect_right(got, (x, 2)) - 1  # last interval with lo <= x
+                    assert (i >= 0 and x <= got[i][1]) == (a <= y <= b)
 
 
 class TestMixing:
