@@ -233,15 +233,35 @@ def pushforward_genlogistic(
     """Transfer-operator image under the degree-m trace polynomial.
 
     Works through the conjugacy delta = 2 cos(pi kappa): project onto a
-    uniform kappa grid, push exactly through the m-piece tent map, and map
-    back.  Mass is preserved to rounding.
+    uniform kappa grid, push exactly through the m-piece tent map on that
+    grid (:func:`_fold_grid`), and map back.  Mass is preserved to rounding.
     """
     lo, hi = p.domain
     if lo < -2.0 - 1e-12 or hi > 2.0 + 1e-12:
         raise DomainError("expected a density on [-2, 2]")
-    pk = delta_to_kappa(p, resolution)
-    qk = pushforward_tent(pk, m)
-    return kappa_to_delta(qk)
+    return _grid_to_delta(_fold_grid(delta_to_kappa(p, resolution).values, m))
+
+
+def _fold_grid(v: np.ndarray, m: int) -> np.ndarray:
+    """The m-piece tent image of the density with values ``v`` on the uniform
+    grid of N = v.size cells of [0, 1], as values on a uniform grid again.
+
+    Branch j maps the edge i/N to +-(m i/N - j), another grid point.  If m
+    divides N, branch j carries the N/m source cells of row j of
+    ``v.reshape(m, N // m)`` onto the N/m output cells, odd rows in reverse.
+    Otherwise the image lives on N cells: fine cell jN + k of the m-fold
+    refinement lies in source cell (jN + k) // m and maps onto output cell k,
+    or N - 1 - k for odd j.  Each image density is the source value over m.
+    """
+    rows = (v if v.size % m == 0 else np.repeat(v, m)).reshape(m, -1)
+    return (rows[0::2].sum(axis=0) + rows[1::2, ::-1].sum(axis=0)) / m
+
+
+def _grid_to_delta(v: np.ndarray) -> StepDensity:
+    """The uniform kappa-grid density with values ``v``, cells of equal value
+    merged, mapped back to [-2, 2]."""
+    pk = StepDensity(np.linspace(0.0, 1.0, v.size + 1), v)
+    return kappa_to_delta(pk.simplify())
 
 
 def l1_to_uniform(pk: StepDensity) -> float:
@@ -273,28 +293,33 @@ def evolve_genlogistic(
     The evolution runs in the fold coordinate, where the invariant density is
     the constant 1 and the recorded ``l1_to_invariant`` is exact; it equals
     the L1 distance of the transported density to the arcsine density through
-    the (measure-preserving) coordinate change.  Returns the per-step records
-    and the final density mapped back to [-2, 2].
+    the (measure-preserving) coordinate change.  The density stays on a
+    uniform kappa grid (:func:`_fold_grid`), and ``resolution`` in each record
+    is that grid's cell count: ``resolution`` at step 0, divided by m at each
+    step while m divides it, unchanged otherwise.  ``mass`` and
+    ``l1_to_invariant`` are sums over the grid's values.  Returns the
+    per-step records and the final density, cells of equal value merged,
+    mapped back to [-2, 2].
     """
     if isinstance(initial, str):
         if initial != "uniform":
             raise ValueError("initial must be 'uniform' or a StepDensity")
-        pk = uniform_kappa_projection(resolution)
+        v = uniform_kappa_projection(resolution).values
     else:
-        pk = delta_to_kappa(initial, resolution)
+        v = delta_to_kappa(initial, resolution).values
     records = []
     for n in range(steps + 1):
         records.append(
             {
                 "step": n,
-                "l1_to_invariant": l1_to_uniform(pk),
-                "mass": pk.mass(),
-                "resolution": int(pk.values.size),
+                "l1_to_invariant": float(np.sum(np.abs(v - 1.0))) / v.size,
+                "mass": float(np.sum(v)) / v.size,
+                "resolution": int(v.size),
             }
         )
         if n < steps:
-            pk = pushforward_tent(pk, m)
-    return records, kappa_to_delta(pk)
+            v = _fold_grid(v, m)
+    return records, _grid_to_delta(v)
 
 
 # Distances and variation -------------------------------------------------------
@@ -396,6 +421,19 @@ def _exactish(x):
     return Fraction(x) if isinstance(x, (int, Fraction)) else x
 
 
+def _check_preimage_args(m: int, n: int, a, b) -> None:
+    if m < 1 or n < 0:
+        raise ValueError("need m >= 1 and n >= 0")
+    if a > b or a < 0 or b > 1:
+        raise DomainError("target must be a subinterval of [0, 1]")
+
+
+def _branch_preimage(j: int, M: int, a, b) -> tuple:
+    """The part of [a, b]'s preimage in branch j of the fold of slope M."""
+    lo, hi = (j + a, j + b) if j % 2 == 0 else (j + 1 - b, j + 1 - a)
+    return lo / M, hi / M
+
+
 def preimage_intervals(m: int, n: int, target: tuple) -> list[tuple]:
     """The n-fold tent-map preimage of an interval, as disjoint intervals.
 
@@ -405,16 +443,12 @@ def preimage_intervals(m: int, n: int, target: tuple) -> list[tuple]:
     touch at a branch end are merged.  Integer or Fraction inputs are
     processed in exact rational arithmetic.
     """
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
     a, b = (_exactish(v) for v in target)
-    if a > b or a < 0 or b > 1:
-        raise DomainError("target must be a subinterval of [0, 1]")
+    _check_preimage_args(m, n, a, b)
     M = m**n
     intervals = []
     for j in range(M):
-        lo, hi = (j + a, j + b) if j % 2 == 0 else (j + 1 - b, j + 1 - a)
-        lo, hi = lo / M, hi / M
+        lo, hi = _branch_preimage(j, M, a, b)
         if intervals and lo <= intervals[-1][1]:
             intervals[-1] = (intervals[-1][0], hi)
         else:
@@ -423,17 +457,33 @@ def preimage_intervals(m: int, n: int, target: tuple) -> list[tuple]:
 
 
 def mixing_correlation(m: int, n: int, A: tuple, B: tuple):
-    """Lebesgue(g_m^-n(A) intersect B) - |A| |B|, exact for rational inputs.
+    """Lebesgue(g_m^-n(A) intersect B) - |A| |B|, by counting branches.
 
-    Vanishes identically once n exceeds the digit resolution of m-adic
-    intervals A and B, which is the strong-mixing mechanism of the tent maps.
+    g_m^n is the fold of slope M = m^n, and each of its M branches, of width
+    1/M, holds one copy of A's preimage, of length |A|/M.  The branches
+    strictly inside B add their count c times |A|/M; the at most two branches
+    that B cuts, floor(b1 M) and ceil(b2 M) - 1, add their exact overlap with
+    B.  So the cost is O(1) operations per call, whatever n.
+
+    Both Lebesgue(g_m^-n(A) & B) and |A| |B| lie in [c |A|/M, (c + 2) |A|/M],
+    so |correlation| <= 2 |A| / m^n: an explicit mixing rate.  It vanishes
+    when both ends of B lie on the 1/M grid, so for m-adic intervals A and B
+    once n reaches their digit resolution, which is the strong-mixing
+    mechanism of the tent maps.
+
+    Integer and Fraction inputs give an exact Fraction.  Float inputs are
+    taken exactly as Fractions and the result is rounded to a float.
     """
-    a1, a2 = (_exactish(v) for v in A)
-    b1, b2 = (_exactish(v) for v in B)
-    inter = 0 * a1
-    for lo, hi in preimage_intervals(m, n, (a1, a2)):
-        left = max(lo, b1)
-        right = min(hi, b2)
-        if right > left:
-            inter += right - left
-    return inter - (a2 - a1) * (b2 - b1)
+    ends = (*A, *B)
+    exact = all(isinstance(v, (int, Fraction)) for v in ends)
+    a1, a2, b1, b2 = (Fraction(v) for v in ends)
+    _check_preimage_args(m, n, a1, a2)
+    M = m**n
+    first, stop = max(math.ceil(b1 * M), 0), min(math.floor(b2 * M), M)
+    inter = max(stop - first, 0) * (a2 - a1) / M
+    for j in {math.floor(b1 * M), math.ceil(b2 * M) - 1}:
+        if 0 <= j < M and not first <= j < stop:
+            lo, hi = _branch_preimage(j, M, a1, a2)
+            inter += max(min(hi, b2) - max(lo, b1), 0)
+    corr = inter - (a2 - a1) * (b2 - b1)
+    return corr if exact else float(corr)

@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,18 @@ def test_mixing_check(tmp_path):
     rows = read_rows(out, 3)
     # resolution-1 m-adic sets decorrelate exactly from n = 1
     assert all(r[2] == 1.0 for r in rows)
+
+
+def test_mixing_check_full_target_is_fast(tmp_path):
+    # A = [0, 1] pulls back to all of [0, 1] through 2^40 branches; counting
+    # branches costs O(1) per n where listing them cost 2^n
+    out = tmp_path / "mix.csv"
+    t0 = time.perf_counter()
+    assert run(["mixing-check", "--m", "2", "--a-left", "0", "--a-right", "1",
+                "--n-max", "40", "--out", str(out), "--no-timestamp"]) == 0
+    assert time.perf_counter() - t0 < 0.5
+    rows = read_rows(out, 3)
+    assert len(rows) == 40 and all(r[1] == 0.0 and r[2] == 1.0 for r in rows)
 
 
 def test_mathieu_pipeline(capsys, tmp_path):

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hillmap.errors import DomainError
 from hillmap.maps import MapDescriptor, eval_map
 from hillmap.numerics import ToleranceSpec, quad_singular
 from hillmap.transfer import (
+    _fold_grid,
     COUNTEREXAMPLE_ERROR_CONSTANT,
     COUNTEREXAMPLE_LIMIT_MASS,
     D_DENSITY,
@@ -33,6 +36,8 @@ from hillmap.transfer import (
     uniform_kappa_projection,
     variation,
 )
+
+EPS = np.finfo(float).eps
 
 
 def arcsine_discretized(n_cells: int) -> StepDensity:
@@ -124,6 +129,57 @@ class TestPushforwardTent:
         assert np.allclose(lhs(mids), a * pa(mids) + b * qb(mids), atol=1e-12)
         # operator norm at most 1 on signed inputs
         assert pushforward_tent(p, 3).norm1() <= p.norm1() + 1e-12
+
+
+class TestFoldGrid:
+    """The uniform-grid kernel behind evolve_genlogistic and
+    pushforward_genlogistic, against the transfer operator's definition and
+    against the general pushforward."""
+
+    @staticmethod
+    def exact_image(v, m, cells):
+        # (P v)(y) = sum over the m preimages x_j of y of v(x_j) / m, taken at
+        # the output cell midpoints in rational arithmetic
+        n = v.size
+        out = []
+        for k in range(cells):
+            y = Fraction(2 * k + 1, 2 * cells)
+            xs = [(j + y) / m if j % 2 == 0 else (j + 1 - y) / m for j in range(m)]
+            out.append(sum(Fraction(float(v[math.floor(x * n)])) for x in xs) / m)
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 48), st.integers(0, 2**32 - 1),
+           st.floats(-3.0, 3.0))
+    def test_matches_the_general_pushforward(self, m, n, seed, log_scale):
+        v = np.random.default_rng(seed).normal(size=n) * 10.0**log_scale  # signed
+        vmax = float(np.max(np.abs(v)))
+        out = _fold_grid(v, m)
+        cells = n // m if n % m == 0 else n
+        assert out.size == cells
+        exact = self.exact_image(v, m, cells)
+        assert max(abs(Fraction(float(x)) - e) for x, e in zip(out, exact)) <= m * EPS * vmax
+        # the general path sums its levels along an event sweep over at most
+        # 2 (n + m) branch-piece ends, each addition rounding by eps/2 |level|
+        ref = pushforward_fold(StepDensity(np.linspace(0.0, 1.0, n + 1), v), m)
+        mids = (np.arange(cells) + 0.5) / cells
+        tol = m * EPS * vmax + (n + m) * EPS * vmax
+        assert np.max(np.abs(ref(mids) - out)) <= tol
+        mass_in = sum(Fraction(float(x)) for x in v) / n
+        scale = float(np.sum(np.abs(v))) / n
+        assert abs(Fraction(float(np.sum(out))) / cells - mass_in) <= 2 * m * EPS * scale
+        assert abs(ref.mass() - float(mass_in)) <= 2 * (n + m) * EPS * scale
+
+    def test_divisible_grid_coarsens(self):
+        v = np.arange(1.0, 7.0)  # six cells, m = 3: rows [1, 2], [3, 4], [5, 6]
+        assert np.array_equal(_fold_grid(v, 3), [(1 + 4 + 5) / 3, (2 + 3 + 6) / 3])
+        assert np.array_equal(_fold_grid(v, 1), v)
+
+    def test_input_untouched(self):
+        v = np.arange(8.0)
+        _fold_grid(v, 2)
+        _fold_grid(v, 3)
+        assert np.array_equal(v, np.arange(8.0))
 
 
 class TestPushforwardFold:
@@ -269,6 +325,21 @@ class TestEvolution:
         for r in recs:
             assert abs(r["mass"] - 1.0) < 1e-12
             assert r["resolution"] >= 1
+
+    def test_resolution_is_the_grid_cell_count(self):
+        # divided by m while m divides the grid, constant otherwise
+        recs, _ = evolve_genlogistic(2, 6, resolution=2**14)
+        assert [r["resolution"] for r in recs] == [2 ** (14 - n) for n in range(7)]
+        recs, _ = evolve_genlogistic(3, 6, resolution=2**14)
+        assert [r["resolution"] for r in recs] == [2**14] * 7
+        recs, _ = evolve_genlogistic(4, 3, resolution=2**5)
+        assert [r["resolution"] for r in recs] == [32, 8, 2, 2]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_mass_to_rounding(self, m):
+        for log_n in (10, 14, 17, 20):
+            recs, _ = evolve_genlogistic(m, 6, resolution=2**log_n)
+            assert max(abs(r["mass"] - 1.0) for r in recs) <= 4 * EPS
 
 
 class TestCoordinateChange:
@@ -474,6 +545,35 @@ class TestPreimages:
                     assert (i >= 0 and x <= got[i][1]) == (a <= y <= b)
 
 
+def _mixing_interval(draw, den):
+    i, j = sorted(draw(st.integers(0, den)) for _ in range(2))
+    return Fraction(i, den), Fraction(j, den)
+
+
+@st.composite
+def mixing_cases(draw, max_branches=None, max_n=60):
+    """(m, n, A, B) with rational intervals; A may be [0, 1] or a point, and B
+    may lie on the 1/m^n grid."""
+    m = draw(st.integers(1, 6))
+    n_max = max_n
+    if max_branches is not None and m > 1:
+        n_max = max(n for n in range(max_n + 1) if m**n <= max_branches)
+    n = draw(st.integers(0, n_max))
+    if draw(st.booleans()):
+        A = (Fraction(0), Fraction(1))
+    else:
+        A = _mixing_interval(draw, draw(st.integers(1, 40)))
+    den = draw(st.one_of(st.integers(1, 40), st.just(m**n)))
+    return m, n, A, _mixing_interval(draw, den)
+
+
+def _interval_sum_correlation(m, n, A, B):
+    inter = sum(
+        max(min(hi, B[1]) - max(lo, B[0]), 0) for lo, hi in preimage_intervals(m, n, A)
+    )
+    return inter - (A[1] - A[0]) * (B[1] - B[0])
+
+
 class TestMixing:
     def test_hand_case(self):
         got = mixing_correlation(2, 1, (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1, 2)))
@@ -501,3 +601,39 @@ class TestMixing:
         A = (Fraction(0), Fraction(1, 8))
         got = mixing_correlation(2, 1, A, A)
         assert got != 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixing_cases(max_branches=4096, max_n=12))
+    def test_equals_the_interval_sum(self, case):
+        m, n, A, B = case
+        got = mixing_correlation(m, n, A, B)
+        assert isinstance(got, Fraction)
+        assert got == _interval_sum_correlation(m, n, A, B)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixing_cases())
+    def test_rate_bound(self, case):
+        m, n, A, B = case
+        assert abs(mixing_correlation(m, n, A, B)) <= 2 * (A[1] - A[0]) / m**n
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixing_cases())
+    def test_float_inputs(self, case):
+        # rounding the four ends moves the correlation by at most 2 |delta|
+        # each, 8 * 1.1e-16 in all
+        m, n, A, B = case
+        got = mixing_correlation(m, n, tuple(map(float, A)), tuple(map(float, B)))
+        assert isinstance(got, float)
+        assert abs(got - mixing_correlation(m, n, A, B)) <= 1e-15
+
+    def test_grid_ends_decorrelate(self):
+        M = 3**5
+        for i, j in ((0, M), (7, 100), (42, 42)):
+            B = (Fraction(i, M), Fraction(j, M))
+            assert mixing_correlation(3, 5, (Fraction(1, 7), Fraction(5, 7)), B) == 0
+
+    def test_domain_checks(self):
+        with pytest.raises(ValueError):
+            mixing_correlation(0, 1, (0, 1), (0, 1))
+        with pytest.raises(DomainError):
+            mixing_correlation(2, 1, (Fraction(1, 2), Fraction(1, 3)), (0, 1))
