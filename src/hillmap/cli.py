@@ -158,8 +158,13 @@ def _cmd_bands(cfg, timestamp):
     else:
         # Rows need whole bands.  Band n lies in [((n-1) pi/l)^2 + min V,
         # (n pi/l)^2 + max V] (the edges grow with V), so every band that
-        # starts at or below lambda_max ends at or below top.
-        top = (math.sqrt(lambda_max - V.min_value()) + math.pi / l) ** 2 + V.max_value()
+        # starts at or below lambda_max ends at or below top.  Below min V
+        # the root fails, and lambda_max itself goes to spectrum_bands,
+        # which refuses it.
+        try:
+            top = (math.sqrt(lambda_max - V.min_value()) + math.pi / l) ** 2 + V.max_value()
+        except ValueError:
+            top = lambda_max
         blist = hill.spectrum_bands(V, l, top)
         ks = np.linspace(0.0, math.pi / l, cfg["k_points"])
         rows = []
@@ -216,7 +221,7 @@ def _cmd_density_evolve(cfg, timestamp):
 def _cmd_ensemble(cfg, timestamp):
     dist = ensemble.InitialDistribution.shifted_gamma(clamp_to_domain=cfg["clamp"])
     if cfg["dist"] == "uniform":
-        dist = ensemble.InitialDistribution.uniform(-2.0, 2.0)
+        dist = ensemble.InitialDistribution.uniform()
     report = ensemble.convergence_experiment(
         cfg["m"], dist, cfg["samples"], cfg["iters"], cfg["seed"]
     )

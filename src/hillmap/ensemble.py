@@ -30,34 +30,22 @@ W1_FLOOR_COEFF = 1.0
 
 @dataclass(frozen=True)
 class InitialDistribution:
-    """Sampling recipe for the ensemble's initial conditions."""
+    """Law of the ensemble's initial conditions.
+
+    ``shifted_gamma`` is Gamma(1, 1) - 2, restricted to [-2, 2] by redrawing
+    (or, with ``clamp_to_domain``, by clipping); ``uniform`` is U(-2, 2).
+    """
 
     kind: str  # "shifted_gamma" | "uniform"
-    shape: float = 1.0
-    scale: float = 1.0
-    shift: float = 0.0
-    lo: float = -2.0
-    hi: float = 2.0
-    truncated_to_domain: bool = True
     clamp_to_domain: bool = False  # alternative policy: clip instead of redraw
 
     @classmethod
-    def shifted_gamma(
-        cls,
-        shape: float = 1.0,
-        scale: float = 1.0,
-        shift: float = -2.0,
-        truncated_to_domain: bool = True,
-        clamp_to_domain: bool = False,
-    ) -> "InitialDistribution":
-        return cls("shifted_gamma", shape=shape, scale=scale, shift=shift,
-                   truncated_to_domain=truncated_to_domain and not clamp_to_domain,
-                   clamp_to_domain=clamp_to_domain)
+    def shifted_gamma(cls, clamp_to_domain: bool = False) -> "InitialDistribution":
+        return cls("shifted_gamma", clamp_to_domain)
 
     @classmethod
-    def uniform(cls, lo: float, hi: float, truncated_to_domain: bool = False
-                ) -> "InitialDistribution":
-        return cls("uniform", lo=lo, hi=hi, truncated_to_domain=truncated_to_domain)
+    def uniform(cls) -> "InitialDistribution":
+        return cls("uniform")
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -68,23 +56,19 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _draw(dist: InitialDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
     if dist.kind == "shifted_gamma":
-        return rng.gamma(dist.shape, dist.scale, size) + dist.shift
+        return rng.gamma(1.0, 1.0, size) - 2.0
     if dist.kind == "uniform":
-        return rng.uniform(dist.lo, dist.hi, size)
+        return rng.uniform(DOMAIN[0], DOMAIN[1], size)
     raise ValueError(f"unknown distribution kind {dist.kind!r}")
 
 
-def sample_initial(
-    dist: InitialDistribution,
-    n: int,
-    seed: int,
-    return_rejections: bool = False,
-):
-    """Deterministic ensemble of n initial values for the given seed.
+def sample_initial(dist: InitialDistribution, n: int, seed: int) -> tuple[np.ndarray, int]:
+    """Deterministic ensemble of n initial values in [-2, 2] for the given
+    seed, and the number of draws that fell outside [-2, 2].
 
-    With ``truncated_to_domain`` any draw outside [-2, 2] is rejected and
-    redrawn from the same substream, so the result is still a pure function
-    of (dist, n, seed).  A rejection rate above 50% aborts.
+    Such a draw is redrawn from the same substream, up to 64 rounds per
+    chunk, so the result is still a pure function of (dist, n, seed); with
+    ``clamp_to_domain`` it is clipped instead.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -96,16 +80,11 @@ def sample_initial(
         want = min(CHUNK, n - produced)
         rng = _chunk_rng(seed, chunk_index)
         vals = _draw(dist, rng, want)
+        bad = np.nonzero((vals < DOMAIN[0]) | (vals > DOMAIN[1]))[0]
+        rejections += bad.size
         if dist.clamp_to_domain:
-            rejections += int(np.count_nonzero((vals < DOMAIN[0]) | (vals > DOMAIN[1])))
             np.clip(vals, DOMAIN[0], DOMAIN[1], out=vals)
-        elif dist.truncated_to_domain:
-            bad = np.nonzero((vals < DOMAIN[0]) | (vals > DOMAIN[1]))[0]
-            rejections += bad.size
-            if bad.size > 0.5 * want:
-                raise ConfigurationError(
-                    f"rejection rate {bad.size / want:.0%} exceeds 50% for {dist}"
-                )
+        else:
             for _ in range(64):
                 if bad.size == 0:
                     break
@@ -119,9 +98,7 @@ def sample_initial(
         out[produced : produced + want] = vals
         produced += want
         chunk_index += 1
-    if return_rejections:
-        return out, rejections
-    return out
+    return out, rejections
 
 
 def wasserstein1(samples: Sequence[float]) -> float:
@@ -227,11 +204,7 @@ def convergence_experiment(
         raise ValueError("m must be at least 2")
     if n_iters < 0:
         raise ValueError("n_iters must be nonnegative")
-    samples, rejections = sample_initial(dist, n_samples, seed, return_rejections=True)
-    if np.any(samples < DOMAIN[0]) or np.any(samples > DOMAIN[1]):
-        raise ConfigurationError(
-            f"initial ensemble leaves [-2, 2] (dist={dist}); enable truncation"
-        )
+    samples, rejections = sample_initial(dist, n_samples, seed)
     # The map acts elementwise, so mapping the sorted ensemble gives the same
     # multiset of values, and so the same sorted array, as mapping it in draw
     # order: sort once and keep the ensemble sorted.  Each iteration maps into

@@ -27,98 +27,81 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class Potential:
-    """A real periodic potential.
+    """A real potential of period 1.
 
-    ``kind`` is one of ``constant``, ``cosine``, ``piecewise_linear``,
-    ``tabulated``; ``params`` holds the kind-specific data.  Instances are
-    immutable and hashable so they can key caches.
+    ``kind`` is one of ``constant``, ``cosine``, ``piecewise_linear``;
+    ``params`` holds the kind-specific data.  Instances are immutable and
+    hashable so they can key caches.
     """
 
-    period: float
     kind: str
     params: tuple
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError("period must be positive")
-        # Interpolation table (nodes, values) over one period and the linear
-        # pieces, built once.  Not fields, so equality and the hash see only
+        # Built once for piecewise-linear cells: the interpolation table
+        # (nodes, values) over one period, and the (v0, slope, length) of the
+        # linear pieces of [0, 1] in order, one exact matrix each in the
+        # closed-form kernel.  Not fields, so equality and the hash see only
         # the defining data.
-        table = None
-        if self.kind == "piecewise_linear":
-            bp, vals = self.params
-            table = (np.array([*bp, bp[0] + self.period]), np.array([*vals, vals[0]]))
-        elif self.kind == "tabulated":
-            (vals,) = self.params
-            n = len(vals)
-            table = (np.arange(n + 1) * (self.period / n), np.array([*vals, vals[0]]))
-        object.__setattr__(self, "_table", table)
-        # (v0, slope, length) of the linear pieces of [0, period] in order:
-        # the closed-form kernel multiplies one exact matrix per piece
-        pieces = None
-        if table is not None:
-            xp, fp = table
-            x = np.mod(xp[:-1], self.period)
-            order = np.argsort(x)
-            x, v = x[order], fp[:-1][order]
-            if x[0] > 0.0:
-                x, v = np.insert(x, 0, 0.0), np.insert(v, 0, self(0.0))
-            x, v = np.append(x, self.period), np.append(v, v[0])
-            h = np.diff(x)
-            keep = h > 0.0  # a node that np.mod put on the period's end
-            pieces = tuple(zip(v[:-1][keep].tolist(), (np.diff(v)[keep] / h[keep]).tolist(),
-                               h[keep].tolist()))
-        object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_pieces", None)
+        if self.kind != "piecewise_linear":
+            return
+        bp, vals = self.params
+        xp, fp = np.array([*bp, bp[0] + 1.0]), np.array([*vals, vals[0]])
+        object.__setattr__(self, "_table", (xp, fp))
+        x = np.mod(xp[:-1], 1.0)
+        order = np.argsort(x)
+        x, v = x[order], fp[:-1][order]
+        if x[0] > 0.0:
+            x, v = np.insert(x, 0, 0.0), np.insert(v, 0, self(0.0))
+        x, v = np.append(x, 1.0), np.append(v, v[0])
+        h = np.diff(x)
+        keep = h > 0.0  # a node that np.mod put on the period's end
+        object.__setattr__(self, "_pieces", tuple(zip(
+            v[:-1][keep].tolist(), (np.diff(v)[keep] / h[keep]).tolist(), h[keep].tolist())))
 
     @classmethod
-    def constant(cls, value: float, period: float = 1.0) -> "Potential":
-        return cls(period, "constant", (float(value),))
+    def constant(cls, value: float) -> "Potential":
+        return cls("constant", (float(value),))
 
     @classmethod
-    def free(cls, period: float = 1.0) -> "Potential":
-        return cls.constant(0.0, period)
+    def free(cls) -> "Potential":
+        return cls.constant(0.0)
 
     @classmethod
-    def cosine(
-        cls, amplitude: float = 1.0, frequency: float = TWO_PI, period: float = 1.0
-    ) -> "Potential":
-        cycles = frequency * period / TWO_PI
-        if abs(cycles - round(cycles)) > 1e-9 or round(cycles) == 0:
-            raise ValueError("frequency * period must be a nonzero multiple of 2*pi")
-        return cls(period, "cosine", (float(amplitude), float(frequency)))
+    def cosine(cls, amplitude: float = 1.0) -> "Potential":
+        """``amplitude * cos(2 pi x)``."""
+        return cls("cosine", (float(amplitude),))
 
     @classmethod
     def piecewise_linear(
-        cls, breakpoints: Sequence[float], values: Sequence[float], period: float = 1.0
+        cls, breakpoints: Sequence[float], values: Sequence[float]
     ) -> "Potential":
+        """Linear interpolation of ``values`` at ``breakpoints``, closed
+        periodically; samples on a uniform grid of n points are
+        ``piecewise_linear(np.arange(n) / n, samples)``."""
         bp = tuple(float(b) for b in breakpoints)
         vals = tuple(float(v) for v in values)
         if len(bp) != len(vals) or len(bp) < 1:
             raise ValueError("need matching, nonempty breakpoints and values")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if bp[-1] - bp[0] >= period:
+        if bp[-1] - bp[0] >= 1.0:
             raise ValueError("breakpoints must fit within one period")
-        return cls(period, "piecewise_linear", (bp, vals))
-
-    @classmethod
-    def tabulated(cls, samples: Sequence[float], period: float = 1.0) -> "Potential":
-        vals = tuple(float(v) for v in samples)
-        if len(vals) < 2:
-            raise ValueError("need at least two samples")
-        return cls(period, "tabulated", (vals,))
+        return cls("piecewise_linear", (bp, vals))
 
     def __call__(self, x):
-        """Evaluate V at x (scalar or ndarray); periodic in ``period``."""
+        """Evaluate V at x (scalar or ndarray); periodic with period 1."""
         if self.kind == "constant":
             (a,) = self.params
             return a + 0.0 * np.asarray(x) if isinstance(x, np.ndarray) else a
         if self.kind == "cosine":
-            amp, freq = self.params
-            return amp * np.cos(freq * x)
-        if self.kind in ("piecewise_linear", "tabulated"):
+            (amp,) = self.params
+            return amp * np.cos(TWO_PI * x)
+        if self.kind == "piecewise_linear":
             xp, fp = self._table
-            out = np.interp((np.asarray(x) - xp[0]) % self.period + xp[0], xp, fp)
+            out = np.interp((np.asarray(x) - xp[0]) % 1.0 + xp[0], xp, fp)
             return out if isinstance(x, np.ndarray) else float(out)
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
@@ -179,8 +162,7 @@ def _check_cell_length(V: Potential, l: float) -> None:
         raise ValueError("cell length must be positive")
     if V.kind == "constant":
         return  # constant potentials have every period
-    ratio = l / V.period
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) == 0:
+    if abs(l - round(l)) > 1e-9 or round(l) == 0:
         raise ValueError("cell length must be a positive multiple of the period")
 
 
@@ -329,7 +311,7 @@ def _closed_form(V: Potential, l: float, lams: np.ndarray, derivative: bool):
     if V.kind == "constant":
         pieces, cells = ((V.params[0], 0.0, l),), 1
     else:
-        pieces, cells = V._pieces, round(l / V.period)
+        pieces, cells = V._pieces, round(l)
     M = np.zeros(lams.shape + (2, 2))
     M[..., 0, 0] = M[..., 1, 1] = 1.0
     dM = np.zeros_like(M) if derivative else None
@@ -362,19 +344,19 @@ def transfer_matrices(V: Potential, l: float, lams, derivative: bool = False):
     Returns an array of shape ``lams.shape + (2, 2)`` (columns as in
     :class:`Monodromy`); with ``derivative``, the pair (M, dM/dlam).
 
-    ``constant``, ``piecewise_linear`` and ``tabulated`` potentials are
-    linear on each piece of a period: each piece gets its exact matrix (Airy
-    functions, their asymptotic expansions, or one Magnus step, picked per
-    piece and lam, accurate to ~1e-13 relative), and the pieces are
-    multiplied across the cell.  ``cosine`` potentials are integrated in one
-    stacked DOP853 solve held to ``IVP_TOL``, which bounds the error in RMS
-    over the stack; they have no ``derivative``.
+    ``constant`` and ``piecewise_linear`` potentials are linear on each piece
+    of a period: each piece gets its exact matrix (Airy functions, their
+    asymptotic expansions, or one Magnus step, picked per piece and lam,
+    accurate to ~1e-13 relative), and the pieces are multiplied across the
+    cell.  ``cosine`` potentials are integrated in one stacked DOP853 solve
+    held to ``IVP_TOL``, which bounds the error in RMS over the stack; they
+    have no ``derivative``.
     """
     _check_cell_length(V, l)
     if derivative and V.kind == "cosine":
         raise ValueError(
             "derivative is available for the exact kinds only "
-            "(constant, piecewise_linear, tabulated)"
+            "(constant, piecewise_linear)"
         )
     lams = np.asarray(lams, dtype=float)
     shape = lams.shape + (2, 2)
@@ -402,15 +384,15 @@ def monodromy_power(M: Monodromy, m: int) -> Monodromy:
     return Monodromy(np.linalg.matrix_power(M.entries, m), M.cell_length * m, M.lam)
 
 
-def eigenvalue_class(delta: float, parabolic_tol: float = 1e-12) -> str:
+def eigenvalue_class(delta: float) -> str:
     """Classify the transfer-matrix eigenvalues from the trace.
 
     ``elliptic``: two conjugate unit-modulus eigenvalues (|delta| < 2);
-    ``parabolic``: repeated eigenvalue +-1 (|delta| = 2);
+    ``parabolic``: repeated eigenvalue +-1 (|delta| = 2 to within 1e-12);
     ``hyperbolic``: distinct reals with product 1 (|delta| > 2).
     """
     gap = abs(delta) - 2.0
-    if abs(gap) <= parabolic_tol:
+    if abs(gap) <= 1e-12:
         return "parabolic"
     return "elliptic" if gap < 0 else "hyperbolic"
 
@@ -452,12 +434,12 @@ _SCAN_DENSITY = 512
 # the error of a turning point admits in the coexistence test.
 _ROUNDING = 1e-12
 # Fourier modes kept past those that carry the eigenfunctions below lam_top.
-# Mode j couples in through (|A|/2) / ((q + omega j)^2 - lam_top), so a few
+# Mode j couples in through (|A|/2) / ((q + 2 pi j)^2 - lam_top), so a few
 # modes past sqrt(lam_top + |A|) + sqrt(|A|) decide every eigenvalue below
 # lam_top to rounding: against 40-digit eigenvalues, A = 1, 7.8326, 20, 200
 # and lam <= 300, within 5.7e-14.  The chains are bisected to the last bit
 # (_TINY); LAPACK's default solver is held to eps times the matrix's norm,
-# ~(omega n)^2, and with 40 modes of margin was 2e-11 off.
+# ~(2 pi n)^2, and with 40 modes of margin was 2e-11 off.
 _FOURIER_MARGIN = 8
 
 
@@ -475,21 +457,20 @@ def _hill_eigenvalues(V: Potential, qs, lam_top: float) -> np.ndarray:
     Kutz, J. Comput. Phys. 219, 2006).
 
     A Bloch wave exp(i k x) sum_n u_n exp(2 pi i n x / l) of
-    ``-u'' + A cos(omega x) u`` couples u_n only to u_(n +- c), c = omega l /
-    2 pi, so the matrix H(k) splits into c symmetric tridiagonal chains, one
-    per q = k + 2 pi r / l, r = 0..c-1: diagonal (q + omega j)^2,
-    off-diagonal A / 2.
+    ``-u'' + A cos(2 pi x) u`` couples u_n only to u_(n +- l), so the matrix
+    H(k) splits into l symmetric tridiagonal chains, one per
+    q = k + 2 pi r / l, r = 0..l-1: diagonal (q + 2 pi j)^2, off-diagonal
+    A / 2.
     """
-    amp, freq = V.params
-    freq = abs(freq)
+    (amp,) = V.params
     reach = math.sqrt(max(lam_top, 0.0) + abs(amp)) + math.sqrt(abs(amp))
-    n = int(reach / freq) + _FOURIER_MARGIN
-    j = freq * np.arange(-n, n + 1)
+    n = int(reach / TWO_PI) + _FOURIER_MARGIN
+    j = TWO_PI * np.arange(-n, n + 1)
     off = np.full(2 * n, 0.5 * amp)
     qs = np.asarray(qs)
     chains = [
         eigvalsh_tridiagonal((q + j) ** 2, off, lapack_driver="stebz", tol=_TINY)
-        for q in qs - freq * np.round(qs / freq)  # centred: |q| <= omega / 2
+        for q in qs - TWO_PI * np.round(qs / TWO_PI)  # centred: |q| <= pi
     ]
     return np.sort(np.concatenate(chains))
 
@@ -570,9 +551,10 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
     if lambda_max <= V.min_value():
         raise ValueError("lambda_max must exceed the spectral floor")
     if V.kind == "cosine":
-        # the chains of k = 0 and k = pi/l sit at q = pi m / l, m = 0..2c-1;
-        # q and -q give one spectrum, whose doubled eigenvalues are touches
-        c = round(l * abs(V.params[1]) / TWO_PI)
+        # with c = l periods in the cell, the chains of k = 0 and k = pi/l sit
+        # at q = pi m / l, m = 0..2c-1; q and -q give one spectrum, whose
+        # doubled eigenvalues are touches
+        c = round(l)
         m = np.arange(2 * c)
         qs = math.pi / l * np.minimum(m, 2 * c - m)
         edges, warnings = _hill_eigenvalues(V, qs, lambda_max), []
@@ -614,7 +596,7 @@ def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
     inside = ~(at_zero | at_pi)
     lam = np.where(at_zero, k_zero_edge, k_pi_edge)
     if inside.any() and V.kind == "cosine":
-        shifts = TWO_PI / l * np.arange(round(l * abs(V.params[1]) / TWO_PI))
+        shifts = TWO_PI / l * np.arange(round(l))
         lam[inside] = [_hill_eigenvalues(V, q + shifts, b)[band_index - 1]
                        for q in ks[inside]]
     elif inside.any():

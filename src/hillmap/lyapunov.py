@@ -27,7 +27,7 @@ EXPONENT_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=0.0, max_steps=400)
 class LyapunovResult:
     m: int
     value: float
-    method: str  # quadrature | orbit_average | piecewise_exact
+    method: str  # quadrature | orbit_average
     error_estimate: float
     restarts: int = 0
 
@@ -65,9 +65,7 @@ def local_lyapunov(md: MapDescriptor, x: float) -> float:
     raise ValueError(f"no local exponent for family {md.family!r}")
 
 
-def average_lyapunov_quadrature(
-    m: int, tol: ToleranceSpec = EXPONENT_TOL
-) -> LyapunovResult:
+def average_lyapunov_quadrature(m: int) -> LyapunovResult:
     """Invariant average of log |f_m'| against the arcsine density.
 
     In the angle x = 2 cos(theta) the arcsine weight is d(theta) / pi on
@@ -84,30 +82,21 @@ def average_lyapunov_quadrature(
         return math.log(abs(trace_poly(m, 2.0 * math.cos(theta), derivative=True)))
 
     sing = [j * math.pi / m for j in range(1, m)]
-    val, bound = quad_singular(integrand, 0.0, math.pi, sing, tol)
+    val, bound = quad_singular(integrand, 0.0, math.pi, sing, EXPONENT_TOL)
     return LyapunovResult(m, val / math.pi, "quadrature", bound / math.pi)
 
 
-def average_lyapunov_orbit(
-    m: int,
-    x0: float,
-    n: int,
-    map_family: str = "gen_logistic",
-) -> LyapunovResult:
-    """Birkhoff average of log |f'| along one orbit, after a fixed burn-in.
+def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
+    """Birkhoff average of log |f_m'| along one orbit of the degree-m map,
+    after a fixed burn-in.
 
     An orbit point landing within machine distance of a critical point is
-    perturbed by 1e-9 and the restart is counted.  For the tent family the
-    local exponent is log m everywhere, so the average is exact.
+    perturbed by 1e-9 and the restart is counted.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
-    if map_family == "tent":
-        return LyapunovResult(m, math.log(m), "piecewise_exact", 0.0)
-    if map_family != "gen_logistic":
-        raise ValueError("orbit averages cover gen_logistic and tent families")
     if not -2.0 < x0 < 2.0:
         raise ValueError("x0 must lie in (-2, 2)")
 

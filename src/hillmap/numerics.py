@@ -55,14 +55,12 @@ def integrate_ivp(
     t0: float,
     t1: float,
     tol: ToleranceSpec = IVP_TOL,
-    breakpoints: Sequence[float] = (),
 ) -> np.ndarray:
     """Integrate ``y' = rhs(t, y)`` from ``t0`` to ``t1`` and return ``y(t1)``.
 
-    Uses an adaptive Dormand-Prince 8(5,3) pair.  ``breakpoints`` are the
-    declared discontinuities of ``rhs``; integration restarts there so no step
-    straddles one.  Raises :class:`NonConvergenceError` carrying the last
-    accepted ``(t, state)`` if the accepted-step budget is exhausted.
+    Uses an adaptive Dormand-Prince 8(5,3) pair.  Raises
+    :class:`NonConvergenceError` carrying the last accepted ``(t, state)`` if
+    the accepted-step budget is exhausted.
     """
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
@@ -70,35 +68,24 @@ def integrate_ivp(
     if t1 == t0:
         return y
 
-    cuts = sorted({float(b) for b in breakpoints if t0 < float(b) < t1})
-    rtol = max(tol.rel_tol, 100 * _EPS)
+    solver = DOP853(rhs, t0, y, t1, rtol=max(tol.rel_tol, 100 * _EPS), atol=tol.abs_tol)
     steps = 0
-    t = t0
-    for stop in [*cuts, t1]:
-        # Stages that land exactly on the segment end must see the left-limit
-        # value of rhs, otherwise a jump at a breakpoint leaks into the stage.
-        def seg_rhs(s, y, _hi=stop, _lo=t):
-            return rhs(s if s < _hi else np.nextafter(_hi, _lo), y)
-
-        solver = DOP853(seg_rhs, t, y, stop, rtol=rtol, atol=tol.abs_tol)
-        while solver.status == "running":
-            solver.step()
-            steps += 1
-            if steps > tol.max_steps:
-                raise NonConvergenceError(
-                    f"step budget {tol.max_steps} exhausted at t={solver.t:.6g}",
-                    t=solver.t,
-                    state=np.array(solver.y),
-                )
-        if solver.status == "failed":
+    while solver.status == "running":
+        solver.step()
+        steps += 1
+        if steps > tol.max_steps:
             raise NonConvergenceError(
-                f"integrator failed at t={solver.t:.6g}",
+                f"step budget {tol.max_steps} exhausted at t={solver.t:.6g}",
                 t=solver.t,
                 state=np.array(solver.y),
             )
-        y = solver.y
-        t = stop
-    return y
+    if solver.status == "failed":
+        raise NonConvergenceError(
+            f"integrator failed at t={solver.t:.6g}",
+            t=solver.t,
+            state=np.array(solver.y),
+        )
+    return solver.y
 
 
 def find_root(

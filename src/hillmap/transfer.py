@@ -213,7 +213,12 @@ def delta_to_kappa(p: StepDensity, resolution: int) -> StepDensity:
 
     kappa = arccos(delta/2)/pi; each kappa cell receives exactly the mass of
     its delta image, so the projection error is pure within-cell averaging.
+    A density reaching outside [-2, 2] raises :class:`DomainError` rather
+    than losing the mass there.
     """
+    lo, hi = p.domain
+    if lo < -2.0 - 1e-12 or hi > 2.0 + 1e-12:
+        raise DomainError("expected a density on [-2, 2]")
     k_edges = np.linspace(0.0, 1.0, resolution + 1)
     cum = p.cdf(2.0 * np.cos(np.pi * k_edges))
     masses = cum[:-1] - cum[1:]
@@ -236,9 +241,6 @@ def pushforward_genlogistic(
     uniform kappa grid, push exactly through the m-piece tent map on that
     grid (:func:`_fold_grid`), and map back.  Mass is preserved to rounding.
     """
-    lo, hi = p.domain
-    if lo < -2.0 - 1e-12 or hi > 2.0 + 1e-12:
-        raise DomainError("expected a density on [-2, 2]")
     return _grid_to_delta(_fold_grid(delta_to_kappa(p, resolution).values, m))
 
 
@@ -324,11 +326,13 @@ def evolve_genlogistic(
 
 # Distances and variation -------------------------------------------------------
 
-def l1_distance(
-    p: StepDensity,
-    q: StepDensity | SmoothDensity,
-    tol: ToleranceSpec = QUAD_TOL,
-) -> float:
+# Request per cell (one quadrature panel each) of l1_distance: near a
+# singular endpoint QUADPACK cannot certify much below ~1e-9 per panel, and
+# the sum over the cells stays far inside any use here.
+_CELL_TOL = ToleranceSpec(1e-8, QUAD_TOL.rel_tol, QUAD_TOL.max_steps)
+
+
+def l1_distance(p: StepDensity, q: StepDensity | SmoothDensity) -> float:
     """L1 distance, exact for two step densities (zero-extended to a common
     span), quadrature against a smooth density with declared singularities."""
     if isinstance(q, StepDensity):
@@ -340,21 +344,15 @@ def l1_distance(
     plo, phi = p.domain
     if plo < qlo - 1e-9 or phi > qhi + 1e-9:
         raise DomainError("step density exceeds the smooth density's domain")
-    cells = list(zip(p.edges[:-1], p.edges[1:], p.values))
-    # per-cell floor: near a singular endpoint QUADPACK cannot certify much
-    # below ~1e-9 per panel, and the aggregate stays far inside any use here
-    budget = ToleranceSpec(
-        max(tol.abs_tol / (len(cells) + 2), 1e-8), tol.rel_tol, tol.max_steps
-    )
     total = 0.0
-    for lo, hi, v in cells:
+    for lo, hi, v in zip(p.edges[:-1], p.edges[1:], p.values):
         sing = [s for s in q.singularities if lo <= s <= hi]
-        total += quad_singular(lambda x: abs(v - q(x)), lo, hi, sing, budget)[0]
+        total += quad_singular(lambda x: abs(v - q(x)), lo, hi, sing, _CELL_TOL)[0]
     # tails of q outside the step support
     if plo > qlo:
-        total += quad_singular(q, qlo, plo, [s for s in q.singularities if s <= plo], budget)[0]
+        total += quad_singular(q, qlo, plo, [s for s in q.singularities if s <= plo], _CELL_TOL)[0]
     if phi < qhi:
-        total += quad_singular(q, phi, qhi, [s for s in q.singularities if s >= phi], budget)[0]
+        total += quad_singular(q, phi, qhi, [s for s in q.singularities if s >= phi], _CELL_TOL)[0]
     return total
 
 

@@ -93,6 +93,16 @@ def test_bands_csv_zone_ends_are_the_json_edges(tmp_path, cell):
             assert ends[1] > lambda_max + 1.0
 
 
+@pytest.mark.parametrize("out", ["b.csv", "b.json"])
+def test_bands_below_spectral_floor_refused(tmp_path, capsys, out):
+    # the CSV path extends lambda_max to whole bands first; below the floor
+    # it must still reach spectrum_bands' refusal
+    assert run(["bands", "--potential", "constant", "--value", "5",
+                "--lambda-max", "3", "--out", str(tmp_path / out)]) == 1
+    assert "lambda_max must exceed the spectral floor" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
+
+
 def test_orbit_csv(tmp_path):
     out = tmp_path / "o.csv"
     assert run(["orbit", "--map", "logistic", "--x0", "0.75", "--n", "4",
@@ -113,16 +123,21 @@ def test_density_evolve_json(tmp_path):
 
 
 def test_ensemble_json_and_determinism(tmp_path):
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    argv = ["ensemble", "--m", "2", "--samples", "20000", "--iters", "3",
-            "--seed", "42", "--no-timestamp"]
-    assert run(argv + ["--out", str(out1)]) == 0
-    assert run(argv + ["--out", str(out2)]) == 0
-    a, b = out1.read_text(), out2.read_text()
-    assert a.replace(str(out1), "X") == b.replace(str(out2), "X")
-    doc = json.loads(a)
-    assert doc["report"]["seed"] == 42
-    assert len(doc["report"]["distances"]) == 4
+    # 65537 samples leave a last chunk of one, and at seed 65 its first draw
+    # lies past 2: the chunk rejects all of its first draws and must redraw
+    for samples, seed in (20000, 42), (65537, 65):
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        argv = ["ensemble", "--m", "2", "--samples", str(samples), "--iters", "3",
+                "--seed", str(seed), "--no-timestamp"]
+        assert run(argv + ["--out", str(out1)]) == 0
+        assert run(argv + ["--out", str(out2)]) == 0
+        a, b = out1.read_text(), out2.read_text()
+        assert a.replace(str(out1), "X") == b.replace(str(out2), "X")
+        doc = json.loads(a)
+        assert doc["report"]["seed"] == seed
+        assert len(doc["report"]["distances"]) == 4
+        assert doc["report"]["config"]["dist"] == {
+            "kind": "shifted_gamma", "clamp_to_domain": False}
 
 
 def test_threads_accepted_without_effect(tmp_path):
@@ -280,6 +295,15 @@ def test_readme_covers_every_subcommand():
 
 
 @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
-def test_readme_example_exits_zero(argv, tmp_path, monkeypatch):
-    monkeypatch.setenv("HILLMAP_OUT_DIR", str(tmp_path))
-    assert run(argv) == 0
+def test_readme_example_exits_zero(argv, tmp_path, monkeypatch, capsys):
+    # each line exits 0, and a rerun with --no-timestamp writes the same bytes
+    runs = []
+    for rerun in ("first", "second"):
+        out_dir = tmp_path / rerun
+        monkeypatch.setenv("HILLMAP_OUT_DIR", str(out_dir))
+        assert run([*argv, "--no-timestamp"]) == 0
+        files = {str(p.relative_to(out_dir)): p.read_bytes()
+                 for p in out_dir.rglob("*") if p.is_file()}
+        assert bool(files) == ("--out" in argv)
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]

@@ -102,12 +102,6 @@ class TestOrbitAverage:
         assert math.isfinite(res.value)
         assert res.error_estimate > 0.01
 
-    def test_tent_is_exact(self):
-        res = average_lyapunov_orbit(4, 0.3, 100, map_family="tent")
-        assert res.method == "piecewise_exact"
-        assert res.value == math.log(4.0)
-        assert res.error_estimate == 0.0
-
     def test_blocks_merge_to_the_one_shot_mean_and_error(self):
         # the orbit's log |f'| is taken per CHUNK block and the blocks merged;
         # compare with the whole orbit held at once

@@ -48,12 +48,6 @@ class TestIntegrateIvp:
         one = integrate_ivp(rhs, [1.0, 0.5], 0.0, 3.1, tol)
         assert np.all(np.abs(two - one) < 2 * tol.abs_tol)
 
-    def test_breakpoints_respected(self):
-        # rhs with a jump at t=1; exact answer is the piecewise-linear area
-        rhs = lambda t, y: np.array([1.0 if t < 1.0 else -1.0])
-        y = integrate_ivp(rhs, [0.0], 0.0, 2.0, breakpoints=[1.0])
-        assert abs(y[0]) < 1e-10
-
     def test_step_budget_error_carries_state(self):
         tight = ToleranceSpec(abs_tol=1e-12, rel_tol=1e-12, max_steps=3)
         rhs = lambda t, y: np.array([y[1], -100.0 * y[0]])

@@ -356,6 +356,15 @@ class TestCoordinateChange:
         pk2 = delta_to_kappa(StepDensity(np.array([-2.0, 2.0]), np.array([0.25])), 64)
         assert np.allclose(pk.values, pk2.values, atol=1e-12)
 
+    def test_density_off_domain_refused(self):
+        # the projection onto the fold coordinate would drop the mass
+        # outside [-2, 2]
+        wide = StepDensity.uniform(-3.0, 3.0)
+        with pytest.raises(DomainError):
+            pushforward_genlogistic(wide, 2, resolution=64)
+        with pytest.raises(DomainError):
+            evolve_genlogistic(2, 3, resolution=64, initial=wide)
+
 
 class TestL1Distance:
     def test_identical_is_zero(self):
