@@ -157,14 +157,11 @@ def _cmd_bands(cfg, timestamp):
         _write_json(cfg["out"], json.loads(blist.to_json()), cfg, timestamp)
     else:
         # Rows need whole bands.  Band n lies in [((n-1) pi/l)^2 + min V,
-        # (n pi/l)^2 + max V] (the edges grow with V), so every band that
-        # starts at or below lambda_max ends at or below top.  Below min V
-        # the root fails, and lambda_max itself goes to spectrum_bands,
-        # which refuses it.
-        try:
-            top = (math.sqrt(lambda_max - V.min_value()) + math.pi / l) ** 2 + V.max_value()
-        except ValueError:
-            top = lambda_max
+        # (n pi/l)^2 + max V] (the edges grow with V), so each band that starts
+        # at or below lambda_max (above min V, as for the JSON) ends below top.
+        if lambda_max <= V.min_value():
+            raise ValueError("lambda_max must exceed the spectral floor")
+        top = (math.sqrt(lambda_max - V.min_value()) + math.pi / l) ** 2 + V.max_value()
         blist = hill.spectrum_bands(V, l, top)
         ks = np.linspace(0.0, math.pi / l, cfg["k_points"])
         rows = []

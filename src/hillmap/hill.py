@@ -10,12 +10,12 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import airy
+from scipy.special import airy, zeta
 
 from .errors import DomainError, NonConvergenceError
-# find_root is not called here; it stays importable as hill.find_root, the
-# name under which perfbench/tracing.py counts root solves.
-from .numerics import IVP_TOL, ToleranceSpec, find_root, find_roots, integrate_ivp  # noqa: F401
+# find_root and integrate_ivp are not called here: perfbench/tracing.py
+# counts root and ODE solves under hill.find_root and hill.integrate_ivp.
+from .numerics import ToleranceSpec, find_root, find_roots, integrate_ivp  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -307,37 +307,6 @@ def _piece(q0: np.ndarray, s: float, h: float, derivative: bool):
     return T, dT
 
 
-def _closed_form(V: Potential, l: float, lams: np.ndarray, derivative: bool):
-    if V.kind == "constant":
-        pieces, cells = ((V.params[0], 0.0, l),), 1
-    else:
-        pieces, cells = V._pieces, round(l)
-    M = np.zeros(lams.shape + (2, 2))
-    M[..., 0, 0] = M[..., 1, 1] = 1.0
-    dM = np.zeros_like(M) if derivative else None
-    mats = [_piece(v0 - lams, s, h, derivative) for v0, s, h in pieces]
-    for _ in range(cells):
-        for T, dT in mats:
-            if derivative:
-                dM = dT @ M + T @ dM
-            M = T @ M
-    return M, dM
-
-
-def _integrated(V: Potential, l: float, lams: np.ndarray) -> np.ndarray:
-    """One stacked DOP853 solve at ``IVP_TOL``; its step control bounds the
-    error in RMS over the whole stack, not per lam."""
-    n = lams.size
-
-    def rhs(t, y):
-        z = y.reshape(2, 2, n)  # basis solution, (u, u'), lam
-        return np.stack([z[:, 1], (V(t) - lams) * z[:, 0]], 1).ravel()
-
-    y0 = np.zeros((2, 2, n))
-    y0[0, 0] = y0[1, 1] = 1.0
-    return integrate_ivp(rhs, y0.ravel(), 0.0, l, IVP_TOL).reshape(2, 2, n).transpose(2, 1, 0)
-
-
 def transfer_matrices(V: Potential, l: float, lams, derivative: bool = False):
     """Transfer matrices over ``[0, l]`` of ``-u'' + V u = lam u`` for every lam.
 
@@ -348,40 +317,35 @@ def transfer_matrices(V: Potential, l: float, lams, derivative: bool = False):
     of a period: each piece gets its exact matrix (Airy functions, their
     asymptotic expansions, or one Magnus step, picked per piece and lam,
     accurate to ~1e-13 relative), and the pieces are multiplied across the
-    cell.  ``cosine`` potentials are integrated in one stacked DOP853 solve
-    held to ``IVP_TOL``, which bounds the error in RMS over the stack; they
-    have no ``derivative``.
+    cell.  Cosine cells are refused: :func:`discriminant` serves them.
     """
     _check_cell_length(V, l)
-    if derivative and V.kind == "cosine":
+    if V.kind == "cosine":
         raise ValueError(
-            "derivative is available for the exact kinds only "
-            "(constant, piecewise_linear)"
+            "transfer matrices and derivatives are for the exact kinds only "
+            "(constant, piecewise_linear); cosine cells have discriminant()"
         )
-    lams = np.asarray(lams, dtype=float)
-    shape = lams.shape + (2, 2)
-    if lams.size == 0:
-        M, dM = np.empty(shape), np.empty(shape)
-    elif V.kind == "cosine":
-        M, dM = _integrated(V, l, lams.ravel()), None
+    if V.kind == "constant":
+        pieces, cells = ((V.params[0], 0.0, l),), 1
     else:
-        M, dM = _closed_form(V, l, lams.ravel(), derivative)
-    M = M.reshape(shape)
-    return (M, dM.reshape(shape)) if derivative else M
+        pieces, cells = V._pieces, round(l)
+    lams = np.asarray(lams, dtype=float)
+    M = np.zeros((lams.size, 2, 2))
+    M[:, 0, 0] = M[:, 1, 1] = 1.0
+    dM = np.zeros_like(M) if derivative else None
+    mats = [_piece(v0 - lams.ravel(), s, h, derivative) for v0, s, h in pieces]
+    for _ in range(cells):
+        for T, dT in mats:
+            if derivative:
+                dM = dT @ M + T @ dM
+            M = T @ M
+    shape = lams.shape + (2, 2)
+    return (M.reshape(shape), dM.reshape(shape)) if derivative else M.reshape(shape)
 
 
 def monodromy(V: Potential, l: float, lam: float) -> Monodromy:
-    """Transfer matrix over ``[0, l]`` for ``-u'' + V u = lam u``: exact for
-    the piecewise-linear kinds, integrated at ``IVP_TOL`` for cosine cells
-    (:func:`transfer_matrices`)."""
+    """Exact transfer matrix over ``[0, l]`` (:func:`transfer_matrices`)."""
     return Monodromy(transfer_matrices(V, l, [lam])[0], l, lam)
-
-
-def monodromy_power(M: Monodromy, m: int) -> Monodromy:
-    """M^m from the stored entries by repeated squaring (no re-integration)."""
-    if m < 1:
-        raise ValueError("power must be a positive integer")
-    return Monodromy(np.linalg.matrix_power(M.entries, m), M.cell_length * m, M.lam)
 
 
 def eigenvalue_class(delta: float) -> str:
@@ -418,14 +382,6 @@ class BandList:
         )
 
 
-def _traces(V: Potential, l: float, lams, derivative: bool = False):
-    """Delta(lam) for an array of lam; with ``derivative``, (Delta,
-    dDelta/dlam).  Exact for the piecewise-linear kinds, whose edges are
-    scanned and refined on it."""
-    got = transfer_matrices(V, l, lams, derivative=derivative)
-    return (_trace(got[0]), _trace(got[1])) if derivative else _trace(got)
-
-
 # Accuracy in lam of refined band edges, turning points and dispersion points.
 _EDGE_TOL = ToleranceSpec(1e-10, 0.0, 256)
 # Scan points per unit of sqrt(lam - lam_floor).
@@ -433,13 +389,12 @@ _SCAN_DENSITY = 512
 # Relative rounding of the exact transfer matrices, allowed on top of what
 # the error of a turning point admits in the coexistence test.
 _ROUNDING = 1e-12
-# Fourier modes kept past those that carry the eigenfunctions below lam_top.
-# Mode j couples in through (|A|/2) / ((q + 2 pi j)^2 - lam_top), so a few
-# modes past sqrt(lam_top + |A|) + sqrt(|A|) decide every eigenvalue below
-# lam_top to rounding: against 40-digit eigenvalues, A = 1, 7.8326, 20, 200
-# and lam <= 300, within 5.7e-14.  The chains are bisected to the last bit
-# (_TINY); LAPACK's default solver is held to eps times the matrix's norm,
-# ~(2 pi n)^2, and with 40 modes of margin was 2e-11 off.
+# Fourier modes kept past those that carry the eigenfunctions below lam_top:
+# mode j couples in through (|A|/2) / ((q + 2 pi j)^2 - lam_top), so a few
+# past sqrt(lam_top + |A|) + sqrt(|A|) decide every eigenvalue below lam_top
+# (within 5.7e-14 of 40 digits for A <= 200, lam <= 300).  The chains are
+# bisected to the last bit (_TINY): LAPACK's default, held to eps (2 pi n)^2,
+# was 2e-11 off with 40 modes of margin.
 _FOURIER_MARGIN = 8
 
 
@@ -447,32 +402,80 @@ def _level_roots(V: Potential, l: float, lo, hi, levels):
     """lam in each bracket [lo, hi] with Delta(lam) = level, all brackets in
     one batched root solve; NaN where a bracket does not straddle its level."""
     return find_roots(
-        lambda x, level: _traces(V, l, x) - level, lo, hi, _EDGE_TOL, args=(levels,)
+        lambda x, level: discriminant(V, l, x) - level, lo, hi, _EDGE_TOL, args=(levels,)
     )
 
 
-def _hill_eigenvalues(V: Potential, qs, lam_top: float) -> np.ndarray:
-    """Sorted eigenvalues, exact to rounding up to lam_top, of the
-    Fourier-Hill chains of a cosine cell at wavenumbers ``qs`` (Deconinck &
-    Kutz, J. Comput. Phys. 219, 2006).
+def _chains(qs, n: int):
+    """``qs`` centred to |q| <= pi, and the diagonals (q + 2 pi j)^2,
+    j = -n..n, one row per q, of the Fourier-Hill chains (Deconinck & Kutz,
+    J. Comput. Phys. 219, 2006): ``A cos(2 pi x)`` couples the Bloch modes
+    exp(i (q + 2 pi j) x) of one q only to j +- 1, with A/2."""
+    qs = qs - TWO_PI * np.round(qs / TWO_PI)
+    return qs, (qs[:, None] + TWO_PI * np.arange(-n, n + 1)) ** 2
 
-    A Bloch wave exp(i k x) sum_n u_n exp(2 pi i n x / l) of
-    ``-u'' + A cos(2 pi x) u`` couples u_n only to u_(n +- l), so the matrix
-    H(k) splits into l symmetric tridiagonal chains, one per
-    q = k + 2 pi r / l, r = 0..l-1: diagonal (q + 2 pi j)^2, off-diagonal
-    A / 2.
-    """
+
+def _hill_eigenvalues(V: Potential, qs, lam_top: float) -> np.ndarray:
+    """Sorted eigenvalues, exact to rounding below lam_top, of the chains."""
     (amp,) = V.params
     reach = math.sqrt(max(lam_top, 0.0) + abs(amp)) + math.sqrt(abs(amp))
     n = int(reach / TWO_PI) + _FOURIER_MARGIN
-    j = TWO_PI * np.arange(-n, n + 1)
     off = np.full(2 * n, 0.5 * amp)
-    qs = np.asarray(qs)
-    chains = [
-        eigvalsh_tridiagonal((q + j) ** 2, off, lapack_driver="stebz", tol=_TINY)
-        for q in qs - TWO_PI * np.round(qs / TWO_PI)  # centred: |q| <= pi
-    ]
-    return np.sort(np.concatenate(chains))
+    return np.sort(np.concatenate([eigvalsh_tridiagonal(
+        d, off, lapack_driver="stebz", tol=_TINY) for d in _chains(qs, n)[1]]))
+
+
+# A cosine chain's couplings past n modes a side, taken to first order, leave
+# out ~(A / 8 pi^2)^4 / n^7: ~1e-15 at n^7 = _COUPLED (A / 8 pi^2)^4, within
+# 2.7e-14 of 300 modes for |A| <= 20, |lam| <= 150.  n >= sqrt|lam| / pi + 8
+# shrinks the tails' zeta series 4-fold a term, past eps / 4 at _TAIL_TERMS.
+_COUPLED = 1e15
+_TAIL_TERMS = 27
+
+
+def discriminant(V: Potential, l: float, lams, derivative: bool = False):
+    """Delta_l(lam), the trace of the transfer matrix over ``[0, l]``, for
+    an array of lam (same shape out); with ``derivative``, the pair (Delta,
+    dDelta/dlam), of the exact kinds only.
+
+    The exact kinds take the trace of :func:`transfer_matrices`.  Cosine
+    cells of c periods take Hill's determinant (Magnus & Winkler, 1966, ch.
+    2), to ~1e-13 in |2 - Delta|: with the rows of the chain at q_r = 2 pi r
+    / c divided by d_j = (q_r + 2 pi j)^2 (but the zero mode's), 2 - Delta =
+    prod_r w_r P_r, w_r = 2 - 2 cos q_r (-1 at q_r = 0), P_r the chain's
+    determinant: both sides are entire of order 1/2, share their zeros and
+    agree at A = 0.  P_r is the continuant of the modes |j| <= n times, over
+    the tails, prod (1 - lam / d_j) and, to first order in the couplings,
+    exp(-sum e_k), e_k = (A/2)^2 / ((d_k - lam)(d_(k+1) - lam)).
+    """
+    if V.kind != "cosine" or derivative:
+        got = transfer_matrices(V, l, lams, derivative=derivative)
+        return (_trace(got[0]), _trace(got[1])) if derivative else _trace(got)
+    _check_cell_length(V, l)
+    shape, lams = np.shape(lams), np.ravel(lams).astype(float)
+    a = abs(V.params[0]) / (8.0 * math.pi**2)  # A/2 in units of (2 pi)^2
+    top = float(np.max(np.abs(lams), initial=0.0))
+    n = max(math.ceil(math.sqrt(top) / math.pi) + _FOURIER_MARGIN,
+            math.ceil((_COUPLED * a**4) ** (1 / 7)))
+    qs, d = _chains(TWO_PI / round(l) * np.arange(round(l)), n)
+    scale = np.where(d == 0.0, 1.0, d)
+    rows = (d[..., None] - lams) / scale[..., None]
+    links = (TWO_PI**2 * a) ** 2 / (scale[:, :-1] * scale[:, 1:])
+    prev, det = 1.0, rows[:, 0]
+    for k in range(1, 2 * n + 1):
+        prev, det = det, rows[:, k] * det - links[:, k - 1, None] * prev
+    # Both tails sum to Hurwitz zetas in mu = lam / (2 pi)^2: with t = k + 1/2
+    # +- x, e_k = a^2 / (t^4 - beta t^2 + gamma) = a^2 sum_m h_m t^(-4-2m).
+    mu, x, p = lams / TWO_PI**2, qs / TWO_PI, np.arange(1, _TAIL_TERMS + 1)[:, None]
+    free = zeta(2 * p, n + 1 + x) + zeta(2 * p, n + 1 - x)
+    coupled = zeta(2 * p + 2, n + 0.5 + x) + zeta(2 * p + 2, n + 0.5 - x)
+    beta, gamma = 2.0 * mu + 0.5, (mu - 0.25) ** 2
+    h = [np.ones_like(mu), beta]
+    while len(h) < _TAIL_TERMS:
+        h.append(beta * h[-1] - gamma * h[-2])
+    log_tails = -free.T @ (mu**p / p) - a * a * (coupled.T @ np.array(h))
+    w = np.where(qs == 0.0, -1.0, 2.0 - 2.0 * np.cos(qs))
+    return (2.0 - np.prod(w[:, None] * det * np.exp(log_tails), axis=0)).reshape(shape)
 
 
 def _scanned_edges(V: Potential, l: float, lambda_max: float):
@@ -482,7 +485,7 @@ def _scanned_edges(V: Potential, l: float, lambda_max: float):
     s_max = math.sqrt(lambda_max - start)
     s = np.linspace(0.0, s_max, max(int(_SCAN_DENSITY * s_max), 64) + 1)
     lams = start + s * s
-    deltas = _traces(V, l, lams)
+    deltas = discriminant(V, l, lams)
 
     # simple crossings of +2 and -2
     levels = np.array([2.0, -2.0])
@@ -497,7 +500,7 @@ def _scanned_edges(V: Potential, l: float, lambda_max: float):
     turns = turns[np.all(np.abs(deltas[turns[:, None] + [-1, 0, 1]]) <= 2.0, axis=1)]
     lo, hi = lams[turns - 1], lams[turns + 1]
     lam_stars = find_roots(
-        lambda x: _traces(V, l, x, derivative=True)[1], lo, hi, _EDGE_TOL
+        lambda x: discriminant(V, l, x, derivative=True)[1], lo, hi, _EDGE_TOL
     )
     true_turn = ~np.isnan(lam_stars)  # else dDelta/dlam keeps its sign: a grid wiggle
     lo, hi, lam_stars = lo[true_turn], hi[true_turn], lam_stars[true_turn]
@@ -551,12 +554,10 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
     if lambda_max <= V.min_value():
         raise ValueError("lambda_max must exceed the spectral floor")
     if V.kind == "cosine":
-        # with c = l periods in the cell, the chains of k = 0 and k = pi/l sit
-        # at q = pi m / l, m = 0..2c-1; q and -q give one spectrum, whose
-        # doubled eigenvalues are touches
-        c = round(l)
-        m = np.arange(2 * c)
-        qs = math.pi / l * np.minimum(m, 2 * c - m)
+        # k = 0 and pi/l: the chains at q = pi m / l, m = 0..2l-1, where q and
+        # -q give one spectrum, whose doubled eigenvalues are touches
+        m = np.arange(2 * round(l))
+        qs = math.pi / l * np.minimum(m, m.size - m)
         edges, warnings = _hill_eigenvalues(V, qs, lambda_max), []
     else:
         edges, warnings = _scanned_edges(V, l, lambda_max)

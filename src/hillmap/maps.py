@@ -255,9 +255,9 @@ def mathieu_formula(x0: float, n: int) -> float:
 
     The invertible branch x in [0, 1] is the first band, on which the trace
     2 - 4 x runs from 2 to -2: the point with trace 2 cos k is the first
-    band function at quasi-momentum k.  Returns (2 - trace(M_1(lam)^(2^n)))
-    / 4 there: doubling the cell length squares the transfer matrix, which
-    is the logistic recursion in trace coordinates.
+    band function at quasi-momentum k.  Returns (2 - Delta_(2^n)(lam)) / 4
+    there: doubling the cell squares the transfer matrix, which is the
+    logistic recursion in trace coordinates.
     """
     if not 0.0 <= x0 <= 1.0:
         raise DomainError("x0 must lie in [0, 1]")
@@ -265,8 +265,7 @@ def mathieu_formula(x0: float, n: int) -> float:
         raise ValueError("n must be nonnegative")
     k = math.pi * conj_cosine_inv(conj_mandelbrot_inv(x0))
     mu = hill.band_function(_MATHIEU_V, 1.0, _mathieu_bands(), 1, k)
-    cell = hill.monodromy(_MATHIEU_V, 1.0, mu)
-    return conj_mandelbrot(hill.monodromy_power(cell, 2**n).trace)
+    return conj_mandelbrot(float(hill.discriminant(_MATHIEU_V, 2**n, mu)))
 
 
 # m-ary digit arithmetic ------------------------------------------------------

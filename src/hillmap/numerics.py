@@ -42,8 +42,7 @@ class ToleranceSpec:
             raise ValueError("max_steps must be at least 1")
 
 
-# Defaults chosen so that discriminants of unit cells of length <= 4 come out
-# accurate to ~1e-8 and band edges / singular integrals to ~1e-9.
+# Defaults of the kernels.  No package result depends on IVP_TOL any more.
 IVP_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=1e-10, max_steps=1_000_000)
 ROOT_TOL = ToleranceSpec(abs_tol=1e-12, rel_tol=0.0, max_steps=256)
 QUAD_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=1e-10, max_steps=400)

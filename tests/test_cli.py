@@ -103,6 +103,37 @@ def test_bands_below_spectral_floor_refused(tmp_path, capsys, out):
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("out", ["b.csv", "b.json"])
+@pytest.mark.parametrize("cell", [
+    ["--potential", "constant", "--value", "5", "--lambda-max", "5"],
+    ["--potential", "cosine", "--value", "3", "--lambda-max", "-3"],
+], ids=["constant", "cosine"])
+def test_bands_at_spectral_floor_refused_in_both_formats(tmp_path, capsys, cell, out):
+    # lambda_max = min V: no band starts below it, and neither format
+    # writes an empty table
+    assert run(["bands", *cell, "--out", str(tmp_path / out)]) == 1
+    assert "lambda_max must exceed the spectral floor" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mathieu", "--x0", "0.3", "--n", "8"],
+    ["mathieu", "--x0", "0.3", "--n", "8", "--out", "m.csv"],
+    ["bands", "--potential", "cosine", "--value", "7.8326", "--out", "b.csv"],
+    ["bands", "--potential", "cosine", "--value", "7.8326", "--out", "b.json"],
+], ids=" ".join)
+def test_cosine_cells_run_no_ode(argv, tmp_path, monkeypatch):
+    # cosine band lists and Mathieu orbits come from the Fourier-Hill chains
+    # alone: an ODE solve anywhere in the package fails the run
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_ivp called")
+
+    monkeypatch.setattr("hillmap.numerics.integrate_ivp", refuse)
+    monkeypatch.setattr("hillmap.hill.integrate_ivp", refuse)
+    monkeypatch.setenv("HILLMAP_OUT_DIR", str(tmp_path))
+    assert run([*argv, "--no-timestamp"]) == 0
+
+
 def test_orbit_csv(tmp_path):
     out = tmp_path / "o.csv"
     assert run(["orbit", "--map", "logistic", "--x0", "0.75", "--n", "4",

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import mathieu_a, mathieu_b
 
 from hillmap.errors import DomainError
@@ -10,13 +11,12 @@ from hillmap.hill import (
     Monodromy,
     Potential,
     band_function,
+    discriminant,
     eigenvalue_class,
     free_discriminant,
     monodromy,
-    monodromy_power,
     spectrum_bands,
     transfer_matrices,
-    _traces,
 )
 from hillmap.numerics import ToleranceSpec, integrate_ivp
 
@@ -83,14 +83,14 @@ class TestMonodromy:
         assert np.allclose(M.entries, expected, atol=1e-8)
 
     def test_cosine_cell_matches_reference(self):
-        M = monodromy(COS, 1.0, 0.0)
-        assert abs(M.det - 1.0) < 1e-8
-        assert abs(M.trace - MATHIEU_TRACE_AT_ZERO) < 1e-9
+        assert abs(discriminant(COS, 1.0, 0.0) - MATHIEU_TRACE_AT_ZERO) <= 4e-16
 
     def test_determinant_across_kinds_lengths_and_lambdas(self):
         rng = np.random.default_rng(42)
         lams = rng.uniform(-20.0, 100.0, 12)
         for V in potential_zoo():
+            if V.kind == "cosine":
+                continue  # no matrices: discriminant only
             for l in (1.0, 2.0, 4.0):
                 for lam in lams:
                     M = monodromy(V, l, float(lam))
@@ -104,69 +104,35 @@ class TestMonodromy:
                         assert abs(M.det - 1.0) < 64 * np.finfo(float).eps * scale**2
 
     def test_cocycle_products(self):
-        for V in (COS, Potential.piecewise_linear([0.0, 0.4], [0.5, -0.25])):
-            lam = 3.7
-            M1 = monodromy(V, 1.0, lam)
-            M2 = monodromy(V, 2.0, lam)
-            M3 = monodromy(V, 3.0, lam)
-            assert np.allclose(M3.entries, M2.entries @ M1.entries, atol=1e-7)
-            assert np.allclose(M2.entries, M1.entries @ M1.entries, atol=1e-7)
+        V = Potential.piecewise_linear([0.0, 0.4], [0.5, -0.25])
+        lam = 3.7
+        M1 = monodromy(V, 1.0, lam)
+        M2 = monodromy(V, 2.0, lam)
+        M3 = monodromy(V, 3.0, lam)
+        assert np.allclose(M3.entries, M2.entries @ M1.entries, atol=1e-7)
+        assert np.allclose(M2.entries, M1.entries @ M1.entries, atol=1e-7)
+        # cosine cells: the traces of M^2 and M^3 are f_2 and f_3 of trace M
+        d1, d2, d3 = (discriminant(COS, l, lam) for l in (1.0, 2.0, 3.0))
+        assert abs(d2 - (d1**2 - 2.0)) <= 1e-13
+        assert abs(d3 - (d1**3 - 3.0 * d1)) <= 1e-13
 
     def test_tabulated_cosine_tracks_analytic(self):
         # 256 uniform samples of the cosine cell, interpolated linearly,
         # reproduce its traces to the interpolation error of the potential
         x = np.arange(256) / 256
         tab = Potential.piecewise_linear(x, np.cos(2 * np.pi * x))
-        for lam in (-0.5, 0.0, 3.0, 11.0):
-            gap = monodromy(tab, 1.0, lam).trace - monodromy(COS, 1.0, lam).trace
-            assert abs(gap) < 5e-4
+        lams = np.array([-0.5, 0.0, 3.0, 11.0])
+        gap = discriminant(tab, 1.0, lams) - discriminant(COS, 1.0, lams)
+        assert np.max(np.abs(gap)) < 5e-4
 
     def test_invalid_cell_length(self):
         for V in (COS, Potential.piecewise_linear([0.0, 0.5], [0.0, 1.0])):
-            with pytest.raises(ValueError):
-                monodromy(V, 1.5, 0.0)
+            with pytest.raises(ValueError, match="multiple of the period"):
+                discriminant(V, 1.5, 0.0)
 
     def test_bad_determinant_rejected(self):
         with pytest.raises(ValueError):
             Monodromy(np.array([[2.0, 0.0], [0.0, 1.0]]), 1.0, 0.0)
-
-
-class TestMonodromyPower:
-    def test_identity(self):
-        M = Monodromy(np.eye(2), 1.0, 0.0)
-        for m in (1, 2, 7):
-            assert np.array_equal(monodromy_power(M, m).entries, np.eye(2))
-
-    def test_power_one_is_unchanged(self):
-        M = monodromy(COS, 1.0, 2.0)
-        P = monodromy_power(M, 1)
-        assert np.array_equal(P.entries, M.entries)
-        assert P.cell_length == M.cell_length
-
-    def test_rotation_fifth_power(self):
-        # trace 2 cos(pi/5) and det 1; the 5th power must have trace 2 cos(pi) = -2
-        theta = math.pi / 5
-        M = Monodromy(
-            np.array([[math.cos(theta), math.sin(theta)],
-                      [-math.sin(theta), math.cos(theta)]]),
-            1.0,
-            0.0,
-        )
-        naive = np.eye(2)
-        for _ in range(5):
-            naive = naive @ M.entries
-        P = monodromy_power(M, 5)
-        assert abs(P.trace - (-2.0)) < 1e-9
-        assert np.allclose(P.entries, naive, atol=1e-12)
-        assert P.cell_length == 5.0
-
-    def test_power_trace_matches_long_cell(self):
-        for n in range(1, 7):
-            lam = 2.3
-            M1 = monodromy(COS, 1.0, lam)
-            long = monodromy(COS, float(2**n), lam)
-            powered = monodromy_power(M1, 2**n)
-            assert abs(powered.trace - long.trace) < 1e-6
 
 
 class TestDiscriminant:
@@ -186,6 +152,37 @@ class TestDiscriminant:
                 got = monodromy(FREE, l, float(lam)).trace
                 assert abs(got - free_discriminant(l, float(lam))) < 1e-6
 
+    def test_power_trace_matches_long_cell(self):
+        # Delta of the cell of 2^n periods is f_2 applied n times to Delta_1,
+        # within the rounding of Delta_1 carried by the gain |prod 2 Delta_i|
+        lam = 2.3
+        d, gain = float(discriminant(COS, 1.0, lam)), 1.0
+        for n in range(1, 9):
+            gain *= max(1.0, abs(2.0 * d))
+            d = d * d - 2.0
+            assert abs(discriminant(COS, float(2**n), lam) - d) <= 1e-14 * gain, n
+
+    def test_cosine_matches_ode(self):
+        # Hill's determinant against the tight ODE monodromy, below, inside
+        # and between the bands
+        lams = np.array([-3.3, -1.0, 0.0, 0.7, 3.0, 10.0, 40.0, 88.9, 150.0])
+        for amplitude in (1.0, 7.8326, 20.0):
+            V = Potential.cosine(amplitude)
+            for l in (1.0, 2.0, 4.0, 8.0):
+                got = discriminant(V, l, lams)
+                for lam, delta in zip(lams, got):
+                    ref = np.trace(ode_matrix(V, [], l, lam))
+                    assert abs(delta - ref) <= 1e-12 * max(1.0, abs(ref)), (amplitude, l, lam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-25.0, 25.0), st.floats(-3.3, 150.0), st.sampled_from([1, 2, 4]))
+    def test_cosine_doubling(self, amplitude, lam, l):
+        # Delta_2l = Delta_l^2 - 2, though Delta_2l adds the chains at
+        # q = 2 pi r / 2l, r odd, that Delta_l does not see
+        V = Potential.cosine(amplitude)
+        d1, d2 = discriminant(V, l, lam), discriminant(V, 2 * l, lam)
+        assert abs(d2 - (d1 * d1 - 2.0)) <= 1e-12 * max(1.0, d1 * d1)
+
 
 class TestEigenvalueClass:
     @pytest.mark.parametrize(
@@ -198,27 +195,32 @@ class TestEigenvalueClass:
 
 
 class TestTraces:
-    """The exact discriminant and its derivative behind the band scan."""
+    """The discriminant of every kind, and the exact kinds' derivative
+    behind the band scan."""
 
     def test_derivative_matches_central_difference(self):
         V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
         lams = np.array([-0.5, 3.0, 17.0, 60.0])
-        _, dd = _traces(V, 1.0, lams, derivative=True)
+        _, dd = discriminant(V, 1.0, lams, derivative=True)
         h = 1e-5
-        fd = (_traces(V, 1.0, lams + h) - _traces(V, 1.0, lams - h)) / (2 * h)
+        fd = (discriminant(V, 1.0, lams + h) - discriminant(V, 1.0, lams - h)) / (2 * h)
         assert np.max(np.abs(dd - fd)) < 1e-7
 
     def test_empty(self):
-        assert _traces(FREE, 1.0, []).shape == (0,)
-        delta, ddelta = _traces(FREE, 1.0, [], derivative=True)
+        assert discriminant(FREE, 1.0, []).shape == (0,)
+        assert discriminant(COS, 1.0, []).shape == (0,)
+        delta, ddelta = discriminant(FREE, 1.0, [], derivative=True)
         assert delta.shape == ddelta.shape == (0,)
 
     def test_shape_and_order_preserved(self):
         lams = np.array([[9.0, -1.0], [4.0, 30.0]])
-        out = _traces(FREE, 1.0, lams)
+        out = discriminant(FREE, 1.0, lams)
         assert out.shape == (2, 2)
         expected = np.vectorize(lambda lam: free_discriminant(1.0, lam))(lams)
         assert np.max(np.abs(out - expected)) < 1e-9
+        cos = discriminant(COS, 2.0, lams)
+        assert cos.shape == (2, 2)
+        assert np.array_equal(cos[1], discriminant(COS, 2.0, lams[1]))
 
 
 def ode_matrix(V, knots, l, lam):
@@ -307,17 +309,17 @@ class TestTransferMatrices:
         for idx in np.ndindex(lams.shape):
             assert np.array_equal(got[idx], monodromy(V, 2.0, lams[idx]).entries)
 
-    def test_cosine_is_integrated(self):
-        # only cosine cells take the ODE, one stacked solve for every lam
-        lams = np.array([-1.0, 3.0, 30.0])
-        M = transfer_matrices(COS, 1.0, lams)
-        for lam, Mi in zip(lams, M):
-            assert np.max(np.abs(Mi - monodromy(COS, 1.0, lam).entries)) < 1e-9
-            assert np.max(np.abs(Mi - ode_matrix(COS, [], 1.0, lam))) < 1e-9
+    def test_cosine_is_refused(self):
+        # cosine cells have a discriminant only
+        for call in (lambda: transfer_matrices(COS, 1.0, [-1.0, 3.0]),
+                     lambda: monodromy(COS, 1.0, 0.0)):
+            with pytest.raises(ValueError, match="cosine cells have discriminant"):
+                call()
 
     def test_cosine_has_no_derivative(self):
-        with pytest.raises(ValueError, match=r"\(constant, piecewise_linear\)"):
-            transfer_matrices(COS, 1.0, [0.0, 1.0], derivative=True)
+        for f in (transfer_matrices, discriminant):
+            with pytest.raises(ValueError, match=r"\(constant, piecewise_linear\)"):
+                f(COS, 1.0, [0.0, 1.0], derivative=True)
 
 
 def mathieu_edges(amplitude: float, lam_cap: float) -> np.ndarray:
@@ -369,7 +371,7 @@ class TestSpectrumBands:
         assert blist.warnings == ()
         # the scan starts at min V - 1, where V - lam >= 1 bounds Delta below
         # by 2 cosh l (compare with u'' = u): outside the spectrum
-        assert _traces(V, 1.0, [V.min_value() - 1.0])[0] >= 2.0 * math.cosh(1.0)
+        assert discriminant(V, 1.0, [V.min_value() - 1.0])[0] >= 2.0 * math.cosh(1.0)
         gaps = [(b, a) for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])]
         inside = [(b, a) for b, a in gaps if 246.004 <= b < a <= 246.018]
         assert len(inside) == 1
@@ -417,9 +419,9 @@ class TestSpectrumBands:
         for a, b in blist.bands:
             for t in (0.2, 0.5, 0.8):
                 lam = a + t * (b - a)
-                assert abs(monodromy(COS, 1.0, lam).trace) <= 2.0 + 1e-9
+                assert abs(discriminant(COS, 1.0, lam)) <= 2.0 + 1e-12
         gap_mid = 0.5 * (blist.bands[0][1] + blist.bands[1][0])
-        assert abs(monodromy(COS, 1.0, gap_mid).trace) > 2.0
+        assert abs(discriminant(COS, 1.0, gap_mid)) > 2.0
 
     def test_json_roundtrip(self):
         import json

@@ -285,7 +285,7 @@ class TestMathieuFormula:
         for x0 in (0.0, 1e-9, 0.03, 0.2, 0.5, 0.7071, 0.97, 1.0):
             x, gain = Fraction(x0), 1.0
             for n in range(9):
-                bound = 2.5e-9 * max(1.0, gain)
+                bound = 1e-13 * max(1.0, gain)
                 assert abs(mathieu_formula(x0, n) - float(x)) <= bound, (x0, n)
                 gain *= abs(4.0 * (1.0 - 2.0 * float(x)))
                 x = 4 * x * (1 - x)
