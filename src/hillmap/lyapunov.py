@@ -4,6 +4,7 @@ logarithmic-potential integrals that decompose them.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +87,27 @@ def average_lyapunov_quadrature(m: int) -> LyapunovResult:
     return LyapunovResult(m, val / math.pi, "quadrature", bound / math.pi)
 
 
+def _first_critical(xs: np.ndarray, crit: np.ndarray) -> int | None:
+    """Index of the first entry of ``xs`` within CRITICAL_EPS of a critical
+    point, or None; one vectorised pass per critical point."""
+    first = None
+    for c in crit:
+        near = np.flatnonzero(np.abs(xs - c) < CRITICAL_EPS)
+        if near.size and (first is None or near[0] < first):
+            first = int(near[0])
+    return first
+
+
 def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     """Birkhoff average of log |f_m'| along one orbit of the degree-m map,
     after a fixed burn-in.
 
     An orbit point landing within machine distance of a critical point is
-    perturbed by 1e-9 and the restart is counted.
+    perturbed by 1e-9 and the restart is counted.  The repelling fixed points
+    2 and -2 hold a float orbit that lands on them (m = 2, x0 = 0 goes 0, -2,
+    2, 2, ...): the average then reads log |f_m'(+-2)| = 2 log m, not log m,
+    to an ulp, with an ``error_estimate`` of 0 up to the rounding of the
+    mean, so the standard error does not show it.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -100,29 +116,44 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     if not -2.0 < x0 < 2.0:
         raise ValueError("x0 must lie in (-2, 2)")
 
-    crit = tuple(float(c) for c in critical_points(m))
+    crit = critical_points(m)
     restarts = 0
     x = x0
     for _ in range(BURN_IN):
         y = trace_poly(m, x)
         x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
 
-    # log |f'| is taken one CHUNK of the orbit at a time, and the blocks'
-    # means and sums of squared deviations are merged by Chan's update.
-    block = np.empty(min(n, CHUNK))
+    # The orbit is built one CHUNK block at a time and tested for critical
+    # points once per block; a hit at index i cuts the block there and the
+    # orbit goes on from the perturbed point, which is stored untested, so
+    # the values are those of testing each point before its step.  log |f'|
+    # is taken per block, and the blocks' means and sums of squared
+    # deviations are merged by Chan's update.
+    steps = range(m - 1)
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n, CHUNK):
         size = min(CHUNK, n - start)
-        for i in range(size):
-            for c in crit:
-                if abs(c - x) < CRITICAL_EPS:
-                    x += 1e-9
-                    restarts += 1
-                    break
-            block[i] = x
-            y = trace_poly(m, x)
-            x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
-        logs = np.log(np.abs(trace_poly(m, block[:size], derivative=True)))
+        xs = array("d")
+        append = xs.append
+        tested = 0  # xs[:tested] is free of critical points
+        while True:
+            for _ in range(size - len(xs)):
+                append(x)
+                # trace_poly(m, x) inline, the same operations in the same order
+                prev, y = 2, x
+                for _ in steps:
+                    prev, y = y, x * y - prev
+                x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
+            hit = _first_critical(np.frombuffer(xs)[tested:], crit)
+            if hit is None:
+                break
+            # no view of xs may outlive this point: del resizes its buffer
+            i = tested + hit
+            x = xs[i] + 1e-9
+            restarts += 1
+            del xs[i:]
+            tested = i + 1
+        logs = np.log(np.abs(trace_poly(m, np.frombuffer(xs), derivative=True)))
         block_mean = float(np.mean(logs))
         logs -= block_mean
         delta = block_mean - mean

@@ -68,8 +68,12 @@ class MapDescriptor:
         }[self.family]
 
     def contains(self, x, slack: float = 1e-9) -> bool:
+        """Whether x (every entry of an ndarray) lies in the domain widened
+        by ``slack``; NaN never does, and Fractions compare exactly."""
         lo, hi = self.domain
-        return bool(np.all(x >= lo - slack) and np.all(x <= hi + slack))
+        if isinstance(x, np.ndarray):
+            return bool(np.all(x >= lo - slack) and np.all(x <= hi + slack))
+        return bool(lo - slack <= x <= hi + slack)
 
 
 @dataclass(frozen=True)

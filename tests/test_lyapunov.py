@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hillmap import lyapunov
 from hillmap.ensemble import CHUNK
 from hillmap.errors import SingularityError
 from hillmap.lyapunov import (
@@ -22,6 +25,48 @@ from hillmap.maps import MapDescriptor, eval_map, trace_poly
 # Horner-based x quadrature failed from m = 17 on), powers of two up to 128,
 # and 49, 63 and 113, where a relative request let the error pass 1e-12.
 QUADRATURE_ORDERS = [*range(2, 25), 32, 49, 63, 64, 113, 128]
+
+
+def scalar_orbit_average(m, x0, n):
+    """The orbit average with the critical-point test inside the step: each
+    point is tested before it is stored, one trace_poly call per step.  Reads
+    BURN_IN, CRITICAL_EPS and critical_points from the module at call time,
+    so that monkeypatching them reaches both this and the package."""
+    crit = tuple(float(c) for c in lyapunov.critical_points(m))
+    restarts = 0
+    x = x0
+    for _ in range(lyapunov.BURN_IN):
+        y = trace_poly(m, x)
+        x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
+    block = np.empty(min(n, CHUNK))
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n, CHUNK):
+        size = min(CHUNK, n - start)
+        for i in range(size):
+            for c in crit:
+                if abs(c - x) < lyapunov.CRITICAL_EPS:
+                    x += 1e-9
+                    restarts += 1
+                    break
+            block[i] = x
+            y = trace_poly(m, x)
+            x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
+        logs = np.log(np.abs(trace_poly(m, block[:size], derivative=True)))
+        block_mean = float(np.mean(logs))
+        logs -= block_mean
+        delta = block_mean - mean
+        weight = size / (count + size)
+        mean += delta * weight
+        m2 += float(np.dot(logs, logs)) + delta * delta * count * weight
+        count += size
+    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
+    return mean, stderr, restarts
+
+
+def assert_matches_scalar_loop(m, x0, n):
+    res = average_lyapunov_orbit(m, x0, n)
+    assert (res.value, res.error_estimate, res.restarts) == scalar_orbit_average(m, x0, n)
+    return res
 
 
 class TestLocalLyapunov:
@@ -118,6 +163,55 @@ class TestOrbitAverage:
         assert res.restarts == 0
         assert abs(res.value - np.mean(logs)) <= 1e-13
         assert abs(res.error_estimate - np.std(logs, ddof=1) / math.sqrt(n)) <= 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        m=st.integers(2, 8),
+        x0=st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True),
+        n=st.integers(1, 2 * CHUNK + 7),
+    )
+    def test_bit_identical_to_scalar_loop(self, m, x0, n):
+        assert_matches_scalar_loop(m, x0, n)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_restart_on_every_critical_point(self, m, monkeypatch):
+        # with no burn-in an orbit started on a critical point is perturbed
+        # at its first step; the blocked test must count and place it alike
+        monkeypatch.setattr(lyapunov, "BURN_IN", 0)
+        for c in critical_points(m):
+            for n in (1, 2, 2 * CHUNK + 7):
+                res = assert_matches_scalar_loop(m, float(c), n)
+                assert res.restarts >= 1
+
+    def test_restart_in_the_second_block(self, monkeypatch):
+        # declare the orbit's point at index CHUNK + 10 critical: the hit
+        # cuts the second block there and the orbit goes on from x + 1e-9
+        m, x0, n = 3, 0.37071, 2 * CHUNK + 7
+        x = x0
+        for _ in range(BURN_IN + CHUNK + 10):
+            x = min(2.0, max(-2.0, trace_poly(m, x)))
+        real = critical_points(m)
+        monkeypatch.setattr(lyapunov, "critical_points", lambda k: np.append(real, x))
+        res = assert_matches_scalar_loop(m, x0, n)
+        assert res.restarts == 1
+
+    def test_many_restarts_across_blocks(self, monkeypatch):
+        # a wide critical neighbourhood makes hits frequent in every block
+        monkeypatch.setattr(lyapunov, "CRITICAL_EPS", 1e-4)
+        res = assert_matches_scalar_loop(5, 0.2345, 2 * CHUNK + 7)
+        assert res.restarts >= 10
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("n", [2, 7, 1000, CHUNK + 3, 500_000])
+    def test_orbit_on_the_fixed_point_reads_twice_log_m(self, m, n):
+        # x0 = 0 reaches 2 in the burn-in (m = 2: 0, -2, 2; m = 4: 0, 2) and
+        # stays there: every term is log f_m'(2) = log m^2, so the average is
+        # 2 log m, not log m, and the standard error does not show it
+        res = average_lyapunov_orbit(m, 0.0, n)
+        assert res.restarts == 0
+        assert abs(res.value - 2.0 * math.log(m)) <= math.ulp(2.0 * math.log(m))
+        assert res.error_estimate <= 1e-16
+        assert res.value - math.log(m) > 1e6 * res.error_estimate
 
     def test_agrees_with_quadrature(self):
         for m in (2, 3, 4):

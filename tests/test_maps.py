@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import mathieu_a, mathieu_b
 
-from hillmap.errors import DomainError
+from hillmap.errors import DomainError, DomainEscapeError
 from hillmap.maps import (
     MapDescriptor,
     _mathieu_lambda_top,
@@ -169,6 +169,58 @@ class TestIterate:
         a = iterate(md, 0.437, 40).values
         b = iterate(md, 0.437, 40).values
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("md, x0", [
+        (MapDescriptor.logistic(4.0), 0.3141),
+        (MapDescriptor.logistic(3.7), 0.5),
+        (MapDescriptor.gen_logistic(2), 0.123),
+        (MapDescriptor.gen_logistic(5), -1.777),
+        (MapDescriptor.tent(3), Fraction(2, 7)),
+        (MapDescriptor.tent(2), Fraction(1, 3)),
+        (MapDescriptor.chebyshev(3), 0.4),
+        (MapDescriptor.chebyshev(4), -0.95),
+    ])
+    def test_values_are_the_eval_map_loop(self, md, x0):
+        values = iterate(md, x0, 200).values
+        x, want = x0, [float(x0)]
+        for _ in range(200):
+            x = eval_map(md, x)
+            want.append(float(x))
+        assert values.tolist() == want
+
+    def test_nan_start_refused(self):
+        for md in (MapDescriptor.logistic(4.0), MapDescriptor.gen_logistic(3)):
+            with pytest.raises(DomainError):
+                iterate(md, math.nan, 3)
+
+    def test_escape_carries_step_and_value(self):
+        # r = 4.5 sends the critical point 1/2 to 1.125, outside [0, 1]
+        with pytest.raises(DomainEscapeError) as info:
+            iterate(MapDescriptor.logistic(4.5), 0.5, 4)
+        assert info.value.step == 1
+        assert info.value.value == 1.125
+
+
+class TestContains:
+    def test_scalar_and_array_agree(self):
+        md = MapDescriptor.chebyshev(3)
+        for x in (-1.5, -1.0 - 2e-9, -1.0 - 5e-10, 0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 7.0):
+            assert md.contains(x) == md.contains(np.array([x]))
+            assert md.contains(x, slack=0.0) == md.contains(np.array([x]), slack=0.0)
+
+    def test_nan_is_outside(self):
+        md = MapDescriptor.gen_logistic(2)
+        assert not md.contains(math.nan)
+        assert not md.contains(np.float64(math.nan))
+        assert not md.contains(np.array([0.0, math.nan]))
+
+    def test_fractions_compare_exactly(self):
+        md = MapDescriptor.tent(2)
+        edge = Fraction(1.0 + 1e-9)  # the float bound, exactly
+        assert md.contains(edge)
+        assert not md.contains(edge + Fraction(1, 10**30))
+        assert md.contains(Fraction(1), slack=0.0)
+        assert not md.contains(Fraction(10**30 + 1, 10**30), slack=0.0)
 
 
 class TestConjugacies:
