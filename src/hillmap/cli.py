@@ -247,10 +247,13 @@ def _cmd_lyapunov(cfg, timestamp):
         _write_json(
             cfg["out"],
             {"result": {"m": res.m, "value": res.value, "method": res.method,
-                        "error_estimate": res.error_estimate, "restarts": res.restarts}},
+                        "error_estimate": res.error_estimate, "restarts": res.restarts,
+                        "warnings": list(res.warnings)}},
             cfg,
             timestamp,
         )
+    for warning in res.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -168,7 +168,18 @@ def _check_cell_length(V: Potential, l: float) -> None:
 
 def _matrices(a, b, c, d) -> np.ndarray:
     """Stack of 2x2 matrices [[a, b], [c, d]] from equal-shaped arrays."""
-    return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+    out = np.empty(np.shape(a) + (2, 2), dtype=np.result_type(a, b, c, d))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.polyval(coeffs, x)`` for an array x, by the same operations
+    without its per-call overhead."""
+    y = np.zeros_like(x)
+    for c in coeffs:
+        y = y * x + c
+    return y
 
 
 def _trace(M: np.ndarray) -> np.ndarray:
@@ -255,8 +266,8 @@ def _asymptotic_piece(q0, s, h):
     def series(p, r):
         w = 1.5 * abs(s) / (p * r)
         y = -nu * w * w
-        return (np.polyval(_U_EVEN, y), w * np.polyval(_U_ODD, y),
-                np.polyval(_V_EVEN, y), w * np.polyval(_V_ODD, y))
+        return (_horner(_U_EVEN, y), w * _horner(_U_ODD, y),
+                _horner(_V_EVEN, y), w * _horner(_V_ODD, y))
 
     P0, Q0, R0, S0 = series(p0, r0)  # Ai-type (P, Q), Ai'-type (R, S) sums
     P1, Q1, R1, S1 = series(p1, r1)
@@ -278,7 +289,7 @@ def _magnus_piece(q0, s, h):
     low = h * (qm - s * s * h**4 / 120.0)
     # exp [[d, h], [low, -d]] = C I + S Omega, Omega^2 = w I; |w| < 5e-3 here
     w = d * d + h * low
-    C, S = np.polyval(_COSH_SQRT, w), np.polyval(_SINHC_SQRT, w)
+    C, S = _horner(_COSH_SQRT, w), _horner(_SINHC_SQRT, w)
     return _matrices(C + S * d, S * h, S * low, C - S * d)
 
 
@@ -478,32 +489,29 @@ def discriminant(V: Potential, l: float, lams, derivative: bool = False):
     return (2.0 - np.prod(w[:, None] * det * np.exp(log_tails), axis=0)).reshape(shape)
 
 
-def _scanned_edges(V: Potential, l: float, lambda_max: float):
-    """Band edges below lambda_max of an exactly solved kind, in order, with
-    lambda_max closing a band it cuts; and the warnings."""
+def _scan(V: Potential, l: float, top: float):
+    """Delta on a grid uniform in sqrt(lam - lam_floor) over [min V - 1, top]:
+    brackets (lo, hi, level) of its simple crossings of +-2, and brackets
+    (lo, hi) of its turning points where the grid stays inside |Delta| <= 2
+    (a touch of two bands, or a gap narrower than the grid)."""
     start = V.min_value() - 1.0
-    s_max = math.sqrt(lambda_max - start)
+    s_max = math.sqrt(top - start)
     s = np.linspace(0.0, s_max, max(int(_SCAN_DENSITY * s_max), 64) + 1)
     lams = start + s * s
     deltas = discriminant(V, l, lams)
-
-    # simple crossings of +2 and -2
     levels = np.array([2.0, -2.0])
     g = deltas - levels[:, None]
     which, idx = np.nonzero(g[:, :-1] * g[:, 1:] < 0)
-    events = _level_roots(V, l, lams[idx], lams[idx + 1], levels[which]).tolist()
-
-    # turning points of Delta where the grid stays inside |Delta| <= 2: a
-    # touch of two bands, or a gap narrower than the grid
     d = np.diff(deltas)
     turns = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
     turns = turns[np.all(np.abs(deltas[turns[:, None] + [-1, 0, 1]]) <= 2.0, axis=1)]
-    lo, hi = lams[turns - 1], lams[turns + 1]
-    lam_stars = find_roots(
-        lambda x: discriminant(V, l, x, derivative=True)[1], lo, hi, _EDGE_TOL
-    )
-    true_turn = ~np.isnan(lam_stars)  # else dDelta/dlam keeps its sign: a grid wiggle
-    lo, hi, lam_stars = lo[true_turn], hi[true_turn], lam_stars[true_turn]
+    return (lams[idx], lams[idx + 1], levels[which]), (lams[turns - 1], lams[turns + 1])
+
+
+def _turning_edges(V: Potential, l: float, lo, hi, lam_stars):
+    """From turning points lam_stars of Delta, each alone in its bracket
+    [lo, hi] whose ends lie in bands: the touch events (twice each), the
+    brackets (lo, hi, level) of the edges of the open gaps, and warnings."""
     M, dM = transfer_matrices(V, l, lam_stars, derivative=True)
     d_stars = _trace(M)
     sign = np.where(d_stars > 0.0, 1.0, -1.0)
@@ -516,19 +524,77 @@ def _scanned_edges(V: Potential, l: float, lambda_max: float):
         norm(dM) * _EDGE_TOL.abs_tol + _ROUNDING * norm(M)
     )
     gap = ~touch & (np.abs(d_stars) > 2.0)
-    events += np.repeat(lam_stars[touch], 2).tolist()
-    # the grid stepped over this gap: Delta -+ 2 changes sign on each side of lam*
-    events += _level_roots(
-        V, l, np.concatenate([lo[gap], lam_stars[gap]]),
-        np.concatenate([lam_stars[gap], hi[gap]]), 2.0 * np.tile(sign[gap], 2),
-    ).tolist()
+    # an open gap: Delta -+ 2 changes sign on each side of lam*
+    brackets = (np.concatenate([lo[gap], lam_stars[gap]]),
+                np.concatenate([lam_stars[gap], hi[gap]]), 2.0 * np.tile(sign[gap], 2))
     warnings = [
         f"turning point near lambda={lam:.6g} is neither a touch (M != +-I) "
         "nor a gap (|Delta| <= 2)"
         for lam in lam_stars[~(touch | gap)]
     ]
+    return np.repeat(lam_stars[touch], 2).tolist(), brackets, warnings
 
-    events.sort()
+
+def _turning_points(V: Potential, l: float, lo, hi):
+    """lam in each bracket [lo, hi] with dDelta/dlam = 0, all brackets in one
+    batched root solve; NaN where dDelta/dlam keeps its sign."""
+    return find_roots(
+        lambda x: discriminant(V, l, x, derivative=True)[1], lo, hi, _EDGE_TOL
+    )
+
+
+def _exact_edges(V: Potential, l: float, lambda_max: float):
+    """Band edges at or below lambda_max of an exactly solved kind, in order,
+    with lambda_max closing a band it cuts; and the warnings: the windows
+    W_n from n0 on, the scan below W_n0 (see :func:`spectrum_bands`)."""
+    v_min, v_max = V.min_value(), V.max_value()
+    step = (math.pi / l) ** 2
+    n0 = math.floor(((v_max - v_min) / step + 1.0) / 2.0) + 1
+    # gaps n0 .. the last whose window starts at or below lambda_max, one at
+    # least: lam_0's bracket ends in W_n0
+    last = max(n0, math.floor(math.sqrt((lambda_max - v_min) / step)))
+    ns = np.arange(n0, last + 1, dtype=float)
+    lo, hi = ns * ns * step + v_min, ns * ns * step + v_max
+    # Windows within the root tolerance are their turning points to that
+    # tolerance, and W_0 is lam_0 (dDelta/dlam is too flat across them to
+    # change sign in rounding); a constant cell's windows are points, exact.
+    narrow = v_max - v_min <= _EDGE_TOL.abs_tol
+    lam_stars = 0.5 * (lo + hi) if narrow else _turning_points(V, l, lo, hi)
+    found = ~np.isnan(lam_stars)
+    warnings = [
+        f"no turning point of Delta found in [{lo[i]:.6g}, {hi[i]:.6g}], "
+        f"the window of gap {n0 + i}"
+        for i in np.flatnonzero(~found)
+    ]
+    events, brackets, more = _turning_edges(V, l, lo[found], hi[found], lam_stars[found])
+    warnings += more
+
+    if narrow:
+        events.append(0.5 * (v_min + v_max))  # lam_0
+    elif n0 == 1:  # lam_0: Delta - 2 falls from above 2 cosh l at min V - 1
+        end = lam_stars[0] if found[0] else hi[0]  # Delta < 2 at both
+        brackets = [np.append(x, y) for x, y in zip(brackets, (v_min - 1.0, end, 2.0))]
+    else:
+        crossings, (t_lo, t_hi) = _scan(V, l, lo[0])
+        t_stars = _turning_points(V, l, t_lo, t_hi)
+        real = ~np.isnan(t_stars)  # else dDelta/dlam keeps its sign: a grid wiggle
+        touches, gaps, more = _turning_edges(V, l, t_lo[real], t_hi[real], t_stars[real])
+        count = crossings[0].size + len(touches) + gaps[0].size
+        if count != 2 * n0 - 1:  # lam_0 and both edges of gaps 1 .. n0 - 1
+            more.append(
+                f"scan of [{v_min - 1.0:.6g}, {lo[0]:.6g}] found {count} band "
+                f"edges where comparison with constant potentials puts {2 * n0 - 1}"
+            )
+        events += touches
+        brackets = [np.concatenate(x) for x in zip(crossings, gaps, brackets)]
+        warnings = more + warnings
+    roots = _level_roots(V, l, *brackets)
+    lost = np.isnan(roots)  # Delta rounded to the same side of +-2 at both ends
+    warnings += [f"no band edge found between lambda={a:.6g} and {b:.6g}"
+                 for a, b in zip(brackets[0][lost], brackets[1][lost])]
+    events += roots[~lost].tolist()
+
+    events = sorted(e for e in events if e <= lambda_max)
     if len(events) % 2 == 1:
         events.append(float(lambda_max))  # last band clipped at lambda_max
     return events, warnings
@@ -542,13 +608,26 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
     Cosine cells: the edges are the eigenvalues of the Fourier-Hill matrices
     at k = 0 and k = pi/l (periodic and antiperiodic), sorted and paired.
 
-    The other kinds are exact: a scan of Delta on a grid uniform in
-    sqrt(lam - lam_floor) finds the crossings of +-2, refined in one batched
-    root solve.  At each turning point lam* that the grid does not see
-    leave [-2, 2], the bands touch iff M(lam*) = +-I to within the accuracy
-    of lam* (the coexistence test); else, if |Delta(lam*)| > 2, both edges
-    of the gap lie on either side of lam*.  A turning point that is neither
-    is reported in ``warnings``.
+    The other kinds are exact, and their edges come from comparison with
+    constant potentials (Magnus & Winkler, *Hill's Equation*, 1966, ch. 2).
+    The periodic and antiperiodic eigenvalues on [0, l], those of the
+    periodic problem on [0, 2l], grow with V by min-max, strictly unless V
+    is constant.  So lam_0 lies in W_0 = [min V, max V] and both edges of
+    gap n in the window W_n = (n pi/l)^2 + [min V, max V]; dDelta/dlam has
+    exactly one zero lam*_n in each closed gap and none inside a band.  From
+    the first n0 with (2 n0 - 1)(pi/l)^2 > max V - min V the windows are
+    disjoint and their ends lie inside bands, so each brackets its lam*_n:
+    all of them come from one batched root solve of dDelta/dlam.  The bands
+    touch at lam* iff M(lam*) = +-I to within the accuracy of lam* (the
+    coexistence test); else, if |Delta(lam*)| > 2, the gap's edges are
+    bracketed on [lo_n, lam*_n] and [lam*_n, hi_n], lam_0 on
+    [min V - 1, lam*_n0], and every edge comes from one batched root solve.
+
+    Below W_n0 (n0 > 1: deep or multi-period cells) a scan of Delta on a
+    grid uniform in sqrt(lam - lam_floor) finds the crossings of +-2, and
+    its turning points inside [-2, 2] take the same test.  It must find
+    2 n0 - 1 edges there; another count is reported in ``warnings``, as is
+    a turning point that is neither a touch nor a gap.
     """
     _check_cell_length(V, l)
     if lambda_max <= V.min_value():
@@ -560,7 +639,7 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
         qs = math.pi / l * np.minimum(m, m.size - m)
         edges, warnings = _hill_eigenvalues(V, qs, lambda_max), []
     else:
-        edges, warnings = _scanned_edges(V, l, lambda_max)
+        edges, warnings = _exact_edges(V, l, lambda_max)
     bands = []
     for a, b in zip(edges[0::2], edges[1::2]):
         b = min(b, lambda_max)

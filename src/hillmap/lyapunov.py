@@ -31,6 +31,7 @@ class LyapunovResult:
     method: str  # quadrature | orbit_average
     error_estimate: float
     restarts: int = 0
+    warnings: tuple = ()
 
 
 def critical_points(m: int) -> np.ndarray:
@@ -107,7 +108,8 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     2 and -2 hold a float orbit that lands on them (m = 2, x0 = 0 goes 0, -2,
     2, 2, ...): the average then reads log |f_m'(+-2)| = 2 log m, not log m,
     to an ulp, with an ``error_estimate`` of 0 up to the rounding of the
-    mean, so the standard error does not show it.
+    mean, so the standard error does not show it; ``warnings`` says so when
+    the orbit ends on +-2.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -162,7 +164,11 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
         m2 += float(np.dot(logs, logs)) + delta * delta * count * weight
         count += size
     stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
-    return LyapunovResult(m, mean, "orbit_average", stderr, restarts)
+    warnings = ()
+    if abs(x) == 2.0:  # f_m keeps {+-2} exactly: the orbit stays there
+        warnings = (f"orbit ended on the fixed point {x:+g} of f_{m}: the average "
+                    f"is log |f_{m}'({x:+g})| = 2 log {m}, not log {m}",)
+    return LyapunovResult(m, mean, "orbit_average", stderr, restarts, warnings)
 
 
 def I_integral(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:

@@ -152,6 +152,11 @@ def eval_map(md: MapDescriptor, x):
     """Apply the map once; accepts scalars, Fractions, or ndarrays."""
     if not md.contains(x):
         raise DomainError(f"{x!r} is outside the domain of the {md.family} map")
+    return _apply(md, x)
+
+
+def _apply(md: MapDescriptor, x):
+    """One step of the map, x unchecked."""
     if md.family == "logistic":
         return md.r * x * (1 - x)
     if md.family == "gen_logistic":
@@ -180,7 +185,7 @@ def iterate(md: MapDescriptor, x0: float, n: int) -> Orbit:
     values[0] = x0
     x = x0
     for i in range(n):
-        x = eval_map(md, x)
+        x = _apply(md, x)  # x0 is checked above, each later x below
         if not md.contains(x):
             raise DomainEscapeError(
                 f"orbit left the domain at step {i + 1} (value {x!r})",

@@ -210,6 +210,23 @@ def test_lyapunov_quadrature(capsys, tmp_path):
     assert "lyapunov(3)" in capsys.readouterr().out
 
 
+def test_lyapunov_orbit_on_the_fixed_point_warns(capsys, tmp_path):
+    out = tmp_path / "orbit.json"
+    argv = ["lyapunov", "--m", "2", "--method", "orbit", "--x0", "0", "--n", "1000",
+            "--out", str(out), "--no-timestamp"]
+    assert run(argv) == 0
+    res = json.loads(out.read_text())["result"]
+    assert res["value"] == pytest.approx(2.0 * math.log(2.0))
+    (warning,) = res["warnings"]
+    assert f"warning: {warning}" in capsys.readouterr().err
+    # a generic orbit and the quadrature write an empty list
+    for extra in (["--method", "orbit", "--x0", "0.3"], []):
+        assert run(["lyapunov", "--m", "3", "--n", "1000", *extra, "--out", str(out),
+                    "--no-timestamp"]) == 0
+        assert json.loads(out.read_text())["result"]["warnings"] == []
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_lyapunov_quadrature_high_order(tmp_path):
     # the x quadrature exited 2 for every m >= 22; in the angle it reaches
     # log m to 1e-12 and reports a bound that covers its error

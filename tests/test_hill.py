@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import mathieu_a, mathieu_b
 
+from hillmap import hill
 from hillmap.errors import DomainError
 from hillmap.hill import (
     Monodromy,
@@ -18,7 +19,7 @@ from hillmap.hill import (
     spectrum_bands,
     transfer_matrices,
 )
-from hillmap.numerics import ToleranceSpec, integrate_ivp
+from hillmap.numerics import ToleranceSpec, find_roots, integrate_ivp
 
 FREE = Potential.free()
 COS = Potential.cosine()  # cos(2 pi x), period 1
@@ -429,6 +430,194 @@ class TestSpectrumBands:
         blist = spectrum_bands(FREE, 1.0, 12.0)
         data = json.loads(blist.to_json())
         assert data["bands"][0][0] == pytest.approx(0.0, abs=1e-8)
+
+
+def scan_reference(V, l, lambda_max):
+    """Band edges and warnings of an exact cell by a scan of Delta up to
+    lambda_max on the grid of spectrum_bands, crossings of +-2 and turning
+    points inside [-2, 2] refined by root solves, each turning point put to
+    the coexistence test: a reference that owes nothing to the comparison
+    windows."""
+    start = V.min_value() - 1.0
+    s_max = math.sqrt(lambda_max - start)
+    s = np.linspace(0.0, s_max, max(int(hill._SCAN_DENSITY * s_max), 64) + 1)
+    lams = start + s * s
+    deltas = discriminant(V, l, lams)
+    level_roots = lambda lo, hi, levels: find_roots(
+        lambda x, lev: discriminant(V, l, x) - lev, lo, hi, hill._EDGE_TOL, args=(levels,))
+    levels = np.array([2.0, -2.0])
+    g = deltas - levels[:, None]
+    which, idx = np.nonzero(g[:, :-1] * g[:, 1:] < 0)
+    events = level_roots(lams[idx], lams[idx + 1], levels[which]).tolist()
+    d = np.diff(deltas)
+    turns = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
+    turns = turns[np.all(np.abs(deltas[turns[:, None] + [-1, 0, 1]]) <= 2.0, axis=1)]
+    lo, hi = lams[turns - 1], lams[turns + 1]
+    stars = find_roots(lambda x: discriminant(V, l, x, derivative=True)[1], lo, hi,
+                       hill._EDGE_TOL)
+    real = ~np.isnan(stars)
+    lo, hi, stars = lo[real], hi[real], stars[real]
+    M, dM = transfer_matrices(V, l, stars, derivative=True)
+    trace = M[:, 0, 0] + M[:, 1, 1]
+    sign = np.where(trace > 0.0, 1.0, -1.0)
+    norm = lambda X: np.linalg.norm(X, axis=(-2, -1))
+    touch = norm(M - sign[:, None, None] * np.eye(2)) <= (
+        norm(dM) * hill._EDGE_TOL.abs_tol + hill._ROUNDING * norm(M))
+    gap = ~touch & (np.abs(trace) > 2.0)
+    events += np.repeat(stars[touch], 2).tolist()
+    events += level_roots(np.concatenate([lo[gap], stars[gap]]),
+                          np.concatenate([stars[gap], hi[gap]]),
+                          2.0 * np.tile(sign[gap], 2)).tolist()
+    warnings = [f"turning point near lambda={lam:.6g} is neither a touch (M != +-I) "
+                "nor a gap (|Delta| <= 2)" for lam in stars[~(touch | gap)]]
+    events.sort()
+    if len(events) % 2 == 1:
+        events.append(float(lambda_max))
+    bands = [(a, min(b, lambda_max)) for a, b in zip(events[0::2], events[1::2])]
+    return [(a, b) for a, b in bands if a < b], warnings
+
+
+def assert_edges_match(got, want, V, l):
+    """Same band count and warnings; each edge within 1e-10, or within
+    1e-13 / |dDelta/dlam| where Delta is flatter: the transfer matrices'
+    rounding over Delta's slope, the edge's own conditioning.  Beside a gap
+    of width w the slope is ~w / n^2, and two root solves of one edge from
+    other brackets differ by up to 2.3e-9 (w = 4.8e-4, n = 6)."""
+    bands, warnings = want
+    assert len(got.bands) == len(bands) and list(got.warnings) == warnings
+    edges = np.array([e for band in bands for e in band])
+    with np.errstate(divide="ignore"):
+        bound = np.maximum(1e-10, 1e-13 / np.abs(discriminant(V, l, edges, derivative=True)[1]))
+    # a touch is a turning point, found by its own root solve
+    touch = np.zeros(edges.size, dtype=bool)
+    touch[1:-1:2] = touch[2::2] = edges[1:-1:2] == edges[2::2]
+    bound[touch] = 1e-10
+    got_edges = np.array([e for band in got.bands for e in band])
+    assert np.all(np.abs(got_edges - edges) <= bound), (got_edges - edges, bound)
+
+
+def first_clear_window(V, l):
+    """n0: the first n with (2n - 1)(pi / l)^2 > max V - min V."""
+    n = 1
+    while (2 * n - 1) * (math.pi / l) ** 2 <= V.max_value() - V.min_value():
+        n += 1
+    return n
+
+
+@st.composite
+def exact_cells(draw, bound):
+    """Piecewise-linear cells of 2-5 pieces with |V| <= bound."""
+    pieces = draw(st.integers(2, 5))
+    cuts = draw(st.lists(st.floats(0.05, 0.95), min_size=pieces - 1,
+                         max_size=pieces - 1, unique=True))
+    bps = [0.0, *sorted(cuts)]
+    assume(min(np.diff([*bps, 1.0])) > 0.02)
+    values = draw(st.lists(st.floats(-bound, bound), min_size=pieces, max_size=pieces))
+    # The reference fails on flat and nearly flat cells: lam_0 of a flat one
+    # can be a point of its grid, where its strict sign test misses it
+    # (test_constant_cell_edge_on_a_scan_point); a gap of width ~1e-7 gives
+    # NaN edges from its brackets, and it drops the gap's bands.
+    assume(max(values) - min(values) >= 0.1)
+    return Potential.piecewise_linear(bps, values)
+
+
+class TestComparisonWindows:
+    """Band edges of the exact kinds from the windows W_n = (n pi/l)^2 +
+    [min V, max V], against the scan that finds them without the windows."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(exact_cells(4.0), st.floats(20.0, 400.0))
+    def test_windows_alone_match_the_scan(self, V, lambda_max):
+        # max V - min V <= 8 < pi^2: every gap has a clear window at l = 1
+        assert first_clear_window(V, 1.0) == 1
+        assert_edges_match(spectrum_bands(V, 1.0, lambda_max),
+                           scan_reference(V, 1.0, lambda_max), V, 1.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(exact_cells(60.0), st.sampled_from([1.0, 2.0, 3.0]), st.floats(20.0, 400.0))
+    def test_scan_and_windows_match_the_scan(self, V, l, span):
+        assume(first_clear_window(V, l) > 1)
+        lambda_max = V.min_value() + span
+        got = spectrum_bands(V, l, lambda_max)
+        # a scan that misses a band narrower than its grid is the subject of
+        # test_scan_count_is_checked; the comparison needs one that does not
+        assume(not any(w.startswith("scan of") for w in got.warnings))
+        assert_edges_match(got, scan_reference(V, l, lambda_max), V, l)
+
+    def test_seam_between_scan_and_windows(self):
+        # a narrow dip to -60 in a cell at 0: the scan finds lam_0 and gaps
+        # 1-3, the windows gap 4 on; lambda_max on both sides of W_4's start.
+        # The mean, -3, sits near max V, so W_3 = [28.8, 88.8] holds the
+        # turning points of gaps 2 and 3, and n0 = 4 is the first clear one.
+        V = Potential.piecewise_linear([0.0, 0.05, 0.1], [0.0, -60.0, 0.0])
+        assert first_clear_window(V, 1.0) == 4
+        lo = (4.0 * math.pi) ** 2 - 60.0
+        for lambda_max in (lo - 3.0, lo - 1e-9, lo, lo + 1e-9, lo + 3.0, 200.0):
+            got = spectrum_bands(V, 1.0, lambda_max)
+            assert got.warnings == ()
+            assert_edges_match(got, scan_reference(V, 1.0, lambda_max), V, 1.0)
+        assert len(spectrum_bands(V, 1.0, 200.0).bands) == 5
+
+    def test_scan_count_is_checked(self):
+        # a two-period cell whose one-period band (-35.8243, -35.7733) holds
+        # Delta_1 = 0, where M_2 = M_1^2 = -I: two bands touch at -35.7988,
+        # inside a band narrower than two steps of the scan's grid, which
+        # misses the touch and reports one band
+        V = Potential.piecewise_linear(
+            [0.0, 0.1025997320661137, 0.5284014461276613, 0.6883543560593153],
+            [96.20206897440531, -125.5394643373335, 76.18864948600466, 102.41113839432518])
+        assert first_clear_window(V, 2.0) == 47
+        blist = spectrum_bands(V, 2.0, 0.0)
+        assert len(blist.bands) == 1
+        (warning,) = blist.warnings
+        assert warning.startswith("scan of [-126.539, 5324.95] found 91 band edges")
+        assert warning.endswith("puts 93")
+
+    def test_nearly_flat_cell_warns_without_raising(self):
+        # max V - min V = 1.3e-8: Delta - 2 rounds to one sign across a
+        # bracket of gap 2 (window [39.4784, 39.4784]), so that edge's solve
+        # gives NaN, and the coexistence test cannot tell gaps 1, 3, 4 and 5
+        # (width ~1e-8) from touches.  Both are reported; no edge is made up.
+        V = Potential.piecewise_linear(
+            [0.0, 0.8536636840183617], [-1.2358659614311694e-08, -2.539758593939151e-08])
+        blist = spectrum_bands(V, 1.0, 300.0)
+        assert "no band edge found between lambda=39.4784 and 39.4784" in blist.warnings
+        assert sum(w.startswith("turning point near") for w in blist.warnings) == 4
+
+    @pytest.mark.parametrize("l", [0.7, 1.3, 1.9])
+    def test_constant_cells_are_exact(self, l):
+        v = -1.7
+        blist = spectrum_bands(Potential.constant(v), l, 200.0)
+        edges = [e for band in blist.bands for e in band]
+        assert edges[0] == v and edges[-1] == 200.0
+        want = [(n * math.pi / l) ** 2 + v for n in range(1, len(edges) // 2)]
+        assert edges[1:-1:2] == edges[2:-1:2]  # touches
+        for got, w in zip(edges[1:-1:2], want):
+            assert abs(got - w) <= 4 * math.ulp(w)
+        assert want[-1] < 200.0 < ((len(want) + 1) * math.pi / l) ** 2 + v
+
+    def test_constant_cell_edge_on_a_scan_point(self):
+        # lam_0 = -4 is a point of the scan's grid from -5 to 20, where
+        # Delta - 2 is 0, not of either sign: the scan found no band at all
+        for V in (Potential.constant(-4.0), Potential.piecewise_linear([0.0, 0.5], [-4.0, -4.0])):
+            assert spectrum_bands(V, 1.0, 20.0).bands == (
+                (-4.0, math.pi**2 - 4.0), (math.pi**2 - 4.0, 20.0))
+
+    def test_kernel_matches_polyval_and_stack(self, monkeypatch):
+        # the Horner loop and the filled matrices are those of np.polyval and
+        # np.stack operation for operation: equal to the bit on a grid that
+        # meets the asymptotic, Magnus and Airy forms
+        cells = [V for slope in (0.0, 1e-8, 1e-2, 1.0, 60.0) for V, _ in sloped_cells(slope)]
+        lams = np.linspace(-60.0, 400.0, 157)
+        new = [(transfer_matrices(V, l, lams), transfer_matrices(V, l, lams, derivative=True))
+               for V in cells for l in (1.0, 2.0)]
+        monkeypatch.setattr(hill, "_horner", np.polyval)
+        monkeypatch.setattr(hill, "_matrices", lambda a, b, c, d: np.stack(
+            [np.stack([a, b], -1), np.stack([c, d], -1)], -2))
+        old = [(transfer_matrices(V, l, lams), transfer_matrices(V, l, lams, derivative=True))
+               for V in cells for l in (1.0, 2.0)]
+        for (M, (N, dN)), (M0, (N0, dN0)) in zip(new, old):
+            assert np.array_equal(M, M0) and np.array_equal(N, N0) and np.array_equal(dN, dN0)
 
 
 def bands_of(V, l=1.0, lambda_max=45.0):

@@ -212,6 +212,14 @@ class TestOrbitAverage:
         assert abs(res.value - 2.0 * math.log(m)) <= math.ulp(2.0 * math.log(m))
         assert res.error_estimate <= 1e-16
         assert res.value - math.log(m) > 1e6 * res.error_estimate
+        # ... but the result says so
+        (warning,) = res.warnings
+        assert warning.startswith(f"orbit ended on the fixed point +2 of f_{m}")
+
+    def test_generic_orbit_has_no_warning(self):
+        for m in (2, 3, 4):
+            assert average_lyapunov_orbit(m, 0.37071, 10_000).warnings == ()
+        assert average_lyapunov_quadrature(3).warnings == ()
 
     def test_agrees_with_quadrature(self):
         for m in (2, 3, 4):

@@ -193,6 +193,14 @@ class TestIterate:
             with pytest.raises(DomainError):
                 iterate(md, math.nan, 3)
 
+    def test_each_value_is_tested_once(self, monkeypatch):
+        calls = []
+        contains = MapDescriptor.contains
+        monkeypatch.setattr(MapDescriptor, "contains",
+                            lambda md, x, slack=1e-9: calls.append(x) or contains(md, x, slack))
+        values = iterate(MapDescriptor.gen_logistic(3), 0.437, 50).values
+        assert calls == values.tolist()
+
     def test_escape_carries_step_and_value(self):
         # r = 4.5 sends the critical point 1/2 to 1.125, outside [0, 1]
         with pytest.raises(DomainEscapeError) as info:
