@@ -359,19 +359,6 @@ def monodromy(V: Potential, l: float, lam: float) -> Monodromy:
     return Monodromy(transfer_matrices(V, l, [lam])[0], l, lam)
 
 
-def eigenvalue_class(delta: float) -> str:
-    """Classify the transfer-matrix eigenvalues from the trace.
-
-    ``elliptic``: two conjugate unit-modulus eigenvalues (|delta| < 2);
-    ``parabolic``: repeated eigenvalue +-1 (|delta| = 2 to within 1e-12);
-    ``hyperbolic``: distinct reals with product 1 (|delta| > 2).
-    """
-    gap = abs(delta) - 2.0
-    if abs(gap) <= 1e-12:
-        return "parabolic"
-    return "elliptic" if gap < 0 else "hyperbolic"
-
-
 @dataclass(frozen=True)
 class BandList:
     """Ordered spectral bands [a_i, b_i]; consecutive bands may touch."""
@@ -397,9 +384,9 @@ class BandList:
 _EDGE_TOL = ToleranceSpec(1e-10, 0.0, 256)
 # Scan points per unit of sqrt(lam - lam_floor).
 _SCAN_DENSITY = 512
-# Relative rounding of the exact transfer matrices, allowed on top of what
-# the error of a turning point admits in the coexistence test.
-_ROUNDING = 1e-12
+# Accuracy of the exact transfer matrices' entries relative to max |M|
+# (transfer_matrices), behind the rounding bound of the gap function.
+_ROUNDING = 1e-13
 # Fourier modes kept past those that carry the eigenfunctions below lam_top:
 # mode j couples in through (|A|/2) / ((q + 2 pi j)^2 - lam_top), so a few
 # past sqrt(lam_top + |A|) + sqrt(|A|) decide every eigenvalue below lam_top
@@ -489,7 +476,7 @@ def discriminant(V: Potential, l: float, lams, derivative: bool = False):
     return (2.0 - np.prod(w[:, None] * det * np.exp(log_tails), axis=0)).reshape(shape)
 
 
-def _scan(V: Potential, l: float, top: float):
+def _scan(V: Potential, top: float):
     """Delta on a grid uniform in sqrt(lam - lam_floor) over [min V - 1, top]:
     brackets (lo, hi, level) of its simple crossings of +-2, and brackets
     (lo, hi) of its turning points where the grid stays inside |Delta| <= 2
@@ -498,7 +485,7 @@ def _scan(V: Potential, l: float, top: float):
     s_max = math.sqrt(top - start)
     s = np.linspace(0.0, s_max, max(int(_SCAN_DENSITY * s_max), 64) + 1)
     lams = start + s * s
-    deltas = discriminant(V, l, lams)
+    deltas = discriminant(V, 1.0, lams)
     levels = np.array([2.0, -2.0])
     g = deltas - levels[:, None]
     which, idx = np.nonzero(g[:, :-1] * g[:, 1:] < 0)
@@ -508,90 +495,89 @@ def _scan(V: Potential, l: float, top: float):
     return (lams[idx], lams[idx + 1], levels[which]), (lams[turns - 1], lams[turns + 1])
 
 
-def _turning_edges(V: Potential, l: float, lo, hi, lam_stars):
-    """From turning points lam_stars of Delta, each alone in its bracket
-    [lo, hi] whose ends lie in bands: the touch events (twice each), the
-    brackets (lo, hi, level) of the edges of the open gaps, and warnings."""
-    M, dM = transfer_matrices(V, l, lam_stars, derivative=True)
-    d_stars = _trace(M)
-    sign = np.where(d_stars > 0.0, 1.0, -1.0)
-    # Coexistence: the bands touch iff M = sign I there.  lam* is within
-    # _EDGE_TOL of the touch, so M may miss sign I by |dM/dlam| times that;
-    # beside a gap of width w it misses by ~|dM/dlam| w (Delta -+ 2 only by
-    # ~w^2, which no fixed threshold on Delta separates from rounding).
-    norm = lambda X: np.linalg.norm(X, axis=(-2, -1))
-    touch = norm(M - sign[:, None, None] * np.eye(2)) <= (
-        norm(dM) * _EDGE_TOL.abs_tol + _ROUNDING * norm(M)
+def _gap_function(M):
+    """G = (a - d)^2 + 4bc = Delta^2 - 4 (ad - bc = 1) of matrices M = [[a, b],
+    [c, d]], and its rounding bound.  Beside a touch or a gap of width w,
+    a - d, b and c are small and G cancels nothing, where Delta -+ 2 moves by
+    ~w^2 and rounds like Delta.  Entries within e = _ROUNDING max |M| put G
+    within 4 e (|a - d| + |b| + |c| + 2 e)."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    e = _ROUNDING * np.max(np.abs(M), axis=(-2, -1))
+    return (a - d) ** 2 + 4.0 * b * c, 4.0 * e * (abs(a - d) + abs(b) + abs(c) + 2.0 * e)
+
+
+def _gap_roots(V: Potential, lo, hi):
+    """lam in each bracket [lo, hi] with G(lam) = 0, all brackets in one
+    batched root solve; NaN where G keeps its sign."""
+    return find_roots(
+        lambda x: _gap_function(transfer_matrices(V, 1.0, x))[0], lo, hi, _EDGE_TOL
     )
-    gap = ~touch & (np.abs(d_stars) > 2.0)
-    # an open gap: Delta -+ 2 changes sign on each side of lam*
+
+
+def _turning_edges(V: Potential, lo, hi, lam_stars):
+    """From turning points lam_stars of Delta, each alone in its bracket
+    [lo, hi] whose ends lie in bands: the touches (twice each), and the
+    brackets (lo, hi) of the edges of the open gaps, across which G changes
+    sign.  lam* lies in a closed gap, where G >= 0, so G above its rounding
+    there is a gap and anything else a touch."""
+    G, err = _gap_function(transfer_matrices(V, 1.0, lam_stars))
+    gap = G > err
     brackets = (np.concatenate([lo[gap], lam_stars[gap]]),
-                np.concatenate([lam_stars[gap], hi[gap]]), 2.0 * np.tile(sign[gap], 2))
-    warnings = [
-        f"turning point near lambda={lam:.6g} is neither a touch (M != +-I) "
-        "nor a gap (|Delta| <= 2)"
-        for lam in lam_stars[~(touch | gap)]
-    ]
-    return np.repeat(lam_stars[touch], 2).tolist(), brackets, warnings
+                np.concatenate([lam_stars[gap], hi[gap]]))
+    return np.repeat(lam_stars[~gap], 2).tolist(), brackets
 
 
-def _turning_points(V: Potential, l: float, lo, hi):
+def _turning_points(V: Potential, lo, hi):
     """lam in each bracket [lo, hi] with dDelta/dlam = 0, all brackets in one
     batched root solve; NaN where dDelta/dlam keeps its sign."""
     return find_roots(
-        lambda x: discriminant(V, l, x, derivative=True)[1], lo, hi, _EDGE_TOL
+        lambda x: discriminant(V, 1.0, x, derivative=True)[1], lo, hi, _EDGE_TOL
     )
 
 
-def _exact_edges(V: Potential, l: float, lambda_max: float):
-    """Band edges at or below lambda_max of an exactly solved kind, in order,
-    with lambda_max closing a band it cuts; and the warnings: the windows
-    W_n from n0 on, the scan below W_n0 (see :func:`spectrum_bands`)."""
+def _exact_edges(V: Potential, lambda_max: float):
+    """Band edges at or below lambda_max of a piecewise-linear cell of one
+    period, in order, with lambda_max closing a band it cuts; and the
+    warnings.  The turning points come from the windows W_n from n0 on and
+    from the scan below W_n0 (see :func:`spectrum_bands`), and each is a
+    touch or a gap by G.  The scan's crossings are roots of Delta -+ 2; the
+    edges of the gaps, and lam_0 on [min V - 1, lo_1], roots of G."""
     v_min, v_max = V.min_value(), V.max_value()
-    step = (math.pi / l) ** 2
+    step = math.pi**2
     n0 = math.floor(((v_max - v_min) / step + 1.0) / 2.0) + 1
     # gaps n0 .. the last whose window starts at or below lambda_max, one at
     # least: lam_0's bracket ends in W_n0
     last = max(n0, math.floor(math.sqrt((lambda_max - v_min) / step)))
     ns = np.arange(n0, last + 1, dtype=float)
     lo, hi = ns * ns * step + v_min, ns * ns * step + v_max
-    # Windows within the root tolerance are their turning points to that
-    # tolerance, and W_0 is lam_0 (dDelta/dlam is too flat across them to
-    # change sign in rounding); a constant cell's windows are points, exact.
-    narrow = v_max - v_min <= _EDGE_TOL.abs_tol
-    lam_stars = 0.5 * (lo + hi) if narrow else _turning_points(V, l, lo, hi)
+    lam_stars = _turning_points(V, lo, hi)
     found = ~np.isnan(lam_stars)
     warnings = [
         f"no turning point of Delta found in [{lo[i]:.6g}, {hi[i]:.6g}], "
         f"the window of gap {n0 + i}"
         for i in np.flatnonzero(~found)
     ]
-    events, brackets, more = _turning_edges(V, l, lo[found], hi[found], lam_stars[found])
-    warnings += more
-
-    if narrow:
-        events.append(0.5 * (v_min + v_max))  # lam_0
-    elif n0 == 1:  # lam_0: Delta - 2 falls from above 2 cosh l at min V - 1
-        end = lam_stars[0] if found[0] else hi[0]  # Delta < 2 at both
-        brackets = [np.append(x, y) for x, y in zip(brackets, (v_min - 1.0, end, 2.0))]
+    events, (g_lo, g_hi) = _turning_edges(V, lo[found], hi[found], lam_stars[found])
+    crossings = (np.empty(0),) * 3
+    if n0 == 1:  # lam_0: G >= 4 sinh(1)^2 at min V - 1, G < 0 in band 1
+        g_lo, g_hi = np.append(g_lo, v_min - 1.0), np.append(g_hi, lo[0])
     else:
-        crossings, (t_lo, t_hi) = _scan(V, l, lo[0])
-        t_stars = _turning_points(V, l, t_lo, t_hi)
+        crossings, (t_lo, t_hi) = _scan(V, lo[0])
+        t_stars = _turning_points(V, t_lo, t_hi)
         real = ~np.isnan(t_stars)  # else dDelta/dlam keeps its sign: a grid wiggle
-        touches, gaps, more = _turning_edges(V, l, t_lo[real], t_hi[real], t_stars[real])
-        count = crossings[0].size + len(touches) + gaps[0].size
+        touches, (s_lo, s_hi) = _turning_edges(V, t_lo[real], t_hi[real], t_stars[real])
+        count = crossings[0].size + len(touches) + s_lo.size
         if count != 2 * n0 - 1:  # lam_0 and both edges of gaps 1 .. n0 - 1
-            more.append(
+            warnings.insert(0, (
                 f"scan of [{v_min - 1.0:.6g}, {lo[0]:.6g}] found {count} band "
-                f"edges where comparison with constant potentials puts {2 * n0 - 1}"
-            )
+                f"edges where comparison with constant potentials puts {2 * n0 - 1}"))
         events += touches
-        brackets = [np.concatenate(x) for x in zip(crossings, gaps, brackets)]
-        warnings = more + warnings
-    roots = _level_roots(V, l, *brackets)
-    lost = np.isnan(roots)  # Delta rounded to the same side of +-2 at both ends
+        g_lo, g_hi = np.concatenate([s_lo, g_lo]), np.concatenate([s_hi, g_hi])
+    roots = np.concatenate([_level_roots(V, 1.0, *crossings), _gap_roots(V, g_lo, g_hi)])
+    lost = np.isnan(roots)  # rounded to the same side of 0 at both ends
+    lo, hi = np.concatenate([crossings[0], g_lo]), np.concatenate([crossings[1], g_hi])
     warnings += [f"no band edge found between lambda={a:.6g} and {b:.6g}"
-                 for a, b in zip(brackets[0][lost], brackets[1][lost])]
+                 for a, b in zip(lo[lost], hi[lost])]
     events += roots[~lost].tolist()
 
     events = sorted(e for e in events if e <= lambda_max)
@@ -603,43 +589,52 @@ def _exact_edges(V: Potential, l: float, lambda_max: float):
 def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
     """The bands [a_i, b_i] of ``-u'' + V u`` on cells of length ``l`` that
     start at or below ``lambda_max``, the last one clipped there.  Bands that
-    touch are listed apart, ``b_i = a_(i+1)``.
+    touch are listed apart, ``b_i = a_(i+1)``.  Three routes, none with a
+    threshold on Delta:
 
-    Cosine cells: the edges are the eigenvalues of the Fourier-Hill matrices
-    at k = 0 and k = pi/l (periodic and antiperiodic), sorted and paired.
-
-    The other kinds are exact, and their edges come from comparison with
-    constant potentials (Magnus & Winkler, *Hill's Equation*, 1966, ch. 2).
-    The periodic and antiperiodic eigenvalues on [0, l], those of the
-    periodic problem on [0, 2l], grow with V by min-max, strictly unless V
-    is constant.  So lam_0 lies in W_0 = [min V, max V] and both edges of
-    gap n in the window W_n = (n pi/l)^2 + [min V, max V]; dDelta/dlam has
-    exactly one zero lam*_n in each closed gap and none inside a band.  From
-    the first n0 with (2 n0 - 1)(pi/l)^2 > max V - min V the windows are
-    disjoint and their ends lie inside bands, so each brackets its lam*_n:
-    all of them come from one batched root solve of dDelta/dlam.  The bands
-    touch at lam* iff M(lam*) = +-I to within the accuracy of lam* (the
-    coexistence test); else, if |Delta(lam*)| > 2, the gap's edges are
-    bracketed on [lo_n, lam*_n] and [lam*_n, hi_n], lam_0 on
-    [min V - 1, lam*_n0], and every edge comes from one batched root solve.
-
-    Below W_n0 (n0 > 1: deep or multi-period cells) a scan of Delta on a
-    grid uniform in sqrt(lam - lam_floor) finds the crossings of +-2, and
-    its turning points inside [-2, 2] take the same test.  It must find
-    2 n0 - 1 edges there; another count is reported in ``warnings``, as is
-    a turning point that is neither a touch nor a gap.
+    * Cosine cells: the eigenvalues of the Fourier-Hill matrices at k = 0
+      and k = pi/l (periodic and antiperiodic), sorted and paired.
+    * Constant cells v, for any real l, and cells flat to within _EDGE_TOL at
+      their mid-value v: lam_0 = v and touches v + (n pi/l)^2.
+    * Piecewise-linear cells: one period, by comparison with constant
+      potentials (Magnus & Winkler, *Hill's Equation*, 1966, ch. 2).  The
+      periodic and antiperiodic eigenvalues grow with V by min-max, strictly
+      unless V is constant, so lam_0 lies in [min V, max V], both edges of
+      gap n in W_n = (n pi)^2 + [min V, max V], and dDelta/dlam has one zero
+      lam*_n in each closed gap and none inside a band.  From the first n0
+      with (2 n0 - 1) pi^2 > max V - min V the windows are disjoint with ends
+      in bands, so each brackets its lam*_n; below W_n0 (deep cells) a scan
+      of Delta must find 2 n0 - 1 edges, else ``warnings`` says so.  lam* is
+      a gap iff G = (a - d)^2 + 4bc, Delta^2 - 4 without its cancellation,
+      exceeds its rounding there, else a touch.  On c = round(l) > 1 periods
+      Delta_c = 2 T_c(Delta_1 / 2): each one-period band splits into c bands
+      touching where Delta_1 = 2 cos(j pi / c), j = 1 .. c - 1.
     """
     _check_cell_length(V, l)
     if lambda_max <= V.min_value():
         raise ValueError("lambda_max must exceed the spectral floor")
+    warnings = []
     if V.kind == "cosine":
         # k = 0 and pi/l: the chains at q = pi m / l, m = 0..2l-1, where q and
         # -q give one spectrum, whose doubled eigenvalues are touches
         m = np.arange(2 * round(l))
         qs = math.pi / l * np.minimum(m, m.size - m)
-        edges, warnings = _hill_eigenvalues(V, qs, lambda_max), []
+        edges = _hill_eigenvalues(V, qs, lambda_max)
+    elif V.max_value() - V.min_value() <= _EDGE_TOL.abs_tol:
+        # constant, or within the root tolerance of it: every edge lies in
+        # its window, so v at the windows' middle is exact to that tolerance
+        v = 0.5 * (V.min_value() + V.max_value())
+        n = np.arange(1.0, l * math.sqrt(max(lambda_max - v, 0.0)) / math.pi + 1.0)
+        touches = (n * math.pi / l) ** 2 + v
+        edges = [v, *np.repeat(touches[touches <= lambda_max], 2).tolist(), lambda_max]
     else:
-        edges, warnings = _exact_edges(V, l, lambda_max)
+        edges, warnings = _exact_edges(V, lambda_max)
+        c = round(l)
+        if c > 1:  # M_c = (-1)^j I where Delta_1 = 2 cos(j pi / c)
+            lo, hi = (np.repeat(edges[i::2], c - 1) for i in (0, 1))
+            levels = np.tile(2.0 * np.cos(math.pi * np.arange(1, c) / c), len(edges) // 2)
+            splits = _level_roots(V, 1.0, lo, hi, levels)  # NaN past lambda_max
+            edges = sorted(edges + np.repeat(splits[~np.isnan(splits)], 2).tolist())
     bands = []
     for a, b in zip(edges[0::2], edges[1::2]):
         b = min(b, lambda_max)

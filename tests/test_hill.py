@@ -13,7 +13,6 @@ from hillmap.hill import (
     Potential,
     band_function,
     discriminant,
-    eigenvalue_class,
     free_discriminant,
     monodromy,
     spectrum_bands,
@@ -185,16 +184,6 @@ class TestDiscriminant:
         assert abs(d2 - (d1 * d1 - 2.0)) <= 1e-12 * max(1.0, d1 * d1)
 
 
-class TestEigenvalueClass:
-    @pytest.mark.parametrize(
-        "delta,expected",
-        [(0.0, "elliptic"), (2.0, "parabolic"), (-2.0, "parabolic"),
-         (3.0, "hyperbolic"), (1.999999999999, "elliptic")],
-    )
-    def test_cases(self, delta, expected):
-        assert eigenvalue_class(delta) == expected
-
-
 class TestTraces:
     """The discriminant of every kind, and the exact kinds' derivative
     behind the band scan."""
@@ -362,10 +351,8 @@ class TestSpectrumBands:
 
     def test_gap_narrower_than_touch_rule_of_exact_cell(self):
         # max |Delta| - 2 is ~4e-8 over this 1.27e-2-wide gap.  At its turning
-        # point lam* = 246.0108, |M + I| = 9.5e-4 against the coexistence
-        # bound 5.2e-11, so it is no touch; at the free cell's touches
-        # (3 pi)^2, (4 pi)^2 the same norm is 1.3e-14 and 8.0e-12 against
-        # 5.1e-11 (test_free_bands_touch_at_squares).
+        # point lam* = 246.0108, G = (a - d)^2 + 4bc = 1.6e-7 against its
+        # rounding bound 5.2e-16, so it is a gap.
         knots = [0.38, 0.545, 0.727]
         V = Potential.piecewise_linear([0.0, *knots], [-3.365, 2.554, -2.01, 0.086])
         blist = spectrum_bands(V, 1.0, 273.742)
@@ -432,15 +419,29 @@ class TestSpectrumBands:
         assert data["bands"][0][0] == pytest.approx(0.0, abs=1e-8)
 
 
+# The reference's own scan density (points per unit of sqrt(lam - lam_floor))
+# and relative rounding allowance of the transfer matrices in its coexistence
+# test, kept here so that the reference does not move with the code it checks.
+REF_SCAN_DENSITY = 512
+REF_ROUNDING = 1e-12
+
+
+def coexistence_allowance(M, dM):
+    """How far M may miss +-I at a touch found to within the root tolerance:
+    |dM/dlam| times that tolerance, plus the matrices' rounding."""
+    norm = lambda X: np.linalg.norm(X, axis=(-2, -1))
+    return norm(dM) * hill._EDGE_TOL.abs_tol + REF_ROUNDING * norm(M)
+
+
 def scan_reference(V, l, lambda_max):
-    """Band edges and warnings of an exact cell by a scan of Delta up to
-    lambda_max on the grid of spectrum_bands, crossings of +-2 and turning
-    points inside [-2, 2] refined by root solves, each turning point put to
-    the coexistence test: a reference that owes nothing to the comparison
-    windows."""
+    """Band edges and warnings of an exact cell by a scan of Delta_l up to
+    lambda_max, crossings of +-2 and turning points inside [-2, 2] refined
+    by root solves, each turning point put to the coexistence test (M = +-I
+    at a touch): a reference that owes nothing to the comparison windows,
+    to G, or to the levels of Delta_1 that split an l-cell's bands."""
     start = V.min_value() - 1.0
     s_max = math.sqrt(lambda_max - start)
-    s = np.linspace(0.0, s_max, max(int(hill._SCAN_DENSITY * s_max), 64) + 1)
+    s = np.linspace(0.0, s_max, max(int(REF_SCAN_DENSITY * s_max), 64) + 1)
     lams = start + s * s
     deltas = discriminant(V, l, lams)
     level_roots = lambda lo, hi, levels: find_roots(
@@ -460,9 +461,8 @@ def scan_reference(V, l, lambda_max):
     M, dM = transfer_matrices(V, l, stars, derivative=True)
     trace = M[:, 0, 0] + M[:, 1, 1]
     sign = np.where(trace > 0.0, 1.0, -1.0)
-    norm = lambda X: np.linalg.norm(X, axis=(-2, -1))
-    touch = norm(M - sign[:, None, None] * np.eye(2)) <= (
-        norm(dM) * hill._EDGE_TOL.abs_tol + hill._ROUNDING * norm(M))
+    touch = np.linalg.norm(M - sign[:, None, None] * np.eye(2), axis=(-2, -1)) <= (
+        coexistence_allowance(M, dM))
     gap = ~touch & (np.abs(trace) > 2.0)
     events += np.repeat(stars[touch], 2).tolist()
     events += level_roots(np.concatenate([lo[gap], stars[gap]]),
@@ -504,6 +504,34 @@ def first_clear_window(V, l):
     return n
 
 
+def union(bands):
+    """The set covered by bands, as its disjoint intervals (lo, hi)."""
+    out = []
+    for a, b in bands:
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return out
+
+
+def fourier_coefficient(breakpoints, values, n):
+    """int_0^1 V(x) exp(-2 pi i n x) dx of a piecewise-linear cell, exact
+    per linear piece."""
+    xs, vs = [*breakpoints, breakpoints[0] + 1.0], [*values, values[0]]
+    k = -2j * math.pi * n
+    total = 0j
+    for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
+        h = x1 - x0
+        if n == 0:
+            total += 0.5 * h * (v0 + v1)
+            continue
+        e0, e1 = np.exp(k * x0), np.exp(k * x1)
+        # int (v0 + s (x - x0)) e^(kx) dx over [x0, x1], s = (v1 - v0) / h
+        total += v0 * (e1 - e0) / k + (v1 - v0) / h * (h * e1 / k - (e1 - e0) / k**2)
+    return total
+
+
 @st.composite
 def exact_cells(draw, bound):
     """Piecewise-linear cells of 2-5 pieces with |V| <= bound."""
@@ -543,6 +571,20 @@ class TestComparisonWindows:
         # test_scan_count_is_checked; the comparison needs one that does not
         assume(not any(w.startswith("scan of") for w in got.warnings))
         assert_edges_match(got, scan_reference(V, l, lambda_max), V, l)
+        # Band i runs Delta_l from (-1)^(i-1) 2 to (-1)^i 2, so where bands i
+        # and i + 1 touch, M_l = (-1)^i I: the split points of the one-period
+        # bands among them
+        ends = np.array([b for (_, b), (a, _) in zip(got.bands, got.bands[1:]) if a == b])
+        signs = np.array([(-1.0) ** i for i, ((_, b), (a, _))
+                          in enumerate(zip(got.bands, got.bands[1:]), start=1) if a == b])
+        if ends.size:
+            M, dM = transfer_matrices(V, l, ends, derivative=True)
+            miss = np.linalg.norm(M - signs[:, None, None] * np.eye(2), axis=(-2, -1))
+            assert np.all(miss <= coexistence_allowance(M, dM)), (ends, miss)
+        # an l-cell has the one-period spectrum
+        one = union(spectrum_bands(V, 1.0, lambda_max).bands)
+        assert len(union(got.bands)) == len(one)
+        assert np.allclose(union(got.bands), one, rtol=0.0, atol=1e-10)
 
     def test_seam_between_scan_and_windows(self):
         # a narrow dip to -60 in a cell at 0: the scan finds lam_0 and gaps
@@ -561,28 +603,69 @@ class TestComparisonWindows:
     def test_scan_count_is_checked(self):
         # a two-period cell whose one-period band (-35.8243, -35.7733) holds
         # Delta_1 = 0, where M_2 = M_1^2 = -I: two bands touch at -35.7988,
-        # inside a band narrower than two steps of the scan's grid, which
-        # misses the touch and reports one band
+        # inside a band narrower than two steps of the scan's grid at l = 2.
+        # The bands come from l = 1, split where Delta_1 = 2 cos(pi / 2).
         V = Potential.piecewise_linear(
             [0.0, 0.1025997320661137, 0.5284014461276613, 0.6883543560593153],
             [96.20206897440531, -125.5394643373335, 76.18864948600466, 102.41113839432518])
         assert first_clear_window(V, 2.0) == 47
         blist = spectrum_bands(V, 2.0, 0.0)
+        assert blist.warnings == ()
+        (a, touch), (touch2, b) = blist.bands
+        assert touch == touch2 == pytest.approx(-35.798842, abs=1e-6)
+        assert np.max(np.abs(transfer_matrices(V, 2.0, [touch])[0] + np.eye(2))) <= 1e-9
+        assert (a, b) == spectrum_bands(V, 1.0, 0.0).bands[0]
+
+    def test_scan_count_warns_on_a_missed_gap(self, monkeypatch):
+        # a double well at l = 1, whose first two bands are split by a
+        # tunnelling gap 7e-4 wide; on a scan grid 32 times coarser, one
+        # interval spans the gap and both bands beside it, with Delta above 2
+        # at both ends, so the scan finds 2 edges fewer than comparison with
+        # constant potentials puts below W_n0
+        V = Potential.piecewise_linear([0, .2, .25, .3, .7, .75, .8],
+                                       [0, 0, -600, 0, 0, -600.001, 0])
+        assert len(spectrum_bands(V, 1.0, 0.0).bands) == 2
+        monkeypatch.setattr(hill, "_SCAN_DENSITY", 16)
+        blist = spectrum_bands(V, 1.0, 0.0)
         assert len(blist.bands) == 1
         (warning,) = blist.warnings
-        assert warning.startswith("scan of [-126.539, 5324.95] found 91 band edges")
-        assert warning.endswith("puts 93")
+        assert warning.startswith("scan of [-601.001, 8884.69] found 59 band edges")
+        assert warning.endswith("puts 61")
 
     def test_nearly_flat_cell_warns_without_raising(self):
-        # max V - min V = 1.3e-8: Delta - 2 rounds to one sign across a
-        # bracket of gap 2 (window [39.4784, 39.4784]), so that edge's solve
-        # gives NaN, and the coexistence test cannot tell gaps 1, 3, 4 and 5
-        # (width ~1e-8) from touches.  Both are reported; no edge is made up.
-        V = Potential.piecewise_linear(
-            [0.0, 0.8536636840183617], [-1.2358659614311694e-08, -2.539758593939151e-08])
-        blist = spectrum_bands(V, 1.0, 300.0)
-        assert "no band edge found between lambda=39.4784 and 39.4784" in blist.warnings
-        assert sum(w.startswith("turning point near") for w in blist.warnings) == 4
+        # max V - min V = 1.3e-8.  First-order perturbation theory puts lam_0
+        # at the mean V_0 and the edges of gap n at (n pi)^2 + V_0 +- |V_n|,
+        # V_n the exact Fourier coefficients; the second-order error is
+        # ~|V|^2 ~ 1e-16.  Gaps 4 and 5 are 6.4e-10 and 3.2e-10 wide, where
+        # Delta -+ 2 moves by ~1e-21, far below its rounding: G must call
+        # them gaps.  Below 300: lam_0 and gaps 1-5, so six bands.
+        bp, vals = [0.0, 0.8536636840183617], [-1.2358659614311694e-08, -2.539758593939151e-08]
+        blist = spectrum_bands(Potential.piecewise_linear(bp, vals), 1.0, 300.0)
+        assert blist.warnings == ()
+        v0 = fourier_coefficient(bp, vals, 0).real
+        want = [v0]
+        for n in range(1, 6):
+            half = abs(fourier_coefficient(bp, vals, n))
+            want += [(n * math.pi) ** 2 + v0 - half, (n * math.pi) ** 2 + v0 + half]
+        edges = [e for band in blist.bands for e in band]
+        assert len(edges) == 12 and edges[-1] == 300.0
+        assert np.max(np.abs(np.array(edges[:-1]) - want)) <= 1e-10
+        assert want[8] - want[7] > 6e-10 and want[10] - want[9] > 3e-10
+
+    def test_near_symmetric_double_well(self):
+        # wells of depth 600 and 600.001 split each band below the barrier
+        # into a pair across a tunnelling gap 1.6e-6 to 3.7e-4 wide, where
+        # |Delta| - 2 at the turning points rounds to a band
+        V = Potential.piecewise_linear([0, .2, .25, .3, .7, .75, .8],
+                                       [0, 0, -600, 0, 0, -600.001, 0])
+        blist = spectrum_bands(V, 1.0, 2000.0)
+        assert blist.warnings == () and len(blist.bands) == 15
+        mids = np.array([0.5 * (a + b) for a, b in blist.bands])
+        assert np.all(np.abs(discriminant(V, 1.0, mids)) <= 2.0)
+        gaps = np.array([0.5 * (b + a) for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])])
+        M = transfer_matrices(V, 1.0, gaps)
+        G = (M[:, 0, 0] - M[:, 1, 1]) ** 2 + 4.0 * M[:, 0, 1] * M[:, 1, 0]
+        assert np.all(G > 0.0), G
 
     @pytest.mark.parametrize("l", [0.7, 1.3, 1.9])
     def test_constant_cells_are_exact(self, l):
