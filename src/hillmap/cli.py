@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -296,6 +297,7 @@ def _cmd_mixing_check(cfg, timestamp):
 
 # ------------------------------------------------------------------- wiring
 
+@functools.cache  # one per process: _merge_config copies the defaults it reads
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hillmap", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

@@ -232,20 +232,20 @@ _U_EVEN, _U_ODD, _V_EVEN, _V_ODD = _airy_series_coeffs(_SERIES_ORDER)
 
 
 def _airy_piece(q0, s, h, derivative):
-    c = float(np.cbrt(s))
+    c = np.cbrt(s)
     z0 = q0 / (c * c)
     z1 = z0 + c * h
     a0, ap0, b0, bp0 = airy(z0)
     a1, ap1, b1, bp1 = airy(z1)
     # T = Phi(h) Phi(0)^-1 with Phi = [[Ai, Bi], [c Ai', c Bi']], det c / pi
-    inv0 = _matrices(c * bp0, -b0, -c * ap0, a0) * (math.pi / c)
+    inv0 = _matrices(c * bp0, -b0, -c * ap0, a0) * (math.pi / c)[:, None, None]
     phi1 = _matrices(a1, b1, c * ap1, c * bp1)
     T = phi1 @ inv0
     if not derivative:
         return T, None
     dz = -1.0 / (c * c)  # dz/dlam; Ai'' = z Ai
-    dinv0 = _matrices(c * z0 * b0, -bp0, -c * z0 * a0, ap0) * (dz * math.pi / c)
-    dphi1 = _matrices(ap1, bp1, c * z1 * a1, c * z1 * b1) * dz
+    dinv0 = _matrices(c * z0 * b0, -bp0, -c * z0 * a0, ap0) * (dz * math.pi / c)[:, None, None]
+    dphi1 = _matrices(ap1, bp1, c * z1 * a1, c * z1 * b1) * dz[:, None, None]
     return T, dphi1 @ inv0 + phi1 @ dinv0
 
 
@@ -255,7 +255,7 @@ def _asymptotic_piece(q0, s, h):
     p0, p1 = -nu * q0, -nu * q1
     r0, r1 = np.sqrt(p0), np.sqrt(p1)
     f0, f1 = np.sqrt(r0), np.sqrt(r1)
-    sg = math.copysign(1.0, s)
+    sg = np.copysign(1.0, s)
     # zeta(h) - zeta(0), with zeta = (2/3) p^(3/2) / |s|, times the direction
     phase = (2.0 / 3.0) * sg * h * (p0 + r0 * r1 + p1) / (r0 + r1)
     osc = nu > 0
@@ -264,7 +264,7 @@ def _asymptotic_piece(q0, s, h):
     cd[~osc], sd[~osc] = np.cosh(phase[~osc]), np.sinh(phase[~osc])
 
     def series(p, r):
-        w = 1.5 * abs(s) / (p * r)
+        w = 1.5 * np.abs(s) / (p * r)
         y = -nu * w * w
         return (_horner(_U_EVEN, y), w * _horner(_U_ODD, y),
                 _horner(_V_EVEN, y), w * _horner(_V_ODD, y))
@@ -293,26 +293,30 @@ def _magnus_piece(q0, s, h):
     return _matrices(C + S * d, S * h, S * low, C - S * d)
 
 
-def _piece(q0: np.ndarray, s: float, h: float, derivative: bool):
-    """Exact transfer matrices of one linear piece for every q0 = v0 - lam;
-    with ``derivative`` also their lam-derivatives, else None."""
+def _piece(q0: np.ndarray, s: np.ndarray, h: np.ndarray, derivative: bool):
+    """Exact transfer matrices of all linear pieces for every q0 = v0 - lam,
+    in one pass: q0 has one row per piece, s and h are the pieces' (P, 1)
+    columns of slopes and lengths.  Each form runs once, on the (piece, lam)
+    pairs it serves.  With ``derivative`` also their lam-derivatives, else
+    None."""
     q1 = q0 + s * h
     p = np.minimum(np.abs(q0), np.abs(q1))
-    asymptotic = (q0 * q1 > 0) & (p * h * h >= _FLAT) & (p**1.5 >= 1.5 * _ZETA * abs(s))
-    magnus = ~asymptotic & (abs(s) ** (1.0 / 3.0) * h <= _CORNER)
+    asymptotic = (q0 * q1 > 0) & (p * h * h >= _FLAT) & (p**1.5 >= 1.5 * _ZETA * np.abs(s))
+    magnus = ~asymptotic & (np.abs(s) ** (1.0 / 3.0) * h <= _CORNER)
     rest = ~(asymptotic | magnus)
+    s, h = np.broadcast_to(s, q0.shape), np.broadcast_to(h, q0.shape)
     T = np.empty(q0.shape + (2, 2))
     dT = np.empty_like(T) if derivative else None
     for mask, form in ((asymptotic, _asymptotic_piece), (magnus, _magnus_piece)):
         if not mask.any():
             continue
         if derivative:
-            Tc = form(q0[mask] - 1j * _STEP, s, h)
+            Tc = form(q0[mask] - 1j * _STEP, s[mask], h[mask])
             T[mask], dT[mask] = Tc.real, Tc.imag / _STEP
         else:
-            T[mask] = form(q0[mask], s, h)
+            T[mask] = form(q0[mask], s[mask], h[mask])
     if rest.any():
-        T[rest], dTr = _airy_piece(q0[rest], s, h, derivative)
+        T[rest], dTr = _airy_piece(q0[rest], s[rest], h[rest], derivative)
         if derivative:
             dT[rest] = dTr
     return T, dT
@@ -327,8 +331,9 @@ def transfer_matrices(V: Potential, l: float, lams, derivative: bool = False):
     ``constant`` and ``piecewise_linear`` potentials are linear on each piece
     of a period: each piece gets its exact matrix (Airy functions, their
     asymptotic expansions, or one Magnus step, picked per piece and lam,
-    accurate to ~1e-13 relative), and the pieces are multiplied across the
-    cell.  Cosine cells are refused: :func:`discriminant` serves them.
+    accurate to ~1e-13 relative), all pieces and lam in one pass of
+    :func:`_piece`, and the pieces are multiplied across the cell.  Cosine
+    cells are refused: :func:`discriminant` serves them.
     """
     _check_cell_length(V, l)
     if V.kind == "cosine":
@@ -344,12 +349,13 @@ def transfer_matrices(V: Potential, l: float, lams, derivative: bool = False):
     M = np.zeros((lams.size, 2, 2))
     M[:, 0, 0] = M[:, 1, 1] = 1.0
     dM = np.zeros_like(M) if derivative else None
-    mats = [_piece(v0 - lams.ravel(), s, h, derivative) for v0, s, h in pieces]
+    v0, s, h = np.array(pieces).T[..., None]
+    T, dT = _piece(v0 - lams.ravel(), s, h, derivative)
     for _ in range(cells):
-        for T, dT in mats:
+        for p in range(len(pieces)):
             if derivative:
-                dM = dT @ M + T @ dM
-            M = T @ M
+                dM = dT[p] @ M + T[p] @ dM
+            M = T[p] @ M
     shape = lams.shape + (2, 2)
     return (M.reshape(shape), dM.reshape(shape)) if derivative else M.reshape(shape)
 

@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 from .errors import BracketError, NonConvergenceError
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal number
 
 
 @dataclass(frozen=True)
@@ -137,35 +138,85 @@ def find_roots(
     The vector form of :func:`find_root`.  ``f(x, *args)`` is elementwise: it
     maps an array of abscissae, with the matching elements of ``args``
     (arrays broadcast with ``a`` and ``b``), to an array of values.  Every
-    bracket runs Chandrupatla's method in the same calls of ``f``, so a
-    batched ``f`` pays one call per iteration for all of them.  ``tol`` means
-    what it means for :func:`find_root`: ``xatol = abs_tol``,
-    ``xrtol = max(rel_tol, 4 eps)``, ``maxiter = max_steps``.
+    bracket runs Chandrupatla's method (*Adv. Eng. Softw.* 28, 1997) in the
+    same calls of ``f``, so a batched ``f`` pays one call per iteration for
+    all of them, and each call sees only the brackets still open.  The
+    iterates, the stopping rule and the outcomes are SciPy's
+    (``scipy.optimize.elementwise.find_root``): a bracket stops when
+    ``|f| <= tiny`` at its better end ``x_min`` or when its width is below
+    ``|x_min| xrtol + xatol``, with ``xatol = abs_tol``,
+    ``xrtol = max(rel_tol, 4 eps)``; ``max_steps`` bounds the iterations.
 
     A bracket whose ends share a sign gives NaN, and the caller decides
-    what that means.
+    what that means.  A bracket still open after ``max_steps`` iterations,
+    or one that comes to have an infinite end or NaN at both ends, raises
+    :class:`NonConvergenceError`.
     """
-    # imported here: it adds ~9 ms to the start-up of every CLI call
-    from scipy.optimize.elementwise import find_root as chandrupatla
-
     a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
     if a.size == 0:
         return np.empty(a.shape)
-    res = chandrupatla(
-        f,
-        (a, b),
-        args=tuple(args),
-        tolerances={"xatol": tol.abs_tol, "xrtol": max(tol.rel_tol, 4 * _EPS)},
-        maxiter=tol.max_steps,
-    )
-    status = np.asarray(res.status)
-    stuck = (status != 0) & (status != -1)  # -1: ends of one sign
+    xatol, xrtol = tol.abs_tol, max(tol.rel_tol, 4 * _EPS)
+    f1, f2 = (np.asarray(f(x, *args), dtype=float).ravel() for x in (a, b))
+    x1, x2 = a.ravel(), b.ravel()
+    args = [v.ravel() for v in args]
+    # |f| <= tiny stops a bracket, but not one with NaN at an end or +-inf
+    # at both (SciPy adds 0 min(|f(a)|, |f(b)|) to tiny)
+    ftol = _TINY + 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    out = np.empty(a.size)
+    # 0 converged, -1 ends of one sign, -2 step budget, -3 non-finite ends
+    status = np.zeros(a.size, dtype=int)
+    active = np.arange(a.size)
+    x3, f3 = x2, f2  # no third point yet: the first step bisects
+    nit = 0
+    while True:
+        better = np.abs(f1) < np.abs(f2)
+        xmin = np.where(better, x1, x2)
+        done = np.abs(np.where(better, f1, f2)) <= ftol
+        one_sign = ~done & (np.sign(f1) == np.sign(f2))
+        invalid = ~(done | one_sign) & (
+            ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2)))
+        xmin[one_sign | invalid] = np.nan
+        dx = np.abs(x2 - x1)
+        xtol = np.abs(xmin) * xrtol + xatol
+        done |= dx < xtol
+        stop = done | one_sign | invalid
+        if stop.any():
+            out[active[stop]] = xmin[stop]
+            status[active[stop]] = np.where(one_sign, -1, np.where(invalid, -3, 0))[stop]
+            go = ~stop
+            active, x1, f1, x2, f2, x3, f3, xmin, dx, xtol, ftol = (
+                v[go] for v in (active, x1, f1, x2, f2, x3, f3, xmin, dx, xtol, ftol))
+            args = [v[go] for v in args]
+        if active.size == 0:
+            break
+        if nit == tol.max_steps:
+            out[active], status[active] = xmin, -2
+            break
+        # inverse quadratic interpolation through the last three points
+        # where it is safe, else bisection; kept off the bracket's ends
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = ((1 - np.sqrt(1 - xi)) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        tl = 0.5 * xtol / dx
+        t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = np.asarray(f(x, *args), dtype=float)
+        keep = np.sign(fx) == np.sign(f1)  # x replaces x1, else x2 becomes x1
+        x3, f3 = np.where(keep, x1, x2), np.where(keep, f1, f2)
+        x2, f2 = np.where(keep, x2, x1), np.where(keep, f2, f1)
+        x1, f1 = x, fx
+        nit += 1
+    stuck = (status != 0) & (status != -1)
     if stuck.any():
         raise NonConvergenceError(
             f"{int(stuck.sum())} of {a.size} brackets did not converge "
             f"(statuses {sorted(set(status[stuck].tolist()))})"
         )
-    return np.where(status == -1, np.nan, res.x)
+    return out.reshape(a.shape)
 
 
 def quad_singular(

@@ -296,6 +296,44 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert [r[1] for r in rows] == [1.0, 0.0, -3.0, 0.0]  # flag m=3 wins
 
 
+def test_one_parser_per_process_keeps_no_state(tmp_path, monkeypatch, capsys):
+    # each call, run after the others on one cached parser, gives what it
+    # gives on a parser of its own
+    from hillmap import cli
+
+    conf = tmp_path / "run.conf"
+    conf.write_text("m = 4\n")
+    cell = ["--potential", "piecewise", "--breakpoints", "0,0.3,0.7",
+            "--values=0,1,-0.5", "--lambda-max", "30"]
+    ens = ["ensemble", "--m", "2", "--samples", "4000", "--iters", "2"]
+    calls = [
+        ["coeffs", "--bogus"],
+        ["coeffs", "--m", "3", "--out", "c.csv"],
+        [*ens, "--clamp", "--out", "e.json"],
+        [*ens, "--out", "e.json"],
+        ["coeffs", "--config", str(conf), "--out", "c.csv"],
+        ["coeffs", "--out", "c.csv"],
+        ["bands", *cell, "--out", "b.json"],
+        ["bands", *cell, "--k-points", "5", "--out", "b.csv"],
+    ]
+
+    def outcome(argv, out_dir):
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(out_dir))
+        code = run([*argv, "--no-timestamp"])
+        written = out_dir / argv[-1] if "--out" in argv else None
+        return code, capsys.readouterr(), written.read_bytes() if written else None
+
+    cli._build_parser.cache_clear()
+    warm = [outcome(argv, tmp_path / f"warm{i}") for i, argv in enumerate(calls)]
+    assert cli._build_parser.cache_info().misses == 1
+    for i, argv in enumerate(calls):
+        cli._build_parser.cache_clear()
+        assert outcome(argv, tmp_path / f"cold{i}") == warm[i], argv
+    assert [code for code, _, _ in warm] == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert b'"clamp": true' in warm[2][2] and b'"clamp": false' in warm[3][2]
+    assert b"# config: m = 4" in warm[4][2] and b"# config: m = 2" in warm[5][2]
+
+
 def test_unknown_config_key_rejected(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("bogus = 1\n")

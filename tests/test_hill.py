@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import elementwise
 from scipy.special import mathieu_a, mathieu_b
 
 from hillmap import hill
@@ -18,7 +19,7 @@ from hillmap.hill import (
     spectrum_bands,
     transfer_matrices,
 )
-from hillmap.numerics import ToleranceSpec, find_roots, integrate_ivp
+from hillmap.numerics import ToleranceSpec, integrate_ivp
 
 FREE = Potential.free()
 COS = Potential.cosine()  # cos(2 pi x), period 1
@@ -312,6 +313,172 @@ class TestTransferMatrices:
                 f(COS, 1.0, [0.0, 1.0], derivative=True)
 
 
+# The kernel as it was before all pieces went through one pass: each piece on
+# its own, its slope and length Python floats.  Kept to pin the batched
+# kernel to it bit for bit.
+
+def scalar_airy_piece(q0, s, h, derivative):
+    c = float(np.cbrt(s))
+    z0 = q0 / (c * c)
+    z1 = z0 + c * h
+    a0, ap0, b0, bp0 = hill.airy(z0)
+    a1, ap1, b1, bp1 = hill.airy(z1)
+    inv0 = hill._matrices(c * bp0, -b0, -c * ap0, a0) * (math.pi / c)
+    phi1 = hill._matrices(a1, b1, c * ap1, c * bp1)
+    T = phi1 @ inv0
+    if not derivative:
+        return T, None
+    dz = -1.0 / (c * c)
+    dinv0 = hill._matrices(c * z0 * b0, -bp0, -c * z0 * a0, ap0) * (dz * math.pi / c)
+    dphi1 = hill._matrices(ap1, bp1, c * z1 * a1, c * z1 * b1) * dz
+    return T, dphi1 @ inv0 + phi1 @ dinv0
+
+
+def scalar_asymptotic_piece(q0, s, h):
+    horner = hill._horner
+    q1 = q0 + s * h
+    nu = np.where(q0.real < 0.0, 1.0, -1.0)
+    p0, p1 = -nu * q0, -nu * q1
+    r0, r1 = np.sqrt(p0), np.sqrt(p1)
+    f0, f1 = np.sqrt(r0), np.sqrt(r1)
+    sg = math.copysign(1.0, s)
+    phase = (2.0 / 3.0) * sg * h * (p0 + r0 * r1 + p1) / (r0 + r1)
+    osc = nu > 0
+    cd, sd = np.empty_like(phase), np.empty_like(phase)
+    cd[osc], sd[osc] = np.cos(phase[osc]), np.sin(phase[osc])
+    cd[~osc], sd[~osc] = np.cosh(phase[~osc]), np.sinh(phase[~osc])
+
+    def series(p, r):
+        w = 1.5 * abs(s) / (p * r)
+        y = -nu * w * w
+        return (horner(hill._U_EVEN, y), w * horner(hill._U_ODD, y),
+                horner(hill._V_EVEN, y), w * horner(hill._V_ODD, y))
+
+    P0, Q0, R0, S0 = series(p0, r0)
+    P1, Q1, R1, S1 = series(p1, r1)
+    return hill._matrices(
+        f0 / f1 * ((P1 * R0 + nu * Q1 * S0) * cd + nu * (P1 * S0 - Q1 * R0) * sd),
+        sg / (f0 * f1) * ((Q1 * P0 - P1 * Q0) * cd + (P1 * P0 + nu * Q1 * Q0) * sd),
+        -nu * sg * f0 * f1 * ((S1 * R0 - R1 * S0) * cd + (R1 * R0 + nu * S1 * S0) * sd),
+        f1 / f0 * ((R1 * P0 + nu * S1 * Q0) * cd - nu * (S1 * P0 - R1 * Q0) * sd),
+    )
+
+
+def scalar_magnus_piece(q0, s, h):
+    qm = q0 + 0.5 * s * h
+    d = s * h**3 * (qm * h * h / 180.0 - 1.0 / 12.0)
+    low = h * (qm - s * s * h**4 / 120.0)
+    w = d * d + h * low
+    C, S = hill._horner(hill._COSH_SQRT, w), hill._horner(hill._SINHC_SQRT, w)
+    return hill._matrices(C + S * d, S * h, S * low, C - S * d)
+
+
+def scalar_piece(q0, s, h, derivative):
+    q1 = q0 + s * h
+    p = np.minimum(np.abs(q0), np.abs(q1))
+    asymptotic = (q0 * q1 > 0) & (p * h * h >= hill._FLAT) & (
+        p**1.5 >= 1.5 * hill._ZETA * abs(s))
+    magnus = ~asymptotic & (abs(s) ** (1.0 / 3.0) * h <= hill._CORNER)
+    rest = ~(asymptotic | magnus)
+    T = np.empty(q0.shape + (2, 2))
+    dT = np.empty_like(T) if derivative else None
+    for mask, form in ((asymptotic, scalar_asymptotic_piece), (magnus, scalar_magnus_piece)):
+        if not mask.any():
+            continue
+        if derivative:
+            Tc = form(q0[mask] - 1j * hill._STEP, s, h)
+            T[mask], dT[mask] = Tc.real, Tc.imag / hill._STEP
+        else:
+            T[mask] = form(q0[mask], s, h)
+    if rest.any():
+        T[rest], dTr = scalar_airy_piece(q0[rest], s, h, derivative)
+        if derivative:
+            dT[rest] = dTr
+    return T, dT
+
+
+def per_piece_transfer_matrices(V, l, lams, derivative=False):
+    if V.kind == "constant":
+        pieces, cells = ((V.params[0], 0.0, l),), 1
+    else:
+        pieces, cells = V._pieces, round(l)
+    lams = np.asarray(lams, dtype=float)
+    M = np.zeros((lams.size, 2, 2))
+    M[:, 0, 0] = M[:, 1, 1] = 1.0
+    dM = np.zeros_like(M) if derivative else None
+    mats = [scalar_piece(v0 - lams.ravel(), s, h, derivative) for v0, s, h in pieces]
+    for _ in range(cells):
+        for T, dT in mats:
+            if derivative:
+                dM = dT @ M + T @ dM
+            M = T @ M
+    shape = lams.shape + (2, 2)
+    return (M.reshape(shape), dM.reshape(shape)) if derivative else M.reshape(shape)
+
+
+# slopes 0, 1e-12, 1e-4, 60 and -60 in one cell, values 1, 1 + 2e-13,
+# 1 + 2e-5 + 2e-13 and ~13 at its nodes
+MIXED_CELL = Potential.piecewise_linear(
+    [0.0, 0.2, 0.4, 0.6, 0.8], [1.0, 1.0, 1.0 + 2e-13, 1.0 + 2e-5 + 2e-13, 13.0 + 2e-5])
+
+
+class TestOnePassKernel:
+    """All pieces and lam in one pass of _piece give the matrices the pieces
+    gave one at a time, to the last bit."""
+
+    @staticmethod
+    def lams_beside_nodes(V, rng):
+        nodes = np.array(V._table[1]) if V.kind == "piecewise_linear" else np.array(V.params)
+        near = nodes[:, None] + [-1e-3, -1e-9, 0.0, 1e-13, 1e-9, 1e-3, 0.3]
+        return np.concatenate([near.ravel(), rng.uniform(nodes.min() - 60.0, 500.0, 40),
+                               [-2000.0, 5000.0]])
+
+    def assert_same(self, V, l, lams):
+        for derivative in (False, True):
+            got = transfer_matrices(V, l, lams, derivative=derivative)
+            want = per_piece_transfer_matrices(V, l, lams, derivative=derivative)
+            assert np.array_equal(np.stack(got), np.stack(want)), (V, l, derivative)
+
+    def test_mixed_forms_in_one_call(self, monkeypatch):
+        calls = {}
+        for name in ("_airy_piece", "_asymptotic_piece", "_magnus_piece"):
+            def spy(*args, _form=getattr(hill, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _form(*args)
+            monkeypatch.setattr(hill, name, spy)
+        rng = np.random.default_rng(7)
+        for l in (1.0, 3.0):
+            lams = self.lams_beside_nodes(MIXED_CELL, rng)
+            calls.clear()
+            transfer_matrices(MIXED_CELL, l, lams)
+            # each form once, on pieces of several slopes
+            assert calls == {"_airy_piece": 1, "_asymptotic_piece": 1, "_magnus_piece": 1}
+            self.assert_same(MIXED_CELL, l, lams)
+
+    @pytest.mark.parametrize("slope", [0.0, 1e-12, 1e-4, 60.0])
+    @pytest.mark.parametrize("l", [1.0, 3.0])
+    def test_sloped_cells(self, slope, l):
+        rng = np.random.default_rng(int(slope * 1e12) % 1000 + int(l))
+        for V, _ in sloped_cells(slope):
+            self.assert_same(V, l, self.lams_beside_nodes(V, rng))
+
+    @pytest.mark.parametrize("l", [1.0, 2.5, 3.0])
+    def test_constant_cells(self, l):
+        rng = np.random.default_rng(3)
+        for V in (FREE, Potential.constant(1.5), Potential.constant(-4.0)):
+            self.assert_same(V, l, self.lams_beside_nodes(V, rng))
+
+    def test_random_cells(self):
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            n = int(rng.integers(2, 7))
+            bps = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, n - 1))])
+            vals = rng.uniform(-1.0, 1.0, n) * [0.5, 5.0, 60.0][trial % 3]
+            vals[-1] = vals[0] + [0.0, 1e-6, 3.0][trial % 3]
+            V = Potential.piecewise_linear(bps, vals)
+            self.assert_same(V, [1.0, 3.0][trial % 2], self.lams_beside_nodes(V, rng))
+
+
 def mathieu_edges(amplitude: float, lam_cap: float) -> np.ndarray:
     """Band edges of the cosine cell below lam_cap and the next one, from
     scipy's Mathieu characteristic values: lam = pi^2 a with
@@ -433,6 +600,18 @@ def coexistence_allowance(M, dM):
     return norm(dM) * hill._EDGE_TOL.abs_tol + REF_ROUNDING * norm(M)
 
 
+def edge_roots(f, lo, hi, args=()):
+    """SciPy's batched Chandrupatla solve at the band edges' tolerance, NaN
+    where a bracket's ends share a sign: a root solver for the reference
+    that owes nothing to find_roots."""
+    res = elementwise.find_root(
+        f, (lo, hi), args=args,
+        tolerances={"xatol": hill._EDGE_TOL.abs_tol, "xrtol": 4 * np.finfo(float).eps},
+        maxiter=hill._EDGE_TOL.max_steps)
+    assert np.all((res.status == 0) | (res.status == -1)), res.status
+    return np.where(res.status == 0, res.x, np.nan)
+
+
 def scan_reference(V, l, lambda_max):
     """Band edges and warnings of an exact cell by a scan of Delta_l up to
     lambda_max, crossings of +-2 and turning points inside [-2, 2] refined
@@ -444,8 +623,8 @@ def scan_reference(V, l, lambda_max):
     s = np.linspace(0.0, s_max, max(int(REF_SCAN_DENSITY * s_max), 64) + 1)
     lams = start + s * s
     deltas = discriminant(V, l, lams)
-    level_roots = lambda lo, hi, levels: find_roots(
-        lambda x, lev: discriminant(V, l, x) - lev, lo, hi, hill._EDGE_TOL, args=(levels,))
+    level_roots = lambda lo, hi, levels: edge_roots(
+        lambda x, lev: discriminant(V, l, x) - lev, lo, hi, args=(levels,))
     levels = np.array([2.0, -2.0])
     g = deltas - levels[:, None]
     which, idx = np.nonzero(g[:, :-1] * g[:, 1:] < 0)
@@ -454,8 +633,7 @@ def scan_reference(V, l, lambda_max):
     turns = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
     turns = turns[np.all(np.abs(deltas[turns[:, None] + [-1, 0, 1]]) <= 2.0, axis=1)]
     lo, hi = lams[turns - 1], lams[turns + 1]
-    stars = find_roots(lambda x: discriminant(V, l, x, derivative=True)[1], lo, hi,
-                       hill._EDGE_TOL)
+    stars = edge_roots(lambda x: discriminant(V, l, x, derivative=True)[1], lo, hi)
     real = ~np.isnan(stars)
     lo, hi, stars = lo[real], hi[real], stars[real]
     M, dM = transfer_matrices(V, l, stars, derivative=True)

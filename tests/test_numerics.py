@@ -138,6 +138,98 @@ class TestFindRoots:
             )
 
 
+def scipy_roots(f, a, b, tol=ROOT_TOL, args=()):
+    """SciPy's Chandrupatla solver asked what find_roots is asked: the roots,
+    NaN where a bracket's ends share a sign, and the statuses."""
+    from scipy.optimize.elementwise import find_root as chandrupatla
+
+    res = chandrupatla(
+        f, (np.asarray(a, dtype=float), np.asarray(b, dtype=float)), args=args,
+        tolerances={"xatol": tol.abs_tol, "xrtol": max(tol.rel_tol, 4 * np.finfo(float).eps)},
+        maxiter=tol.max_steps,
+    )
+    return np.where(res.status == -1, np.nan, res.x), res.status
+
+
+def assert_matches_scipy(f, a, b, tol=ROOT_TOL, args=()):
+    want, status = scipy_roots(f, a, b, tol, args)
+    assert np.all((status == 0) | (status == -1))
+    got = find_roots(f, a, b, tol, args)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestFindRootsIsScipysChandrupatla:
+    """find_roots runs SciPy's iterates and stopping rule: the same roots to
+    the last bit, batch by batch."""
+
+    TOLS = (ROOT_TOL, ToleranceSpec(1e-10, 0.0, 256), ToleranceSpec(1e-6, 1e-8, 256))
+
+    @pytest.mark.parametrize("family", ["smooth", "steep", "extremum_at_end"])
+    def test_random_batches(self, family):
+        rng = np.random.default_rng(["smooth", "steep", "extremum_at_end"].index(family))
+        for trial in range(60):
+            n = int(rng.integers(1, 65))
+            c = rng.uniform(-1.0, 1.0, n)
+            if family == "smooth":
+                f, args = (lambda x, c: np.sin(3.0 * x) - c / 2), (c,)
+                a = rng.uniform(-0.5, 0.0, n)
+                b = a + rng.uniform(0.01, 0.5, n)
+            elif family == "steep":
+                f, args = (lambda x, c: np.tanh(50.0 * (x - c))), (c,)
+                a = c - rng.uniform(0.0, 2.0, n)
+                b = c + rng.uniform(1e-3, 2.0, n)
+            else:
+                # a minimum at the bracket's left end and a root just past
+                # it: G beside a turning point lam* of Delta
+                e = 10.0 ** rng.uniform(-14.0, -2.0, n)
+                f, args = (lambda x, c, e: (x - c) ** 2 - e), (c, e)
+                a = c
+                b = c + rng.uniform(0.1, 2.0, n)
+            assert_matches_scipy(f, a, b, self.TOLS[trial % 3], args)
+
+    def test_same_sign_ends_and_zero_ends(self):
+        f = lambda x, c: x**3 - c
+        a = np.array([0.0, 1.0, 0.0, -2.0, 2.0, 0.0, 0.5])
+        b = np.array([1.0, 2.0, 2.0, -1.0, 3.0, 0.0, 0.5])
+        c = np.array([1.0, 1.0, 8.0, 0.0, 1.0, 0.0, 0.125])
+        # ends 1 and 1, 1 and 2 (a zero at an end), same signs, zero-width
+        want, status = scipy_roots(f, a, b, args=(c,))
+        assert set(status.tolist()) == {0, -1}
+        assert_matches_scipy(f, a, b, args=(c,))
+        for tol in self.TOLS:
+            assert_matches_scipy(f, a.reshape(7, 1), b, tol, args=(c,))
+
+    def test_nan_at_one_end(self):
+        f = lambda x, c: np.where(x > 2.0, np.nan, x - c)
+        a = np.array([0.0, 0.0, 1.0, -3.0])
+        b = np.array([3.0, 2.5, 2.5, 2.5])
+        assert_matches_scipy(f, a, b, args=(np.array([1.0, 1.5, 2.0, -1.0]),))
+
+    @pytest.mark.parametrize("a, b", [(2.5, 3.0), (-np.inf, 1.0), (0.0, 1.0)])
+    def test_nan_or_infinite_ends_raise(self, a, b):
+        # NaN at both ends, an infinite end, NaN beside an exact zero
+        f = lambda x: np.where((x > 2.0) | (x < 0.5), np.nan, x - 1.0)
+        assert set(scipy_roots(f, [a, 0.0], [b, 2.0])[1].tolist()) == {0, -3}
+        with pytest.raises(NonConvergenceError, match=r"1 of 2 .*statuses \[-3\]"):
+            find_roots(f, [a, 0.0], [b, 2.0])
+
+    def test_step_budget_is_scipys(self):
+        f = lambda x: np.tanh(50.0 * (x - 0.3))
+        for steps in range(1, 40):
+            tol = ToleranceSpec(1e-15, 0.0, steps)
+            _, status = scipy_roots(f, [0.0, 0.25], [1.0, 0.35], tol)
+            if -2 in status:
+                with pytest.raises(NonConvergenceError, match=r"statuses \[-2\]"):
+                    find_roots(f, [0.0, 0.25], [1.0, 0.35], tol)
+            else:
+                assert_matches_scipy(f, [0.0, 0.25], [1.0, 0.35], tol)
+                break
+        else:
+            pytest.fail("no budget was enough")
+        assert steps > 2
+
+
 class TestQuadSingular:
     def test_log_endpoint(self):
         val, bound = quad_singular(math.log, 0.0, 1.0, singular_points=[0.0])
