@@ -96,6 +96,15 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+def _parse_bool(key: str, raw: str) -> bool:
+    word = raw.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ConfigurationError(f"config key {key!r} needs a boolean, not {raw!r}")
+
+
 def _merge_config(args, parser_defaults: dict) -> dict:
     """flags > config file > defaults; unknown config keys rejected."""
     resolved = dict(parser_defaults)
@@ -108,7 +117,7 @@ def _merge_config(args, parser_defaults: dict) -> dict:
             default = parser_defaults[key]
             cast = type(default) if default is not None else str
             if cast is bool:
-                resolved[key] = raw.lower() in ("1", "true", "yes", "on")
+                resolved[key] = _parse_bool(key, raw)
             else:
                 resolved[key] = cast(raw)
     for key in parser_defaults:
@@ -217,6 +226,8 @@ def _cmd_density_evolve(cfg, timestamp):
 
 
 def _cmd_ensemble(cfg, timestamp):
+    if cfg["threads"] < 0:
+        raise ConfigurationError("--threads must be nonnegative (0 = the CPU count)")
     dist = ensemble.InitialDistribution.shifted_gamma(clamp_to_domain=cfg["clamp"])
     if cfg["dist"] == "uniform":
         dist = ensemble.InitialDistribution.uniform()

@@ -183,6 +183,14 @@ def test_threads_accepted_without_effect(tmp_path):
     assert docs[0] == docs[1]
 
 
+def test_negative_threads_rejected(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run(["ensemble", "--m", "2", "--samples", "2000", "--iters", "2",
+                "--threads", "-5", "--out", str(out), "--no-timestamp"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("m", ["24", "64"])
 def test_ensemble_high_order_stays_in_domain(tmp_path, m):
     # Horner's rounding error, ~(1 + sqrt 2)^m eps, threw these ensembles out
@@ -332,6 +340,28 @@ def test_one_parser_per_process_keeps_no_state(tmp_path, monkeypatch, capsys):
     assert [code for code, _, _ in warm] == [1, 0, 0, 0, 0, 0, 0, 0]
     assert b'"clamp": true' in warm[2][2] and b'"clamp": false' in warm[3][2]
     assert b"# config: m = 4" in warm[4][2] and b"# config: m = 2" in warm[5][2]
+
+
+@pytest.mark.parametrize("word, clamp", [
+    ("on", True), ("Yes", True), ("1", True), ("off", False), ("FALSE", False),
+    ("0", False), ("ture", None), ("", None),
+])
+def test_config_file_booleans(tmp_path, capsys, word, clamp):
+    # a word that is neither true nor false exits 1 rather than reading False
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"clamp = {word}\n")
+    out = tmp_path / "e.json"
+    code = run(["ensemble", "--config", str(conf), "--samples", "2000",
+                "--iters", "2", "--out", str(out), "--no-timestamp"])
+    if clamp is None:
+        assert code == 1
+        assert "clamp" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["clamp"] is clamp
+        assert doc["report"]["config"]["dist"]["clamp_to_domain"] is clamp
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hillmap import ensemble
 from hillmap.ensemble import (
+    BLOCK,
     CHUNK,
     InitialDistribution,
     W1_FLOOR_COEFF,
@@ -18,7 +19,7 @@ from hillmap.ensemble import (
 )
 from hillmap.errors import ConfigurationError
 from hillmap.maps import trace_poly
-from hillmap.transfer import StepDensity, pushforward_genlogistic
+from hillmap.transfer import StepDensity, invariant_quantile, pushforward_genlogistic
 
 # convergence_experiment(2, shifted_gamma(), 50_000, 4, seed=123).distances as
 # the monomial (Horner) evaluation of f_2 gave them.
@@ -185,6 +186,92 @@ class TestDetectLinearRegion:
     def test_too_short(self):
         with pytest.raises(ValueError):
             detect_linear_region([1.0, 0.5], noise_floor=1e-4)
+
+
+class _SortSpy(np.ndarray):
+    """Counts in-place sorts of the array ``whole`` itself, not of its block
+    views, so a test can see whether ``_sorted_image`` sorted its whole
+    output once more (the boundary repair)."""
+
+    whole = None
+    repairs = 0
+
+    def sort(self, *args, **kwargs):
+        if self is _SortSpy.whole:
+            _SortSpy.repairs += 1
+        super().sort(*args, **kwargs)
+
+
+def _cut_points(m, n):
+    """-2, 2, the critical points and every cut preimage of an n-sample step,
+    each cut also one ulp either side."""
+    n_cells = m * -(-n // BLOCK)
+    cuts = invariant_quantile(np.arange(1, n_cells) / n_cells)
+    crit = 2.0 * np.cos(np.pi * np.arange(m + 1) / m)
+    return np.concatenate(
+        ([-2.0, 2.0], crit, cuts, np.nextafter(cuts, -3.0), np.nextafter(cuts, 3.0))
+    )
+
+
+ORDERS = [*range(2, 10), 24, 64]
+
+
+class TestSortedImage:
+    @staticmethod
+    def _check(m, s, expect_repair=None):
+        out = np.empty_like(s).view(_SortSpy)
+        _SortSpy.whole, _SortSpy.repairs = out, 0
+        worst = ensemble._sorted_image(m, s, out)
+        image = trace_poly(m, s)
+        assert np.array_equal(out, np.sort(np.clip(image, -2.0, 2.0)))
+        assert worst == max(-image.min(), image.max())
+        if expect_repair is not None:
+            assert _SortSpy.repairs == int(expect_repair)
+
+    @pytest.mark.parametrize("m", ORDERS)
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK + 1, 5 * CHUNK])
+    def test_matches_sorted_clipped_map(self, m, n):
+        rng = np.random.Generator(np.random.Philox(key=m * 1000 + n))
+        s = np.sort(-2.0 * np.cos(np.pi * rng.uniform(0.0, 1.0, n)))
+        # the cells follow the branches of f_m, so generic samples need no repair
+        self._check(m, s, expect_repair=False)
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_samples_on_ends_critical_points_and_cuts(self, m):
+        n = 5 * BLOCK
+        special = _cut_points(m, n)
+        rng = np.random.Generator(np.random.Philox(key=m))
+        s = np.sort(np.concatenate((special, rng.uniform(-2.0, 2.0, n - special.size))))
+        self._check(m, s)
+
+    @pytest.mark.parametrize("m", [2, 3, 24])
+    def test_one_value_filling_many_blocks(self, m):
+        # every sample in one cell: one block holds all of them, more than
+        # its map's temporaries, and the rest are empty
+        for value in (-2.0, 2.0, 0.3, _cut_points(m, 3 * BLOCK)[-1]):
+            self._check(m, np.full(3 * BLOCK, value), expect_repair=False)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_each_misplaced_cut_forces_the_repair(self, monkeypatch, m):
+        # one cut moved a third of a cell up puts the samples just past it
+        # into the neighbouring block; that one boundary comes out of order
+        # and the whole output is sorted once more.  A cut on a critical
+        # point joins two cells of the same block and is left out.
+        n = 4 * BLOCK + 3
+        n_cells = m * -(-n // BLOCK)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        s = np.sort(rng.uniform(-2.0, 2.0, n))
+        for i in range(1, n_cells):
+            if i % (n_cells // m) == 0:
+                continue
+
+            def moved(u, i=i):
+                u = u.copy()
+                u[i - 1] += 1.0 / (3.0 * n_cells)
+                return invariant_quantile(u)
+
+            monkeypatch.setattr(ensemble, "invariant_quantile", moved)
+            self._check(m, s, expect_repair=True)
 
 
 class TestConvergenceExperiment:
