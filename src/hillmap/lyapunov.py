@@ -3,9 +3,11 @@ logarithmic-potential integrals that decompose them.
 """
 from __future__ import annotations
 
+import functools
 import math
-from array import array
+import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,7 @@ CRITICAL_EPS = 1e-13
 # 1e-12 of log m (m = 49, 63, 113); with this one it stays within 4e-13 for m
 # up to 128 at the same cost.
 EXPONENT_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=0.0, max_steps=400)
+LOG_4 = math.log(4.0)
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,65 @@ def roots_fm(m: int) -> np.ndarray:
         raise ValueError("m must be a positive integer")
     j = np.arange(m - 1, -1, -1)
     return 2.0 * np.cos((2 * j + 1) * np.pi / (2 * m))
+
+
+class TraceKernels(NamedTuple):
+    """The trace recursion of one order m, compiled to straight-line code."""
+
+    f: Callable  # f(x) == trace_poly(m, x)
+    fprime: Callable  # fprime(x) == trace_poly(m, x, derivative=True)
+    # fill(x, buf, lo, hi): buf[lo:hi] = the orbit of x under the clipped
+    # f_m, buf[i] set before its step; returns the point after buf[hi - 1]
+    fill: Callable
+
+
+def trace_kernels(m: int) -> TraceKernels:
+    """The kernels of order m, compiled once per process.
+
+    A non-integral m raises TypeError here, before the cache is consulted
+    (3.0 hashes as 3 and would otherwise be handed the kernels of 3).
+    """
+    return _compile_trace_kernels(operator.index(m))
+
+
+@functools.cache
+def _compile_trace_kernels(m: int) -> TraceKernels:
+    # m is an int here: it is the only value formatted into the source.
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+
+    def recursion(prev: str, y: str) -> tuple[list, str]:
+        # trace_poly's loop written out, from the same starts with the same
+        # operations in the same order, so with the same values on floats,
+        # ndarrays and Fractions; the starts are substituted into the first
+        # two steps.  Three names rotate as the new value, so the source
+        # grows with m and the locals do not.
+        lines = []
+        for k in range(m - 1):
+            new = "abc"[k % 3]
+            lines.append(f"{new} = x * {y} - {prev}")
+            prev, y = y, new
+        return lines, y
+
+    def block(indent: str, lines: list) -> str:
+        return "".join(f"{indent}{line}\n" for line in lines)
+
+    f_lines, f_m = recursion("2", "x")
+    d_lines, d_m = recursion("0", "u")
+    clip = f"x = -2.0 if {f_m} < -2.0 else (2.0 if {f_m} > 2.0 else {f_m})"
+    source = (
+        "def f(x):\n"
+        + block("    ", [*f_lines, f"return {f_m}"])
+        + "def fprime(x):\n"
+        + block("    ", ["u = 1 + 0 * x", *d_lines, f"return {m} * {d_m}"])
+        + "def fill(x, buf, lo, hi):\n"
+        + "    for i in range(lo, hi):\n"
+        + block("        ", ["buf[i] = x", *f_lines, clip])
+        + "    return x\n"
+    )
+    namespace = {}
+    exec(compile(source, f"<trace kernels, m = {m}>", "exec"), namespace)
+    return TraceKernels(namespace["f"], namespace["fprime"], namespace["fill"])
 
 
 def local_lyapunov(md: MapDescriptor, x: float) -> float:
@@ -74,14 +136,18 @@ def average_lyapunov_quadrature(m: int) -> LyapunovResult:
     [0, pi], and the only singularities left are the logarithmic ones at the
     critical points theta_j = j pi / m, which are declared to the quadrature.
     The integrand is the recurrence's f_m', not the closed form
-    m sin(m theta) / sin(theta), so the result is a numerical check of log m.
-    ``error_estimate`` is the quadrature's achieved bound.
+    m sin(m theta) / sin(theta), so the result is a numerical check of log m;
+    it is the compiled ``trace_kernels(m).fprime``, equal to ``trace_poly``'s
+    f_m' at every point.  ``error_estimate`` is the quadrature's achieved
+    bound.  A non-integral m raises TypeError.
     """
+    m = operator.index(m)
     if m < 2:
         raise ValueError("m must be at least 2")
+    fprime = trace_kernels(m).fprime
 
     def integrand(theta: float) -> float:
-        return math.log(abs(trace_poly(m, 2.0 * math.cos(theta), derivative=True)))
+        return math.log(abs(fprime(2.0 * math.cos(theta))))
 
     sing = [j * math.pi / m for j in range(1, m)]
     val, bound = quad_singular(integrand, 0.0, math.pi, sing, EXPONENT_TOL)
@@ -103,6 +169,11 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     """Birkhoff average of log |f_m'| along one orbit of the degree-m map,
     after a fixed burn-in.
 
+    The orbit is stepped by ``trace_kernels(m).fill``: the trace recursion
+    compiled for this m into straight-line code, with the same operations
+    as ``trace_poly`` in the same order, and the clip to [-2, 2] inline.  A
+    non-integral m raises TypeError.
+
     An orbit point landing within machine distance of a critical point is
     perturbed by 1e-9 and the restart is counted.  The repelling fixed points
     2 and -2 hold a float orbit that lands on them (m = 2, x0 = 0 goes 0, -2,
@@ -111,6 +182,7 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     mean, so the standard error does not show it; ``warnings`` says so when
     the orbit ends on +-2.
     """
+    m = operator.index(m)
     if m < 2:
         raise ValueError("m must be at least 2")
     if n < 1:
@@ -118,44 +190,34 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     if not -2.0 < x0 < 2.0:
         raise ValueError("x0 must lie in (-2, 2)")
 
+    f, _, fill = trace_kernels(m)
     crit = critical_points(m)
     restarts = 0
     x = x0
     for _ in range(BURN_IN):
-        y = trace_poly(m, x)
+        y = f(x)
         x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
 
     # The orbit is built one CHUNK block at a time and tested for critical
-    # points once per block; a hit at index i cuts the block there and the
-    # orbit goes on from the perturbed point, which is stored untested, so
-    # the values are those of testing each point before its step.  log |f'|
-    # is taken per block, and the blocks' means and sums of squared
-    # deviations are merged by Chan's update.
-    steps = range(m - 1)
+    # points once per block; a hit at index i refills the block from there,
+    # starting at the perturbed point, which is stored untested, so the
+    # values are those of testing each point before its step.  log |f'| is
+    # taken per block, and the blocks' means and sums of squared deviations
+    # are merged by Chan's update.
+    buf = np.empty(min(n, CHUNK))
+    view = memoryview(buf)
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n, CHUNK):
         size = min(CHUNK, n - start)
-        xs = array("d")
-        append = xs.append
+        xs = buf[:size]
+        x = fill(x, view, 0, size)
         tested = 0  # xs[:tested] is free of critical points
-        while True:
-            for _ in range(size - len(xs)):
-                append(x)
-                # trace_poly(m, x) inline, the same operations in the same order
-                prev, y = 2, x
-                for _ in steps:
-                    prev, y = y, x * y - prev
-                x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
-            hit = _first_critical(np.frombuffer(xs)[tested:], crit)
-            if hit is None:
-                break
-            # no view of xs may outlive this point: del resizes its buffer
+        while (hit := _first_critical(xs[tested:], crit)) is not None:
             i = tested + hit
-            x = xs[i] + 1e-9
             restarts += 1
-            del xs[i:]
+            x = fill(float(xs[i]) + 1e-9, view, i, size)
             tested = i + 1
-        logs = np.log(np.abs(trace_poly(m, np.frombuffer(xs), derivative=True)))
+        logs = np.log(np.abs(trace_poly(m, xs, derivative=True)))
         block_mean = float(np.mean(logs))
         logs -= block_mean
         delta = block_mean - mean
@@ -204,7 +266,7 @@ def I_integral(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:
         sing = [ys]
 
         def integrand(y: float) -> float:
-            return (math.log(4.0) + math.log(abs(math.sin(0.5 * (y - ys))))
+            return (LOG_4 + math.log(abs(math.sin(0.5 * (y - ys))))
                     + math.log(abs(math.cos(0.5 * (y + ys)))))
 
     val, _ = quad_singular(integrand, -math.pi / 2.0, math.pi / 2.0, sing, tol)

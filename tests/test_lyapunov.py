@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from hillmap.lyapunov import (
     critical_points,
     local_lyapunov,
     roots_fm,
+    trace_kernels,
 )
 from hillmap.maps import MapDescriptor, eval_map, trace_poly
 
@@ -67,6 +72,96 @@ def assert_matches_scalar_loop(m, x0, n):
     res = average_lyapunov_orbit(m, x0, n)
     assert (res.value, res.error_estimate, res.restarts) == scalar_orbit_average(m, x0, n)
     return res
+
+
+def orbit_point(m, x0, index):
+    """The orbit's point at ``index`` (after the burn-in), by trace_poly."""
+    x = x0
+    for _ in range(lyapunov.BURN_IN + index):
+        x = min(2.0, max(-2.0, trace_poly(m, x)))
+    return x
+
+
+def same_float(got, want):
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestTraceKernels:
+    """The compiled kernels against trace_poly's loop, with ==."""
+
+    @pytest.mark.parametrize("m", range(2, 131))
+    def test_f_and_fprime_equal_trace_poly(self, m):
+        kernels = trace_kernels(m)
+        rng = np.random.default_rng(m)
+        edge = float(np.nextafter(2.0, 3.0))
+        points = [
+            *rng.uniform(-2.0, 2.0, 64), 2.0, -2.0, 0.0, -0.0,
+            *critical_points(m), *roots_fm(m),
+            edge, -edge, 2.0 + 1e-9, -2.0 - 1e-9, 2.5, -2.5,
+        ]
+        for x in map(float, points):
+            assert same_float(kernels.f(x), trace_poly(m, x)), x
+            assert same_float(kernels.fprime(x), trace_poly(m, x, derivative=True)), x
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 24, 130])
+    def test_exact_on_fractions(self, m):
+        kernels = trace_kernels(m)
+        for x in (Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(2), Fraction(9, 4)):
+            assert kernels.f(x) == trace_poly(m, x)
+            assert kernels.fprime(x) == trace_poly(m, x, derivative=True)
+            assert type(kernels.f(x)) is type(trace_poly(m, x))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 24, 64])
+    def test_fill_is_the_clipped_orbit(self, m):
+        n, x0 = 10_000, 0.37071
+        want = np.empty(n)
+        x = x0
+        for i in range(n):
+            want[i] = x
+            y = trace_poly(m, x)
+            x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
+        buf = np.full(n + 2, np.nan)
+        # a fill of buf[1:n + 1] leaves both neighbours alone
+        assert trace_kernels(m).fill(x0, memoryview(buf), 1, n + 1) == x
+        assert np.array_equal(buf[1:-1], want)
+        assert np.isnan(buf[0]) and np.isnan(buf[-1])
+
+
+class TestOrderIsAnInteger:
+    @pytest.mark.parametrize("m", [3.0, np.float64(3), "3"])
+    def test_non_integral_order_raises_before_compiling(self, m):
+        compiled = lyapunov._compile_trace_kernels.cache_info().misses
+        with pytest.raises(TypeError):
+            average_lyapunov_quadrature(m)
+        with pytest.raises(TypeError):
+            average_lyapunov_orbit(m, 0.3, 10)
+        with pytest.raises(TypeError):
+            trace_kernels(m)
+        assert lyapunov._compile_trace_kernels.cache_info().misses == compiled
+
+    def test_numpy_integer_order(self):
+        assert average_lyapunov_quadrature(np.int64(3)) == average_lyapunov_quadrature(3)
+        assert average_lyapunov_orbit(np.int64(3), 0.3, 1000) == average_lyapunov_orbit(3, 0.3, 1000)
+        assert trace_kernels(np.int64(3)) is trace_kernels(3)
+
+    def test_kernel_compiled_once_per_order(self):
+        average_lyapunov_orbit(6, 0.3, 10)
+        before = lyapunov._compile_trace_kernels.cache_info()
+        average_lyapunov_orbit(6, 0.4, 10)
+        average_lyapunov_quadrature(6)
+        after = lyapunov._compile_trace_kernels.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+
+    def test_import_compiles_nothing(self):
+        root = str(Path(lyapunov.__file__).resolve().parents[1])
+        script = (
+            f"import sys; sys.path.insert(0, {root!r}); import hillmap.cli\n"
+            "from hillmap import lyapunov\n"
+            "assert lyapunov._compile_trace_kernels.cache_info().currsize == 0\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestLocalLyapunov:
@@ -194,6 +289,38 @@ class TestOrbitAverage:
         monkeypatch.setattr(lyapunov, "critical_points", lambda k: np.append(real, x))
         res = assert_matches_scalar_loop(m, x0, n)
         assert res.restarts == 1
+
+    @pytest.mark.parametrize("index", [CHUNK - 1, CHUNK])
+    def test_restart_at_a_block_edge(self, index, monkeypatch):
+        # a hit on the last point of the first block refills one point and
+        # carries the step into the next; a hit on the first point of the
+        # second block restarts it from index 0
+        m, x0, n = 3, 0.37071, 2 * CHUNK + 7
+        hit = orbit_point(m, x0, index)
+        real = critical_points(m)
+        monkeypatch.setattr(lyapunov, "critical_points", lambda k: np.append(real, hit))
+        res = assert_matches_scalar_loop(m, x0, n)
+        assert res.restarts == 1
+
+    def test_perturbed_point_critical_again(self, monkeypatch):
+        # the perturbed point is stored untested, as in the scalar loop: a
+        # point critical again at the same index is not perturbed twice
+        m, x0, n = 4, 0.2345, CHUNK + 9
+        hit = orbit_point(m, x0, 17)
+        real = critical_points(m)
+        monkeypatch.setattr(lyapunov, "critical_points",
+                            lambda k: np.append(real, [hit, hit + 1e-9]))
+        res = assert_matches_scalar_loop(m, x0, n)
+        assert res.restarts == 1
+
+    @pytest.mark.parametrize("n", [CHUNK, CHUNK + 1])
+    def test_one_block_and_one_point_more(self, n, monkeypatch):
+        m, x0 = 5, 0.2345
+        assert assert_matches_scalar_loop(m, x0, n).restarts == 0
+        hit = orbit_point(m, x0, n - 1)
+        real = critical_points(m)
+        monkeypatch.setattr(lyapunov, "critical_points", lambda k: np.append(real, hit))
+        assert assert_matches_scalar_loop(m, x0, n).restarts == 1
 
     def test_many_restarts_across_blocks(self, monkeypatch):
         # a wide critical neighbourhood makes hits frequent in every block
