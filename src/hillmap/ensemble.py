@@ -114,6 +114,10 @@ def wasserstein1(samples: Sequence[float]) -> float:
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise ValueError("empty sample")
+    if np.any(s[1:] < s[:-1]):
+        raise ValueError("samples must be sorted ascending")
+    if s[0] < DOMAIN[0] - 1e-9 or s[-1] > DOMAIN[1] + 1e-9:
+        raise DomainError("samples must lie in [-2, 2]")
     return _w1_sorted(s, _quantile_grid(s.size), np.empty_like(s))
 
 
@@ -123,11 +127,8 @@ def _quantile_grid(n: int) -> np.ndarray:
 
 
 def _w1_sorted(s: np.ndarray, grid: np.ndarray, scratch: np.ndarray) -> float:
-    """mean |s - grid| for sorted s in [-2, 2], computed in ``scratch``."""
-    if np.any(s[1:] < s[:-1]):
-        raise ValueError("samples must be sorted ascending")
-    if s[0] < DOMAIN[0] - 1e-9 or s[-1] > DOMAIN[1] + 1e-9:
-        raise DomainError("samples must lie in [-2, 2]")
+    """mean |s - grid|, computed in ``scratch``; the callers have sorted s
+    and kept it in [-2, 2]."""
     np.subtract(s, grid, out=scratch)
     np.abs(scratch, out=scratch)
     return float(np.mean(scratch))

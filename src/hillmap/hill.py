@@ -388,8 +388,6 @@ class BandList:
 
 # Accuracy in lam of refined band edges, turning points and dispersion points.
 _EDGE_TOL = ToleranceSpec(1e-10, 0.0, 256)
-# Scan points per unit of sqrt(lam - lam_floor).
-_SCAN_DENSITY = 512
 # Accuracy of the exact transfer matrices' entries relative to max |M|
 # (transfer_matrices), behind the rounding bound of the gap function.
 _ROUNDING = 1e-13
@@ -482,111 +480,109 @@ def discriminant(V: Potential, l: float, lams, derivative: bool = False):
     return (2.0 - np.prod(w[:, None] * det * np.exp(log_tails), axis=0)).reshape(shape)
 
 
-def _scan(V: Potential, top: float):
-    """Delta on a grid uniform in sqrt(lam - lam_floor) over [min V - 1, top]:
-    brackets (lo, hi, level) of its simple crossings of +-2, and brackets
-    (lo, hi) of its turning points where the grid stays inside |Delta| <= 2
-    (a touch of two bands, or a gap narrower than the grid)."""
-    start = V.min_value() - 1.0
-    s_max = math.sqrt(top - start)
-    s = np.linspace(0.0, s_max, max(int(_SCAN_DENSITY * s_max), 64) + 1)
-    lams = start + s * s
-    deltas = discriminant(V, 1.0, lams)
-    levels = np.array([2.0, -2.0])
-    g = deltas - levels[:, None]
-    which, idx = np.nonzero(g[:, :-1] * g[:, 1:] < 0)
-    d = np.diff(deltas)
-    turns = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
-    turns = turns[np.all(np.abs(deltas[turns[:, None] + [-1, 0, 1]]) <= 2.0, axis=1)]
-    return (lams[idx], lams[idx + 1], levels[which]), (lams[turns - 1], lams[turns + 1])
-
-
 def _gap_function(M):
     """G = (a - d)^2 + 4bc = Delta^2 - 4 (ad - bc = 1) of matrices M = [[a, b],
     [c, d]], and its rounding bound.  Beside a touch or a gap of width w,
     a - d, b and c are small and G cancels nothing, where Delta -+ 2 moves by
     ~w^2 and rounds like Delta.  Entries within e = _ROUNDING max |M| put G
-    within 4 e (|a - d| + |b| + |c| + 2 e)."""
+    within 4 e (|a - d| + |b| + |c| + 2 e).  Where that reaches 4, G's depth
+    in a band (|M| past ~3e6, tunnelling), G is (Delta - 2)(Delta + 2) instead,
+    within 4 e (|Delta| + e)."""
     a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     e = _ROUNDING * np.max(np.abs(M), axis=(-2, -1))
-    return (a - d) ** 2 + 4.0 * b * c, 4.0 * e * (abs(a - d) + abs(b) + abs(c) + 2.0 * e)
+    G, err = (a - d) ** 2 + 4.0 * b * c, 4.0 * e * (abs(a - d) + abs(b) + abs(c) + 2.0 * e)
+    deep = err >= 4.0
+    return (np.where(deep, (a + d - 2.0) * (a + d + 2.0), G),
+            np.where(deep, 4.0 * e * (abs(a + d) + e), err))
 
 
-def _gap_roots(V: Potential, lo, hi):
-    """lam in each bracket [lo, hi] with G(lam) = 0, all brackets in one
-    batched root solve; NaN where G keeps its sign."""
-    return find_roots(
-        lambda x: _gap_function(transfer_matrices(V, 1.0, x))[0], lo, hi, _EDGE_TOL
-    )
-
-
-def _turning_edges(V: Potential, lo, hi, lam_stars):
-    """From turning points lam_stars of Delta, each alone in its bracket
-    [lo, hi] whose ends lie in bands: the touches (twice each), and the
-    brackets (lo, hi) of the edges of the open gaps, across which G changes
-    sign.  lam* lies in a closed gap, where G >= 0, so G above its rounding
-    there is a gap and anything else a touch."""
+def _turning_edges(V: Potential, lo, hi):
+    """Which windows [lo, hi], whose ends lie in bands, hold a turning point
+    lam* of Delta, all in one batched root solve of dDelta/dlam; of those,
+    the touches (twice each), and the brackets (lo, hi) of the edges of the
+    open gaps, across which G changes sign.  lam* lies in a closed gap, where
+    G >= 0, so G above its rounding there is a gap and anything else a touch."""
+    lam_stars = find_roots(
+        lambda x: discriminant(V, 1.0, x, derivative=True)[1], lo, hi, _EDGE_TOL)
+    found = ~np.isnan(lam_stars)
+    lo, hi, lam_stars = lo[found], hi[found], lam_stars[found]
     G, err = _gap_function(transfer_matrices(V, 1.0, lam_stars))
     gap = G > err
     brackets = (np.concatenate([lo[gap], lam_stars[gap]]),
                 np.concatenate([lam_stars[gap], hi[gap]]))
-    return np.repeat(lam_stars[~gap], 2).tolist(), brackets
+    return found, np.repeat(lam_stars[~gap], 2).tolist(), brackets
 
 
-def _turning_points(V: Potential, lo, hi):
-    """lam in each bracket [lo, hi] with dDelta/dlam = 0, all brackets in one
-    batched root solve; NaN where dDelta/dlam keeps its sign."""
-    return find_roots(
-        lambda x: discriminant(V, 1.0, x, derivative=True)[1], lo, hi, _EDGE_TOL
-    )
+def _edge_count(V: Potential, lams):
+    """E(lam), the number of band edges at or below each lam (one period of a
+    piecewise-linear cell); Q(lam) = 2n + [sign Delta != (-1)^n]; and where G
+    is below minus its rounding, inside a band.  The n zeros in (0, 1) of the
+    Dirichlet solution u = M_12, one per Dirichlet eigenvalue below lam and so
+    one per closed gap (Eastham, 1973, ch. 2), lie pi / sqrt(lam - min V)
+    apart at least (compare with min V): n sign changes of u at the ends of
+    sub-pieces half that long.  Q steps at Delta's zero in band m and at gap
+    m's Dirichlet eigenvalue, never at an edge; E = 2m - 1 in band m, 2m in gap m."""
+    _, s, h = np.array(V._pieces).T
+    k = 1 + (2.0 / math.pi * math.sqrt(max(np.max(lams) - V.min_value(), 0.0)) * h).astype(int)
+    s, h = np.repeat(s, k), np.repeat(h / k, k)
+    T, _ = _piece(V(np.cumsum(h) - h)[:, None] - lams, s[:, None], h[:, None], False)
+    M, u = np.eye(2), []
+    for Tj in T:
+        M = Tj @ M
+        u.append(M[..., 0, 1])
+    n = np.count_nonzero(np.diff(np.array(u) > 0.0, axis=0, prepend=True), axis=0)  # u'(0) = 1
+    Q = 2 * n + ((_trace(M) > 0.0) != (n % 2 == 0))
+    G, err = _gap_function(M)
+    return Q + ((G <= err) == (Q % 2 == 0)), Q, G < -err
+
+
+def _band_points(V: Potential, bands: int, ceiling: float):
+    """A point inside each band m = 1 .. bands below ceiling: bisection on Q
+    toward Delta's zero in band m from [(m - 1)^2 pi^2 + min V, m^2 pi^2 + max
+    V], where comparison puts it.  Every Q narrows every bracket."""
+    m2 = np.arange(bands + 1.0) ** 2 * math.pi**2
+    lo, hi = m2[:-1] + V.min_value(), np.minimum(m2[1:] + V.max_value(), ceiling)
+    below = np.arange(0, 2 * bands, 2)[:, None]  # Q in band m below its middle
+    while True:
+        mids = 0.5 * (lo + hi)
+        lams = mids[(lo < mids) & (mids < hi)]
+        if lams.size == 0:
+            return mids
+        _, Q, inside = _edge_count(V, lams)
+        inside = inside & (Q // 2 == below // 2)
+        lo = np.maximum(lo, np.where(inside | (Q <= below), lams, -np.inf).max(axis=1))
+        hi = np.minimum(hi, np.where(inside | (Q > below), lams, np.inf).min(axis=1))
 
 
 def _exact_edges(V: Potential, lambda_max: float):
     """Band edges at or below lambda_max of a piecewise-linear cell of one
     period, in order, with lambda_max closing a band it cuts; and the
-    warnings.  The turning points come from the windows W_n from n0 on and
-    from the scan below W_n0 (see :func:`spectrum_bands`), and each is a
-    touch or a gap by G.  The scan's crossings are roots of Delta -+ 2; the
-    edges of the gaps, and lam_0 on [min V - 1, lo_1], roots of G."""
-    v_min, v_max = V.min_value(), V.max_value()
-    step = math.pi**2
+    warnings.  Gap n's window is W_n from n0 on and, below W_n0, runs between
+    points of bands n and n + 1 (see :func:`spectrum_bands`).  The edges of
+    the gaps, and lam_0 on [min V - 1, a point of band 1], are roots of G."""
+    v_min, v_max, step = V.min_value(), V.max_value(), math.pi**2
     n0 = math.floor(((v_max - v_min) / step + 1.0) / 2.0) + 1
-    # gaps n0 .. the last whose window starts at or below lambda_max, one at
-    # least: lam_0's bracket ends in W_n0
-    last = max(n0, math.floor(math.sqrt((lambda_max - v_min) / step)))
+    # gaps n0 .. the last whose window starts at or below lambda_max, and W_1
+    last = max(1, math.floor(math.sqrt((lambda_max - v_min) / step)))
     ns = np.arange(n0, last + 1, dtype=float)
     lo, hi = ns * ns * step + v_min, ns * ns * step + v_max
-    lam_stars = _turning_points(V, lo, hi)
-    found = ~np.isnan(lam_stars)
-    warnings = [
-        f"no turning point of Delta found in [{lo[i]:.6g}, {hi[i]:.6g}], "
-        f"the window of gap {n0 + i}"
-        for i in np.flatnonzero(~found)
-    ]
-    events, (g_lo, g_hi) = _turning_edges(V, lo[found], hi[found], lam_stars[found])
-    crossings = (np.empty(0),) * 3
-    if n0 == 1:  # lam_0: G >= 4 sinh(1)^2 at min V - 1, G < 0 in band 1
-        g_lo, g_hi = np.append(g_lo, v_min - 1.0), np.append(g_hi, lo[0])
-    else:
-        crossings, (t_lo, t_hi) = _scan(V, lo[0])
-        t_stars = _turning_points(V, t_lo, t_hi)
-        real = ~np.isnan(t_stars)  # else dDelta/dlam keeps its sign: a grid wiggle
-        touches, (s_lo, s_hi) = _turning_edges(V, t_lo[real], t_hi[real], t_stars[real])
-        count = crossings[0].size + len(touches) + s_lo.size
-        if count != 2 * n0 - 1:  # lam_0 and both edges of gaps 1 .. n0 - 1
-            warnings.insert(0, (
-                f"scan of [{v_min - 1.0:.6g}, {lo[0]:.6g}] found {count} band "
-                f"edges where comparison with constant potentials puts {2 * n0 - 1}"))
-        events += touches
-        g_lo, g_hi = np.concatenate([s_lo, g_lo]), np.concatenate([s_hi, g_hi])
-    roots = np.concatenate([_level_roots(V, 1.0, *crossings), _gap_roots(V, g_lo, g_hi)])
+    ends = np.array([n0 * n0 * step + v_min])  # in band n0
+    if n0 > 1:  # gaps 1 .. n0 - 1 up to lambda_max's own, or the one above its band
+        gaps = min(n0 - 1, int(_edge_count(V, [min(lambda_max, ends[0])])[0][0] + 1) // 2)
+        ends = np.concatenate([_band_points(V, min(gaps + 1, n0 - 1), ends[0]), ends])
+        ns = np.concatenate([np.arange(1.0, gaps + 1), ns])
+        lo, hi = np.concatenate([ends[:gaps], lo]), np.concatenate([ends[1:gaps + 1], hi])
+    found, events, (g_lo, g_hi) = _turning_edges(V, lo, hi)
+    warnings = [f"no turning point of Delta found in [{a:.6g}, {b:.6g}], the window of gap "
+                f"{n:.0f}" for a, b, n in zip(lo[~found], hi[~found], ns[~found])]
+    # lam_0: G >= 4 sinh(1)^2 at min V - 1, G < 0 in band 1
+    g_lo, g_hi = np.append(g_lo, v_min - 1.0), np.append(g_hi, ends[0])
+    roots = find_roots(lambda x: _gap_function(transfer_matrices(V, 1.0, x))[0],
+                       g_lo, g_hi, _EDGE_TOL)
     lost = np.isnan(roots)  # rounded to the same side of 0 at both ends
-    lo, hi = np.concatenate([crossings[0], g_lo]), np.concatenate([crossings[1], g_hi])
     warnings += [f"no band edge found between lambda={a:.6g} and {b:.6g}"
-                 for a, b in zip(lo[lost], hi[lost])]
-    events += roots[~lost].tolist()
-
-    events = sorted(e for e in events if e <= lambda_max)
+                 for a, b in zip(g_lo[lost], g_hi[lost])]
+    events = sorted(e for e in events + roots[~lost].tolist() if e <= lambda_max)
     if len(events) % 2 == 1:
         events.append(float(lambda_max))  # last band clipped at lambda_max
     return events, warnings
@@ -609,8 +605,9 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
       gap n in W_n = (n pi)^2 + [min V, max V], and dDelta/dlam has one zero
       lam*_n in each closed gap and none inside a band.  From the first n0
       with (2 n0 - 1) pi^2 > max V - min V the windows are disjoint with ends
-      in bands, so each brackets its lam*_n; below W_n0 (deep cells) a scan
-      of Delta must find 2 n0 - 1 edges, else ``warnings`` says so.  lam* is
+      in bands, so each brackets its lam*_n.  Below W_n0 (deep cells) gap
+      n's window runs between points of bands n and n + 1, from bisection on
+      the Sturm count of the edges below lam (:func:`_edge_count`).  lam* is
       a gap iff G = (a - d)^2 + 4bc, Delta^2 - 4 without its cancellation,
       exceeds its rounding there, else a touch.  On c = round(l) > 1 periods
       Delta_c = 2 T_c(Delta_1 / 2): each one-period band splits into c bands

@@ -187,7 +187,7 @@ class TestDiscriminant:
 
 class TestTraces:
     """The discriminant of every kind, and the exact kinds' derivative
-    behind the band scan."""
+    behind the turning points."""
 
     def test_derivative_matches_central_difference(self):
         V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
@@ -524,8 +524,8 @@ class TestSpectrumBands:
         V = Potential.piecewise_linear([0.0, *knots], [-3.365, 2.554, -2.01, 0.086])
         blist = spectrum_bands(V, 1.0, 273.742)
         assert blist.warnings == ()
-        # the scan starts at min V - 1, where V - lam >= 1 bounds Delta below
-        # by 2 cosh l (compare with u'' = u): outside the spectrum
+        # lam_0's bracket starts at min V - 1, where V - lam >= 1 bounds Delta
+        # below by 2 cosh l (compare with u'' = u): outside the spectrum
         assert discriminant(V, 1.0, [V.min_value() - 1.0])[0] >= 2.0 * math.cosh(1.0)
         gaps = [(b, a) for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])]
         inside = [(b, a) for b, a in gaps if 246.004 <= b < a <= 246.018]
@@ -727,9 +727,26 @@ def exact_cells(draw, bound):
     return Potential.piecewise_linear(bps, values)
 
 
+DEEP_DOUBLE_WELL = ([0, .2, .25, .3, .7, .75, .8], [0, 0, -1200, 0, 0, -1200.001, 0])
+
+
+def assert_every_gap_listed(V, lambda_max, count):
+    """count bands at l = 1 and no warning; |Delta| <= 2 in the middle of
+    each band and G > 0 in the middle of each gap between them."""
+    blist = spectrum_bands(V, 1.0, lambda_max)
+    assert blist.warnings == () and len(blist.bands) == count
+    mids = np.array([0.5 * (a + b) for a, b in blist.bands])
+    assert np.all(np.abs(discriminant(V, 1.0, mids)) <= 2.0)
+    gaps = np.array([0.5 * (b + a) for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])])
+    M = transfer_matrices(V, 1.0, gaps)
+    G = (M[:, 0, 0] - M[:, 1, 1]) ** 2 + 4.0 * M[:, 0, 1] * M[:, 1, 0]
+    assert np.all(G > 0.0), G
+
+
 class TestComparisonWindows:
     """Band edges of the exact kinds from the windows W_n = (n pi/l)^2 +
-    [min V, max V], against the scan that finds them without the windows."""
+    [min V, max V] and, below the first disjoint one, from the edge count,
+    against the scan that finds them without either."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(exact_cells(4.0), st.floats(20.0, 400.0))
@@ -741,13 +758,10 @@ class TestComparisonWindows:
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(exact_cells(60.0), st.sampled_from([1.0, 2.0, 3.0]), st.floats(20.0, 400.0))
-    def test_scan_and_windows_match_the_scan(self, V, l, span):
+    def test_count_and_windows_match_the_scan(self, V, l, span):
         assume(first_clear_window(V, l) > 1)
         lambda_max = V.min_value() + span
         got = spectrum_bands(V, l, lambda_max)
-        # a scan that misses a band narrower than its grid is the subject of
-        # test_scan_count_is_checked; the comparison needs one that does not
-        assume(not any(w.startswith("scan of") for w in got.warnings))
         assert_edges_match(got, scan_reference(V, l, lambda_max), V, l)
         # Band i runs Delta_l from (-1)^(i-1) 2 to (-1)^i 2, so where bands i
         # and i + 1 touch, M_l = (-1)^i I: the split points of the one-period
@@ -764,9 +778,10 @@ class TestComparisonWindows:
         assert len(union(got.bands)) == len(one)
         assert np.allclose(union(got.bands), one, rtol=0.0, atol=1e-10)
 
-    def test_seam_between_scan_and_windows(self):
-        # a narrow dip to -60 in a cell at 0: the scan finds lam_0 and gaps
-        # 1-3, the windows gap 4 on; lambda_max on both sides of W_4's start.
+    def test_seam_between_count_and_windows(self):
+        # a narrow dip to -60 in a cell at 0: the edge count brackets lam_0
+        # and gaps 1-3, the windows gap 4 on; lambda_max on both sides of W_4's
+        # start.
         # The mean, -3, sits near max V, so W_3 = [28.8, 88.8] holds the
         # turning points of gaps 2 and 3, and n0 = 4 is the first clear one.
         V = Potential.piecewise_linear([0.0, 0.05, 0.1], [0.0, -60.0, 0.0])
@@ -778,10 +793,9 @@ class TestComparisonWindows:
             assert_edges_match(got, scan_reference(V, 1.0, lambda_max), V, 1.0)
         assert len(spectrum_bands(V, 1.0, 200.0).bands) == 5
 
-    def test_scan_count_is_checked(self):
+    def test_touch_inside_a_narrow_two_period_band(self):
         # a two-period cell whose one-period band (-35.8243, -35.7733) holds
-        # Delta_1 = 0, where M_2 = M_1^2 = -I: two bands touch at -35.7988,
-        # inside a band narrower than two steps of the scan's grid at l = 2.
+        # Delta_1 = 0, where M_2 = M_1^2 = -I: two bands touch at -35.7988.
         # The bands come from l = 1, split where Delta_1 = 2 cos(pi / 2).
         V = Potential.piecewise_linear(
             [0.0, 0.1025997320661137, 0.5284014461276613, 0.6883543560593153],
@@ -790,25 +804,24 @@ class TestComparisonWindows:
         blist = spectrum_bands(V, 2.0, 0.0)
         assert blist.warnings == ()
         (a, touch), (touch2, b) = blist.bands
-        assert touch == touch2 == pytest.approx(-35.798842, abs=1e-6)
-        assert np.max(np.abs(transfer_matrices(V, 2.0, [touch])[0] + np.eye(2))) <= 1e-9
         assert (a, b) == spectrum_bands(V, 1.0, 0.0).bands[0]
+        assert touch == touch2
+        # located to the root tolerance by a solve of Delta_1 = 0 that owes
+        # nothing to find_roots
+        (want,) = edge_roots(lambda x: discriminant(V, 1.0, x), np.array([a]), np.array([b]))
+        assert abs(touch - want) <= 1e-10
+        # |dM_2/dlam| = 4.3e5 here: one ulp of the touch moves M_2 by ~3e-9
+        M, dM = transfer_matrices(V, 2.0, [touch], derivative=True)
+        assert np.linalg.norm(M[0] + np.eye(2)) <= coexistence_allowance(M, dM)[0]
 
-    def test_scan_count_warns_on_a_missed_gap(self, monkeypatch):
-        # a double well at l = 1, whose first two bands are split by a
-        # tunnelling gap 7e-4 wide; on a scan grid 32 times coarser, one
-        # interval spans the gap and both bands beside it, with Delta above 2
-        # at both ends, so the scan finds 2 edges fewer than comparison with
-        # constant potentials puts below W_n0
-        V = Potential.piecewise_linear([0, .2, .25, .3, .7, .75, .8],
-                                       [0, 0, -600, 0, 0, -600.001, 0])
-        assert len(spectrum_bands(V, 1.0, 0.0).bands) == 2
-        monkeypatch.setattr(hill, "_SCAN_DENSITY", 16)
-        blist = spectrum_bands(V, 1.0, 0.0)
-        assert len(blist.bands) == 1
-        (warning,) = blist.warnings
-        assert warning.startswith("scan of [-601.001, 8884.69] found 59 band edges")
-        assert warning.endswith("puts 61")
+    @pytest.mark.parametrize("lambda_max, count", [(0.0, 2), (2000.0, 15)])
+    def test_deep_double_well_lists_every_gap(self, lambda_max, count):
+        # wells of depth 1200 and 1200.001: the tunnelling gap between the
+        # first two bands lies far below W_n0 (n0 = 62, from 36739), where
+        # the edge count places a point in each band around it
+        V = Potential.piecewise_linear(*DEEP_DOUBLE_WELL)
+        assert first_clear_window(V, 1.0) == 62
+        assert_every_gap_listed(V, lambda_max, count)
 
     def test_nearly_flat_cell_warns_without_raising(self):
         # max V - min V = 1.3e-8.  First-order perturbation theory puts lam_0
@@ -836,14 +849,7 @@ class TestComparisonWindows:
         # |Delta| - 2 at the turning points rounds to a band
         V = Potential.piecewise_linear([0, .2, .25, .3, .7, .75, .8],
                                        [0, 0, -600, 0, 0, -600.001, 0])
-        blist = spectrum_bands(V, 1.0, 2000.0)
-        assert blist.warnings == () and len(blist.bands) == 15
-        mids = np.array([0.5 * (a + b) for a, b in blist.bands])
-        assert np.all(np.abs(discriminant(V, 1.0, mids)) <= 2.0)
-        gaps = np.array([0.5 * (b + a) for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])])
-        M = transfer_matrices(V, 1.0, gaps)
-        G = (M[:, 0, 0] - M[:, 1, 1]) ** 2 + 4.0 * M[:, 0, 1] * M[:, 1, 0]
-        assert np.all(G > 0.0), G
+        assert_every_gap_listed(V, 2000.0, 15)
 
     @pytest.mark.parametrize("l", [0.7, 1.3, 1.9])
     def test_constant_cells_are_exact(self, l):
@@ -879,6 +885,66 @@ class TestComparisonWindows:
                for V in cells for l in (1.0, 2.0)]
         for (M, (N, dN)), (M0, (N0, dN0)) in zip(new, old):
             assert np.array_equal(M, M0) and np.array_equal(N, N0) and np.array_equal(dN, dN0)
+
+
+class TestEdgeCount:
+    """E(lam), the number of band edges at or below lam, from the sign
+    changes of the Dirichlet solution and the sign of G (hill._edge_count):
+    the reference for deep cells, whose narrow bands a scan can miss."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(exact_cells(600.0), st.floats(20.0, 1500.0))
+    def test_count_matches_the_listed_edges(self, V, span):
+        n0 = first_clear_window(V, 1.0)
+        assume(n0 > 1)
+        assert hill._edge_count(V, [(n0 * math.pi) ** 2 + V.min_value()])[0] == [2 * n0 - 1]
+        lambda_max = V.min_value() + span
+        got = spectrum_bands(V, 1.0, lambda_max)
+        assert got.warnings == ()
+        edges = np.array([e for band in got.bands for e in band])
+        if edges.size and edges[-1] == lambda_max:
+            edges = edges[:-1]  # the top of a band clipped there
+        # a dense grid, and the middle of every band and gap however narrow
+        lams = np.sort(np.concatenate([
+            np.linspace(V.min_value() - 1.0, lambda_max, 4001),
+            0.5 * (edges[1:] + edges[:-1])]))
+        E = hill._edge_count(V, lams)[0]
+        assert np.all(np.diff(E) >= 0)
+        far = np.min(np.abs(lams[:, None] - edges), axis=1, initial=np.inf) > 1e-9
+        listed = np.searchsorted(edges, lams, side="right")
+        assert np.array_equal(E[far], listed[far]), lams[far][E[far] != listed[far]]
+
+    def test_lambda_max_just_past_a_band_top(self):
+        # |M| = 1.6e6 at the top of the band [77.2639, 77.2688]: the rounding
+        # bound of G reaches 1 there, and E reads "band" up to 1.8e-4 past
+        # the edge.  lambda_max in that zone must not clip the band.
+        V = Potential.piecewise_linear(
+            [0.0, 0.17953721532583555, 0.4684493534246341, 0.6650372636439418,
+             0.7757612818528002],
+            [-540.8128135445592, 362.2511583415794, 262.36106062593944,
+             365.5537199016634, 312.4987687442126])
+        (top,) = [b for a, b in spectrum_bands(V, 1.0, 100.0).bands if 77.26 < a < 77.27]
+        for past in (1e-6, 1e-4):
+            got = spectrum_bands(V, 1.0, top + past)
+            assert got.warnings == () and abs(got.bands[-1][1] - top) <= 1e-10
+
+    def test_spectrum_bands_evaluates_no_lambda_grid(self, monkeypatch):
+        # each pass of the transfer-matrix kernel over a deep cell gets a
+        # number of lam that follows the bands listed, not a grid's
+        sizes, piece = [], hill._piece
+
+        def counted(q0, s, h, derivative):
+            sizes.append(q0.shape[1])
+            return piece(q0, s, h, derivative)
+
+        monkeypatch.setattr(hill, "_piece", counted)
+        cells = [Potential.piecewise_linear(*DEEP_DOUBLE_WELL),
+                 Potential.piecewise_linear([0.0, 0.05, 0.1], [0.0, -60.0, 0.0])]
+        for V in cells:
+            for lambda_max in (0.0, 150.0, 2000.0):
+                sizes.clear()
+                bands = len(spectrum_bands(V, 1.0, lambda_max).bands)
+                assert sizes and max(sizes) <= 2 * bands + 3, (bands, max(sizes))
 
 
 def bands_of(V, l=1.0, lambda_max=45.0):
