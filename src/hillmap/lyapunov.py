@@ -146,23 +146,40 @@ def average_lyapunov_quadrature(m: int) -> LyapunovResult:
         raise ValueError("m must be at least 2")
     fprime = trace_kernels(m).fprime
 
-    def integrand(theta: float) -> float:
-        return math.log(abs(fprime(2.0 * math.cos(theta))))
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(fprime(2.0 * np.cos(theta))))
 
     sing = [j * math.pi / m for j in range(1, m)]
     val, bound = quad_singular(integrand, 0.0, math.pi, sing, EXPONENT_TOL)
     return LyapunovResult(m, val / math.pi, "quadrature", bound / math.pi)
 
 
-def _first_critical(xs: np.ndarray, crit: np.ndarray) -> int | None:
+# The critical-point test of an orbit block bins the block into CELLS equal
+# cells of [-2, 2], one pass for any m, and compares with the critical
+# points only the entries in a cell that a critical point's CRITICAL_EPS
+# neighbourhood reaches.
+CELLS = 2**16
+
+
+def _critical_cells(crit: np.ndarray) -> np.ndarray:
+    """Flags of the cells within reach of a critical point, one cell more on
+    each side for the rounding of the binning."""
+    scale = CELLS / 4.0
+    first = np.clip(((crit - CRITICAL_EPS + 2.0) * scale).astype(int) - 1, 0, CELLS)
+    last = np.clip(((crit + CRITICAL_EPS + 2.0) * scale).astype(int) + 1, 0, CELLS)
+    marks = np.zeros(CELLS + 2, dtype=int)
+    np.add.at(marks, first, 1)
+    np.add.at(marks, last + 1, -1)
+    return np.cumsum(marks[:-1]) > 0
+
+
+def _first_critical(xs: np.ndarray, crit: np.ndarray, cells: np.ndarray) -> int | None:
     """Index of the first entry of ``xs`` within CRITICAL_EPS of a critical
-    point, or None; one vectorised pass per critical point."""
-    first = None
-    for c in crit:
-        near = np.flatnonzero(np.abs(xs - c) < CRITICAL_EPS)
-        if near.size and (first is None or near[0] < first):
-            first = int(near[0])
-    return first
+    point, or None; ``cells`` is ``_critical_cells(crit)``."""
+    binned = np.clip((xs + 2.0) * (CELLS / 4.0), 0, CELLS).astype(int)
+    near = np.flatnonzero(cells[binned])
+    hits = np.flatnonzero((np.abs(xs[near, None] - crit) < CRITICAL_EPS).any(axis=1))
+    return int(near[hits[0]]) if hits.size else None
 
 
 def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
@@ -192,6 +209,7 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
 
     f, _, fill = trace_kernels(m)
     crit = critical_points(m)
+    cells = _critical_cells(crit)
     restarts = 0
     x = x0
     for _ in range(BURN_IN):
@@ -212,7 +230,7 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
         xs = buf[:size]
         x = fill(x, view, 0, size)
         tested = 0  # xs[:tested] is free of critical points
-        while (hit := _first_critical(xs[tested:], crit)) is not None:
+        while (hit := _first_critical(xs[tested:], crit, cells)) is not None:
             i = tested + hit
             restarts += 1
             x = fill(float(xs[i]) + 1e-9, view, i, size)
@@ -233,54 +251,56 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     return LyapunovResult(m, mean, "orbit_average", stderr, restarts, warnings)
 
 
-def I_integral(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:
+def _log_gap_outside(y, gap, sign):
+    # |a| - 2 sin(sign y) = (|a| - 2) + 4 sin^2((pi/2 - sign y)/2)
+    half = np.sin(0.5 * (math.pi / 2.0 - sign * y))
+    return np.log(gap + 4.0 * half * half)
+
+
+def _log_gap_inside(y, ys):
+    # 2 sin y - 2 sin y* = 4 sin((y - y*)/2) cos((y + y*)/2)
+    return (LOG_4 + np.log(np.abs(np.sin(0.5 * (y - ys))))
+            + np.log(np.abs(np.cos(0.5 * (y + ys)))))
+
+
+def I_integral(a, tol: ToleranceSpec = QUAD_TOL):
     """(1/pi) integral of log |2 sin y - a| over [-pi/2, pi/2].
 
     This is the logarithmic potential of the arcsine law evaluated at ``a``;
     it vanishes identically on [-2, 2] and equals log((|a| + sqrt(a^2 - 4))/2)
     outside.  The integrand's singularity at y = asin(a/2) is declared.
+    ``a`` may be an array: every element is integrated in the same
+    quadrature calls, one for the elements inside [-2, 2] and one for those
+    outside, and each value equals that of a scalar call bit for bit.  A
+    scalar gives a float.
     """
     # |2 sin y - a| in factored forms: near a = +-2 the difference cancels, so
     # that it is 0 in floating point at nodes beside its zero, or rounds away
-    # the part that sets the integral's value just outside [-2, 2].
-    if abs(a) > 2.0:
-        # The integrand dips like log((|a| - 2) + phi^2) within
-        # phi ~ sqrt(|a| - 2) of the end y = sign pi/2.  Unsplit, QUADPACK
-        # misses a dip narrower than ~3e-6 (|a| - 2 < 1e-11: off by up to
-        # 3e-6) while reporting a small bound; split there when it is narrow.
-        # (A split at a wide dip, |a| - 2 ~ 0.07-0.26, cuts the integral
-        # into panels of opposite sign, which quad_singular meets only on
-        # its second, absolute request per panel.)
-        sign = math.copysign(1.0, a)
-        sing = []
-        if abs(a) - 2.0 < 1e-4:
-            sing.append(sign * (math.pi / 2.0 - math.sqrt(abs(a) - 2.0)))
-
-        def integrand(y: float) -> float:
-            # |a| - 2 sin(sign y) = (|a| - 2) + 4 sin^2((pi/2 - sign y)/2)
-            half = math.sin(0.5 * (math.pi / 2.0 - sign * y))
-            return math.log((abs(a) - 2.0) + 4.0 * half * half)
-    else:
-        # 2 sin y - 2 sin y* = 4 sin((y - y*)/2) cos((y + y*)/2)
-        ys = math.asin(a / 2.0)
-        sing = [ys]
-
-        def integrand(y: float) -> float:
-            return (LOG_4 + math.log(abs(math.sin(0.5 * (y - ys))))
-                    + math.log(abs(math.cos(0.5 * (y + ys)))))
-
-    val, _ = quad_singular(integrand, -math.pi / 2.0, math.pi / 2.0, sing, tol)
-    return val / math.pi
+    # the part that sets the integral's value just outside [-2, 2].  There
+    # the integrand dips like log((|a| - 2) + phi^2) within phi ~ sqrt(|a| - 2)
+    # of the end y = sign pi/2, where the tanh-sinh nodes crowd.
+    a = np.asarray(a, dtype=float)
+    out = np.empty(a.shape)
+    ends = (-math.pi / 2.0, math.pi / 2.0)
+    outside = np.abs(a) > 2.0
+    if outside.any():
+        gap, sign = np.abs(a[outside]) - 2.0, np.copysign(1.0, a[outside])
+        out[outside] = quad_singular(_log_gap_outside, *ends, (), tol, args=(gap, sign))[0]
+    if not outside.all():
+        ys = np.arcsin(a[~outside] / 2.0)
+        out[~outside] = quad_singular(_log_gap_inside, *ends, [ys], tol, args=(ys,))[0]
+    out /= math.pi
+    return float(out) if out.ndim == 0 else out
 
 
 def I_integral_xform(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:
     """Independent evaluation of the same potential in the x variable: the
     integral of log |x - a| against the arcsine density on [-2, 2]."""
 
-    def integrand(x: float) -> float:
-        return math.log(abs(x - a)) * invariant_density("discriminant_D", x)
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(x - a)) * invariant_density("discriminant_D", x)
 
     sing = [-2.0, 2.0]
     if -2.0 < a < 2.0:
         sing.append(a)
-    return quad_singular(integrand, -2.0, 2.0, sorted(sing), tol)[0]
+    return quad_singular(integrand, -2.0, 2.0, sing, tol)[0]

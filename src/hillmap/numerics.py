@@ -1,6 +1,7 @@
 """Shared numerical kernels: ODE initial-value integration, bracketed root
-finding (one bracket, or many solved together), and quadrature that
-tolerates logarithmic / inverse-square-root singularities.
+finding (one bracket, or many solved together), and tanh-sinh quadrature
+(one interval, or many integrated together) that tolerates logarithmic /
+inverse-square-root singularities.
 
 All routines are pure functions of their inputs and safe to call from any
 number of threads.
@@ -11,8 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, quad
-from scipy.optimize import brentq
 
 from .errors import BracketError, NonConvergenceError
 
@@ -25,9 +24,9 @@ class ToleranceSpec:
     """Accuracy contract for a numerical routine.
 
     ``abs_tol`` and ``rel_tol`` are error targets; ``max_steps`` bounds the
-    work (accepted ODE steps, root iterations, or quadrature subdivisions).
-    :func:`quad_singular` accepts a result whose summed error bound is at
-    most ``max(abs_tol, rel_tol * |result|)``, QUADPACK's own stopping rule.
+    work (accepted ODE steps, root iterations, or panel halvings per
+    quadrature interval).  :func:`quad_singular` accepts a result whose
+    summed error bound is at most ``max(abs_tol, rel_tol * |result|)``.
     """
 
     abs_tol: float
@@ -68,6 +67,8 @@ def integrate_ivp(
     if t1 == t0:
         return y
 
+    from scipy.integrate import DOP853  # deferred: no package path integrates an ODE
+
     solver = DOP853(rhs, t0, y, t1, rtol=max(tol.rel_tol, 100 * _EPS), atol=tol.abs_tol)
     steps = 0
     while solver.status == "running":
@@ -102,6 +103,8 @@ def find_root(
 
     A bracket whose endpoints share a sign raises :class:`BracketError`.
     """
+    from scipy.optimize import brentq  # deferred: no package path calls find_root
+
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return float(a)
@@ -219,71 +222,226 @@ def find_roots(
     return out.reshape(a.shape)
 
 
+# The tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974).  On a panel of
+# half-width r the nodes of parameter t >= 0 lie at distance d = r delta(t)
+# inside each end, delta = 1 - tanh(pi/2 sinh t) = 1 / (e^u cosh u),
+# u = pi/2 sinh t, computed without cancellation, with the weight
+# w = (pi/2) cosh t / cosh^2 u.  Level l adds the nodes of step 2^-l / 4 out
+# to t = 4 (delta ~ 1e-37): levels 0..l hold 1 + 32 2^l nodes per panel
+# (the centre, t = 0, is evaluated from both ends at half weight).  A panel
+# still open after QUAD_LEVELS levels is halved.
+QUAD_LEVELS = 5
+# Near a declared singular end e the integrand is evaluated no closer than
+# s = 2^20 ulp(e).  Nodes nearer e round onto e or beside it, and the mass
+# within an ulp of e can lie beyond every float: ~5e-9 for 1/sqrt(2 - x) at
+# 2.  Nearer nodes take their value from the model B + C d^alpha through f
+# at distances s, 2s and 4s from e; it is exact for power laws and, as
+# alpha -> 0, for A log d + B.
+_MODEL_ULPS = 2.0**20
+_INTO_PANEL = np.array([[1.0], [-1.0]])  # from its left end, from its right end
+
+
+def _tanh_sinh_level(level: int):
+    """(delta, log2 delta, w, step) of the nodes ``level`` adds at each end
+    of a panel."""
+    step = 0.25 / 2**level
+    if level == 0:
+        t = np.arange(0.0, 4.0 + step / 2, step)
+    else:
+        t = np.arange(step, 4.0, 2 * step)
+    u = 0.5 * np.pi * np.sinh(t)
+    w = 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    w[t == 0.0] *= 0.5  # the centre, reached from both ends
+    delta = 1.0 / (np.exp(u) * np.cosh(u))
+    return delta, np.log2(delta), w, step
+
+
+_LEVELS = [_tanh_sinh_level(level) for level in range(QUAD_LEVELS)]
+_DELTA_MIN = float(_LEVELS[0][0].min())
+
+
+def _end_model(fit: np.ndarray):
+    """(f1, f2 - f1, log r) of the model through f at distances s, 2s, 4s
+    (the columns of ``fit``), r = (f3 - f2) / (f2 - f1) = 2^alpha.  Where r
+    is not in (1/2, inf), alpha > -1, the model is the constant f1."""
+    f1, f2, f3 = fit.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (f3 - f2) / (f2 - f1)
+        ok = (ratio > 0.5) & np.isfinite(ratio)
+        return f1, np.where(ok, f2 - f1, 0.0), np.where(ok, np.log(np.where(ok, ratio, 1.0)), 0.0)
+
+
+def _model_values(f1, df, log_r, u):
+    """The model at distances d = 2^u s: f1 + df (r^u - 1) / (r - 1), and
+    f1 + df u where r = 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.where(log_r == 0.0, u, np.expm1(u * log_r) / np.expm1(log_r))
+    return f1 + df * phi
+
+
 def quad_singular(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    singular_points: Sequence[float] = (),
+    f: Callable[..., np.ndarray],
+    a,
+    b,
+    singular_points: Sequence = (),
     tol: ToleranceSpec = QUAD_TOL,
-) -> tuple[float, float]:
-    """Integral of ``f`` over ``[a, b]`` with declared singular points, and
-    the achieved error bound: ``(value, bound)``.
+    args: Sequence = (),
+):
+    """Integrals of ``f`` over ``[a[i], b[i]]`` with declared singular
+    points, and their achieved error bounds: ``(value, bound)``.
 
-    The interval is split at every interior singular point, so each panel has
-    singularities only at its endpoints, where the adaptive Gauss-Kronrod rule
-    with extrapolation handles logarithmic and x^(-1/2)-type blow-ups.  The
-    quadrature nodes are interior, so ``f`` is never evaluated exactly at a
-    declared singular point.  ``bound`` is the sum of the panels' bounds.
-    If every panel converged but that sum misses the request, the panels
-    run once more, each asked for its share of the request in absolute
-    terms.
+    ``f(x, *args)`` is elementwise, as in :func:`find_roots`: it maps an
+    array of abscissae, with the matching elements of ``args`` (arrays that
+    broadcast with ``a`` and ``b``), to an array of values.  Each element of
+    ``singular_points`` is a point, or all are arrays that broadcast with
+    ``a``; points outside an interval are ignored.  Scalar inputs give
+    floats, arrays give arrays.
+
+    Each interval is split at its interior singular points into panels, so
+    that singularities sit only at panel ends, and each panel runs the
+    tanh-sinh rule, whose nodes crowd doubly exponentially toward the ends:
+    logarithmic and x^(-1/2)-type end singularities keep full accuracy.
+    Every level of the rule evaluates all open panels of all intervals in
+    one call of ``f``.  A panel's error at level l is E = max(|Q_l -
+    Q_(l-1)|, |Q_(l-1) - Q_(l-2)|) + R, where R is a rounding term, eps
+    sum |w f|, plus at a declared singular end the change of f under a
+    half-ulp move of each node.  Two differences, not one: where a kink
+    slows the rule, one difference can fall below the error.  A panel stops
+    once E meets its share of its interval's request ``max(abs_tol,
+    rel_tol |I|)`` (the request over the interval's panels, halved at each
+    halving).  A panel still open after QUAD_LEVELS levels is halved, and
+    ``max_steps`` bounds the halvings per interval.  ``bound`` is the sum of
+    the panels' E.  The nodes are interior, so ``f`` is never evaluated at
+    a panel end; near a declared singular end see ``_MODEL_ULPS``.  Every
+    interval's value and bound depend on its own inputs only, not on the
+    others evaluated with it.
+
+    An interval whose bound misses the request (its halvings spent, or a
+    value not finite) raises :class:`NonConvergenceError` carrying
+    ``estimate`` and ``error_bound``.
     """
-    if b < a:
+    a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    args = [v.ravel() for v in args]
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("the interval ends must be finite")
+    if np.any(b < a):
         raise ValueError("b must not precede a")
-    if b == a:
-        return 0.0, 0.0
-    singular = {float(s) for s in singular_points}
-    cuts = sorted({s for s in singular if a < s < b})
-    panels = list(zip([a, *cuts], [*cuts, b]))
-    limit = max(tol.max_steps // len(panels), 50)
+    n = a.size
+    k = len(singular_points)
+    points = np.asarray(singular_points, dtype=float).reshape(k, -1 if k else 1)
+    points = np.broadcast_to(points, (k, n))
 
-    def run(epsabs: float, epsrel: float):
-        # requesting below ~1e-13 per panel just trips QUADPACK's roundoff
-        # detector near singular endpoints
-        epsabs = max(epsabs, 1e-13)
-        total = err_bound = 0.0
-        worst = None
-        for lo, hi in panels:
-            mid = 0.5 * (lo + hi)
+    # panels: each interval cut at its interior singular points, in order
+    cuts = np.where((points > a) & (points < b), points, np.nan)
+    ends = np.sort(np.vstack([a, b, cuts]), axis=0)  # NaN sorts last
+    owner, j = np.nonzero((ends[1:] > ends[:-1]).T)
+    lo, hi = ends[j, owner], ends[j + 1, owner]
+    declared = np.stack([(points[:, owner] == lo).any(axis=0),
+                         (points[:, owner] == hi).any(axis=0)], axis=1)
+    share = 1.0 / np.bincount(owner, minlength=n)[owner]  # of the request
 
-            def fenced(x, _mid=mid):
-                # deep subdivision can round a quadrature node onto a declared
-                # singular point; step one ulp back into the panel
-                if x in singular:
-                    x = np.nextafter(x, _mid)
-                return f(x)
+    done_owner, done_value, done_bound = [], [], []
+    closed_sum = np.zeros(n)  # values of the closed panels, per interval
+    halvings = np.zeros(n, dtype=int)
+    while owner.size:
+        # one generation: every open panel runs levels 0.. in step
+        r = 0.5 * (hi - lo)
+        end = np.stack([lo, hi], axis=1)
+        ulp = np.spacing(np.abs(end))
+        s = _MODEL_ULPS * ulp
+        model = declared & (16.0 * s <= r[:, None]) & (_DELTA_MIN * r[:, None] < s)
+        fit_row, fit_side = np.nonzero(model)
+        fit_x = (end[fit_row, fit_side, None]
+                 + _INTO_PANEL[fit_side] * s[fit_row, fit_side, None] * [1.0, 2.0, 4.0])
+        # a node nearer an end than `reach` is not evaluated: it takes the
+        # model's value, or (within an ulp, where it would round onto the
+        # end) it is dropped
+        p = {"owner": owner, "declared": declared, "share": share, "r": r, "end": end, "s": s, "reach": np.where(model, s, ulp),
+             "log2_rs": np.log2(r)[:, None] - np.log2(s),
+             "pos": np.where(declared, 0.5 * ulp, 0.0),
+             "f1": np.zeros((r.size, 2)), "df": np.zeros((r.size, 2)),
+             "log_r": np.zeros((r.size, 2)), "S": np.zeros(r.size), "A": np.zeros(r.size),
+             "q": np.zeros(r.size), "diff": np.full(r.size, np.inf)}
+        for level, (delta, log2_delta, w, step) in enumerate(_LEVELS):
+            # (panel, end, node)
+            d = p["r"][:, None, None] * delta
+            live = d > p["reach"][:, :, None]
+            xs = (p["end"][:, :, None] + _INTO_PANEL * d)[live]
+            n_live = xs.size
+            rows = np.nonzero(live)[0] if args else None
+            if level == 0:
+                xs = np.concatenate([xs, fit_x.ravel()])
+                rows = np.concatenate([rows, np.repeat(fit_row, 3)]) if args else None
+            fx = np.asarray(f(xs, *(arg[p["owner"][rows]] for arg in args)), dtype=float)
+            if level == 0 and fit_row.size:
+                f1, df, log_r = _end_model(fx[n_live:].reshape(-1, 3))
+                for key, val in (("f1", f1), ("df", df), ("log_r", log_r)):
+                    p[key][fit_row, fit_side] = val
+            if fit_row.size:  # the model's values, 0 at ends without one
+                v = _model_values(p["f1"][:, :, None], p["df"][:, :, None],
+                                  p["log_r"][:, :, None], p["log2_rs"][:, :, None] + log2_delta)
+            else:
+                v = np.zeros(live.shape)
+            v[live] = fx[:n_live]
+            wv = w * v
+            rho = _EPS + p["pos"][:, :, None] / np.maximum(d, p["s"][:, :, None])
+            p["S"] = p["S"] + wv.sum(axis=(1, 2))
+            p["A"] = p["A"] + (np.abs(wv) * rho).sum(axis=(1, 2))
+            q = p["r"] * step * p["S"]
+            if level:
+                diff = np.abs(q - p["q"])
+                err = np.maximum(diff, p["diff"]) + p["r"] * step * p["A"]
+                p["diff"] = diff
+                request = np.full(q.size, tol.abs_tol)
+                if tol.rel_tol:
+                    estimate = closed_sum + np.bincount(p["owner"], q, minlength=n)
+                    request = np.maximum(request, tol.rel_tol * np.abs(estimate[p["owner"]]))
+                bad = ~np.isfinite(q)
+                close = bad | (err <= request * p["share"])
+                if level == QUAD_LEVELS - 1:
+                    # out of levels: halve, unless that overruns the budget
+                    need = np.bincount(p["owner"][~close], minlength=n)
+                    over = halvings + need > tol.max_steps
+                    halvings += np.where(over, 0, need)
+                    close |= over[p["owner"]]
+                if close.any():
+                    done_owner.append(p["owner"][close])
+                    done_value.append(q[close])
+                    done_bound.append(np.where(bad, np.inf, err)[close])
+                    closed_sum += np.bincount(p["owner"][close], q[close], minlength=n)
+                    keep = ~close
+                    p = {key: val[keep] for key, val in p.items()}
+                    q = q[keep]
+                    if not keep.any():
+                        break
+            p["q"] = q
+        # halve what is left; the outer ends keep their declarations
+        left, right = p["end"].T
+        mid = 0.5 * (left + right)
+        lo = np.stack([left, mid], axis=1).ravel()
+        hi = np.stack([mid, right], axis=1).ravel()
+        owner = np.repeat(p["owner"], 2)
+        share = np.repeat(0.5 * p["share"], 2)
+        declared = np.zeros((lo.size, 2), dtype=bool)
+        declared[0::2, 0] = p["declared"][:, 0]
+        declared[1::2, 1] = p["declared"][:, 1]
 
-            out = quad(fenced, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit,
-                       full_output=1)
-            total += out[0]
-            err_bound += out[1]
-            if len(out) > 3:
-                worst = f"[{lo:.6g}, {hi:.6g}]: {out[3]}"
-        return total, err_bound, worst
-
-    target = lambda total: max(tol.abs_tol, tol.rel_tol * abs(total))
-    total, err_bound, worst = run(tol.abs_tol / len(panels), tol.rel_tol)
-    if err_bound > target(total) and worst is None:
-        # Panels of opposite sign can each meet rel_tol times their own
-        # value while their bounds sum past rel_tol |total|: ask each panel
-        # once more for its share of the target, absolutely.
-        total, err_bound, worst = run(target(total) / len(panels), 0.0)
-    # the contract is on the achieved error bound, not per-panel grumbling
-    if err_bound > target(total):
+    owners = np.concatenate([np.zeros(0, dtype=int), *done_owner])
+    value = np.bincount(owners, np.concatenate([np.zeros(0), *done_value]), minlength=n)
+    bound = np.bincount(owners, np.concatenate([np.zeros(0), *done_bound]), minlength=n)
+    failed = ~(bound <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(value)))
+    if shape == ():
+        value, bound = float(value[0]), float(bound[0])
+    else:
+        value, bound = value.reshape(shape), bound.reshape(shape)
+    if failed.any():
+        worst = int(np.argmax(np.where(failed, np.nan_to_num(bound, nan=np.inf), -1.0)))
         raise NonConvergenceError(
-            f"quadrature error bound {err_bound:.3g} exceeds the request"
-            + (f" ({worst})" if worst else ""),
-            estimate=total,
-            error_bound=err_bound,
+            f"quadrature error bound {np.ravel(bound)[worst]:.3g} exceeds the request "
+            f"on [{a[worst]:.6g}, {b[worst]:.6g}] ({int(failed.sum())} of {n} intervals)",
+            estimate=value,
+            error_bound=bound,
         )
-    return total, err_bound
+    return value, bound

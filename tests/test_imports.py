@@ -2,6 +2,7 @@
 import cycle fails here and not only in the order some caller happens to use.
 """
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,22 @@ def test_every_submodule_imports_first():
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_no_scipy_integrate_or_optimize():
+    # the quadrature is in-package, and the two kernels that still use SciPy
+    # (integrate_ivp, find_root) import it when called
+    root = str(Path(hillmap.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {root!r}); import hillmap.cli\n"
+        "loaded = [m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))]\n"
+        "assert not loaded, loaded\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_module_calls_quadpack():
+    quadpack = re.compile(r"integrate\.quad\b|from scipy\.integrate import[^\n]*\bquad\b")
+    for path in Path(hillmap.__file__).resolve().parent.glob("*.py"):
+        assert not quadpack.search(path.read_text()), path.name

@@ -14,6 +14,7 @@ from hillmap.ensemble import CHUNK
 from hillmap.errors import SingularityError
 from hillmap.lyapunov import (
     BURN_IN,
+    CRITICAL_EPS,
     EXPONENT_TOL,
     I_integral,
     I_integral_xform,
@@ -25,6 +26,7 @@ from hillmap.lyapunov import (
     trace_kernels,
 )
 from hillmap.maps import MapDescriptor, eval_map, trace_poly
+from hillmap.numerics import QUAD_TOL, ToleranceSpec, quad_singular
 
 # Every order the angle quadrature is checked at: all of 2-24 (the range the
 # Horner-based x quadrature failed from m = 17 on), powers of two up to 128,
@@ -328,6 +330,38 @@ class TestOrbitAverage:
         res = assert_matches_scalar_loop(5, 0.2345, 2 * CHUNK + 7)
         assert res.restarts >= 10
 
+    @pytest.mark.parametrize("index", [0, 17, CHUNK - 1, CHUNK])
+    def test_planted_hit_at_order_24(self, index, monkeypatch):
+        # 23 critical points and a planted one in the binned test
+        m, x0, n = 24, 0.37071, CHUNK + 3
+        hit = orbit_point(m, x0, index)
+        real = critical_points(m)
+        monkeypatch.setattr(lyapunov, "critical_points", lambda k: np.append(real, hit))
+        assert assert_matches_scalar_loop(m, x0, n).restarts == 1
+
+    def test_start_on_each_critical_point_at_order_24(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "BURN_IN", 0)
+        for c in critical_points(24):
+            assert assert_matches_scalar_loop(24, float(c), 2).restarts >= 1
+
+    @pytest.mark.parametrize("m", [2, 3, 24, 128])
+    def test_first_critical_is_the_scan_of_every_point(self, m):
+        # planted at, inside and outside CRITICAL_EPS of a critical point
+        def scan(xs, crit):
+            hits = [np.flatnonzero(np.abs(xs - c) < CRITICAL_EPS) for c in crit]
+            return min((int(h[0]) for h in hits if h.size), default=None)
+
+        rng = np.random.default_rng(m)
+        crit = critical_points(m)
+        cells = lyapunov._critical_cells(crit)
+        xs = -2.0 * np.cos(math.pi * rng.uniform(0.0, 1.0, 4000))
+        spots = rng.choice(xs.size, 60, replace=False)
+        offsets = [0.0, 0.5, 0.999, 1.0, 1.001, -0.999, -1.0, -1.001, 3.0, -2.0]
+        xs[spots] = rng.choice(crit, spots.size) + rng.choice(offsets, spots.size) * CRITICAL_EPS
+        xs[-1] = 2.0
+        for start in range(0, xs.size, 97):
+            assert lyapunov._first_critical(xs[start:], crit, cells) == scan(xs[start:], crit)
+
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("n", [2, 7, 1000, CHUNK + 3, 500_000])
     def test_orbit_on_the_fixed_point_reads_twice_log_m(self, m, n):
@@ -393,7 +427,7 @@ class TestIIntegral:
     @pytest.mark.parametrize("gap", [4.4e-16, 1e-13, 1e-11, 1e-8, 1e-4])
     def test_just_outside_the_edges(self, gap):
         # the value, ~sqrt(|a| - 2), is set within phi ~ sqrt(|a| - 2) of the
-        # end y = pi/2, where 2 sin y - a cancels and QUADPACK can miss it
+        # end y = pi/2, where 2 sin y - a cancels and QUADPACK could miss it
         a = 2.0 + gap
         closed = math.log((a + math.sqrt(a * a - 4.0)) / 2.0)
         assert abs(I_integral(a) - closed) < 1e-12
@@ -401,8 +435,87 @@ class TestIIntegral:
 
     @pytest.mark.parametrize("a", [2.2034, 2.2080, 2.2894, 2.4, 2.857, 2.872, 3.8, 3.99])
     def test_bound_within_rel_tol_is_accepted(self, a):
-        # where an integral sweep exited 2: QUADPACK stops on its relative
-        # rule, err <= rel_tol |I|, with a bound above abs_tol
+        # where an integral sweep exited 2 under QUADPACK, which stopped on
+        # its relative rule, err <= rel_tol |I|, with a bound above abs_tol
         closed = math.log((a + math.sqrt(a * a - 4.0)) / 2.0)
         assert abs(I_integral(a) - closed) < 1e-10
         assert abs(I_integral(-a) - closed) < 1e-10
+
+
+# The |a| ranges where an integral sweep exited 2 when the quadrature was
+# QUADPACK's: a panel's error bound above the request.
+SWEEP_EXIT2_RANGES = ((2.20313, 2.20361), (2.20770, 2.20831), (2.28929, 2.28945),
+                      (2.39606, 2.42015), (2.85463, 2.85944), (2.86985, 2.87554),
+                      (3.76966, 3.99128))
+
+
+def log_potential(a):
+    return math.log((abs(a) + math.sqrt(a * a - 4.0)) / 2.0) if abs(a) > 2.0 else 0.0
+
+
+def near_two(ulps):
+    """2 moved by ``ulps`` units in the last place (the spacing halves below 2)."""
+    return 2.0 + ulps * float(np.spacing(2.0 if ulps > 0 else 1.5))
+
+
+SIGNED = st.sampled_from([-1.0, 1.0])
+A_VALUES = st.one_of(
+    st.floats(-6.0, 6.0),
+    st.tuples(st.sampled_from(SWEEP_EXIT2_RANGES).flatmap(lambda r: st.floats(*r)), SIGNED),
+    st.tuples(st.integers(-64, 64).map(near_two), SIGNED),
+).map(lambda a: a[0] * a[1] if isinstance(a, tuple) else a)
+
+
+class TestIIntegralQuadrature:
+    @settings(max_examples=300, deadline=None)
+    @given(a=A_VALUES)
+    def test_error_within_the_bound_and_bound_within_the_request(self, a):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(quad_singular(*args, **kwargs))
+            return calls[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lyapunov, "quad_singular", recording)
+            got = I_integral(a)
+        ((value, bound),) = calls
+        assert abs(got - log_potential(a)) <= max(1e-12, bound / math.pi)
+        assert bound <= max(QUAD_TOL.abs_tol, QUAD_TOL.rel_tol * abs(value))
+
+    @settings(max_examples=25, deadline=None)
+    @given(lo=st.floats(-6.0, 6.0), hi=st.floats(-6.0, 6.0), count=st.integers(1, 61))
+    def test_grid_equals_scalar_calls(self, lo, hi, count):
+        grid = np.linspace(min(lo, hi), max(lo, hi), count)
+        got = I_integral(grid)
+        assert got.shape == grid.shape
+        assert np.array_equal(got, [I_integral(float(a)) for a in grid])
+
+    def test_grid_through_the_edges_equals_scalar_calls(self):
+        grid = np.array([near_two(k) * s for k in (-3, -1, 0, 1, 3) for s in (-1.0, 1.0)]
+                        + [0.0, 2.2034, -3.8, 6.0])
+        assert np.array_equal(I_integral(grid), [I_integral(float(a)) for a in grid])
+        assert isinstance(I_integral(2.5), float)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 24])
+    def test_each_angle_panel_within_its_bound(self, m):
+        # the panels [j pi/m, (j + 1) pi/m] of average_lyapunov_quadrature,
+        # each with its share of the request, against a 30-digit quadrature
+        # of the closed form log |m sin(m t) / sin t|
+        mpmath = pytest.importorskip("mpmath")
+        fprime = trace_kernels(m).fprime
+        j = np.arange(m)
+        lo, hi = j * math.pi / m, (j + 1) * math.pi / m
+        lo[0], hi[-1] = 0.0, math.pi
+        declared = [np.where(j > 0, lo, np.nan), np.where(j < m - 1, hi, np.nan)]
+        share = ToleranceSpec(EXPONENT_TOL.abs_tol / m, 0.0, EXPONENT_TOL.max_steps)
+        value, bound = quad_singular(lambda t: np.log(np.abs(fprime(2.0 * np.cos(t)))),
+                                     lo, hi, declared, share)
+        with mpmath.workdps(30):
+            exact = [mpmath.quad(lambda t: mpmath.log(abs(m * mpmath.sin(m * t) / mpmath.sin(t))),
+                                 [mpmath.mpf(float(u)), mpmath.mpf(float(v))])
+                     for u, v in zip(lo, hi)]
+            # the oracle sums to log m, short of the float pi's missing 1e-16
+            assert abs(sum(exact) / mpmath.pi - mpmath.log(m)) < 1e-15
+        for k in range(m):
+            assert abs(value[k] - float(exact[k])) <= bound[k] <= share.abs_tol, k

@@ -6,6 +6,7 @@ import pytest
 from hillmap.errors import BracketError, NonConvergenceError
 from hillmap.numerics import (
     IVP_TOL,
+    QUAD_LEVELS,
     QUAD_TOL,
     ROOT_TOL,
     ToleranceSpec,
@@ -232,21 +233,21 @@ class TestFindRootsIsScipysChandrupatla:
 
 class TestQuadSingular:
     def test_log_endpoint(self):
-        val, bound = quad_singular(math.log, 0.0, 1.0, singular_points=[0.0])
+        val, bound = quad_singular(np.log, 0.0, 1.0, singular_points=[0.0])
         assert abs(val - (-1.0)) <= bound <= QUAD_TOL.abs_tol
 
     def test_arcsine_endpoints(self):
-        f = lambda x: 1.0 / math.sqrt(1.0 - x * x)
+        f = lambda x: 1.0 / np.sqrt(1.0 - x * x)
         val, _ = quad_singular(f, -1.0, 1.0, singular_points=[-1.0, 1.0])
         assert abs(val - math.pi) < 1e-9
 
     def test_log_sine_interior_singularity(self):
-        f = lambda y: math.log(abs(2.0 * math.sin(y)))
+        f = lambda y: np.log(np.abs(2.0 * np.sin(y)))
         val, _ = quad_singular(f, -math.pi / 2, math.pi / 2, singular_points=[0.0])
         assert abs(val / math.pi) < 1e-10
 
     def test_additive_over_subintervals(self):
-        f = lambda x: math.log(abs(x)) if x != 0 else 0.0
+        f = lambda x: np.log(np.abs(x))
         tol = ToleranceSpec(abs_tol=1e-11, rel_tol=1e-11, max_steps=400)
         whole, _ = quad_singular(f, -1.0, 2.0, singular_points=[0.0], tol=tol)
         left, _ = quad_singular(f, -1.0, 0.5, singular_points=[0.0], tol=tol)
@@ -261,8 +262,8 @@ class TestQuadSingular:
         sign = math.copysign(1.0, a)
 
         def f(y):
-            half = math.sin(0.5 * (math.pi / 2.0 - sign * y))
-            return math.log((abs(a) - 2.0) + 4.0 * half * half)
+            half = np.sin(0.5 * (math.pi / 2.0 - sign * y))
+            return np.log((abs(a) - 2.0) + 4.0 * half * half)
 
         cut = sign * (math.pi / 2.0 - math.sqrt(abs(a) - 2.0))
         val, bound = quad_singular(f, -math.pi / 2, math.pi / 2, singular_points=[cut])
@@ -273,7 +274,7 @@ class TestQuadSingular:
     def test_nonconvergence_carries_partial(self):
         # nastier than the budget allows: dense oscillation with limit=1 panels
         bad_tol = ToleranceSpec(abs_tol=1e-13, rel_tol=1e-13, max_steps=1)
-        f = lambda x: math.sin(1.0 / (x + 1e-12)) / math.sqrt(abs(x) + 1e-12)
+        f = lambda x: np.sin(1.0 / (x + 1e-12)) / np.sqrt(np.abs(x) + 1e-12)
         with pytest.raises(NonConvergenceError) as info:
             quad_singular(f, 0.0, 1.0, tol=bad_tol)
         assert hasattr(info.value, "estimate")
@@ -286,7 +287,7 @@ class TestQuadSingular:
         # log|x| on [-1, 2] split at 0: the reported bound is the sum of the
         # two panels' achieved bounds, and it covers the error of the sum
         # (the halves get the same per-panel request and budget as the whole)
-        f = lambda x: math.log(abs(x))
+        f = lambda x: np.log(np.abs(x))
         whole, bound = quad_singular(f, -1.0, 2.0, [0.0], ToleranceSpec(2e-10, 0.0, 400))
         half = ToleranceSpec(1e-10, 0.0, 200)
         _, left = quad_singular(f, -1.0, 0.0, [0.0], half)
@@ -296,15 +297,101 @@ class TestQuadSingular:
         assert abs(whole - exact) <= bound
 
     def test_relative_acceptance_rule(self):
-        # accepted when the bound is within max(abs_tol, rel_tol |I|), as
-        # QUADPACK itself stops; with rel_tol = 0 abs_tol alone binds
-        f = lambda x: 1e6 * math.log(x)
+        # accepted when the bound is within max(abs_tol, rel_tol |I|); with
+        # rel_tol = 0 abs_tol alone binds
+        f = lambda x: 1e6 * np.log(x)
         tol = ToleranceSpec(abs_tol=1e-12, rel_tol=1e-10, max_steps=400)
         val, bound = quad_singular(f, 0.0, 1.0, [0.0], tol)
         assert abs(val + 1e6) < 1e-4
         assert tol.abs_tol < bound <= tol.rel_tol * abs(val)
         with pytest.raises(NonConvergenceError):
             quad_singular(f, 0.0, 1.0, [0.0], ToleranceSpec(1e-12, 0.0, 400))
+
+
+class TestQuadSingularBatches:
+    """Many intervals in one call: each as if alone, each bound honest."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(x, *args):
+            calls.append(x.size)
+            return f(x, *args)
+
+        return g, calls
+
+    def test_batch_equals_scalar_calls(self):
+        # per-interval args and singular points; one empty interval
+        f = lambda x, c: np.log(np.abs(x - c)) * np.exp(-c * x)
+        lo = np.array([-1.0, 0.0, 0.5, 2.0, 3.0])
+        hi = np.array([1.0, 2.0, 0.5, 4.0, 3.5])
+        c = np.array([0.3, 1.0, 0.7, 2.5, 3.25])
+        val, bound = quad_singular(f, lo, hi, [c], args=(c,))
+        for i in range(lo.size):
+            one = quad_singular(lambda x, c=float(c[i]): f(x, c), float(lo[i]), float(hi[i]), [c[i]])
+            assert (val[i], bound[i]) == one
+            assert isinstance(one[0], float) and isinstance(one[1], float)
+        assert val[2] == bound[2] == 0.0
+
+    def test_one_call_of_f_per_level(self):
+        # 20 intervals converge in the same few calls as one of them
+        g, calls = self.counted(lambda x, c: np.log(np.abs(x - c)))
+        c = np.linspace(-0.9, 0.9, 20)
+        quad_singular(g, -1.0, 1.0, [c], args=(c,))
+        many = len(calls)
+        calls.clear()
+        quad_singular(g, -1.0, 1.0, [c[:1]], args=(c[:1],))
+        assert many == len(calls) <= 6
+
+    def test_point_outside_every_interval_is_ignored(self):
+        val, _ = quad_singular(np.exp, 0.0, 1.0, [-1.0, 5.0, np.nan])
+        assert abs(val - (math.e - 1.0)) < 1e-14
+
+    def test_b_before_a_or_an_infinite_end_raises(self):
+        with pytest.raises(ValueError):
+            quad_singular(np.exp, [0.0, 1.0], [1.0, 0.5])
+        with pytest.raises(ValueError):
+            quad_singular(lambda x: np.exp(-x), 0.0, np.inf)
+
+    @pytest.mark.parametrize("kink", [-0.918, -0.46, 0.274, 0.627, 0.826])
+    def test_undeclared_kink_is_halved_and_bounded(self, kink):
+        # |x - k| converges slowly in the tanh-sinh levels; its panel is
+        # halved, and the bound still covers the error
+        g, calls = self.counted(lambda x: np.abs(x - kink))
+        tol = ToleranceSpec(1e-10, 0.0, 400)
+        val, bound = quad_singular(g, -1.0, 1.0, tol=tol)
+        exact = ((1.0 + kink) ** 2 + (1.0 - kink) ** 2) / 2.0
+        assert abs(val - exact) <= bound <= tol.abs_tol
+        assert len(calls) > 6  # more than one generation
+
+    @pytest.mark.parametrize("end", [1.0, 2.0, 4.5])
+    def test_inverse_sqrt_at_a_nonzero_end(self, end):
+        # the mass within an ulp of the end (~sqrt(ulp)) lies beyond every
+        # float next to it, and comes from the end model
+        f = lambda x: 1.0 / np.sqrt(end - x)
+        val, bound = quad_singular(f, 0.0, end, [end], ToleranceSpec(1e-10, 0.0, 400))
+        assert abs(val - 2.0 * math.sqrt(end)) <= min(bound, 1e-11)
+        assert bound <= 1e-10
+
+    def test_budget_caps_the_halvings(self):
+        # an unreachable request: every panel halves until the budget stops
+        # it, then the call raises; at most max_steps halvings were made
+        g, calls = self.counted(lambda x: np.log(np.abs(x)))
+        evaluated = []
+        tol = ToleranceSpec(1e-30, 0.0, 40)
+        with pytest.raises(NonConvergenceError) as info:
+            quad_singular(lambda x: evaluated.append(x.size) or g(x), -1.0, 1.0, [0.0], tol)
+        panels_run = 2 + 2 * tol.max_steps
+        # per panel: 16 2^l nodes at each end at level l, the centre from
+        # both ends, 3 model points at each declared end
+        per_panel = 2 * (1 + 16 * 2 ** (QUAD_LEVELS - 1)) + 6
+        assert sum(evaluated) <= panels_run * per_panel
+        assert np.isfinite(info.value.estimate) and info.value.error_bound > 1e-30
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(NonConvergenceError):
+            quad_singular(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
 
 
 def test_defaults_are_sane():

@@ -393,6 +393,29 @@ class TestL1Distance:
         )
         assert abs(got - oracle) < 1e-8
 
+    @pytest.mark.parametrize("lo, hi, at", [(0.5, 1.9, 0.37), (-1.9, -0.3, 0.6),
+                                            (1.0, 1.99, 0.2), (-2.0, -1.0, 0.5)])
+    def test_cell_holding_the_crossing(self, lo, hi, at):
+        # v = D at a point inside the cell: |v - D| has a kink there; the
+        # closed form splits at the crossing and uses the arcsine CDF
+        v = D_DENSITY(lo + at * (hi - lo))
+        cross = math.copysign(math.sqrt(4.0 - 1.0 / (math.pi * v) ** 2), lo + hi)
+        exact = (v * (cross - lo) - (invariant_cdf(cross) - invariant_cdf(lo))
+                 + (invariant_cdf(hi) - invariant_cdf(cross)) - v * (hi - cross))
+        if lo + hi < 0:  # D falls through the crossing on the left half
+            exact = -exact
+        tails = invariant_cdf(lo) + (1.0 - invariant_cdf(hi))
+        p = StepDensity(np.array([lo, hi]), np.array([v]))
+        assert abs(l1_distance(p, D_DENSITY) - (exact + tails)) < 1e-9
+
+    def test_many_cells_in_one_quadrature(self):
+        # the cells of a step density against the cell-by-cell sum
+        p = StepDensity(np.linspace(-2.0, 2.0, 9), np.linspace(0.1, 0.4, 8))
+        one_by_one = sum(l1_distance(StepDensity(p.edges[i:i + 2], p.values[i:i + 1]), D_DENSITY)
+                         - invariant_cdf(p.edges[i]) - (1.0 - invariant_cdf(p.edges[i + 1]))
+                         for i in range(8))
+        assert abs(l1_distance(p, D_DENSITY) - one_by_one) < 1e-10
+
     def test_domain_mismatch(self):
         p = StepDensity(np.array([-3.0, 0.0]), np.array([1.0]))
         with pytest.raises(DomainError):
@@ -471,6 +494,20 @@ class TestInvariantDensities:
         for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
             with pytest.raises(DomainError):
                 invariant_quantile(np.array(bad))
+
+    @pytest.mark.parametrize("kind, lo, hi", [("logistic_q", 0.0, 1.0),
+                                              ("discriminant_D", -2.0, 2.0)])
+    def test_array_equals_the_scalar_loop(self, kind, lo, hi):
+        x = np.concatenate([np.random.default_rng(3).uniform(lo, hi, 200),
+                            np.nextafter([lo, hi], [hi, lo])]).reshape(2, -1)
+        got = invariant_density(kind, x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert np.array_equal(got, [[invariant_density(kind, float(v)) for v in row] for row in x])
+        assert isinstance(invariant_density(kind, np.float64(0.5)), float)
+        assert invariant_density(kind, np.empty(0)).shape == (0,)
+        for bad in ([0.5 * (lo + hi), hi], [lo, 0.5 * (lo + hi)], [0.5, np.nan]):
+            with pytest.raises(DomainError):
+                invariant_density(kind, np.array(bad))
 
     def test_q_density_normalised(self):
         val, _ = quad_singular(Q_DENSITY, 0.0, 1.0, singular_points=[0.0, 1.0])
