@@ -232,12 +232,20 @@ def find_roots(
 # still open after QUAD_LEVELS levels is halved.
 QUAD_LEVELS = 5
 # Near a declared singular end e the integrand is evaluated no closer than
-# s = 2^20 ulp(e).  Nodes nearer e round onto e or beside it, and the mass
-# within an ulp of e can lie beyond every float: ~5e-9 for 1/sqrt(2 - x) at
-# 2.  Nearer nodes take their value from the model B + C d^alpha through f
-# at distances s, 2s and 4s from e; it is exact for power laws and, as
-# alpha -> 0, for A log d + B.
+# s = min(2^20 ulp(e), r/16 rounded down to a power of two).  Nodes nearer e
+# round onto e or beside it, and the mass within an ulp of e can lie beyond
+# every float: ~5e-9 for 1/sqrt(2 - x) at 2.  Nearer nodes take their value
+# from the model B + C d^alpha through f at distances s, 2s and 4s from e
+# (floats exactly, where s is a multiple of ulp(e)); it is exact for power
+# laws and, as alpha -> 0, for A log d + B.  For other end behaviour the
+# model through 2s, 4s and 8s differs from it, and _MISFIT times the
+# difference over the modelled nodes joins the error: for log^k d (k = 2,
+# 3), d^alpha log d (alpha = -1/2, -0.3, 1/2), log^2 d / sqrt d, 1 / log d
+# and log log d at an end of 2 the model's error over [0, s] was at most
+# 2.4 times the difference.  A panel narrower than 16 ulp beside a
+# declared end has no room for the fit: its bound is infinite.
 _MODEL_ULPS = 2.0**20
+_MISFIT = 4.0
 _INTO_PANEL = np.array([[1.0], [-1.0]])  # from its left end, from its right end
 
 
@@ -261,19 +269,22 @@ _DELTA_MIN = float(_LEVELS[0][0].min())
 
 
 def _end_model(fit: np.ndarray):
-    """(f1, f2 - f1, log r) of the model through f at distances s, 2s, 4s
-    (the columns of ``fit``), r = (f3 - f2) / (f2 - f1) = 2^alpha.  Where r
-    is not in (1/2, inf), alpha > -1, the model is the constant f1."""
+    """(f1, f2 - f1, log r), on the last axis, of the model through f at
+    distances s, 2s, 4s (the columns of ``fit``), r = (f3 - f2) / (f2 - f1)
+    = 2^alpha.  Where r is not in (1/2, inf), alpha > -1, the model is the
+    constant f1."""
     f1, f2, f3 = fit.T
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (f3 - f2) / (f2 - f1)
         ok = (ratio > 0.5) & np.isfinite(ratio)
-        return f1, np.where(ok, f2 - f1, 0.0), np.where(ok, np.log(np.where(ok, ratio, 1.0)), 0.0)
+        return np.stack([f1, np.where(ok, f2 - f1, 0.0),
+                         np.where(ok, np.log(np.where(ok, ratio, 1.0)), 0.0)], axis=-1)
 
 
-def _model_values(f1, df, log_r, u):
-    """The model at distances d = 2^u s: f1 + df (r^u - 1) / (r - 1), and
-    f1 + df u where r = 1."""
+def _model_values(model, u):
+    """The model (f1, df, log r) at distances d = 2^u s: f1 + df (r^u - 1)
+    / (r - 1), and f1 + df u where r = 1."""
+    f1, df, log_r = model.T
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.where(log_r == 0.0, u, np.expm1(u * log_r) / np.expm1(log_r))
     return f1 + df * phi
@@ -303,16 +314,19 @@ def quad_singular(
     logarithmic and x^(-1/2)-type end singularities keep full accuracy.
     Every level of the rule evaluates all open panels of all intervals in
     one call of ``f``.  A panel's error at level l is E = max(|Q_l -
-    Q_(l-1)|, |Q_(l-1) - Q_(l-2)|) + R, where R is a rounding term, eps
-    sum |w f|, plus at a declared singular end the change of f under a
-    half-ulp move of each node.  Two differences, not one: where a kink
-    slows the rule, one difference can fall below the error.  A panel stops
-    once E meets its share of its interval's request ``max(abs_tol,
+    Q_(l-1)|, |Q_(l-1) - Q_(l-2)|) + R + M.  Two differences, not one:
+    where a kink slows the rule, one difference can fall below the error.
+    R is a rounding term, eps sum |w f| plus the change of f under a
+    half-spacing move of each node, relative to its distance from the
+    declared points beside its panel.  M is the end model's misfit (see
+    ``_MODEL_ULPS``): a declared end is meant to behave like B + C d^alpha
+    (alpha > -1) or A log d + B at distance d, up to terms smaller by a
+    power of d, and M covers milder departures such as log^2 d.  A panel
+    stops once E meets its share of its interval's request ``max(abs_tol,
     rel_tol |I|)`` (the request over the interval's panels, halved at each
     halving).  A panel still open after QUAD_LEVELS levels is halved, and
     ``max_steps`` bounds the halvings per interval.  ``bound`` is the sum of
-    the panels' E.  The nodes are interior, so ``f`` is never evaluated at
-    a panel end; near a declared singular end see ``_MODEL_ULPS``.  Every
+    the panels' E.  ``f`` is never evaluated at a panel end.  Every
     interval's value and bound depend on its own inputs only, not on the
     others evaluated with it.
 
@@ -341,6 +355,12 @@ def quad_singular(
     declared = np.stack([(points[:, owner] == lo).any(axis=0),
                          (points[:, owner] == hi).any(axis=0)], axis=1)
     share = 1.0 / np.bincount(owner, minlength=n)[owner]  # of the request
+    # the rounding of a node's position near a declared point: half the
+    # spacing of the floats beside the point, inside the panel, and the
+    # distance from each panel end to the point
+    pos = np.where(declared, 0.5 * np.abs(np.stack(
+        [np.nextafter(lo, hi) - lo, np.nextafter(hi, lo) - hi], axis=1)), 0.0)
+    gap = np.zeros(pos.shape)
 
     done_owner, done_value, done_bound = [], [], []
     closed_sum = np.zeros(n)  # values of the closed panels, per interval
@@ -350,55 +370,69 @@ def quad_singular(
         r = 0.5 * (hi - lo)
         end = np.stack([lo, hi], axis=1)
         ulp = np.spacing(np.abs(end))
-        s = _MODEL_ULPS * ulp
-        model = declared & (16.0 * s <= r[:, None]) & (_DELTA_MIN * r[:, None] < s)
+        s = np.minimum(_MODEL_ULPS * ulp, np.exp2(np.floor(np.log2(r / 16.0)))[:, None])
+        cramped = declared & (s < ulp)
+        model = declared & ~cramped & (_DELTA_MIN * r[:, None] < s)
         fit_row, fit_side = np.nonzero(model)
-        fit_x = (end[fit_row, fit_side, None]
-                 + _INTO_PANEL[fit_side] * s[fit_row, fit_side, None] * [1.0, 2.0, 4.0])
-        # a node nearer an end than `reach` is not evaluated: it takes the
-        # model's value, or (within an ulp, where it would round onto the
-        # end) it is dropped
-        p = {"owner": owner, "declared": declared, "share": share, "r": r, "end": end, "s": s, "reach": np.where(model, s, ulp),
-             "log2_rs": np.log2(r)[:, None] - np.log2(s),
-             "pos": np.where(declared, 0.5 * ulp, 0.0),
-             "f1": np.zeros((r.size, 2)), "df": np.zeros((r.size, 2)),
-             "log_r": np.zeros((r.size, 2)), "S": np.zeros(r.size), "A": np.zeros(r.size),
-             "q": np.zeros(r.size), "diff": np.full(r.size, np.inf)}
+        fit_d = s[fit_row, fit_side, None] * [1.0, 2.0, 4.0, 8.0]
+        fit_x = end[fit_row, fit_side, None] + _INTO_PANEL[fit_side] * fit_d
+        # a node nearer a modelled end than s is not evaluated but takes the
+        # model's value, and its rounding term is the fit's: none where the
+        # fit points are floats exactly.  A node within an ulp of another end
+        # is evaluated an ulp inside it, so that f never sees a panel end.
+        exact = np.zeros(model.shape, dtype=bool)
+        exact[fit_row, fit_side] = (np.abs(fit_x - end[fit_row, fit_side, None]) == fit_d).all(axis=1)
+        p = {"owner": owner, "declared": declared, "share": share, "r": r, "end": end,
+             "ulp": ulp, "model": model, "cramped": cramped.any(axis=1),
+             "reach": np.where(model, s, 0.0), "log2_rs": np.log2(r)[:, None] - np.log2(s),
+             "pos": pos, "gap": gap, "fit_rho": np.where(exact, 0.0, pos) / (gap + s),
+             "far": _EPS + pos[:, ::-1] / (r[:, None] + gap[:, ::-1]),
+             "fits": np.zeros((r.size, 2, 2, 3)), "S": np.zeros(r.size), "A": np.zeros(r.size),
+             "M": np.zeros(r.size), "q": np.zeros(r.size), "diff": np.full(r.size, np.inf)}
         for level, (delta, log2_delta, w, step) in enumerate(_LEVELS):
             # (panel, end, node)
             d = p["r"][:, None, None] * delta
             live = d > p["reach"][:, :, None]
-            xs = (p["end"][:, :, None] + _INTO_PANEL * d)[live]
+            xs = (p["end"][:, :, None]
+                  + _INTO_PANEL * np.maximum(d, p["ulp"][:, :, None]))[live]
             n_live = xs.size
             rows = np.nonzero(live)[0] if args else None
             if level == 0:
                 xs = np.concatenate([xs, fit_x.ravel()])
-                rows = np.concatenate([rows, np.repeat(fit_row, 3)]) if args else None
+                rows = np.concatenate([rows, np.repeat(fit_row, 4)]) if args else None
             fx = np.asarray(f(xs, *(arg[p["owner"][rows]] for arg in args)), dtype=float)
             if level == 0 and fit_row.size:
-                f1, df, log_r = _end_model(fx[n_live:].reshape(-1, 3))
-                for key, val in (("f1", f1), ("df", df), ("log_r", log_r)):
-                    p[key][fit_row, fit_side] = val
-            if fit_row.size:  # the model's values, 0 at ends without one
-                v = _model_values(p["f1"][:, :, None], p["df"][:, :, None],
-                                  p["log_r"][:, :, None], p["log2_rs"][:, :, None] + log2_delta)
-            else:
-                v = np.zeros(live.shape)
+                fit = fx[n_live:].reshape(-1, 4)
+                p["fits"][fit_row, fit_side] = np.stack(
+                    [_end_model(fit[:, :3]), _end_model(fit[:, 1:])], axis=1)
+            v = np.zeros(live.shape)
             v[live] = fx[:n_live]
+            near = ~live  # only beside a modelled end
+            if near.any():
+                # the model's values, and their distance from the model at 2s
+                row, side, node = np.nonzero(near)
+                u = p["log2_rs"][row, side] + log2_delta[node]
+                fits = p["fits"][row, side]
+                v[near] = near_v = _model_values(fits[:, 0], u)
+                misfit = np.abs(w[node] * (near_v - _model_values(fits[:, 1], u - 1.0)))
+                p["M"] = p["M"] + np.bincount(row, misfit, minlength=p["r"].size)
             wv = w * v
-            rho = _EPS + p["pos"][:, :, None] / np.maximum(d, p["s"][:, :, None])
+            # eps, and the change of f under the rounding of the node's
+            # distance from the declared points on either side
+            rho = p["far"][:, :, None] + np.where(
+                live, p["pos"][:, :, None] / (p["gap"][:, :, None] + d), p["fit_rho"][:, :, None])
             p["S"] = p["S"] + wv.sum(axis=(1, 2))
             p["A"] = p["A"] + (np.abs(wv) * rho).sum(axis=(1, 2))
             q = p["r"] * step * p["S"]
             if level:
                 diff = np.abs(q - p["q"])
-                err = np.maximum(diff, p["diff"]) + p["r"] * step * p["A"]
+                err = np.maximum(diff, p["diff"]) + p["r"] * step * (p["A"] + _MISFIT * p["M"])
                 p["diff"] = diff
                 request = np.full(q.size, tol.abs_tol)
                 if tol.rel_tol:
                     estimate = closed_sum + np.bincount(p["owner"], q, minlength=n)
                     request = np.maximum(request, tol.rel_tol * np.abs(estimate[p["owner"]]))
-                bad = ~np.isfinite(q)
+                bad = ~np.isfinite(q) | p["cramped"]
                 close = bad | (err <= request * p["share"])
                 if level == QUAD_LEVELS - 1:
                     # out of levels: halve, unless that overruns the budget
@@ -427,6 +461,10 @@ def quad_singular(
         declared = np.zeros((lo.size, 2), dtype=bool)
         declared[0::2, 0] = p["declared"][:, 0]
         declared[1::2, 1] = p["declared"][:, 1]
+        pos = np.repeat(p["pos"], 2, axis=0)
+        gap = np.repeat(p["gap"], 2, axis=0)
+        gap[0::2, 1] += right - mid
+        gap[1::2, 0] += mid - left
 
     owners = np.concatenate([np.zeros(0, dtype=int), *done_owner])
     value = np.bincount(owners, np.concatenate([np.zeros(0), *done_value]), minlength=n)

@@ -118,8 +118,8 @@ def invariant_density(kind: str, x: float | np.ndarray) -> float | np.ndarray:
     ``logistic_q``: 1 / (pi sqrt(x (1 - x))) on (0, 1);
     ``discriminant_D``: 1 / (pi sqrt(4 - x^2)) on (-2, 2).
 
-    A scalar gives a float; an array gives an array, elementwise, with the
-    same values, and any element outside the open domain raises.
+    A scalar gives a float; an array gives an array, elementwise, and any
+    element outside the open domain raises.
     """
     if kind == "logistic_q":
         lo, hi = 0.0, 1.0
@@ -127,17 +127,13 @@ def invariant_density(kind: str, x: float | np.ndarray) -> float | np.ndarray:
         lo, hi = -2.0, 2.0
     else:
         raise ValueError(f"unknown invariant density {kind!r}")
-    name = "q" if kind == "logistic_q" else "D"
-    if np.ndim(x) == 0:
-        if not lo < x < hi:
-            raise DomainError(f"{name} is defined on the open ({lo:g}, {hi:g})")
-        inner = x * (1.0 - x) if kind == "logistic_q" else 4.0 - x * x
-        return 1.0 / (math.pi * math.sqrt(inner))
     x = np.asarray(x, dtype=float)
     if x.size and not (x.min() > lo and x.max() < hi):
+        name = "q" if kind == "logistic_q" else "D"
         raise DomainError(f"{name} is defined on the open ({lo:g}, {hi:g})")
     inner = x * (1.0 - x) if kind == "logistic_q" else 4.0 - x * x
-    return 1.0 / (math.pi * np.sqrt(inner))
+    out = 1.0 / (math.pi * np.sqrt(inner))
+    return float(out) if out.ndim == 0 else out
 
 
 D_DENSITY = SmoothDensity(

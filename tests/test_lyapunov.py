@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hillmap import lyapunov
 from hillmap.ensemble import CHUNK
-from hillmap.errors import SingularityError
+from hillmap.errors import NonConvergenceError, SingularityError
 from hillmap.lyapunov import (
     BURN_IN,
     CRITICAL_EPS,
@@ -404,6 +404,18 @@ class TestIIntegral:
         got = I_integral(3.0)
         assert abs(got - closed) < 1e-6
         assert abs(got - I_integral_xform(3.0)) < 1e-6
+
+    @pytest.mark.parametrize("a", [2.0 - 1e-9, -2.0 + 1e-9, 2.0 - 1e-6, 2.0 + 1e-6])
+    def test_xform_beside_the_edges_is_right_or_raises(self, a):
+        # in x the panel [a, 2] is narrower than the end model's usual s,
+        # with a log singularity at one end and 1/sqrt at the other: the
+        # value meets the request, or the call raises with a bound that
+        # covers the error
+        closed = math.acosh(abs(a) / 2.0) if abs(a) > 2.0 else 0.0
+        try:
+            assert abs(I_integral_xform(a) - closed) <= QUAD_TOL.abs_tol
+        except NonConvergenceError as exc:
+            assert abs(exc.estimate - closed) <= exc.error_bound
 
     def test_even(self):
         for a in (0.5, 1.0, 1.5, 3.0):

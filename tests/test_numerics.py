@@ -374,6 +374,55 @@ class TestQuadSingularBatches:
         assert abs(val - 2.0 * math.sqrt(end)) <= min(bound, 1e-11)
         assert bound <= 1e-10
 
+    @pytest.mark.parametrize("width", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11])
+    def test_inverse_sqrt_on_a_narrow_panel(self, width):
+        # a panel narrower than 16 s: the model is fitted at r/16, so the
+        # mass within an ulp of the end is still counted.  The narrowest
+        # miss the request on the rounding of the nodes' distances from 2,
+        # and raise with a bound that still covers the error.
+        a = 2.0 - width
+        try:
+            val, bound = quad_singular(lambda x: 1.0 / np.sqrt(2.0 - x), a, 2.0, [2.0])
+        except NonConvergenceError as exc:
+            assert width <= 1e-10
+            val, bound = exc.estimate, exc.error_bound
+        assert abs(val - 2.0 * math.sqrt(2.0 - a)) <= bound
+
+    def test_panel_of_a_few_ulps_beside_a_declared_end_raises(self):
+        # no room for the end model: the bound is infinite, not the value
+        # of the floats inside (which miss ~2 sqrt(1e-14))
+        with pytest.raises(NonConvergenceError) as info:
+            quad_singular(lambda x: 1.0 / np.sqrt(2.0 - x), 2.0 - 1e-14, 2.0, [2.0])
+        assert info.value.error_bound == np.inf
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_narrow_panel_keeps_the_mass_beside_its_ends(self, scale):
+        # on a panel 2^-40 wide the nodes within an ulp of an end carry
+        # ~ulp / 2^-40 ~ 2e-4 of the integral: they are evaluated an ulp
+        # inside the end, not dropped
+        hi = 1.0 + 2.0**-40
+        val, bound = quad_singular(lambda x: scale * np.exp(x - 1.0), 1.0, hi,
+                                   tol=ToleranceSpec(1e-30, 1e-13, 400))
+        exact = scale * math.expm1(2.0**-40)
+        assert abs(val - exact) <= bound <= 1e-13 * exact
+
+    @pytest.mark.parametrize("f, end, exact", [
+        (lambda x: np.log(2.0 - x) ** 2, 2.0, 2.0),
+        (lambda x: np.log(x - 1.0) ** 2, 1.0, 2.0),
+        (lambda x: np.log(2.0 - x) ** 2 / np.sqrt(2.0 - x), 2.0, 16.0),
+        (lambda x: np.log(2.0 - x) / np.sqrt(2.0 - x), 2.0, -4.0),
+    ])
+    def test_end_model_misfit_joins_the_bound(self, f, end, exact):
+        # log^2 d and d^alpha log d are not B + C d^alpha: the difference of
+        # the fits at s and 2s enters the bound, which covers the error
+        # whether or not it meets the request
+        for tol in (QUAD_TOL, ToleranceSpec(1e-12, 0.0, 400)):
+            try:
+                val, bound = quad_singular(f, 1.0, 2.0, [end], tol)
+            except NonConvergenceError as exc:
+                val, bound = exc.estimate, exc.error_bound
+            assert abs(val - exact) <= bound
+
     def test_budget_caps_the_halvings(self):
         # an unreachable request: every panel halves until the budget stops
         # it, then the call raises; at most max_steps halvings were made
@@ -384,8 +433,8 @@ class TestQuadSingularBatches:
             quad_singular(lambda x: evaluated.append(x.size) or g(x), -1.0, 1.0, [0.0], tol)
         panels_run = 2 + 2 * tol.max_steps
         # per panel: 16 2^l nodes at each end at level l, the centre from
-        # both ends, 3 model points at each declared end
-        per_panel = 2 * (1 + 16 * 2 ** (QUAD_LEVELS - 1)) + 6
+        # both ends, 4 model points at each declared end
+        per_panel = 2 * (1 + 16 * 2 ** (QUAD_LEVELS - 1)) + 8
         assert sum(evaluated) <= panels_run * per_panel
         assert np.isfinite(info.value.estimate) and info.value.error_bound > 1e-30
 

@@ -503,6 +503,10 @@ class TestInvariantDensities:
         got = invariant_density(kind, x)
         assert isinstance(got, np.ndarray) and got.shape == x.shape
         assert np.array_equal(got, [[invariant_density(kind, float(v)) for v in row] for row in x])
+        # and the formula in scalar arithmetic (sqrt is correctly rounded in both)
+        inner = (lambda v: v * (1.0 - v)) if kind == "logistic_q" else (lambda v: 4.0 - v * v)
+        assert np.array_equal(got, [[1.0 / (math.pi * math.sqrt(inner(float(v)))) for v in row]
+                                    for row in x])
         assert isinstance(invariant_density(kind, np.float64(0.5)), float)
         assert invariant_density(kind, np.empty(0)).shape == (0,)
         for bad in ([0.5 * (lo + hi), hi], [lo, 0.5 * (lo + hi)], [0.5, np.nan]):
