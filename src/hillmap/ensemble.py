@@ -4,10 +4,14 @@ distance to the arcsine invariant measure, and decay-slope fits.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,43 +70,102 @@ def _draw(dist: InitialDistribution, rng: np.random.Generator, size: int) -> np.
     raise ValueError(f"unknown distribution kind {dist.kind!r}")
 
 
-def sample_initial(dist: InitialDistribution, n: int, seed: int) -> tuple[np.ndarray, int]:
+def sample_initial(
+    dist: InitialDistribution, n: int, seed: int, *, executor: Executor | None = None
+) -> tuple[np.ndarray, int]:
     """Deterministic ensemble of n initial values in [-2, 2] for the given
     seed, and the number of draws that fell outside [-2, 2].
 
     Such a draw is redrawn from the same substream, up to 64 rounds per
     chunk, so the result is still a pure function of (dist, n, seed); with
-    ``clamp_to_domain`` it is clipped instead.
+    ``clamp_to_domain`` it is clipped instead.  Each chunk of CHUNK values
+    has its own substream, so with an ``executor`` the chunks are drawn on
+    its threads, with the same result.
     """
     if n < 1:
         raise ValueError("n must be positive")
     out = np.empty(n)
-    rejections = 0
-    produced = 0
-    chunk_index = 0
-    while produced < n:
-        want = min(CHUNK, n - produced)
-        rng = _chunk_rng(seed, chunk_index)
-        vals = _draw(dist, rng, want)
-        bad = np.nonzero((vals < DOMAIN[0]) | (vals > DOMAIN[1]))[0]
-        rejections += bad.size
-        if dist.clamp_to_domain:
-            np.clip(vals, DOMAIN[0], DOMAIN[1], out=vals)
-        else:
-            for _ in range(64):
-                if bad.size == 0:
-                    break
-                redraw = _draw(dist, rng, bad.size)
-                ok = (redraw >= DOMAIN[0]) & (redraw <= DOMAIN[1])
-                vals[bad[ok]] = redraw[ok]
-                bad = bad[~ok]
-                rejections += bad.size
-            if bad.size:
-                raise ConfigurationError("rejection resampling did not terminate")
-        out[produced : produced + want] = vals
-        produced += want
-        chunk_index += 1
+
+    def chunk(index: int) -> int:
+        return _sample_chunk(dist, seed, index, out[index * CHUNK : (index + 1) * CHUNK])
+
+    rejections = sum(_each(executor, chunk, range(-(-n // CHUNK))))
     return out, rejections
+
+
+def _sample_chunk(dist: InitialDistribution, seed: int, index: int, out: np.ndarray) -> int:
+    """Fills ``out`` with chunk ``index`` of the ensemble; returns its
+    rejections."""
+    rng = _chunk_rng(seed, index)
+    vals = _draw(dist, rng, out.size)
+    bad = np.nonzero((vals < DOMAIN[0]) | (vals > DOMAIN[1]))[0]
+    rejections = bad.size
+    if dist.clamp_to_domain:
+        np.clip(vals, DOMAIN[0], DOMAIN[1], out=vals)
+    else:
+        for _ in range(64):
+            if bad.size == 0:
+                break
+            redraw = _draw(dist, rng, bad.size)
+            ok = (redraw >= DOMAIN[0]) & (redraw <= DOMAIN[1])
+            vals[bad[ok]] = redraw[ok]
+            bad = bad[~ok]
+            rejections += bad.size
+        if bad.size:
+            raise ConfigurationError("rejection resampling did not terminate")
+    out[...] = vals
+    return rejections
+
+
+def _each(executor: Executor | None, fn: Callable, items) -> list:
+    """[fn(item) for item in items], on the executor's threads when there is
+    one; every result is read, so an exception in any call is raised here."""
+    if executor is None:
+        return [fn(item) for item in items]
+    return list(executor.map(fn, items))
+
+
+def _pool(workers: int, cpus: set[int]) -> ThreadPoolExecutor:
+    """A pool of ``workers`` threads, each started on its own CPU of ``cpus``
+    where the platform can place threads.
+
+    Where the scheduler does not balance load between CPUs (a cpuset with
+    ``sched_load_balance`` 0), a new thread stays on the CPU of the thread
+    that started it, and the workers would share one CPU; so each worker
+    moves once to the next CPU of the set, and may then run on all of them
+    again.  A set that changed since it was read leaves the worker where it
+    started."""
+    order = sorted(cpus)
+    counter = itertools.count()
+
+    def place() -> None:
+        try:
+            os.sched_setaffinity(0, {order[next(counter) % len(order)]})
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+    return ThreadPoolExecutor(
+        workers, initializer=place if hasattr(os, "sched_setaffinity") else None
+    )
+
+
+def _cpus() -> set[int]:
+    """The CPUs this process may run on; all of them on a platform that
+    cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return set(range(os.cpu_count() or 1))
+
+
+def _spans(n: int, parts: int) -> list[tuple[int, int]]:
+    """range(n) cut into ``parts`` contiguous pieces of nearly equal length."""
+    return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
+def _blocks(start: int, stop: int) -> list[tuple[int, int]]:
+    """range(start, stop) cut into pieces of BLOCK (the last one shorter)."""
+    return [(lo, min(lo + BLOCK, stop)) for lo in range(start, stop, BLOCK)]
 
 
 def wasserstein1(samples: Sequence[float]) -> float:
@@ -121,16 +184,38 @@ def wasserstein1(samples: Sequence[float]) -> float:
     return _w1_sorted(s, _quantile_grid(s.size), np.empty_like(s))
 
 
-def _quantile_grid(n: int) -> np.ndarray:
-    """Invariant quantiles at the midpoints u_i = (i + 1/2)/n."""
-    return invariant_quantile(np.arange(0.5, n) / n)
+def _quantile_grid(n: int, executor: Executor | None = None, parts: int = 1) -> np.ndarray:
+    """Invariant quantiles at the midpoints u_i = (i + 1/2)/n, in ``parts``
+    pieces, each BLOCK values at a time: the quantile is elementwise, so the
+    pieces give the same array, and their temporaries stay in cache."""
+    grid = np.empty(n)
+
+    def piece(span: tuple[int, int]) -> None:
+        for lo, hi in _blocks(*span):
+            grid[lo:hi] = invariant_quantile((np.arange(lo, hi) + 0.5) / n)
+
+    _each(executor, piece, _spans(n, parts))
+    return grid
 
 
-def _w1_sorted(s: np.ndarray, grid: np.ndarray, scratch: np.ndarray) -> float:
+def _w1_sorted(
+    s: np.ndarray,
+    grid: np.ndarray,
+    scratch: np.ndarray,
+    executor: Executor | None = None,
+    parts: int = 1,
+) -> float:
     """mean |s - grid|, computed in ``scratch``; the callers have sorted s
-    and kept it in [-2, 2]."""
-    np.subtract(s, grid, out=scratch)
-    np.abs(scratch, out=scratch)
+    and kept it in [-2, 2].  |s - grid| is written in ``parts`` pieces, each
+    BLOCK values at a time so that the abs pass reads from cache; the mean is
+    one pairwise sum over the whole scratch, whatever ``parts``."""
+
+    def piece(span: tuple[int, int]) -> None:
+        for lo, hi in _blocks(*span):
+            np.subtract(s[lo:hi], grid[lo:hi], out=scratch[lo:hi])
+            np.abs(scratch[lo:hi], out=scratch[lo:hi])
+
+    _each(executor, piece, _spans(s.size, parts))
     return float(np.mean(scratch))
 
 
@@ -194,7 +279,13 @@ def _trace_in_place(m: int, x: np.ndarray, scratch: np.ndarray) -> None:
     x[...] = y
 
 
-def _sorted_image(m: int, s: np.ndarray, out: np.ndarray) -> float:
+def _sorted_image(
+    m: int,
+    s: np.ndarray,
+    out: np.ndarray,
+    executor: Executor | None = None,
+    parts: int = 1,
+) -> float:
     """out = sort(clip(f_m(s), -2, 2)) for s sorted ascending in [-2, 2];
     returns max |f_m(s)| before the clip, for the escape check.
 
@@ -204,9 +295,12 @@ def _sorted_image(m: int, s: np.ndarray, out: np.ndarray) -> float:
     cell monotonically into one of the B value blocks between the quantiles
     at j / B: m cells per block.  With B = ceil(n / BLOCK), a block near
     equilibrium holds about BLOCK samples, so it is gathered, mapped, sorted
-    and clipped while it is in cache.  Rounding can put a value across a
-    block's end; the boundaries are then out of order, and one sort of the
-    whole output mends that, since it holds the same values either way.
+    and clipped while it is in cache.  The blocks fill disjoint parts of
+    ``out``, so ``parts`` runs of consecutive blocks, of about n / parts
+    samples each, are imaged independently, each with its own temporaries.
+    Rounding can put a value across a block's end; the boundaries are then
+    out of order, and one sort of the whole output mends that, since it holds
+    the same values either way.
     """
     n = s.size
     n_blocks = -(-n // BLOCK)
@@ -219,22 +313,30 @@ def _sorted_image(m: int, s: np.ndarray, out: np.ndarray) -> float:
     order = np.argsort(np.minimum(w, 2 * n_blocks - 1 - w)).reshape(n_blocks, m)
     lo, hi = bounds[:-1][order], bounds[1:][order]
     ends = np.cumsum((hi - lo).sum(axis=1))
-    scratch = np.empty((3, BLOCK))
-    worst = 0.0
-    start = 0
-    for j, stop in enumerate(ends.tolist()):
-        pos = start
-        for a, b in zip(lo[j].tolist(), hi[j].tolist()):
-            out[pos : pos + b - a] = s[a:b]
-            pos += b - a
-        block = out[start:stop]
-        for c in range(0, block.size, BLOCK):
-            _trace_in_place(m, block[c : c + BLOCK], scratch)
-        block.sort()
-        if block.size:
-            worst = max(worst, -float(block[0]), float(block[-1]))
-        np.clip(block, DOMAIN[0], DOMAIN[1], out=block)
-        start = stop
+    edges = np.concatenate(([0], ends)).tolist()
+    # part k starts at the block that holds sample n k / parts
+    first = np.searchsorted(ends, [n * k // parts for k in range(parts)]).tolist()
+
+    def run(blocks: tuple[int, int]) -> float:
+        j0, j1 = blocks
+        scratch = np.empty((3, BLOCK))
+        worst = 0.0
+        for j in range(j0, j1):
+            start, stop = edges[j], edges[j + 1]
+            pos = start
+            for a, b in zip(lo[j].tolist(), hi[j].tolist()):
+                out[pos : pos + b - a] = s[a:b]
+                pos += b - a
+            block = out[start:stop]
+            for c in range(0, block.size, BLOCK):
+                _trace_in_place(m, block[c : c + BLOCK], scratch)
+            block.sort()
+            if block.size:
+                worst = max(worst, -float(block[0]), float(block[-1]))
+            np.clip(block, DOMAIN[0], DOMAIN[1], out=block)
+        return worst
+
+    worst = max(_each(executor, run, zip(first, [*first[1:], n_blocks])))
     inner = ends[(ends > 0) & (ends < n)]
     if np.any(out[inner - 1] > out[inner]):
         out.sort()
@@ -247,6 +349,8 @@ def convergence_experiment(
     n_samples: int,
     n_iters: int,
     seed: int,
+    *,
+    threads: int = 1,
 ) -> EnsembleReport:
     """Iterate the degree-m map over a seeded ensemble and fit the W1 decay.
 
@@ -256,35 +360,48 @@ def convergence_experiment(
     iteration 1 and so includes pre-asymptotic steps: ``fitted_slope`` is the
     mean decay over [1, n*], not the asymptotic rate (at m = 2 the exact W1
     of the shifted-gamma start is not even monotone).  Identical inputs give
-    a bit-identical report.
+    a bit-identical report, whatever ``threads``.
 
     The ensemble is sorted once and kept sorted: each iteration writes the
     sorted, clipped image into the spare buffer block by block
     (``_sorted_image``), which gives the same array as mapping, clipping and
     sorting the whole ensemble, and so the same distances.  W1 then uses the
-    stale buffer as scratch.  Everything runs in the calling thread.
+    stale buffer as scratch.
+
+    The independent parts of this work -- the sampling chunks, pieces of the
+    quantile grid, runs of value blocks and the |s - grid| pass of W1 -- run
+    on min(threads, available CPUs, value blocks) threads of one pool that
+    closes before the call returns; with one, all of it runs in the calling
+    thread.  The initial sort, each W1 mean (one pairwise sum over the whole
+    array) and the rare mending sort stay in the calling thread, so every
+    distance keeps its bits.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     if n_iters < 0:
         raise ValueError("n_iters must be nonnegative")
-    samples, rejections = sample_initial(dist, n_samples, seed)
-    # The map acts elementwise, so mapping the sorted ensemble gives the same
-    # multiset of values, and so the same sorted array, as mapping it in draw
-    # order.
-    samples.sort()
-    spare = np.empty_like(samples)
-    grid = _quantile_grid(n_samples)
-    distances = [_w1_sorted(samples, grid, spare)]
-    for it in range(n_iters):
-        worst = _sorted_image(m, samples, spare)
-        if worst > 2.0 + 1e-9:
-            raise ConfigurationError(
-                f"ensemble escaped to |x|={worst:.3g} at iteration {it + 1} "
-                f"(m={m}, dist={dist}, seed={seed})"
-            )
-        samples, spare = spare, samples
-        distances.append(_w1_sorted(samples, grid, spare))
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    cpus = _cpus()
+    parts = min(threads, len(cpus), -(-n_samples // BLOCK))
+    with _pool(parts, cpus) if parts > 1 else nullcontext() as pool:
+        samples, rejections = sample_initial(dist, n_samples, seed, executor=pool)
+        # The map acts elementwise, so mapping the sorted ensemble gives the
+        # same multiset of values, and so the same sorted array, as mapping it
+        # in draw order.
+        samples.sort()
+        spare = np.empty_like(samples)
+        grid = _quantile_grid(n_samples, pool, parts)
+        distances = [_w1_sorted(samples, grid, spare, pool, parts)]
+        for it in range(n_iters):
+            worst = _sorted_image(m, samples, spare, pool, parts)
+            if worst > 2.0 + 1e-9:
+                raise ConfigurationError(
+                    f"ensemble escaped to |x|={worst:.3g} at iteration {it + 1} "
+                    f"(m={m}, dist={dist}, seed={seed})"
+                )
+            samples, spare = spare, samples
+            distances.append(_w1_sorted(samples, grid, spare, pool, parts))
 
     noise_floor = W1_FLOOR_COEFF / math.sqrt(n_samples)
     slope = None

@@ -303,4 +303,13 @@ def I_integral_xform(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:
     sing = [-2.0, 2.0]
     if -2.0 < a < 2.0:
         sing.append(a)
+    elif abs(a) > 2.0:
+        # just outside an edge, log|x - a| changes at the scale |a| - 2 beside
+        # it, where the end model alone would not see it: panels end at the
+        # points (|a| - 2) 4^j inside the edge, on each of which the integrand
+        # is smooth across a distance comparable to the panel itself
+        gap = abs(a) - 2.0
+        while gap < 1.0:
+            sing.append(math.copysign(2.0 - gap, a))
+            gap *= 4.0
     return quad_singular(integrand, -2.0, 2.0, sing, tol)[0]

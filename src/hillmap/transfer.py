@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import QUAD_TOL, ToleranceSpec, quad_singular
+from .numerics import QUAD_TOL, ToleranceSpec, find_roots, quad_singular
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,16 @@ def pushforward_fold(p: StepDensity, l: int) -> StepDensity:
     np.add.at(deltas, inverse[: ya.size], weights)
     np.add.at(deltas, inverse[ya.size :], -weights)
     levels = np.cumsum(deltas)[:-1]
+    # The running sum rounds at every event, so a cell covered by one image
+    # takes that image's weight as it is, and a cell covered by none 0: the
+    # count of covering images and the sum of their indices are exact.
+    image = np.stack([np.ones(ya.size, dtype=np.int64), np.arange(ya.size)])
+    cover = np.zeros((2, out_edges.size), dtype=np.int64)
+    np.add.at(cover, (slice(None), inverse[: ya.size]), image)
+    np.add.at(cover, (slice(None), inverse[ya.size :]), -image)
+    count, index = np.cumsum(cover, axis=1)[:, :-1]
+    levels[count == 0] = 0.0
+    levels[count == 1] = weights[index[count == 1]]
     if out_edges.size < 2:
         return StepDensity(np.array([0.0, 1.0]), np.array([0.0]))
     return StepDensity(out_edges, levels).simplify()
@@ -333,10 +343,41 @@ def evolve_genlogistic(
 
 # Distances and variation -------------------------------------------------------
 
-# Request per cell of l1_distance.  The kink of |v - q| where q crosses v is
-# not declared; the tanh-sinh panel holding it is halved until it meets its
-# share.  The sum over the cells stays far inside any use here.
+# Request per cell of l1_distance.  The sum over the cells stays far inside
+# any use here.
 _CELL_TOL = ToleranceSpec(1e-8, QUAD_TOL.rel_tol, QUAD_TOL.max_steps)
+
+
+def _crossings(q: SmoothDensity, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Points where q crosses the value v[i] in the cell [lo[i], hi[i]], one
+    row per cell, NaN-padded.
+
+    Each cell is cut at q's singular points inside it, and each piece at its
+    midpoint, so that a density falling and rising again between two
+    singular points (as the arcsine densities do) shows both crossings.  A
+    piece whose ends, each taken one ulp inside it (q may not be finite at
+    the end itself), give q - v of opposite signs holds a crossing, and one
+    batched root solve finds them all.  A crossing missed here, in a piece
+    that q crosses twice, is left to the quadrature's halving.
+    """
+    sing = np.asarray(q.singularities, dtype=float).reshape(1, -1)
+    inner = np.where((sing > lo[:, None]) & (sing < hi[:, None]), sing, np.nan)
+    ends = np.sort(np.column_stack([lo, hi, inner]), axis=1)  # NaN sorts last
+    pts = np.empty((lo.size, 2 * ends.shape[1] - 1))
+    pts[:, ::2] = ends
+    pts[:, 1::2] = 0.5 * (ends[:, :-1] + ends[:, 1:])
+    a = np.nextafter(pts[:, :-1], pts[:, 1:])
+    b = np.nextafter(pts[:, 1:], pts[:, :-1])
+    vv = np.broadcast_to(v[:, None], a.shape)
+    live = ~np.isnan(b)
+    ga = np.full(a.shape, np.nan)
+    gb = np.full(a.shape, np.nan)
+    ga[live] = np.asarray(q(a[live]), dtype=float) - vv[live]
+    gb[live] = np.asarray(q(b[live]), dtype=float) - vv[live]
+    change = (ga * gb < 0.0) & (a < b)  # a piece of two ulps or less has no inside
+    roots = np.full(a.shape, np.nan)
+    roots[change] = find_roots(lambda x, c: q(x) - c, a[change], b[change], args=(vv[change],))
+    return roots
 
 
 def l1_distance(p: StepDensity, q: StepDensity | SmoothDensity) -> float:
@@ -344,7 +385,8 @@ def l1_distance(p: StepDensity, q: StepDensity | SmoothDensity) -> float:
     span), quadrature against a smooth density with declared singularities.
 
     A smooth ``q`` is evaluated on arrays: all cells go through one
-    quadrature, each cell an interval of its own."""
+    quadrature, each cell an interval of its own, with the points where q
+    crosses the cell's value declared as singular points of that cell."""
     if isinstance(q, StepDensity):
         edges = np.union1d(p.edges, q.edges)
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -354,8 +396,12 @@ def l1_distance(p: StepDensity, q: StepDensity | SmoothDensity) -> float:
     plo, phi = p.domain
     if plo < qlo - 1e-9 or phi > qhi + 1e-9:
         raise DomainError("step density exceeds the smooth density's domain")
-    cells = quad_singular(lambda x, v: np.abs(v - q(x)), p.edges[:-1], p.edges[1:],
-                          q.singularities, _CELL_TOL, args=(p.values,))[0]
+    lo, hi = p.edges[:-1], p.edges[1:]
+    sing = [np.full(lo.size, s) for s in q.singularities]
+    # the kinks of |v - q| where q crosses v are declared as well
+    cross = list(_crossings(q, lo, hi, p.values).T)
+    cells = quad_singular(lambda x, v: np.abs(v - q(x)), lo, hi, sing + cross, _CELL_TOL,
+                          args=(p.values,))[0]
     total = float(np.sum(cells))
     # tails of q outside the step support
     if plo > qlo:

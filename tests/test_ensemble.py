@@ -1,12 +1,16 @@
+import json
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hillmap import ensemble
+from hillmap import cli, ensemble
 from hillmap.ensemble import (
     BLOCK,
     CHUNK,
@@ -218,10 +222,11 @@ ORDERS = [*range(2, 10), 24, 64]
 
 class TestSortedImage:
     @staticmethod
-    def _check(m, s, expect_repair=None):
+    def _check(m, s, expect_repair=None, parts=1):
         out = np.empty_like(s).view(_SortSpy)
         _SortSpy.whole, _SortSpy.repairs = out, 0
-        worst = ensemble._sorted_image(m, s, out)
+        with ThreadPoolExecutor(parts) if parts > 1 else nullcontext() as pool:
+            worst = ensemble._sorted_image(m, s, out, pool, parts)
         image = trace_poly(m, s)
         assert np.array_equal(out, np.sort(np.clip(image, -2.0, 2.0)))
         assert worst == max(-image.min(), image.max())
@@ -233,8 +238,10 @@ class TestSortedImage:
     def test_matches_sorted_clipped_map(self, m, n):
         rng = np.random.Generator(np.random.Philox(key=m * 1000 + n))
         s = np.sort(-2.0 * np.cos(np.pi * rng.uniform(0.0, 1.0, n)))
-        # the cells follow the branches of f_m, so generic samples need no repair
-        self._check(m, s, expect_repair=False)
+        # the cells follow the branches of f_m, so generic samples need no
+        # repair; runs of blocks imaged on their own give the same output
+        for parts in (1, 2, 3):
+            self._check(m, s, expect_repair=False, parts=parts)
 
     @pytest.mark.parametrize("m", ORDERS)
     def test_samples_on_ends_critical_points_and_cuts(self, m):
@@ -271,7 +278,82 @@ class TestSortedImage:
                 return invariant_quantile(u)
 
             monkeypatch.setattr(ensemble, "invariant_quantile", moved)
-            self._check(m, s, expect_repair=True)
+            for parts in (1, 2):
+                self._check(m, s, expect_repair=True, parts=parts)
+
+
+def _report_or_error(*args, **kwargs):
+    try:
+        return convergence_experiment(*args, **kwargs).to_json()
+    except ConfigurationError as e:
+        return repr(e)
+
+
+class TestThreads:
+    DISTS = [
+        InitialDistribution.uniform(),
+        InitialDistribution.shifted_gamma(),
+        InitialDistribution.shifted_gamma(clamp_to_domain=True),
+    ]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK + 1, 4 * CHUNK + 7])
+    def test_reports_identical_at_every_thread_count(self, monkeypatch, m, n):
+        # eight CPUs as seen by the experiment, so that three threads make
+        # three parts here too; a worker that cannot move to its CPU stays put
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        baseline = threading.active_count()
+        for dist in self.DISTS:
+            want = _report_or_error(m, dist, n, 3, 11)
+            for threads in (2, 3):
+                assert _report_or_error(m, dist, n, 3, 11, threads=threads) == want
+                assert threading.active_count() == baseline
+
+    def test_workers_capped_at_available_cpus(self, monkeypatch, tmp_path):
+        # a huge --threads asks for no more workers than the CPUs this
+        # process may use; the pool is recorded, never oversized
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", Recording)
+        docs = []
+        for threads in ("1", str(10**9)):
+            out = tmp_path / f"t{threads}.json"
+            assert cli.run(["ensemble", "--m", "2", "--samples", str(4 * CHUNK + 7),
+                            "--iters", "1", "--threads", threads, "--out", str(out),
+                            "--no-timestamp"]) == 0
+            docs.append(json.loads(out.read_text())["report"])
+            if threads == "1":
+                assert sizes == []  # one thread: no pool
+        assert len(sizes) <= 1 and all(s <= len(ensemble._cpus()) for s in sizes)
+        assert [d["config"].pop("threads") for d in docs] == [1, 10**9]
+        assert docs[0] == docs[1]
+
+    def test_platform_without_cpu_affinity(self, monkeypatch):
+        # without sched_getaffinity and sched_setaffinity the workers are
+        # neither counted against nor placed on an affinity set
+        n = 4 * CHUNK + 7
+        dist = InitialDistribution.shifted_gamma()
+        want = convergence_experiment(3, dist, n, 2, 6)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert convergence_experiment(3, dist, n, 2, 6, threads=2) == want
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            convergence_experiment(2, InitialDistribution.uniform(), 100, 1, 0, threads=0)
+
+    def test_sampling_chunks_on_an_executor(self):
+        n = 4 * CHUNK + 7
+        for dist in self.DISTS:
+            want, want_rejections = sample_initial(dist, n, 8)
+            with ThreadPoolExecutor(3) as pool:
+                got, rejections = sample_initial(dist, n, 8, executor=pool)
+            assert np.array_equal(got, want) and rejections == want_rejections
 
 
 class TestConvergenceExperiment:

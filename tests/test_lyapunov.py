@@ -417,6 +417,19 @@ class TestIIntegral:
         except NonConvergenceError as exc:
             assert abs(exc.estimate - closed) <= exc.error_bound
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k", range(3, 15))
+    def test_xform_just_outside_the_edges_is_right_or_raises(self, sign, k):
+        # log|x - a| has a feature at scale |a| - 2 beside the edge: the
+        # value meets the request, or the call raises with a bound that
+        # covers the error
+        a = sign * (2.0 + 10.0**-k)
+        closed = math.acosh(abs(a) / 2.0)
+        try:
+            assert abs(I_integral_xform(a) - closed) <= QUAD_TOL.abs_tol
+        except NonConvergenceError as exc:
+            assert abs(exc.estimate - closed) <= exc.error_bound
+
     def test_even(self):
         for a in (0.5, 1.0, 1.5, 3.0):
             assert abs(I_integral(a) - I_integral(-a)) < 1e-8

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hillmap import transfer
 from hillmap.errors import DomainError
 from hillmap.maps import MapDescriptor, eval_map
 from hillmap.numerics import ToleranceSpec, quad_singular
@@ -198,7 +199,7 @@ class TestPushforwardFold:
         out = pushforward_fold(p, 1)
         grid = np.union1d(p.edges, out.edges)
         mids = 0.5 * (grid[:-1] + grid[1:])
-        assert np.allclose(out(mids), p(mids))
+        assert np.array_equal(out(mids), p(mids))
 
     def test_bounded_variation_decay_bound(self):
         p = StepDensity(np.array([0.0, 0.7, 1.3, 2.0]), np.array([0.9, 0.35, 0.25]))
@@ -407,6 +408,30 @@ class TestL1Distance:
         tails = invariant_cdf(lo) + (1.0 - invariant_cdf(hi))
         p = StepDensity(np.array([lo, hi]), np.array([v]))
         assert abs(l1_distance(p, D_DENSITY) - (exact + tails)) < 1e-9
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.9), (-1.9, -0.3), (1.0, 1.99), (-2.0, 2.0)])
+    def test_declared_crossings_need_few_calls(self, monkeypatch, lo, hi):
+        # the crossings of D with v = 1/4 are declared, so the cell's
+        # quadrature (tails included) converges without halving the kink
+        calls = []
+
+        def counted(f, *args, **kwargs):
+            def g(*x):
+                calls.append(1)
+                return f(*x)
+
+            return quad_singular(g, *args, **kwargs)
+
+        monkeypatch.setattr(transfer, "quad_singular", counted)
+        v = 0.25
+        cross = math.sqrt(4.0 - 1.0 / (math.pi * v) ** 2)
+        pts = [lo, *(c for c in (-cross, cross) if lo < c < hi), hi]
+        exact = sum(abs(v * (b - a) - (invariant_cdf(b) - invariant_cdf(a)))
+                    for a, b in zip(pts[:-1], pts[1:]))
+        tails = invariant_cdf(lo) + (1.0 - invariant_cdf(hi))
+        got = l1_distance(StepDensity(np.array([lo, hi]), np.array([v])), D_DENSITY)
+        assert abs(got - (exact + tails)) < 1e-9
+        assert len(calls) <= 12
 
     def test_many_cells_in_one_quadrature(self):
         # the cells of a step density against the cell-by-cell sum
