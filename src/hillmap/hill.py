@@ -15,7 +15,7 @@ from scipy.special import airy, zeta
 from .errors import DomainError, NonConvergenceError
 # find_root and integrate_ivp are not called here: perfbench/tracing.py
 # counts root and ODE solves under hill.find_root and hill.integrate_ivp.
-from .numerics import ToleranceSpec, find_root, find_roots, integrate_ivp  # noqa: F401
+from .numerics import ToleranceSpec, find_root, find_roots, integrate_ivp, trace_poly  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,9 +45,17 @@ class Potential:
         # the defining data.
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_pieces", None)
+        if not np.isfinite(np.hstack(self.params)).all():
+            raise ValueError("potential data must be finite")
         if self.kind != "piecewise_linear":
             return
         bp, vals = self.params
+        if len(bp) != len(vals) or len(bp) < 1:
+            raise ValueError("need matching, nonempty breakpoints and values")
+        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        if bp[-1] - bp[0] >= 1.0:
+            raise ValueError("breakpoints must fit within one period")
         xp, fp = np.array([*bp, bp[0] + 1.0]), np.array([*vals, vals[0]])
         object.__setattr__(self, "_table", (xp, fp))
         x = np.mod(xp[:-1], 1.0)
@@ -81,15 +89,7 @@ class Potential:
         """Linear interpolation of ``values`` at ``breakpoints``, closed
         periodically; samples on a uniform grid of n points are
         ``piecewise_linear(np.arange(n) / n, samples)``."""
-        bp = tuple(float(b) for b in breakpoints)
-        vals = tuple(float(v) for v in values)
-        if len(bp) != len(vals) or len(bp) < 1:
-            raise ValueError("need matching, nonempty breakpoints and values")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if bp[-1] - bp[0] >= 1.0:
-            raise ValueError("breakpoints must fit within one period")
-        return cls("piecewise_linear", (bp, vals))
+        return cls("piecewise_linear", (tuple(map(float, breakpoints)), tuple(map(float, values))))
 
     def __call__(self, x):
         """Evaluate V at x (scalar or ndarray); periodic with period 1."""
@@ -157,13 +157,13 @@ class Monodromy:
         return float(self.entries[0, 0] + self.entries[1, 1])
 
 
-def _check_cell_length(V: Potential, l: float) -> None:
+def _periods(l: float, constant: bool = False) -> int:
+    """round(l) for a cell of whole periods; constant potentials take any l > 0."""
     if not l > 0:
         raise ValueError("cell length must be positive")
-    if V.kind == "constant":
-        return  # constant potentials have every period
-    if abs(l - round(l)) > 1e-9 or round(l) == 0:
+    if not constant and (abs(l - round(l)) > 1e-9 or round(l) == 0):
         raise ValueError("cell length must be a positive multiple of the period")
+    return round(l)
 
 
 def _matrices(a, b, c, d) -> np.ndarray:
@@ -322,8 +322,8 @@ def _piece(q0: np.ndarray, s: np.ndarray, h: np.ndarray, derivative: bool):
     return T, dT
 
 
-def transfer_matrices(V: Potential, l: float, lams, derivative: bool = False):
-    """Transfer matrices over ``[0, l]`` of ``-u'' + V u = lam u`` for every lam.
+def transfer_matrices(V: Potential, lams, derivative: bool = False):
+    """Transfer matrices over one period of ``-u'' + V u = lam u`` for every lam.
 
     Returns an array of shape ``lams.shape + (2, 2)`` (columns as in
     :class:`Monodromy`); with ``derivative``, the pair (M, dM/dlam).
@@ -332,37 +332,31 @@ def transfer_matrices(V: Potential, l: float, lams, derivative: bool = False):
     of a period: each piece gets its exact matrix (Airy functions, their
     asymptotic expansions, or one Magnus step, picked per piece and lam,
     accurate to ~1e-13 relative), all pieces and lam in one pass of
-    :func:`_piece`, and the pieces are multiplied across the cell.  Cosine
+    :func:`_piece`, and the pieces are multiplied across the period.  Cosine
     cells are refused: :func:`discriminant` serves them.
     """
-    _check_cell_length(V, l)
     if V.kind == "cosine":
         raise ValueError(
             "transfer matrices and derivatives are for the exact kinds only "
             "(constant, piecewise_linear); cosine cells have discriminant()"
         )
-    if V.kind == "constant":
-        pieces, cells = ((V.params[0], 0.0, l),), 1
-    else:
-        pieces, cells = V._pieces, round(l)
+    pieces = ((V.params[0], 0.0, 1.0),) if V.kind == "constant" else V._pieces
     lams = np.asarray(lams, dtype=float)
-    M = np.zeros((lams.size, 2, 2))
-    M[:, 0, 0] = M[:, 1, 1] = 1.0
+    M = np.tile(np.eye(2), (lams.size, 1, 1))
     dM = np.zeros_like(M) if derivative else None
     v0, s, h = np.array(pieces).T[..., None]
     T, dT = _piece(v0 - lams.ravel(), s, h, derivative)
-    for _ in range(cells):
-        for p in range(len(pieces)):
-            if derivative:
-                dM = dT[p] @ M + T[p] @ dM
-            M = T[p] @ M
+    for p in range(len(pieces)):
+        if derivative:
+            dM = dT[p] @ M + T[p] @ dM
+        M = T[p] @ M
     shape = lams.shape + (2, 2)
     return (M.reshape(shape), dM.reshape(shape)) if derivative else M.reshape(shape)
 
 
 def monodromy(V: Potential, l: float, lam: float) -> Monodromy:
-    """Exact transfer matrix over ``[0, l]`` (:func:`transfer_matrices`)."""
-    return Monodromy(transfer_matrices(V, l, [lam])[0], l, lam)
+    """Exact transfer matrix over ``[0, l]``, :func:`transfer_matrices` ^ round(l)."""
+    return Monodromy(np.linalg.matrix_power(transfer_matrices(V, [lam])[0], _periods(l)), l, lam)
 
 
 @dataclass(frozen=True)
@@ -408,23 +402,20 @@ def _level_roots(V: Potential, l: float, lo, hi, levels):
     )
 
 
-def _chains(qs, n: int):
-    """``qs`` centred to |q| <= pi, and the diagonals (q + 2 pi j)^2,
-    j = -n..n, one row per q, of the Fourier-Hill chains (Deconinck & Kutz,
-    J. Comput. Phys. 219, 2006): ``A cos(2 pi x)`` couples the Bloch modes
-    exp(i (q + 2 pi j) x) of one q only to j +- 1, with A/2."""
-    qs = qs - TWO_PI * np.round(qs / TWO_PI)
-    return qs, (qs[:, None] + TWO_PI * np.arange(-n, n + 1)) ** 2
-
-
 def _hill_eigenvalues(V: Potential, qs, lam_top: float) -> np.ndarray:
-    """Sorted eigenvalues, exact to rounding below lam_top, of the chains."""
+    """Sorted eigenvalues, exact to rounding below lam_top, of the
+    Fourier-Hill chains at the quasi-momenta qs (Deconinck & Kutz, J. Comput.
+    Phys. 219, 2006): ``A cos(2 pi x)`` couples the Bloch modes
+    exp(i (q + 2 pi j) x) of one q only to j +- 1, with A/2.  Chain q holds
+    the modes j = -n..n about q centred to |q| <= pi."""
     (amp,) = V.params
     reach = math.sqrt(max(lam_top, 0.0) + abs(amp)) + math.sqrt(abs(amp))
     n = int(reach / TWO_PI) + _FOURIER_MARGIN
     off = np.full(2 * n, 0.5 * amp)
+    qs = qs - TWO_PI * np.round(qs / TWO_PI)
     return np.sort(np.concatenate([eigvalsh_tridiagonal(
-        d, off, lapack_driver="stebz", tol=_TINY) for d in _chains(qs, n)[1]]))
+        (q + TWO_PI * np.arange(-n, n + 1)) ** 2, off, lapack_driver="stebz", tol=_TINY)
+        for q in qs]))
 
 
 # A cosine chain's couplings past n modes a side, taken to first order, leave
@@ -438,46 +429,47 @@ _TAIL_TERMS = 27
 def discriminant(V: Potential, l: float, lams, derivative: bool = False):
     """Delta_l(lam), the trace of the transfer matrix over ``[0, l]``, for
     an array of lam (same shape out); with ``derivative``, the pair (Delta,
-    dDelta/dlam), of the exact kinds only.
+    dDelta/dlam), of the exact kinds only.  Over c = round(l) periods it is
+    f_c(Delta_1) (:func:`trace_poly`), the derivative f_c'(Delta_1) dDelta_1.
 
-    The exact kinds take the trace of :func:`transfer_matrices`.  Cosine
-    cells of c periods take Hill's determinant (Magnus & Winkler, 1966, ch.
-    2), to ~1e-13 in |2 - Delta|: with the rows of the chain at q_r = 2 pi r
-    / c divided by d_j = (q_r + 2 pi j)^2 (but the zero mode's), 2 - Delta =
-    prod_r w_r P_r, w_r = 2 - 2 cos q_r (-1 at q_r = 0), P_r the chain's
-    determinant: both sides are entire of order 1/2, share their zeros and
-    agree at A = 0.  P_r is the continuant of the modes |j| <= n times, over
-    the tails, prod (1 - lam / d_j) and, to first order in the couplings,
-    exp(-sum e_k), e_k = (A/2)^2 / ((d_k - lam)(d_(k+1) - lam)).
+    The exact kinds take Delta_1 as the trace of :func:`transfer_matrices`,
+    cosine cells from Hill's determinant (Magnus & Winkler, 1966, ch. 2), to
+    ~1e-13 in |2 - Delta_1|: with the rows of the chain at q = 0 divided by
+    d_j = (2 pi j)^2 (but the zero mode's), Delta_1 - 2 = P, the chain's
+    determinant, as both sides are entire of order 1/2 with the same zeros
+    and agree at A = 0.  P is the continuant of the modes |j| <= n times,
+    over the tails, prod (1 - lam / d_j) and, to first order in the
+    couplings, exp(-sum e_k), e_k = (A/2)^2 / ((d_k - lam)(d_(k+1) - lam)).
     """
+    c = _periods(l)
     if V.kind != "cosine" or derivative:
-        got = transfer_matrices(V, l, lams, derivative=derivative)
-        return (_trace(got[0]), _trace(got[1])) if derivative else _trace(got)
-    _check_cell_length(V, l)
+        got = transfer_matrices(V, lams, derivative=derivative)
+        if derivative:
+            delta = _trace(got[0])
+            return trace_poly(c, delta), trace_poly(c, delta, derivative=True) * _trace(got[1])
+        return trace_poly(c, _trace(got))
     shape, lams = np.shape(lams), np.ravel(lams).astype(float)
     a = abs(V.params[0]) / (8.0 * math.pi**2)  # A/2 in units of (2 pi)^2
     top = float(np.max(np.abs(lams), initial=0.0))
     n = max(math.ceil(math.sqrt(top) / math.pi) + _FOURIER_MARGIN,
             math.ceil((_COUPLED * a**4) ** (1 / 7)))
-    qs, d = _chains(TWO_PI / round(l) * np.arange(round(l)), n)
+    d = (TWO_PI * np.arange(-n, n + 1)) ** 2
     scale = np.where(d == 0.0, 1.0, d)
-    rows = (d[..., None] - lams) / scale[..., None]
-    links = (TWO_PI**2 * a) ** 2 / (scale[:, :-1] * scale[:, 1:])
-    prev, det = 1.0, rows[:, 0]
+    rows = (d[:, None] - lams) / scale[:, None]
+    links = (TWO_PI**2 * a) ** 2 / (scale[:-1] * scale[1:])
+    prev, det = 1.0, rows[0]
     for k in range(1, 2 * n + 1):
-        prev, det = det, rows[:, k] * det - links[:, k - 1, None] * prev
-    # Both tails sum to Hurwitz zetas in mu = lam / (2 pi)^2: with t = k + 1/2
-    # +- x, e_k = a^2 / (t^4 - beta t^2 + gamma) = a^2 sum_m h_m t^(-4-2m).
-    mu, x, p = lams / TWO_PI**2, qs / TWO_PI, np.arange(1, _TAIL_TERMS + 1)[:, None]
-    free = zeta(2 * p, n + 1 + x) + zeta(2 * p, n + 1 - x)
-    coupled = zeta(2 * p + 2, n + 0.5 + x) + zeta(2 * p + 2, n + 0.5 - x)
+        prev, det = det, rows[k] * det - links[k - 1] * prev
+    # Both tails sum to Hurwitz zetas in mu = lam / (2 pi)^2: with t = k + 1/2,
+    # e_k = a^2 / (t^4 - beta t^2 + gamma) = a^2 sum_m h_m t^(-4-2m).
+    mu, p = lams / TWO_PI**2, np.arange(1, _TAIL_TERMS + 1)[:, None]
+    free, coupled = 2.0 * zeta(2 * p, n + 1.0), 2.0 * zeta(2 * p + 2, n + 0.5)
     beta, gamma = 2.0 * mu + 0.5, (mu - 0.25) ** 2
     h = [np.ones_like(mu), beta]
     while len(h) < _TAIL_TERMS:
         h.append(beta * h[-1] - gamma * h[-2])
     log_tails = -free.T @ (mu**p / p) - a * a * (coupled.T @ np.array(h))
-    w = np.where(qs == 0.0, -1.0, 2.0 - 2.0 * np.cos(qs))
-    return (2.0 - np.prod(w[:, None] * det * np.exp(log_tails), axis=0)).reshape(shape)
+    return trace_poly(c, (2.0 + det * np.exp(log_tails[0])).reshape(shape))
 
 
 def _gap_function(M):
@@ -506,7 +498,7 @@ def _turning_edges(V: Potential, lo, hi):
         lambda x: discriminant(V, 1.0, x, derivative=True)[1], lo, hi, _EDGE_TOL)
     found = ~np.isnan(lam_stars)
     lo, hi, lam_stars = lo[found], hi[found], lam_stars[found]
-    G, err = _gap_function(transfer_matrices(V, 1.0, lam_stars))
+    G, err = _gap_function(transfer_matrices(V, lam_stars))
     gap = G > err
     brackets = (np.concatenate([lo[gap], lam_stars[gap]]),
                 np.concatenate([lam_stars[gap], hi[gap]]))
@@ -577,7 +569,7 @@ def _exact_edges(V: Potential, lambda_max: float):
                 f"{n:.0f}" for a, b, n in zip(lo[~found], hi[~found], ns[~found])]
     # lam_0: G >= 4 sinh(1)^2 at min V - 1, G < 0 in band 1
     g_lo, g_hi = np.append(g_lo, v_min - 1.0), np.append(g_hi, ends[0])
-    roots = find_roots(lambda x: _gap_function(transfer_matrices(V, 1.0, x))[0],
+    roots = find_roots(lambda x: _gap_function(transfer_matrices(V, x))[0],
                        g_lo, g_hi, _EDGE_TOL)
     lost = np.isnan(roots)  # rounded to the same side of 0 at both ends
     warnings += [f"no band edge found between lambda={a:.6g} and {b:.6g}"
@@ -613,7 +605,7 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
       Delta_c = 2 T_c(Delta_1 / 2): each one-period band splits into c bands
       touching where Delta_1 = 2 cos(j pi / c), j = 1 .. c - 1.
     """
-    _check_cell_length(V, l)
+    _periods(l, V.kind == "constant")
     if lambda_max <= V.min_value():
         raise ValueError("lambda_max must exceed the spectral floor")
     warnings = []
@@ -655,10 +647,12 @@ def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
     At k = 0 and pi/l it is the band's edge from ``bands``, so the band
     must be whole (not clipped at ``lambda_max``).  Inside the zone, cosine
     cells take the ``band_index``-th eigenvalue of the Fourier-Hill matrix
-    H(k); the other kinds solve the dispersion relation
-    ``Delta_l(lam) = 2 cos(l k)`` between the band's edges, all k in one
-    batched root solve.
+    H(k); constant cells v whose length l is not a whole number of periods
+    take v + (pi (b - b mod 2) + (-1)^(b + 1) l k)^2 / l^2 on band b; the
+    others solve the dispersion relation ``Delta_l(lam) = 2 cos(l k)``
+    between the band's edges, all k in one batched root solve.
     """
+    _periods(l, V.kind == "constant")
     if not 1 <= band_index <= len(bands.bands):
         raise ValueError(f"band_index must lie in 1..{len(bands.bands)}")
     ks = np.asarray(k, dtype=float)
@@ -677,6 +671,9 @@ def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
         shifts = TWO_PI / l * np.arange(round(l))
         lam[inside] = [_hill_eigenvalues(V, q + shifts, b)[band_index - 1]
                        for q in ks[inside]]
+    elif inside.any() and V.kind == "constant" and l != round(l):
+        theta = math.pi * (band_index - band_index % 2) + (-1) ** (band_index + 1) * l * ks[inside]
+        lam[inside] = V.params[0] + (theta / l) ** 2
     elif inside.any():
         lam[inside] = _level_roots(V, l, a, b, 2.0 * np.cos(l * ks[inside]))
         if np.isnan(lam).any():

@@ -15,7 +15,7 @@ from . import hill
 from .errors import DomainError, DomainEscapeError
 # find_root is not called here; it stays importable as maps.find_root, the
 # name under which perfbench/tracing.py counts root solves.
-from .numerics import find_root  # noqa: F401
+from .numerics import find_root, trace_poly  # noqa: F401
 
 _FAMILIES = ("logistic", "gen_logistic", "tent", "fold", "chebyshev")
 
@@ -115,24 +115,6 @@ def gen_logistic_coeffs(m: int) -> PolynomialCoeffs:
         padded = [0] * (len(lifted) - len(prev)) + prev
         prev, cur = cur, [a - b for a, b in zip(lifted, padded)]
     return PolynomialCoeffs(tuple(cur))
-
-
-def trace_poly(m: int, x, derivative: bool = False):
-    """f_m(x), or with ``derivative`` f_m'(x) = m U_{m-1}(x/2).
-
-    Both run the trace recursion y_{k+1} = x y_k - y_{k-1}: from f_0 = 2 and
-    f_1 = x it gives f_m = 2 T_m(x/2); from U_{-1} = 0 and U_0 = 1 it gives
-    the Chebyshev polynomials of the second kind at x/2.  Works elementwise on
-    ndarrays and exactly on Fractions.  On [-2, 2] the rounding error grows
-    like m^2 eps, where Horner on the monomial coefficients loses
-    (1 + sqrt 2)^m eps.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    prev, y = (0, 1 + 0 * x) if derivative else (2, x)
-    for _ in range(m - 1):
-        prev, y = y, x * y - prev
-    return m * y if derivative else y
 
 
 def _tent_eval(x, slope: int):

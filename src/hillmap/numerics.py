@@ -1,7 +1,7 @@
 """Shared numerical kernels: ODE initial-value integration, bracketed root
-finding (one bracket, or many solved together), and tanh-sinh quadrature
-(one interval, or many integrated together) that tolerates logarithmic /
-inverse-square-root singularities.
+finding (one bracket, or many solved together), the trace polynomials f_m,
+and tanh-sinh quadrature (one interval, or many integrated together) that
+tolerates logarithmic / inverse-square-root singularities.
 
 All routines are pure functions of their inputs and safe to call from any
 number of threads.
@@ -220,6 +220,24 @@ def find_roots(
             f"(statuses {sorted(set(status[stuck].tolist()))})"
         )
     return out.reshape(a.shape)
+
+
+def trace_poly(m: int, x, derivative: bool = False):
+    """f_m(x), or with ``derivative`` f_m'(x) = m U_{m-1}(x/2).
+
+    Both run the trace recursion y_{k+1} = x y_k - y_{k-1}: from f_0 = 2 and
+    f_1 = x it gives f_m = 2 T_m(x/2); from U_{-1} = 0 and U_0 = 1 it gives
+    the Chebyshev polynomials of the second kind at x/2.  Works elementwise on
+    ndarrays and exactly on Fractions.  On [-2, 2] the rounding error grows
+    like m^2 eps, where Horner on the monomial coefficients loses
+    (1 + sqrt 2)^m eps.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    prev, y = (0, 1 + 0 * x) if derivative else (2, x)
+    for _ in range(m - 1):
+        prev, y = y, x * y - prev
+    return m * y if derivative else y
 
 
 # The tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974).  On a panel of

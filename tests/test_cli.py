@@ -382,6 +382,22 @@ def test_domain_error_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+@pytest.mark.parametrize("potential", [
+    ["--potential", "piecewise", "--breakpoints=0,0.5", "--values=0,{}"],
+    ["--potential", "cosine", "--value={}"],
+    ["--potential", "constant", "--value={}"],
+    ["--potential", "piecewise", "--breakpoints=0,{}", "--values=0,1"],
+], ids=["piecewise-values", "cosine", "constant", "piecewise-breakpoints"])
+def test_non_finite_potential_exits_one(tmp_path, capsys, bad, potential):
+    out = tmp_path / "b.csv"
+    argv = ["bands", *(arg.format(bad) for arg in potential), "--l", "1",
+            "--lambda-max", "40", "--out", str(out), "--no-timestamp"]
+    assert run(argv) == 1
+    assert "potential data must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonconvergence_exits_two(tmp_path):
     out = tmp_path / "I.csv"
     code = run(["integral-sweep", "--a-min", "2", "--a-max", "2", "--count", "1",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import elementwise
+from scipy.optimize import brentq, elementwise
 from scipy.special import mathieu_a, mathieu_b
 
 from hillmap import hill
@@ -49,6 +49,14 @@ class TestPotential:
     def test_piecewise_linear_validation(self):
         with pytest.raises(ValueError):
             Potential.piecewise_linear([0.0, 0.5, 0.5], [1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_data_refused(self, bad):
+        for make in (lambda: Potential.constant(bad), lambda: Potential.cosine(bad),
+                     lambda: Potential.piecewise_linear([0.0, 0.5], [0.0, bad]),
+                     lambda: Potential.piecewise_linear([0.0, bad], [0.0, 1.0])):
+            with pytest.raises(ValueError, match="must be finite"):
+                make()
 
     def test_breakpoints_tile(self):
         # the linear pieces (v0, slope, length) of one period from x = 0
@@ -127,9 +135,12 @@ class TestMonodromy:
         assert np.max(np.abs(gap)) < 5e-4
 
     def test_invalid_cell_length(self):
-        for V in (COS, Potential.piecewise_linear([0.0, 0.5], [0.0, 1.0])):
+        # whole periods for every kind, constant cells too
+        for V in (COS, FREE, Potential.piecewise_linear([0.0, 0.5], [0.0, 1.0])):
             with pytest.raises(ValueError, match="multiple of the period"):
                 discriminant(V, 1.5, 0.0)
+        with pytest.raises(ValueError, match="multiple of the period"):
+            monodromy(Potential.constant(1.0), 2.5, 0.0)
 
     def test_bad_determinant_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +196,41 @@ class TestDiscriminant:
         assert abs(d2 - (d1 * d1 - 2.0)) <= 1e-12 * max(1.0, d1 * d1)
 
 
+class TestLongCells:
+    """Delta_l = f_l(Delta_1) on piecewise-linear cells of l periods against
+    the trace of the product of l one-period matrices (cell_matrices)."""
+
+    def test_trace_polynomial_matches_the_product(self):
+        # Both round in proportion to the entries' size |M_1| (largest entry
+        # of the one-period matrix): the product's trace carries l products
+        # of such entries, and f_l multiplies the rounding of Delta_1 by up to
+        # l^2 near +-2.  Over 600 cells like these (|V| <= 40, lam <= 300)
+        # the values met 43 eps l^2 |M_1|^2 max(1, |Delta_l|) and the
+        # derivatives 1.5 eps l^3 |M_1|^2 max(1, |Delta_l'|), with |M_1| read
+        # as max(1, |M_1|); relative to max(1, |Delta_l|) alone the gap
+        # reached 3.1e-11 (2.1e-11 for Delta_l'), where |M_1| ~ 100 in a band.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            bps = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, n - 1))])
+            V = Potential.piecewise_linear(bps, rng.uniform(-40.0, 40.0, n))
+            bands = np.array(spectrum_bands(V, 1.0, 300.0).bands)
+            # below the spectrum, across bands and gaps, the bands' middles
+            # and their edges, where Delta_1 = +-2
+            lams = np.concatenate([np.linspace(V.min_value() - 5.0, 300.0, 301),
+                                   bands.mean(axis=1), bands.ravel()])
+            size = np.maximum(1.0, np.max(np.abs(transfer_matrices(V, lams)), axis=(1, 2)))
+            for l in (2, 3, 4, 8):
+                got, want = discriminant(V, l, lams), cell_discriminant(V, l, lams)
+                slope = discriminant(V, l, lams, derivative=True)[1]
+                dwant = cell_discriminant(V, l, lams, derivative=True)[1]
+                bound = 64 * eps * l**2 * size**2 * np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(got - want) <= bound), (V, l)
+                bound = 4 * eps * l**3 * size**2 * np.maximum(1.0, np.abs(dwant))
+                assert np.all(np.abs(slope - dwant) <= bound), (V, l)
+
+
 class TestTraces:
     """The discriminant of every kind, and the exact kinds' derivative
     behind the turning points."""
@@ -212,6 +258,28 @@ class TestTraces:
         cos = discriminant(COS, 2.0, lams)
         assert cos.shape == (2, 2)
         assert np.array_equal(cos[1], discriminant(COS, 2.0, lams[1]))
+
+
+def cell_matrices(V, l, lams, derivative=False):
+    """Transfer matrices over l periods, the product of round(l) one-period
+    matrices, and with ``derivative`` the pair (M, dM/dlam) by the product
+    rule: the l-cell reference, owing nothing to trace_poly."""
+    if not derivative:
+        T = M = transfer_matrices(V, lams)
+        for _ in range(round(l) - 1):
+            M = T @ M
+        return M
+    T, dT = M, dM = transfer_matrices(V, lams, derivative=True)
+    for _ in range(round(l) - 1):
+        M, dM = T @ M, dT @ M + T @ dM
+    return M, dM
+
+
+def cell_discriminant(V, l, lams, derivative=False):
+    """The trace of :func:`cell_matrices`, and of its derivative."""
+    got = cell_matrices(V, l, lams, derivative)
+    trace = lambda M: M[..., 0, 0] + M[..., 1, 1]
+    return (trace(got[0]), trace(got[1])) if derivative else trace(got)
 
 
 def ode_matrix(V, knots, l, lam):
@@ -256,7 +324,7 @@ class TestTransferMatrices:
             # from deep below the spectrum to high up, plus lam at a node
             # value (a turning point on a knot)
             lams = np.array([floor - 50.0, floor - 1.0, floor, 1.0, 20.0, 150.0, 400.0])
-            got = transfer_matrices(V, l, lams)
+            got = cell_matrices(V, l, lams)
             assert got.shape == (lams.size, 2, 2) and np.all(np.isfinite(got))
             for lam, M in zip(lams, got):
                 ref = ode_matrix(V, knots, l, lam)
@@ -272,13 +340,13 @@ class TestTransferMatrices:
         for V, _ in sloped_cells(slope):
             lams = np.array([V.min_value() - 50.0, -0.5, 1.0, 7.3, 150.0, 400.0])
             for l in (1.0, 2.0):
-                M, dM = transfer_matrices(V, l, lams, derivative=True)
+                M, dM = cell_matrices(V, l, lams, derivative=True)
                 assert np.all(np.isfinite(dM))
-                plain = transfer_matrices(V, l, lams)
+                plain = cell_matrices(V, l, lams)
                 assert np.all(np.abs(M - plain) <= 1e-13 * np.maximum(1.0, np.abs(plain)))
                 step = 1e-5 * np.maximum(1.0, np.abs(lams))[:, None, None]
-                fd = transfer_matrices(V, l, lams + step[:, 0, 0])
-                fd = (fd - transfer_matrices(V, l, lams - step[:, 0, 0])) / (2 * step)
+                fd = cell_matrices(V, l, lams + step[:, 0, 0])
+                fd = (fd - cell_matrices(V, l, lams - step[:, 0, 0])) / (2 * step)
                 scale = np.maximum(1.0, np.max(np.abs(dM), axis=(1, 2)))[:, None, None]
                 assert np.all(np.abs(dM - fd) <= 1e-6 * scale), (V, l)
 
@@ -289,28 +357,31 @@ class TestTransferMatrices:
         for c in (0.01, 0.02, 0.032):
             V = Potential.piecewise_linear([0.0, 0.5], [0.0, 0.5 * c**3])
             for lam in (-0.012, -0.004, 0.0, 0.003, 0.01):
-                M = transfer_matrices(V, 1.0, [lam])[0]
+                M = transfer_matrices(V, [lam])[0]
                 assert np.max(np.abs(M - ode_matrix(V, [0.5], 1.0, lam))) < 1e-12
 
     def test_monodromy_takes_the_kernel(self):
+        # one period is the kernel's matrix, two periods its square
         V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
         lams = np.array([[-3.0, 2.0], [40.0, 9.5]])
-        got = transfer_matrices(V, 2.0, lams)
+        got = transfer_matrices(V, lams)
         assert got.shape == (2, 2, 2, 2)
         for idx in np.ndindex(lams.shape):
-            assert np.array_equal(got[idx], monodromy(V, 2.0, lams[idx]).entries)
+            assert np.array_equal(got[idx], monodromy(V, 1.0, lams[idx]).entries)
+            assert np.array_equal(got[idx] @ got[idx], monodromy(V, 2.0, lams[idx]).entries)
 
     def test_cosine_is_refused(self):
         # cosine cells have a discriminant only
-        for call in (lambda: transfer_matrices(COS, 1.0, [-1.0, 3.0]),
+        for call in (lambda: transfer_matrices(COS, [-1.0, 3.0]),
                      lambda: monodromy(COS, 1.0, 0.0)):
             with pytest.raises(ValueError, match="cosine cells have discriminant"):
                 call()
 
     def test_cosine_has_no_derivative(self):
-        for f in (transfer_matrices, discriminant):
+        for call in (lambda: transfer_matrices(COS, [0.0, 1.0], derivative=True),
+                     lambda: discriminant(COS, 1.0, [0.0, 1.0], derivative=True)):
             with pytest.raises(ValueError, match=r"\(constant, piecewise_linear\)"):
-                f(COS, 1.0, [0.0, 1.0], derivative=True)
+                call()
 
 
 # The kernel as it was before all pieces went through one pass: each piece on
@@ -398,16 +469,13 @@ def scalar_piece(q0, s, h, derivative):
 
 
 def per_piece_transfer_matrices(V, l, lams, derivative=False):
-    if V.kind == "constant":
-        pieces, cells = ((V.params[0], 0.0, l),), 1
-    else:
-        pieces, cells = V._pieces, round(l)
+    pieces = ((V.params[0], 0.0, 1.0),) if V.kind == "constant" else V._pieces
     lams = np.asarray(lams, dtype=float)
     M = np.zeros((lams.size, 2, 2))
     M[:, 0, 0] = M[:, 1, 1] = 1.0
     dM = np.zeros_like(M) if derivative else None
     mats = [scalar_piece(v0 - lams.ravel(), s, h, derivative) for v0, s, h in pieces]
-    for _ in range(cells):
+    for _ in range(round(l)):
         for T, dT in mats:
             if derivative:
                 dM = dT @ M + T @ dM
@@ -424,7 +492,9 @@ MIXED_CELL = Potential.piecewise_linear(
 
 class TestOnePassKernel:
     """All pieces and lam in one pass of _piece give the matrices the pieces
-    gave one at a time, to the last bit."""
+    gave one at a time, to the last bit, over one period.  Over l periods,
+    the product of the one-period matrices is the pieces' product across the
+    cell to rounding."""
 
     @staticmethod
     def lams_beside_nodes(V, rng):
@@ -435,9 +505,21 @@ class TestOnePassKernel:
 
     def assert_same(self, V, l, lams):
         for derivative in (False, True):
-            got = transfer_matrices(V, l, lams, derivative=derivative)
-            want = per_piece_transfer_matrices(V, l, lams, derivative=derivative)
-            assert np.array_equal(np.stack(got), np.stack(want)), (V, l, derivative)
+            got = transfer_matrices(V, lams, derivative=derivative)
+            want = per_piece_transfer_matrices(V, 1.0, lams, derivative=derivative)
+            assert np.array_equal(np.stack(got), np.stack(want)), (V, derivative)
+        if l == 1.0:
+            return
+        # the rounding of c products of one-period matrices of largest entry
+        # |M_1| (and of their derivatives, |dM_1|): on these cells up to
+        # 1.5e-15 c |M_1|^c, and 3.5e-16 c^2 |M_1|^(c-1) |dM_1|
+        c = round(l)
+        M1, dM1 = (np.max(np.abs(X), axis=(1, 2))[:, None, None]
+                   for X in transfer_matrices(V, lams, derivative=True))
+        M, dM = cell_matrices(V, l, lams, derivative=True)
+        want, dwant = per_piece_transfer_matrices(V, l, lams, derivative=True)
+        assert np.all(np.abs(M - want) <= 1e-14 * c * M1**c), (V, l)
+        assert np.all(np.abs(dM - dwant) <= 1e-14 * c * c * M1 ** (c - 1) * dM1), (V, l)
 
     def test_mixed_forms_in_one_call(self, monkeypatch):
         calls = {}
@@ -450,7 +532,7 @@ class TestOnePassKernel:
         for l in (1.0, 3.0):
             lams = self.lams_beside_nodes(MIXED_CELL, rng)
             calls.clear()
-            transfer_matrices(MIXED_CELL, l, lams)
+            transfer_matrices(MIXED_CELL, lams)
             # each form once, on pieces of several slopes
             assert calls == {"_airy_piece": 1, "_asymptotic_piece": 1, "_magnus_piece": 1}
             self.assert_same(MIXED_CELL, l, lams)
@@ -462,7 +544,7 @@ class TestOnePassKernel:
         for V, _ in sloped_cells(slope):
             self.assert_same(V, l, self.lams_beside_nodes(V, rng))
 
-    @pytest.mark.parametrize("l", [1.0, 2.5, 3.0])
+    @pytest.mark.parametrize("l", [1.0, 3.0])
     def test_constant_cells(self, l):
         rng = np.random.default_rng(3)
         for V in (FREE, Potential.constant(1.5), Potential.constant(-4.0)):
@@ -622,9 +704,9 @@ def scan_reference(V, l, lambda_max):
     s_max = math.sqrt(lambda_max - start)
     s = np.linspace(0.0, s_max, max(int(REF_SCAN_DENSITY * s_max), 64) + 1)
     lams = start + s * s
-    deltas = discriminant(V, l, lams)
+    deltas = cell_discriminant(V, l, lams)
     level_roots = lambda lo, hi, levels: edge_roots(
-        lambda x, lev: discriminant(V, l, x) - lev, lo, hi, args=(levels,))
+        lambda x, lev: cell_discriminant(V, l, x) - lev, lo, hi, args=(levels,))
     levels = np.array([2.0, -2.0])
     g = deltas - levels[:, None]
     which, idx = np.nonzero(g[:, :-1] * g[:, 1:] < 0)
@@ -633,10 +715,10 @@ def scan_reference(V, l, lambda_max):
     turns = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
     turns = turns[np.all(np.abs(deltas[turns[:, None] + [-1, 0, 1]]) <= 2.0, axis=1)]
     lo, hi = lams[turns - 1], lams[turns + 1]
-    stars = edge_roots(lambda x: discriminant(V, l, x, derivative=True)[1], lo, hi)
+    stars = edge_roots(lambda x: cell_discriminant(V, l, x, derivative=True)[1], lo, hi)
     real = ~np.isnan(stars)
     lo, hi, stars = lo[real], hi[real], stars[real]
-    M, dM = transfer_matrices(V, l, stars, derivative=True)
+    M, dM = cell_matrices(V, l, stars, derivative=True)
     trace = M[:, 0, 0] + M[:, 1, 1]
     sign = np.where(trace > 0.0, 1.0, -1.0)
     touch = np.linalg.norm(M - sign[:, None, None] * np.eye(2), axis=(-2, -1)) <= (
@@ -738,7 +820,7 @@ def assert_every_gap_listed(V, lambda_max, count):
     mids = np.array([0.5 * (a + b) for a, b in blist.bands])
     assert np.all(np.abs(discriminant(V, 1.0, mids)) <= 2.0)
     gaps = np.array([0.5 * (b + a) for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])])
-    M = transfer_matrices(V, 1.0, gaps)
+    M = transfer_matrices(V, gaps)
     G = (M[:, 0, 0] - M[:, 1, 1]) ** 2 + 4.0 * M[:, 0, 1] * M[:, 1, 0]
     assert np.all(G > 0.0), G
 
@@ -770,7 +852,7 @@ class TestComparisonWindows:
         signs = np.array([(-1.0) ** i for i, ((_, b), (a, _))
                           in enumerate(zip(got.bands, got.bands[1:]), start=1) if a == b])
         if ends.size:
-            M, dM = transfer_matrices(V, l, ends, derivative=True)
+            M, dM = cell_matrices(V, l, ends, derivative=True)
             miss = np.linalg.norm(M - signs[:, None, None] * np.eye(2), axis=(-2, -1))
             assert np.all(miss <= coexistence_allowance(M, dM)), (ends, miss)
         # an l-cell has the one-period spectrum
@@ -811,7 +893,7 @@ class TestComparisonWindows:
         (want,) = edge_roots(lambda x: discriminant(V, 1.0, x), np.array([a]), np.array([b]))
         assert abs(touch - want) <= 1e-10
         # |dM_2/dlam| = 4.3e5 here: one ulp of the touch moves M_2 by ~3e-9
-        M, dM = transfer_matrices(V, 2.0, [touch], derivative=True)
+        M, dM = cell_matrices(V, 2.0, [touch], derivative=True)
         assert np.linalg.norm(M[0] + np.eye(2)) <= coexistence_allowance(M, dM)[0]
 
     @pytest.mark.parametrize("lambda_max, count", [(0.0, 2), (2000.0, 15)])
@@ -876,12 +958,12 @@ class TestComparisonWindows:
         # meets the asymptotic, Magnus and Airy forms
         cells = [V for slope in (0.0, 1e-8, 1e-2, 1.0, 60.0) for V, _ in sloped_cells(slope)]
         lams = np.linspace(-60.0, 400.0, 157)
-        new = [(transfer_matrices(V, l, lams), transfer_matrices(V, l, lams, derivative=True))
+        new = [(cell_matrices(V, l, lams), cell_matrices(V, l, lams, derivative=True))
                for V in cells for l in (1.0, 2.0)]
         monkeypatch.setattr(hill, "_horner", np.polyval)
         monkeypatch.setattr(hill, "_matrices", lambda a, b, c, d: np.stack(
             [np.stack([a, b], -1), np.stack([c, d], -1)], -2))
-        old = [(transfer_matrices(V, l, lams), transfer_matrices(V, l, lams, derivative=True))
+        old = [(cell_matrices(V, l, lams), cell_matrices(V, l, lams, derivative=True))
                for V in cells for l in (1.0, 2.0)]
         for (M, (N, dN)), (M0, (N0, dN0)) in zip(new, old):
             assert np.array_equal(M, M0) and np.array_equal(N, N0) and np.array_equal(dN, dN0)
@@ -1007,6 +1089,45 @@ class TestBandFunction:
     def test_array_with_bad_k_rejected(self):
         with pytest.raises(DomainError):
             band_function(FREE, 1.0, bands_of(FREE), 1, np.array([0.5, 4.0]))
+
+    def test_cell_length_checked(self):
+        # as in spectrum_bands: whole periods, but any length for constant cells
+        bands = spectrum_bands(COS, 1.0, 50.0)
+        for l in (1.5, 0.0, -1.0):
+            with pytest.raises(ValueError, match="cell length"):
+                band_function(COS, l, bands, 1, 0.5)
+        with pytest.raises(ValueError, match="positive"):
+            band_function(FREE, -1.3, bands_of(FREE), 1, 0.5)
+
+    @staticmethod
+    def assert_dispersion_solved(V, l, disc, lambda_max):
+        """Inside the zone of every whole band, lam(k) within 1e-10 of a
+        tight solve of disc(lam) = 2 cos(l k) between the band's edges."""
+        bands = spectrum_bands(V, l, lambda_max)
+        ks = np.linspace(0.0, math.pi / l, 11)[1:-1]
+        worst = 0.0
+        for band in range(1, len(bands.bands)):  # the last band is clipped
+            a, b = bands.bands[band - 1]
+            for k, lam in zip(ks, band_function(V, l, bands, band, ks)):
+                want = brentq(lambda x: disc(x) - 2.0 * math.cos(l * k), a, b, xtol=1e-14)
+                worst = max(worst, abs(lam - want))
+        assert worst <= 1e-10, worst
+        return worst
+
+    @pytest.mark.parametrize("l", [2.0, 3.0, 4.0])
+    def test_piecewise_long_cells(self, l):
+        # against the trace of the product of l one-period matrices
+        for V in (Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5]),
+                  Potential.piecewise_linear([0.0, 0.2, 0.45], [-20.0, 15.0, 3.0])):
+            self.assert_dispersion_solved(
+                V, l, lambda x: float(cell_discriminant(V, l, x)), 120.0)
+
+    @pytest.mark.parametrize("l", [0.7, 1.3, 1.9])
+    def test_constant_cells_of_any_length(self, l):
+        # against the free discriminant 2 cos(l sqrt(lam - v))
+        v = -1.7
+        self.assert_dispersion_solved(
+            Potential.constant(v), l, lambda x: free_discriminant(l, x - v), 200.0)
 
     @pytest.mark.parametrize("l", [1.0, 2.0])
     @pytest.mark.parametrize("amplitude", [1.0, 7.8326])

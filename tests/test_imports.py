@@ -32,9 +32,17 @@ def test_every_submodule_imports_first():
     assert done.returncode == 0, done.stderr
 
 
+def test_maps_re_exports_the_trace_polynomial():
+    # trace_poly lives in numerics, below both maps and hill
+    from hillmap import hill, maps, numerics
+
+    assert maps.trace_poly is numerics.trace_poly is hill.trace_poly
+
+
 def test_cli_import_loads_no_scipy_integrate_or_optimize():
-    # the quadrature is in-package, and the two kernels that still use SciPy
-    # (integrate_ivp, find_root) import it when called
+    # the quadrature and the trace polynomials are in-package, and the two
+    # kernels that still use SciPy (integrate_ivp, find_root) import it when
+    # called
     root = str(Path(hillmap.__file__).resolve().parents[1])
     script = (
         f"import sys; sys.path.insert(0, {root!r}); import hillmap.cli\n"
