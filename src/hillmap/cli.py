@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, ensemble, hill, lyapunov, maps, transfer
-from .errors import (
-    BracketError,
-    ConfigurationError,
-    DomainError,
-    NonConvergenceError,
-)
+from .errors import ConfigurationError, NonConvergenceError
 from .numerics import QUAD_TOL, ToleranceSpec
 
 EXIT_OK = 0
@@ -375,7 +370,7 @@ def run(argv: list[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
-    except (ConfigurationError, DomainError, BracketError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError and DomainError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonConvergenceError as exc:

@@ -29,9 +29,9 @@ _TINY = float(np.finfo(float).tiny)
 class Potential:
     """A real potential of period 1.
 
-    ``kind`` is one of ``constant``, ``cosine``, ``piecewise_linear``;
-    ``params`` holds the kind-specific data.  Instances are immutable and
-    hashable so they can key caches.
+    ``kind`` is ``cosine`` or ``piecewise_linear`` (a constant is the flat
+    cell of one node); ``params`` holds the kind-specific data.  Instances
+    are immutable and hashable so they can key caches.
     """
 
     kind: str
@@ -45,9 +45,11 @@ class Potential:
         # the defining data.
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_pieces", None)
+        if self.kind not in ("cosine", "piecewise_linear"):
+            raise ValueError(f"unknown potential kind {self.kind!r}")
         if not np.isfinite(np.hstack(self.params)).all():
             raise ValueError("potential data must be finite")
-        if self.kind != "piecewise_linear":
+        if self.kind == "cosine":
             return
         bp, vals = self.params
         if len(bp) != len(vals) or len(bp) < 1:
@@ -71,7 +73,8 @@ class Potential:
 
     @classmethod
     def constant(cls, value: float) -> "Potential":
-        return cls("constant", (float(value),))
+        """The flat cell ``value``: one node, one piece of slope 0."""
+        return cls.piecewise_linear((0.0,), (value,))
 
     @classmethod
     def free(cls) -> "Potential":
@@ -93,30 +96,21 @@ class Potential:
 
     def __call__(self, x):
         """Evaluate V at x (scalar or ndarray); periodic with period 1."""
-        if self.kind == "constant":
-            (a,) = self.params
-            return a + 0.0 * np.asarray(x) if isinstance(x, np.ndarray) else a
         if self.kind == "cosine":
             (amp,) = self.params
             return amp * np.cos(TWO_PI * x)
-        if self.kind == "piecewise_linear":
-            xp, fp = self._table
-            out = np.interp((np.asarray(x) - xp[0]) % 1.0 + xp[0], xp, fp)
-            return out if isinstance(x, np.ndarray) else float(out)
-        raise ValueError(f"unknown potential kind {self.kind!r}")
+        xp, fp = self._table
+        out = np.interp((np.asarray(x) - xp[0]) % 1.0 + xp[0], xp, fp)
+        return out if isinstance(x, np.ndarray) else float(out)
 
     def min_value(self) -> float:
         """Minimum over one period (lower bound of the spectrum)."""
-        if self.kind == "constant":
-            return self.params[0]
         if self.kind == "cosine":
             return -abs(self.params[0])
         return float(np.min(self._table[1]))  # piecewise linear: a node value
 
     def max_value(self) -> float:
         """Maximum over one period."""
-        if self.kind == "constant":
-            return self.params[0]
         if self.kind == "cosine":
             return abs(self.params[0])
         return float(np.max(self._table[1]))
@@ -157,11 +151,11 @@ class Monodromy:
         return float(self.entries[0, 0] + self.entries[1, 1])
 
 
-def _periods(l: float, constant: bool = False) -> int:
-    """round(l) for a cell of whole periods; constant potentials take any l > 0."""
+def _periods(l: float, flat: bool = False) -> int:
+    """round(l) for a cell of whole periods; flat potentials take any l > 0."""
     if not l > 0:
         raise ValueError("cell length must be positive")
-    if not constant and (abs(l - round(l)) > 1e-9 or round(l) == 0):
+    if not flat and (abs(l - round(l)) > 1e-9 or round(l) == 0):
         raise ValueError("cell length must be a positive multiple of the period")
     return round(l)
 
@@ -328,19 +322,17 @@ def transfer_matrices(V: Potential, lams, derivative: bool = False):
     Returns an array of shape ``lams.shape + (2, 2)`` (columns as in
     :class:`Monodromy`); with ``derivative``, the pair (M, dM/dlam).
 
-    ``constant`` and ``piecewise_linear`` potentials are linear on each piece
-    of a period: each piece gets its exact matrix (Airy functions, their
-    asymptotic expansions, or one Magnus step, picked per piece and lam,
-    accurate to ~1e-13 relative), all pieces and lam in one pass of
-    :func:`_piece`, and the pieces are multiplied across the period.  Cosine
-    cells are refused: :func:`discriminant` serves them.
+    A piecewise-linear potential is linear on each piece of a period: each
+    piece gets its exact matrix (Airy functions, their asymptotic
+    expansions, or one Magnus step, picked per piece and lam, accurate to
+    ~1e-13 relative), all pieces and lam in one pass of :func:`_piece`, and
+    the pieces are multiplied across the period.  Cosine cells are refused:
+    :func:`discriminant` serves them.
     """
     if V.kind == "cosine":
-        raise ValueError(
-            "transfer matrices and derivatives are for the exact kinds only "
-            "(constant, piecewise_linear); cosine cells have discriminant()"
-        )
-    pieces = ((V.params[0], 0.0, 1.0),) if V.kind == "constant" else V._pieces
+        raise ValueError("transfer matrices and derivatives are for piecewise_linear cells; "
+                         "cosine cells have discriminant()")
+    pieces = V._pieces
     lams = np.asarray(lams, dtype=float)
     M = np.tile(np.eye(2), (lams.size, 1, 1))
     dM = np.zeros_like(M) if derivative else None
@@ -394,11 +386,11 @@ _ROUNDING = 1e-13
 _FOURIER_MARGIN = 8
 
 
-def _level_roots(V: Potential, l: float, lo, hi, levels):
-    """lam in each bracket [lo, hi] with Delta(lam) = level, all brackets in
-    one batched root solve; NaN where a bracket does not straddle its level."""
+def _level_roots(V: Potential, lo, hi, levels):
+    """lam in each bracket [lo, hi] with Delta_1(lam) = level, in one batched
+    root solve; NaN where a bracket does not straddle its level."""
     return find_roots(
-        lambda x, level: discriminant(V, l, x) - level, lo, hi, _EDGE_TOL, args=(levels,)
+        lambda x, level: discriminant(V, 1.0, x) - level, lo, hi, _EDGE_TOL, args=(levels,)
     )
 
 
@@ -580,16 +572,36 @@ def _exact_edges(V: Potential, lambda_max: float):
     return events, warnings
 
 
+# A cell asks for about l sqrt(lam - min V) / pi bands below lam and l (max V
+# - min V) / pi^2 deep gaps below the comparison windows, and a cosine chain
+# for about as many Fourier modes; the band list, the windows and the chains
+# are sized by that count.  Near 1e6 the free cell's bands took 0.8 s and
+# 180 MB, a cosine cell of A = 4.8e6 1.2 s; amplitudes of 1e12 ask for 1e11.
+_MAX_BANDS = 1e6
+
+
+def _check_size(V: Potential, l: float, lam: float) -> None:
+    """Refuse a cell and spectral bound that ask for more than _MAX_BANDS
+    bands, naming the input that asks for most."""
+    bands = l * math.sqrt(max(lam - V.min_value(), 0.0)) / math.pi
+    deep = l * (V.max_value() - V.min_value()) / math.pi**2
+    if not bands + deep <= _MAX_BANDS:
+        name = (f"the potential's range {V.max_value() - V.min_value():.6g}" if deep > bands
+                else f"lambda {lam:.6g}")
+        raise ValueError(f"{name} on cells of length {l:g} asks for about {bands + deep:.3g} "
+                         f"bands, more than the {_MAX_BANDS:.0e} computed with")
+
+
 def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
     """The bands [a_i, b_i] of ``-u'' + V u`` on cells of length ``l`` that
     start at or below ``lambda_max``, the last one clipped there.  Bands that
     touch are listed apart, ``b_i = a_(i+1)``.  Three routes, none with a
     threshold on Delta:
 
+    * Flat cells v, for any real l, and cells flat to within _EDGE_TOL at
+      their mid-value v: lam_0 = v and touches v + (n pi/l)^2.
     * Cosine cells: the eigenvalues of the Fourier-Hill matrices at k = 0
       and k = pi/l (periodic and antiperiodic), sorted and paired.
-    * Constant cells v, for any real l, and cells flat to within _EDGE_TOL at
-      their mid-value v: lam_0 = v and touches v + (n pi/l)^2.
     * Piecewise-linear cells: one period, by comparison with constant
       potentials (Magnus & Winkler, *Hill's Equation*, 1966, ch. 2).  The
       periodic and antiperiodic eigenvalues grow with V by min-max, strictly
@@ -604,31 +616,35 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
       exceeds its rounding there, else a touch.  On c = round(l) > 1 periods
       Delta_c = 2 T_c(Delta_1 / 2): each one-period band splits into c bands
       touching where Delta_1 = 2 cos(j pi / c), j = 1 .. c - 1.
+
+    A cell and ``lambda_max`` that ask for more than _MAX_BANDS bands raise
+    ValueError.
     """
-    _periods(l, V.kind == "constant")
+    _periods(l, V.max_value() == V.min_value())
     if lambda_max <= V.min_value():
         raise ValueError("lambda_max must exceed the spectral floor")
+    _check_size(V, l, lambda_max)
     warnings = []
-    if V.kind == "cosine":
+    if V.max_value() - V.min_value() <= _EDGE_TOL.abs_tol:
+        # flat, or within the root tolerance of it: every edge lies in its
+        # window, so v at the windows' middle is exact to that tolerance
+        v = 0.5 * (V.min_value() + V.max_value())
+        n = np.arange(1.0, l * math.sqrt(max(lambda_max - v, 0.0)) / math.pi + 1.0)
+        touches = (n * math.pi / l) ** 2 + v
+        edges = [v, *np.repeat(touches[touches <= lambda_max], 2).tolist(), lambda_max]
+    elif V.kind == "cosine":
         # k = 0 and pi/l: the chains at q = pi m / l, m = 0..2l-1, where q and
         # -q give one spectrum, whose doubled eigenvalues are touches
         m = np.arange(2 * round(l))
         qs = math.pi / l * np.minimum(m, m.size - m)
         edges = _hill_eigenvalues(V, qs, lambda_max)
-    elif V.max_value() - V.min_value() <= _EDGE_TOL.abs_tol:
-        # constant, or within the root tolerance of it: every edge lies in
-        # its window, so v at the windows' middle is exact to that tolerance
-        v = 0.5 * (V.min_value() + V.max_value())
-        n = np.arange(1.0, l * math.sqrt(max(lambda_max - v, 0.0)) / math.pi + 1.0)
-        touches = (n * math.pi / l) ** 2 + v
-        edges = [v, *np.repeat(touches[touches <= lambda_max], 2).tolist(), lambda_max]
     else:
         edges, warnings = _exact_edges(V, lambda_max)
         c = round(l)
         if c > 1:  # M_c = (-1)^j I where Delta_1 = 2 cos(j pi / c)
             lo, hi = (np.repeat(edges[i::2], c - 1) for i in (0, 1))
             levels = np.tile(2.0 * np.cos(math.pi * np.arange(1, c) / c), len(edges) // 2)
-            splits = _level_roots(V, 1.0, lo, hi, levels)  # NaN past lambda_max
+            splits = _level_roots(V, lo, hi, levels)  # NaN past lambda_max
             edges = sorted(edges + np.repeat(splits[~np.isnan(splits)], 2).tolist())
     bands = []
     for a, b in zip(edges[0::2], edges[1::2]):
@@ -645,20 +661,26 @@ def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
     ``k`` a float.
 
     At k = 0 and pi/l it is the band's edge from ``bands``, so the band
-    must be whole (not clipped at ``lambda_max``).  Inside the zone, cosine
-    cells take the ``band_index``-th eigenvalue of the Fourier-Hill matrix
-    H(k); constant cells v whose length l is not a whole number of periods
-    take v + (pi (b - b mod 2) + (-1)^(b + 1) l k)^2 / l^2 on band b; the
-    others solve the dispersion relation ``Delta_l(lam) = 2 cos(l k)``
-    between the band's edges, all k in one batched root solve.
+    must be whole (not clipped at ``lambda_max``).  Inside the zone every
+    kind reads one period.  On c = round(l) periods band b is part of
+    one-period band J = ceil(b / c), where Delta_1 = 2 cos theta with
+    theta = (pi (g + g mod 2) + (-1)^g l k) / c, i = (b - 1) mod c, and
+    g = i for odd J, c - 1 - i for even J.  Cosine cells take the J-th
+    eigenvalue of the Fourier-Hill matrix H(theta); piecewise-linear cells
+    solve Delta_1(lam) = 2 cos theta between the band's edges, all k in one
+    batched root solve.  Flat cells v whose length l is not a whole number
+    of periods take v + (pi (b - b mod 2) + (-1)^(b + 1) l k)^2 / l^2.
+    A band above the bound of :func:`spectrum_bands` raises ValueError.
     """
-    _periods(l, V.kind == "constant")
+    flat = V.max_value() == V.min_value()
+    c = _periods(l, flat)
     if not 1 <= band_index <= len(bands.bands):
         raise ValueError(f"band_index must lie in 1..{len(bands.bands)}")
     ks = np.asarray(k, dtype=float)
     if not np.all((0.0 <= ks) & (ks <= math.pi / l + 1e-12)):
         raise DomainError("k must lie in the reduced zone [0, pi/l]")
     a, b = bands.bands[band_index - 1]
+    _check_size(V, l, b)
 
     # On odd bands Delta runs +2 -> -2, on even bands -2 -> +2.
     k_zero_edge = a if band_index % 2 == 1 else b
@@ -667,20 +689,22 @@ def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
     at_pi = ~at_zero & (ks > math.pi / l - 1e-12)
     inside = ~(at_zero | at_pi)
     lam = np.where(at_zero, k_zero_edge, k_pi_edge)
-    if inside.any() and V.kind == "cosine":
-        shifts = TWO_PI / l * np.arange(round(l))
-        lam[inside] = [_hill_eigenvalues(V, q + shifts, b)[band_index - 1]
-                       for q in ks[inside]]
-    elif inside.any() and V.kind == "constant" and l != round(l):
+    if inside.any() and flat and l != c:
         theta = math.pi * (band_index - band_index % 2) + (-1) ** (band_index + 1) * l * ks[inside]
-        lam[inside] = V.params[0] + (theta / l) ** 2
+        lam[inside] = V.min_value() + (theta / l) ** 2
     elif inside.any():
-        lam[inside] = _level_roots(V, l, a, b, 2.0 * np.cos(l * ks[inside]))
-        if np.isnan(lam).any():
-            raise NonConvergenceError(
-                f"dispersion target not bracketed in band {band_index} "
-                f"[{a:.6g}, {b:.6g}]; is it clipped at lambda_max?"
-            )
+        J, i = divmod(band_index - 1, c)  # J counts one-period bands from 0
+        g = i if J % 2 == 0 else c - 1 - i
+        theta = (math.pi * (g + g % 2) + (-1) ** g * l * ks[inside]) / c
+        if V.kind == "cosine":
+            lam[inside] = [_hill_eigenvalues(V, t, b)[J] for t in theta[:, None]]
+        else:
+            lam[inside] = _level_roots(V, a, b, 2.0 * np.cos(theta))
+            if np.isnan(lam).any():
+                raise NonConvergenceError(
+                    f"dispersion target not bracketed in band {band_index} "
+                    f"[{a:.6g}, {b:.6g}]; is it clipped at lambda_max?"
+                )
     return float(lam) if lam.ndim == 0 else lam
 
 

@@ -7,7 +7,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -50,63 +50,40 @@ def roots_fm(m: int) -> np.ndarray:
     return 2.0 * np.cos((2 * j + 1) * np.pi / (2 * m))
 
 
-class TraceKernels(NamedTuple):
-    """The trace recursion of one order m, compiled to straight-line code."""
-
-    f: Callable  # f(x) == trace_poly(m, x)
-    fprime: Callable  # fprime(x) == trace_poly(m, x, derivative=True)
-    # fill(x, buf, lo, hi): buf[lo:hi] = the orbit of x under the clipped
-    # f_m, buf[i] set before its step; returns the point after buf[hi - 1]
-    fill: Callable
-
-
-def trace_kernels(m: int) -> TraceKernels:
-    """The kernels of order m, compiled once per process.
+def orbit_kernel(m: int) -> Callable:
+    """``fill(x, buf, lo, hi)``: buf[lo:hi] = the orbit of x under the
+    clipped f_m, buf[i] set before its step; returns the point after
+    buf[hi - 1].  Compiled once per process per order.
 
     A non-integral m raises TypeError here, before the cache is consulted
-    (3.0 hashes as 3 and would otherwise be handed the kernels of 3).
+    (3.0 hashes as 3 and would otherwise be handed the kernel of 3).
     """
-    return _compile_trace_kernels(operator.index(m))
+    return _compile_orbit_kernel(operator.index(m))
 
 
 @functools.cache
-def _compile_trace_kernels(m: int) -> TraceKernels:
+def _compile_orbit_kernel(m: int) -> Callable:
     # m is an int here: it is the only value formatted into the source.
+    # trace_poly's loop is written out, from the same starts with the same
+    # operations in the same order, so with the same values on floats and
+    # Fractions; the starts are substituted into the first two steps.  Three
+    # names rotate as the new value, so the source grows with m and the
+    # locals do not.
     if m < 1:
         raise ValueError("m must be a positive integer")
-
-    def recursion(prev: str, y: str) -> tuple[list, str]:
-        # trace_poly's loop written out, from the same starts with the same
-        # operations in the same order, so with the same values on floats,
-        # ndarrays and Fractions; the starts are substituted into the first
-        # two steps.  Three names rotate as the new value, so the source
-        # grows with m and the locals do not.
-        lines = []
-        for k in range(m - 1):
-            new = "abc"[k % 3]
-            lines.append(f"{new} = x * {y} - {prev}")
-            prev, y = y, new
-        return lines, y
-
-    def block(indent: str, lines: list) -> str:
-        return "".join(f"{indent}{line}\n" for line in lines)
-
-    f_lines, f_m = recursion("2", "x")
-    d_lines, d_m = recursion("0", "u")
-    clip = f"x = -2.0 if {f_m} < -2.0 else (2.0 if {f_m} > 2.0 else {f_m})"
-    source = (
-        "def f(x):\n"
-        + block("    ", [*f_lines, f"return {f_m}"])
-        + "def fprime(x):\n"
-        + block("    ", ["u = 1 + 0 * x", *d_lines, f"return {m} * {d_m}"])
-        + "def fill(x, buf, lo, hi):\n"
-        + "    for i in range(lo, hi):\n"
-        + block("        ", ["buf[i] = x", *f_lines, clip])
-        + "    return x\n"
-    )
+    prev, y, lines = "2", "x", []
+    for k in range(m - 1):
+        new = "abc"[k % 3]
+        lines.append(f"{new} = x * {y} - {prev}")
+        prev, y = y, new
+    clip = f"x = -2.0 if {y} < -2.0 else (2.0 if {y} > 2.0 else {y})"
+    source = ("def fill(x, buf, lo, hi):\n"
+              "    for i in range(lo, hi):\n"
+              + "".join(f"        {line}\n" for line in ["buf[i] = x", *lines, clip])
+              + "    return x\n")
     namespace = {}
-    exec(compile(source, f"<trace kernels, m = {m}>", "exec"), namespace)
-    return TraceKernels(namespace["f"], namespace["fprime"], namespace["fill"])
+    exec(compile(source, f"<orbit kernel, m = {m}>", "exec"), namespace)
+    return namespace["fill"]
 
 
 def local_lyapunov(md: MapDescriptor, x: float) -> float:
@@ -135,19 +112,17 @@ def average_lyapunov_quadrature(m: int) -> LyapunovResult:
     In the angle x = 2 cos(theta) the arcsine weight is d(theta) / pi on
     [0, pi], and the only singularities left are the logarithmic ones at the
     critical points theta_j = j pi / m, which are declared to the quadrature.
-    The integrand is the recurrence's f_m', not the closed form
-    m sin(m theta) / sin(theta), so the result is a numerical check of log m;
-    it is the compiled ``trace_kernels(m).fprime``, equal to ``trace_poly``'s
-    f_m' at every point.  ``error_estimate`` is the quadrature's achieved
-    bound.  A non-integral m raises TypeError.
+    The integrand is the recurrence's f_m' (``trace_poly``), not the closed
+    form m sin(m theta) / sin(theta), so the result is a numerical check of
+    log m.  ``error_estimate`` is the quadrature's achieved bound.  A
+    non-integral m raises TypeError.
     """
     m = operator.index(m)
     if m < 2:
         raise ValueError("m must be at least 2")
-    fprime = trace_kernels(m).fprime
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(fprime(2.0 * np.cos(theta))))
+        return np.log(np.abs(trace_poly(m, 2.0 * np.cos(theta), derivative=True)))
 
     sing = [j * math.pi / m for j in range(1, m)]
     val, bound = quad_singular(integrand, 0.0, math.pi, sing, EXPONENT_TOL)
@@ -186,10 +161,10 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     """Birkhoff average of log |f_m'| along one orbit of the degree-m map,
     after a fixed burn-in.
 
-    The orbit is stepped by ``trace_kernels(m).fill``: the trace recursion
-    compiled for this m into straight-line code, with the same operations
-    as ``trace_poly`` in the same order, and the clip to [-2, 2] inline.  A
-    non-integral m raises TypeError.
+    The orbit, burn-in included, is stepped by ``orbit_kernel(m)``: the
+    trace recursion compiled for this m into straight-line code, with the
+    same operations as ``trace_poly`` in the same order, and the clip to
+    [-2, 2] inline.  A non-integral m raises TypeError.
 
     An orbit point landing within machine distance of a critical point is
     perturbed by 1e-9 and the restart is counted.  The repelling fixed points
@@ -207,14 +182,11 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     if not -2.0 < x0 < 2.0:
         raise ValueError("x0 must lie in (-2, 2)")
 
-    f, _, fill = trace_kernels(m)
+    fill = orbit_kernel(m)
     crit = critical_points(m)
     cells = _critical_cells(crit)
     restarts = 0
-    x = x0
-    for _ in range(BURN_IN):
-        y = f(x)
-        x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
+    x = fill(x0, memoryview(np.empty(BURN_IN)), 0, BURN_IN)
 
     # The orbit is built one CHUNK block at a time and tested for critical
     # points once per block; a hit at index i refills the block from there,

@@ -1,7 +1,8 @@
 """Shared numerical kernels: ODE initial-value integration, bracketed root
-finding (one bracket, or many solved together), the trace polynomials f_m,
-and tanh-sinh quadrature (one interval, or many integrated together) that
-tolerates logarithmic / inverse-square-root singularities.
+finding (one algorithm, Chandrupatla's, on many brackets together or on
+one), the trace polynomials f_m, and tanh-sinh quadrature (one interval, or
+many integrated together) that tolerates logarithmic / inverse-square-root
+singularities.
 
 All routines are pure functions of their inputs and safe to call from any
 number of threads.
@@ -95,38 +96,12 @@ def find_root(
     b: float,
     tol: ToleranceSpec = ROOT_TOL,
 ) -> float:
-    """Root of ``f`` inside the bracket ``[a, b]`` with ``f(a) f(b) <= 0``.
-
-    Bracketing Brent iteration; deterministic for identical inputs.  The
-    result ``x`` satisfies ``|f(x)| <= abs_tol`` or lies in a sub-bracket of
-    width ``<= abs_tol``.
-
-    A bracket whose endpoints share a sign raises :class:`BracketError`.
-    """
-    from scipy.optimize import brentq  # deferred: no package path calls find_root
-
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return float(a)
-    if fb == 0.0:
-        return float(b)
-    if fa * fb > 0:
-        raise BracketError(
-            f"f({a:.6g})={fa:.6g} and f({b:.6g})={fb:.6g} have the same sign"
-        )
-    try:
-        return float(
-            brentq(
-                f,
-                a,
-                b,
-                xtol=tol.abs_tol,
-                rtol=max(tol.rel_tol, 4 * _EPS),
-                maxiter=tol.max_steps,
-            )
-        )
-    except RuntimeError as exc:  # scipy signals maxiter this way
-        raise NonConvergenceError(str(exc)) from exc
+    """Root of the scalar ``f`` in ``[a, b]``: one bracket of :func:`find_roots`.
+    A bracket whose ends share a sign raises :class:`BracketError`."""
+    root = find_roots(lambda xs: np.array([f(x) for x in np.ravel(xs).tolist()]), a, b, tol)
+    if np.isnan(root):
+        raise BracketError(f"f has the same sign at {a:.6g} and {b:.6g}")
+    return float(root)
 
 
 def find_roots(
@@ -138,12 +113,12 @@ def find_roots(
 ) -> np.ndarray:
     """Roots of ``f`` in every bracket ``[a[i], b[i]]``, all solved together.
 
-    The vector form of :func:`find_root`.  ``f(x, *args)`` is elementwise: it
-    maps an array of abscissae, with the matching elements of ``args``
-    (arrays broadcast with ``a`` and ``b``), to an array of values.  Every
-    bracket runs Chandrupatla's method (*Adv. Eng. Softw.* 28, 1997) in the
-    same calls of ``f``, so a batched ``f`` pays one call per iteration for
-    all of them, and each call sees only the brackets still open.  The
+    ``f(x, *args)`` is elementwise: it maps an array of abscissae, with the
+    matching elements of ``args`` (arrays broadcast with ``a`` and ``b``),
+    to an array of values.  Every bracket runs Chandrupatla's method (*Adv.
+    Eng. Softw.* 28, 1997) in the same calls of ``f``, so a batched ``f``
+    pays one call per iteration for all of them, and each call sees only the
+    brackets still open.  The
     iterates, the stopping rule and the outcomes are SciPy's
     (``scipy.optimize.elementwise.find_root``): a bracket stops when
     ``|f| <= tiny`` at its better end ``x_min`` or when its width is below

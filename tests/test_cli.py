@@ -398,6 +398,25 @@ def test_non_finite_potential_exits_one(tmp_path, capsys, bad, potential):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("big", ["1e14", "1e300"])
+@pytest.mark.parametrize("args", [
+    ["--potential", "cosine", "--value={}", "--lambda-max", "40"],
+    ["--potential", "piecewise", "--breakpoints=0,0.5", "--values=0,{}", "--lambda-max", "40"],
+    ["--potential", "free", "--lambda-max", "{}"],
+], ids=["cosine", "piecewise-values", "lambda-max"])
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_too_large_to_compute_exits_one(tmp_path, capsys, big, args, ext):
+    # refused by name before any array is sized, not by a NumPy failure
+    out = tmp_path / f"b.{ext}"
+    argv = ["bands", *(arg.format(big) for arg in args), "--l", "1",
+            "--out", str(out), "--no-timestamp"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "bands, more than the 1e+06 computed with" in err
+    assert ("lambda" if "free" in args else "the potential's range") in err
+    assert not out.exists()
+
+
 def test_nonconvergence_exits_two(tmp_path):
     out = tmp_path / "I.csv"
     code = run(["integral-sweep", "--a-min", "2", "--a-max", "2", "--count", "1",

@@ -19,7 +19,7 @@ from hillmap.hill import (
     spectrum_bands,
     transfer_matrices,
 )
-from hillmap.numerics import ToleranceSpec, integrate_ivp
+from hillmap.numerics import ToleranceSpec, integrate_ivp, trace_poly
 
 FREE = Potential.free()
 COS = Potential.cosine()  # cos(2 pi x), period 1
@@ -67,6 +67,19 @@ class TestPotential:
         assert [p[2] for p in W._pieces] == pytest.approx([0.25, 0.25, 0.5])
         assert [p[0] for p in W._pieces] == pytest.approx([W(0.0), -1.0, 1.0])
         assert W(0.0) == pytest.approx(-1.0 / 3.0)
+
+    @pytest.mark.parametrize("v", [0.0, 1.5, -4.0])
+    def test_constant_is_the_one_node_cell(self, v):
+        # two kinds only: a constant is the flat piecewise-linear cell of one
+        # node, one piece of slope 0, and its matrices are that cell's bits
+        V, one_node = Potential.constant(v), Potential.piecewise_linear([0.0], [v])
+        assert V.kind == "piecewise_linear" and V == one_node
+        assert V._pieces == ((v, 0.0, 1.0),)
+        assert V.min_value() == V.max_value() == V(0.37) == v
+        lams = np.linspace(v - 30.0, v + 400.0, 41)
+        for derivative in (False, True):
+            got, want = (transfer_matrices(W, lams, derivative=derivative) for W in (V, one_node))
+            assert np.array_equal(np.stack(got), np.stack(want))
 
     def test_interpolation_table_is_not_a_field(self):
         import dataclasses
@@ -380,7 +393,7 @@ class TestTransferMatrices:
     def test_cosine_has_no_derivative(self):
         for call in (lambda: transfer_matrices(COS, [0.0, 1.0], derivative=True),
                      lambda: discriminant(COS, 1.0, [0.0, 1.0], derivative=True)):
-            with pytest.raises(ValueError, match=r"\(constant, piecewise_linear\)"):
+            with pytest.raises(ValueError, match="for piecewise_linear cells"):
                 call()
 
 
@@ -469,7 +482,7 @@ def scalar_piece(q0, s, h, derivative):
 
 
 def per_piece_transfer_matrices(V, l, lams, derivative=False):
-    pieces = ((V.params[0], 0.0, 1.0),) if V.kind == "constant" else V._pieces
+    pieces = V._pieces
     lams = np.asarray(lams, dtype=float)
     M = np.zeros((lams.size, 2, 2))
     M[:, 0, 0] = M[:, 1, 1] = 1.0
@@ -498,7 +511,7 @@ class TestOnePassKernel:
 
     @staticmethod
     def lams_beside_nodes(V, rng):
-        nodes = np.array(V._table[1]) if V.kind == "piecewise_linear" else np.array(V.params)
+        nodes = np.array(V._table[1])
         near = nodes[:, None] + [-1e-3, -1e-9, 0.0, 1e-13, 1e-9, 1e-3, 0.3]
         return np.concatenate([near.ravel(), rng.uniform(nodes.min() - 60.0, 500.0, 40),
                                [-2000.0, 5000.0]])
@@ -1122,12 +1135,28 @@ class TestBandFunction:
             self.assert_dispersion_solved(
                 V, l, lambda x: float(cell_discriminant(V, l, x)), 120.0)
 
+    @pytest.mark.parametrize("kind, c", [("piecewise", c) for c in (2, 3, 4, 8)]
+                             + [("cosine", c) for c in (2, 3, 4)])
+    def test_long_cells_read_one_period(self, kind, c):
+        # band b of c periods is one-period band ceil(b / c) at Delta_1 =
+        # 2 cos theta; against a tight solve of f_c(Delta_1) = 2 cos(c k)
+        V = (Potential.piecewise_linear([0.0, 0.3, 0.6], [1.0, -2.5, 3.9]) if kind == "piecewise"
+             else Potential.cosine(7.0))
+        worst = self.assert_dispersion_solved(
+            V, float(c), lambda x: float(trace_poly(c, discriminant(V, 1.0, x))), 120.0)
+        assert worst <= hill._EDGE_TOL.abs_tol
+
     @pytest.mark.parametrize("l", [0.7, 1.3, 1.9])
     def test_constant_cells_of_any_length(self, l):
-        # against the free discriminant 2 cos(l sqrt(lam - v))
+        # against the free discriminant 2 cos(l sqrt(lam - v)); every flat
+        # cell takes any real l > 0, and one off flat by 1e-12 does not
         v = -1.7
-        self.assert_dispersion_solved(
-            Potential.constant(v), l, lambda x: free_discriminant(l, x - v), 200.0)
+        for V in (Potential.constant(v), Potential.piecewise_linear([0.0, 0.5], [v, v]),
+                  Potential.cosine(0.0)):
+            w = V.min_value()
+            self.assert_dispersion_solved(V, l, lambda x: free_discriminant(l, x - w), 200.0)
+        with pytest.raises(ValueError, match="multiple of the period"):
+            spectrum_bands(Potential.piecewise_linear([0.0, 0.5], [v, v + 1e-12]), l, 200.0)
 
     @pytest.mark.parametrize("l", [1.0, 2.0])
     @pytest.mark.parametrize("amplitude", [1.0, 7.8326])
@@ -1165,3 +1194,33 @@ class TestBandFunction:
         # the new touches are doubled eigenvalues, equal to the last bit
         assert all(two[i][1] == two[i + 1][0] for i in (0, 2, 4))
         assert np.max(np.abs(union(two) - np.array(one))) <= 1e-9
+
+
+class TestSizeGuard:
+    """Cells and bounds that would ask for more than _MAX_BANDS bands are
+    refused before any array is sized, naming the input."""
+
+    @pytest.mark.parametrize("big", [1e14, 1e300])
+    def test_huge_potentials_refused(self, big):
+        for V in (Potential.cosine(big), Potential.piecewise_linear([0.0, 0.5], [0.0, big])):
+            with pytest.raises(ValueError, match="the potential's range"):
+                spectrum_bands(V, 1.0, 25.0)
+            with pytest.raises(ValueError, match="the potential's range"):
+                band_function(V, 1.0, hill.BandList(((0.0, 25.0),)), 1, 0.5)
+
+    @pytest.mark.parametrize("big", [1e14, 1e300])
+    def test_huge_lambda_refused(self, big):
+        for V in (FREE, COS, Potential.piecewise_linear([0.0, 0.5], [0.0, 1.0])):
+            with pytest.raises(ValueError, match="lambda"):
+                spectrum_bands(V, 1.0, big)
+        with pytest.raises(ValueError, match="lambda"):
+            band_function(FREE, 1.0, hill.BandList(((0.0, big),)), 1, 0.5)
+
+    def test_long_cells_count(self):
+        # c periods hold c times the bands: refused at c = 1e6 where one
+        # period passes
+        assert len(spectrum_bands(FREE, 1.0, 25.0).bands) == 2
+        with pytest.raises(ValueError, match="length 1e\\+06"):
+            spectrum_bands(FREE, 1e6, 25.0)
+        with pytest.raises(ValueError, match="length 1e\\+06"):
+            band_function(FREE, 1e6, hill.BandList(((0.0, 25.0),)), 1, 0.0)

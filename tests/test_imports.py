@@ -40,9 +40,9 @@ def test_maps_re_exports_the_trace_polynomial():
 
 
 def test_cli_import_loads_no_scipy_integrate_or_optimize():
-    # the quadrature and the trace polynomials are in-package, and the two
-    # kernels that still use SciPy (integrate_ivp, find_root) import it when
-    # called
+    # the quadrature, the root finder and the trace polynomials are
+    # in-package, and the one kernel that still uses SciPy (integrate_ivp)
+    # imports it when called
     root = str(Path(hillmap.__file__).resolve().parents[1])
     script = (
         f"import sys; sys.path.insert(0, {root!r}); import hillmap.cli\n"

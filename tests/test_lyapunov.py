@@ -22,8 +22,8 @@ from hillmap.lyapunov import (
     average_lyapunov_quadrature,
     critical_points,
     local_lyapunov,
+    orbit_kernel,
     roots_fm,
-    trace_kernels,
 )
 from hillmap.maps import MapDescriptor, eval_map, trace_poly
 from hillmap.numerics import QUAD_TOL, ToleranceSpec, quad_singular
@@ -88,12 +88,18 @@ def same_float(got, want):
     return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+def clipped(y):
+    return -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
+
+
 class TestTraceKernels:
-    """The compiled kernels against trace_poly's loop, with ==."""
+    """The compiled orbit step against trace_poly's loop, with ==, and
+    trace_poly's f_m' on arrays against its scalar calls and, on
+    Fractions, against the identity (x^2 - 4) f_m' = m (x f_m - 2 f_(m-1))."""
 
     @pytest.mark.parametrize("m", range(2, 131))
     def test_f_and_fprime_equal_trace_poly(self, m):
-        kernels = trace_kernels(m)
+        fill = orbit_kernel(m)
         rng = np.random.default_rng(m)
         edge = float(np.nextafter(2.0, 3.0))
         points = [
@@ -101,17 +107,25 @@ class TestTraceKernels:
             *critical_points(m), *roots_fm(m),
             edge, -edge, 2.0 + 1e-9, -2.0 - 1e-9, 2.5, -2.5,
         ]
+        buf = np.empty(1)
         for x in map(float, points):
-            assert same_float(kernels.f(x), trace_poly(m, x)), x
-            assert same_float(kernels.fprime(x), trace_poly(m, x, derivative=True)), x
+            assert same_float(fill(x, memoryview(buf), 0, 1), clipped(trace_poly(m, x))), x
+            assert same_float(float(buf[0]), x), x
+        # the quadrature's integrand evaluates f_m' on arrays: the same bits
+        xs = np.array(points, dtype=float)
+        want = [trace_poly(m, float(x), derivative=True) for x in xs]
+        assert all(map(same_float, trace_poly(m, xs, derivative=True).tolist(), want))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 24, 130])
     def test_exact_on_fractions(self, m):
-        kernels = trace_kernels(m)
+        fill = orbit_kernel(m)
         for x in (Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(2), Fraction(9, 4)):
-            assert kernels.f(x) == trace_poly(m, x)
-            assert kernels.fprime(x) == trace_poly(m, x, derivative=True)
-            assert type(kernels.f(x)) is type(trace_poly(m, x))
+            step = fill(x, [None], 0, 1)
+            assert step == clipped(trace_poly(m, x))
+            assert type(step) is type(clipped(trace_poly(m, x)))
+            fm, dfm = trace_poly(m, x), trace_poly(m, x, derivative=True)
+            assert (x * x - 4) * dfm == m * (x * fm - 2 * trace_poly(m - 1, x))
+            assert type(dfm) is Fraction
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 24, 64])
     def test_fill_is_the_clipped_orbit(self, m):
@@ -124,7 +138,7 @@ class TestTraceKernels:
             x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
         buf = np.full(n + 2, np.nan)
         # a fill of buf[1:n + 1] leaves both neighbours alone
-        assert trace_kernels(m).fill(x0, memoryview(buf), 1, n + 1) == x
+        assert orbit_kernel(m)(x0, memoryview(buf), 1, n + 1) == x
         assert np.array_equal(buf[1:-1], want)
         assert np.isnan(buf[0]) and np.isnan(buf[-1])
 
@@ -132,34 +146,35 @@ class TestTraceKernels:
 class TestOrderIsAnInteger:
     @pytest.mark.parametrize("m", [3.0, np.float64(3), "3"])
     def test_non_integral_order_raises_before_compiling(self, m):
-        compiled = lyapunov._compile_trace_kernels.cache_info().misses
+        compiled = lyapunov._compile_orbit_kernel.cache_info().misses
         with pytest.raises(TypeError):
             average_lyapunov_quadrature(m)
         with pytest.raises(TypeError):
             average_lyapunov_orbit(m, 0.3, 10)
         with pytest.raises(TypeError):
-            trace_kernels(m)
-        assert lyapunov._compile_trace_kernels.cache_info().misses == compiled
+            orbit_kernel(m)
+        assert lyapunov._compile_orbit_kernel.cache_info().misses == compiled
 
     def test_numpy_integer_order(self):
         assert average_lyapunov_quadrature(np.int64(3)) == average_lyapunov_quadrature(3)
         assert average_lyapunov_orbit(np.int64(3), 0.3, 1000) == average_lyapunov_orbit(3, 0.3, 1000)
-        assert trace_kernels(np.int64(3)) is trace_kernels(3)
+        assert orbit_kernel(np.int64(3)) is orbit_kernel(3)
 
     def test_kernel_compiled_once_per_order(self):
+        # the quadrature runs trace_poly itself and compiles nothing
         average_lyapunov_orbit(6, 0.3, 10)
-        before = lyapunov._compile_trace_kernels.cache_info()
+        before = lyapunov._compile_orbit_kernel.cache_info()
         average_lyapunov_orbit(6, 0.4, 10)
-        average_lyapunov_quadrature(6)
-        after = lyapunov._compile_trace_kernels.cache_info()
-        assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+        average_lyapunov_quadrature(7)
+        after = lyapunov._compile_orbit_kernel.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
     def test_import_compiles_nothing(self):
         root = str(Path(lyapunov.__file__).resolve().parents[1])
         script = (
             f"import sys; sys.path.insert(0, {root!r}); import hillmap.cli\n"
             "from hillmap import lyapunov\n"
-            "assert lyapunov._compile_trace_kernels.cache_info().currsize == 0\n"
+            "assert lyapunov._compile_orbit_kernel.cache_info().currsize == 0\n"
         )
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60)
@@ -528,14 +543,14 @@ class TestIIntegralQuadrature:
         # each with its share of the request, against a 30-digit quadrature
         # of the closed form log |m sin(m t) / sin t|
         mpmath = pytest.importorskip("mpmath")
-        fprime = trace_kernels(m).fprime
         j = np.arange(m)
         lo, hi = j * math.pi / m, (j + 1) * math.pi / m
         lo[0], hi[-1] = 0.0, math.pi
         declared = [np.where(j > 0, lo, np.nan), np.where(j < m - 1, hi, np.nan)]
         share = ToleranceSpec(EXPONENT_TOL.abs_tol / m, 0.0, EXPONENT_TOL.max_steps)
-        value, bound = quad_singular(lambda t: np.log(np.abs(fprime(2.0 * np.cos(t)))),
-                                     lo, hi, declared, share)
+        value, bound = quad_singular(
+            lambda t: np.log(np.abs(trace_poly(m, 2.0 * np.cos(t), derivative=True))),
+            lo, hi, declared, share)
         with mpmath.workdps(30):
             exact = [mpmath.quad(lambda t: mpmath.log(abs(m * mpmath.sin(m * t) / mpmath.sin(t))),
                                  [mpmath.mpf(float(u)), mpmath.mpf(float(v))])
