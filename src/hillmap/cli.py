@@ -27,6 +27,10 @@ EXIT_NUMERICAL = 2
 
 OUT_DIR_ENV = "HILLMAP_OUT_DIR"
 
+# the values an enumerated option may take, from a flag or a config file
+_CHOICES = {"method": ("quadrature", "orbit"), "dist": ("shifted_gamma", "uniform"),
+            "format": ("csv", "json")}
+
 
 class _UsageError(Exception):
     pass
@@ -119,6 +123,9 @@ def _merge_config(args, parser_defaults: dict) -> dict:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             resolved[key] = flag_val
+    for key, allowed in _CHOICES.items():
+        if resolved.get(key) not in (None, *allowed):
+            raise ConfigurationError(f"{key} must be one of {allowed}, not {resolved[key]!r}")
     return resolved
 
 
@@ -194,9 +201,7 @@ def _cmd_orbit(cfg, timestamp):
 
 
 def _cmd_density_evolve(cfg, timestamp):
-    records, final = transfer.evolve_genlogistic(
-        cfg["m"], cfg["steps"], resolution=cfg["resolution"], initial=cfg["init"]
-    )
+    records, final = transfer.evolve_genlogistic(cfg["m"], cfg["steps"], cfg["resolution"])
     fmt = cfg["format"] or ("csv" if cfg["out"].endswith(".csv") else "json")
     if fmt == "csv":
         rows = [
@@ -336,8 +341,8 @@ def _build_parser() -> _Parser:
         "out": "orbit.csv",
     })
     add("density-evolve", _cmd_density_evolve, {
-        "m": 2, "steps": 5, "resolution": 2**14, "init": "uniform",
-        "out": "evolution.json", "format": None, "save_density": None,
+        "m": 2, "steps": 5, "resolution": 2**14, "out": "evolution.json",
+        "format": None, "save_density": None,
     })
     add("ensemble", _cmd_ensemble, {
         "m": 2, "samples": 10**6, "iters": 8, "seed": 0, "threads": 0,

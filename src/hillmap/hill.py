@@ -668,8 +668,8 @@ def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
     g = i for odd J, c - 1 - i for even J.  Cosine cells take the J-th
     eigenvalue of the Fourier-Hill matrix H(theta); piecewise-linear cells
     solve Delta_1(lam) = 2 cos theta between the band's edges, all k in one
-    batched root solve.  Flat cells v whose length l is not a whole number
-    of periods take v + (pi (b - b mod 2) + (-1)^(b + 1) l k)^2 / l^2.
+    batched root solve.  Flat cells v, at any real l, take the closed form
+    v + (pi (b - b mod 2) + (-1)^(b + 1) l k)^2 / l^2.
     A band above the bound of :func:`spectrum_bands` raises ValueError.
     """
     flat = V.max_value() == V.min_value()
@@ -689,7 +689,7 @@ def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
     at_pi = ~at_zero & (ks > math.pi / l - 1e-12)
     inside = ~(at_zero | at_pi)
     lam = np.where(at_zero, k_zero_edge, k_pi_edge)
-    if inside.any() and flat and l != c:
+    if inside.any() and flat:
         theta = math.pi * (band_index - band_index % 2) + (-1) ** (band_index + 1) * l * ks[inside]
         lam[inside] = V.min_value() + (theta / l) ** 2
     elif inside.any():

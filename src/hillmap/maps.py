@@ -247,8 +247,8 @@ def mathieu_formula(x0: float, n: int) -> float:
     The invertible branch x in [0, 1] is the first band, on which the trace
     2 - 4 x runs from 2 to -2: the point with trace 2 cos k is the first
     band function at quasi-momentum k.  Returns (2 - Delta_(2^n)(lam)) / 4
-    there: doubling the cell squares the transfer matrix, which is the
-    logistic recursion in trace coordinates.
+    there: doubling the cell squares the transfer matrix, so Delta_(2^n) is
+    Delta_1(lam) taken n times through the logistic recursion d^2 - 2.
     """
     if not 0.0 <= x0 <= 1.0:
         raise DomainError("x0 must lie in [0, 1]")
@@ -256,7 +256,10 @@ def mathieu_formula(x0: float, n: int) -> float:
         raise ValueError("n must be nonnegative")
     k = math.pi * conj_cosine_inv(conj_mandelbrot_inv(x0))
     mu = hill.band_function(_MATHIEU_V, 1.0, _mathieu_bands(), 1, k)
-    return conj_mandelbrot(float(hill.discriminant(_MATHIEU_V, 2**n, mu)))
+    delta = float(hill.discriminant(_MATHIEU_V, 1.0, mu))
+    for _ in range(n):
+        delta = delta * delta - 2.0
+    return conj_mandelbrot(delta)
 
 
 # m-ary digit arithmetic ------------------------------------------------------

@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import QUAD_TOL, ToleranceSpec, find_roots, quad_singular
+# quad_singular is not called here: perfbench/tracing.py counts quadratures
+# under transfer.quad_singular.
+from .numerics import quad_singular  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,10 @@ class StepDensity:
 
 @dataclass(frozen=True)
 class SmoothDensity:
-    """A pointwise-evaluable density with declared singular points."""
+    """A pointwise-evaluable density on a closed interval."""
 
     evaluation: Callable[[float], float]
     domain: tuple[float, float]
-    singularities: tuple = field(default_factory=tuple)
 
     def __call__(self, x: float) -> float:
         return self.evaluation(x)
@@ -136,34 +137,34 @@ def invariant_density(kind: str, x: float | np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-D_DENSITY = SmoothDensity(
-    lambda x: invariant_density("discriminant_D", x), (-2.0, 2.0), (-2.0, 2.0)
-)
-Q_DENSITY = SmoothDensity(
-    lambda x: invariant_density("logistic_q", x), (0.0, 1.0), (0.0, 1.0)
-)
+D_DENSITY = SmoothDensity(lambda x: invariant_density("discriminant_D", x), (-2.0, 2.0))
+Q_DENSITY = SmoothDensity(lambda x: invariant_density("logistic_q", x), (0.0, 1.0))
 
 
-def invariant_cdf(delta: float) -> float:
-    """CDF of the discriminant invariant density: 1/2 + asin(delta/2)/pi."""
-    if not -2.0 <= delta <= 2.0:
+def invariant_cdf(delta: float | np.ndarray) -> float | np.ndarray:
+    """CDF of the discriminant invariant density: 1/2 + asin(delta/2)/pi.
+
+    A scalar gives a float; an array gives an array, elementwise, and any
+    element outside [-2, 2] raises.
+    """
+    delta = np.asarray(delta, dtype=float)
+    if delta.size and not (delta.min() >= -2.0 and delta.max() <= 2.0):
         raise DomainError("delta must lie in [-2, 2]")
-    return 0.5 + math.asin(delta / 2.0) / math.pi
+    out = 0.5 + np.arcsin(delta / 2.0) / math.pi
+    return float(out) if out.ndim == 0 else out
 
 
 def invariant_quantile(u: float | np.ndarray) -> float | np.ndarray:
     """Quantile of the discriminant invariant density: -2 cos(pi u).
 
-    A scalar gives a float; an array gives an array, elementwise.
+    A scalar gives a float; an array gives an array, elementwise, and any
+    element outside [0, 1] raises.
     """
-    if np.ndim(u) == 0:
-        if not 0.0 <= u <= 1.0:
-            raise DomainError("u must lie in [0, 1]")
-        return -2.0 * math.cos(math.pi * u)
     u = np.asarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
         raise DomainError("u must lie in [0, 1]")
-    return -2.0 * np.cos(math.pi * u)
+    out = -2.0 * np.cos(math.pi * u)
+    return float(out) if out.ndim == 0 else out
 
 
 # Exact pushforward under the piecewise-linear folds ---------------------------
@@ -343,72 +344,38 @@ def evolve_genlogistic(
 
 # Distances and variation -------------------------------------------------------
 
-# Request per cell of l1_distance.  The sum over the cells stays far inside
-# any use here.
-_CELL_TOL = ToleranceSpec(1e-8, QUAD_TOL.rel_tol, QUAD_TOL.max_steps)
+def l1_distance(p: StepDensity, q: StepDensity) -> float:
+    """Exact L1 distance between two step densities, each zero-extended to
+    their common span.  The distance to the arcsine law is
+    :func:`l1_to_invariant`."""
+    if not isinstance(q, StepDensity):
+        raise TypeError("l1_distance takes two step densities; "
+                        "the distance to the arcsine law is l1_to_invariant")
+    edges = np.union1d(p.edges, q.edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return float(np.dot(np.abs(p(mids) - q(mids)), np.diff(edges)))
 
 
-def _crossings(q: SmoothDensity, lo: np.ndarray, hi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Points where q crosses the value v[i] in the cell [lo[i], hi[i]], one
-    row per cell, NaN-padded.
+def l1_to_invariant(p: StepDensity) -> float:
+    """Exact L1 distance from a step density to the arcsine law
+    D(delta) = 1/(pi sqrt(4 - delta^2)) on [-2, 2], in closed form.
 
-    Each cell is cut at q's singular points inside it, and each piece at its
-    midpoint, so that a density falling and rising again between two
-    singular points (as the arcsine densities do) shows both crossings.  A
-    piece whose ends, each taken one ulp inside it (q may not be finite at
-    the end itself), give q - v of opposite signs holds a crossing, and one
-    batched root solve finds them all.  A crossing missed here, in a piece
-    that q crosses twice, is left to the quadrature's halving.
+    D = v > 1/(2 pi) at +-c(v) = +-sqrt(4 - 1/(pi v)^2), and D >= v
+    everywhere for v <= 1/(2 pi) (c = 0).  Cut at +-c(v) and +-2, each piece
+    of a cell of value v adds |v dx - dF|, F = :func:`invariant_cdf`, which
+    is flat past +-2 where D is 0; the rest of [-2, 2] adds its mass under
+    D.  A density reaching more than 1e-9 past +-2 raises DomainError.
     """
-    sing = np.asarray(q.singularities, dtype=float).reshape(1, -1)
-    inner = np.where((sing > lo[:, None]) & (sing < hi[:, None]), sing, np.nan)
-    ends = np.sort(np.column_stack([lo, hi, inner]), axis=1)  # NaN sorts last
-    pts = np.empty((lo.size, 2 * ends.shape[1] - 1))
-    pts[:, ::2] = ends
-    pts[:, 1::2] = 0.5 * (ends[:, :-1] + ends[:, 1:])
-    a = np.nextafter(pts[:, :-1], pts[:, 1:])
-    b = np.nextafter(pts[:, 1:], pts[:, :-1])
-    vv = np.broadcast_to(v[:, None], a.shape)
-    live = ~np.isnan(b)
-    ga = np.full(a.shape, np.nan)
-    gb = np.full(a.shape, np.nan)
-    ga[live] = np.asarray(q(a[live]), dtype=float) - vv[live]
-    gb[live] = np.asarray(q(b[live]), dtype=float) - vv[live]
-    change = (ga * gb < 0.0) & (a < b)  # a piece of two ulps or less has no inside
-    roots = np.full(a.shape, np.nan)
-    roots[change] = find_roots(lambda x, c: q(x) - c, a[change], b[change], args=(vv[change],))
-    return roots
-
-
-def l1_distance(p: StepDensity, q: StepDensity | SmoothDensity) -> float:
-    """L1 distance, exact for two step densities (zero-extended to a common
-    span), quadrature against a smooth density with declared singularities.
-
-    A smooth ``q`` is evaluated on arrays: all cells go through one
-    quadrature, each cell an interval of its own, with the points where q
-    crosses the cell's value declared as singular points of that cell."""
-    if isinstance(q, StepDensity):
-        edges = np.union1d(p.edges, q.edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.dot(np.abs(p(mids) - q(mids)), np.diff(edges)))
-
-    qlo, qhi = q.domain
-    plo, phi = p.domain
-    if plo < qlo - 1e-9 or phi > qhi + 1e-9:
-        raise DomainError("step density exceeds the smooth density's domain")
-    lo, hi = p.edges[:-1], p.edges[1:]
-    sing = [np.full(lo.size, s) for s in q.singularities]
-    # the kinks of |v - q| where q crosses v are declared as well
-    cross = list(_crossings(q, lo, hi, p.values).T)
-    cells = quad_singular(lambda x, v: np.abs(v - q(x)), lo, hi, sing + cross, _CELL_TOL,
-                          args=(p.values,))[0]
-    total = float(np.sum(cells))
-    # tails of q outside the step support
-    if plo > qlo:
-        total += quad_singular(q, qlo, plo, q.singularities, _CELL_TOL)[0]
-    if phi < qhi:
-        total += quad_singular(q, phi, qhi, q.singularities, _CELL_TOL)[0]
-    return total
+    lo, hi = p.domain
+    if lo < -2.0 - 1e-9 or hi > 2.0 + 1e-9:
+        raise DomainError("step density exceeds [-2, 2]")
+    a, b, v = p.edges[:-1, None], p.edges[1:, None], p.values[:, None]
+    c = np.sqrt(np.maximum(4.0 - (math.pi * np.maximum(v, 0.5 / math.pi)) ** -2, 0.0))
+    cuts = np.clip(np.hstack(np.broadcast_arrays(a, -2.0, -c, c, 2.0, b)), a, b)
+    dF = np.diff(invariant_cdf(np.clip(cuts, -2.0, 2.0)), axis=1)
+    cells = np.abs(v * np.diff(cuts, axis=1) - dF)
+    tails = invariant_cdf(max(lo, -2.0)) + 1.0 - invariant_cdf(min(hi, 2.0))
+    return float(np.sum(cells) + tails)
 
 
 def variation(p: StepDensity) -> float:

@@ -364,6 +364,32 @@ def test_config_file_booleans(tmp_path, capsys, word, clamp):
         assert doc["report"]["config"]["dist"]["clamp_to_domain"] is clamp
 
 
+@pytest.mark.parametrize("argv, conf", [
+    (["lyapunov", "--method", "bogus", "--n", "1000", "--out", "l.json"], None),
+    (["lyapunov", "--n", "1000", "--out", "l.json"], "method = bogus"),
+    (["ensemble", "--dist", "bogus", "--samples", "2000", "--iters", "2"], None),
+    (["ensemble", "--samples", "2000", "--iters", "2"], "dist = Uniform"),
+    (["ensemble", "--format", "xml", "--samples", "2000", "--iters", "2"], None),
+    (["bands", "--format", "bogus", "--out", "b.json"], None),
+    (["density-evolve", "--format", "xml", "--resolution", "64"], None),
+    (["density-evolve", "--resolution", "64"], "format = "),
+    (["density-evolve", "--init", "uniform", "--resolution", "64"], None),
+    (["density-evolve", "--resolution", "64"], "init = uniform"),
+], ids=["method", "method-config", "dist", "dist-config", "ensemble-format", "bands-format",
+        "evolve-format", "evolve-format-config", "init-gone", "init-config-gone"])
+def test_unlisted_option_values_exit_one(tmp_path, monkeypatch, capsys, argv, conf):
+    # an enumerated option takes only its listed values, from a flag or a
+    # config file alike, and a refused run writes nothing
+    out_dir = tmp_path / "out"
+    monkeypatch.setenv("HILLMAP_OUT_DIR", str(out_dir))
+    if conf is not None:
+        (tmp_path / "run.conf").write_text(conf + "\n")
+        argv = [*argv, "--config", str(tmp_path / "run.conf")]
+    assert run([*argv, "--no-timestamp"]) == 1
+    assert capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("bogus = 1\n")

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import mathieu_a, mathieu_b
 
+from hillmap import hill
 from hillmap.errors import DomainError, DomainEscapeError
+from hillmap.hill import discriminant
 from hillmap.maps import (
     MapDescriptor,
     _mathieu_lambda_top,
@@ -349,6 +352,24 @@ class TestMathieuFormula:
                 assert abs(mathieu_formula(x0, n) - float(x)) <= bound, (x0, n)
                 gain *= abs(4.0 * (1.0 - 2.0 * float(x)))
                 x = 4 * x * (1 - x)
+
+    def test_doubles_one_period(self, monkeypatch):
+        # Delta_(2^n) is Delta_1 taken n times through d^2 - 2: one
+        # one-period discriminant, and n = 24 in well under 0.1 s
+        mathieu_formula(0.2, 0)  # the band list is built once per process
+        lengths = []
+
+        def one_period(V, l, lams, *args, **kwargs):
+            lengths.append(l)
+            if l != 1.0:
+                raise AssertionError(f"a cell of {l} periods")
+            return discriminant(V, l, lams, *args, **kwargs)
+
+        monkeypatch.setattr(hill, "discriminant", one_period)
+        t0 = time.perf_counter()
+        x = mathieu_formula(0.2, 24)
+        assert time.perf_counter() - t0 < 0.1
+        assert lengths == [1.0] and 0.0 <= x <= 1.0
 
 
 class TestDigits:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillmap import transfer
+from hillmap import numerics, transfer
 from hillmap.errors import DomainError
 from hillmap.maps import MapDescriptor, eval_map
 from hillmap.numerics import ToleranceSpec, quad_singular
@@ -27,6 +27,7 @@ from hillmap.transfer import (
     invariant_quantile,
     kappa_to_delta,
     l1_distance,
+    l1_to_invariant,
     l1_to_uniform,
     mixing_correlation,
     preimage_intervals,
@@ -39,6 +40,31 @@ from hillmap.transfer import (
 )
 
 EPS = np.finfo(float).eps
+
+
+def arcsine_l1_oracle(p: StepDensity) -> float:
+    """L1 distance from p to the arcsine law D by quadrature: |v - D| over
+    each cell and D over the rest of [-2, 2], with +-2 and the points where
+    D = v declared, and D taken as 0 past +-2."""
+    def gap(x, v):
+        inside = np.abs(x) < 2.0
+        d = np.zeros_like(x)
+        d[inside] = invariant_density("discriminant_D", x[inside])
+        return np.abs(v - d)
+
+    edges, values = list(p.edges), list(p.values)
+    if edges[0] > -2.0:
+        edges, values = [-2.0, *edges], [0.0, *values]
+    if edges[-1] < 2.0:
+        edges, values = [*edges, 2.0], [*values, 0.0]
+    total = 0.0
+    for a, b, v in zip(edges[:-1], edges[1:], values):
+        points = [-2.0, 2.0]
+        if v > 0.5 / math.pi:
+            c = math.sqrt(4.0 - 1.0 / (math.pi * v) ** 2)
+            points += [-c, c]
+        total += quad_singular(gap, a, b, points, ToleranceSpec(1e-11, 0.0, 800), args=(v,))[0]
+    return total
 
 
 def arcsine_discretized(n_cells: int) -> StepDensity:
@@ -242,11 +268,11 @@ class TestPushforwardGenLogistic:
     def test_invariant_density_fixed(self):
         pD = arcsine_discretized(4096)
         out = pushforward_genlogistic(pD, 3)
-        residual = l1_distance(out, D_DENSITY)
+        residual = l1_to_invariant(out)
         # the 4096-cell representation of D itself sits ~1.1e-3 from D, and
         # one exact transfer step does not increase it
         assert residual < 1.2e-3
-        assert residual <= l1_distance(pD, D_DENSITY) + 1e-6
+        assert residual <= l1_to_invariant(pD) + 1e-6
         assert abs(out.mass() - 1.0) < 1e-9
 
     def test_even_map_forgets_sign(self):
@@ -265,8 +291,8 @@ class TestPushforwardGenLogistic:
     def test_uniform_contracts_towards_invariant(self):
         u = StepDensity(np.array([-2.0, 2.0]), np.array([0.25]))
         p1 = pushforward_genlogistic(u, 2, resolution=2**12)
-        d0 = l1_distance(u, D_DENSITY)
-        d2 = l1_distance(pushforward_genlogistic(p1, 2, resolution=2**12), D_DENSITY)
+        d0 = l1_to_invariant(u)
+        d2 = l1_to_invariant(pushforward_genlogistic(p1, 2, resolution=2**12))
         assert d2 < d0 / 3
 
 
@@ -383,8 +409,8 @@ class TestL1Distance:
         u = StepDensity(np.array([-2.0, 2.0]), np.array([0.25]))
         dstar = 2.0 * math.sqrt(1.0 - 4.0 / math.pi**2)
         closed = dstar - 4.0 * math.asin(dstar / 2.0) / math.pi
-        got = l1_distance(u, D_DENSITY)
-        assert abs(got - closed) < 1e-8
+        got = l1_to_invariant(u)
+        assert abs(got - closed) < 1e-12
         oracle, _ = quad_singular(
             lambda x: abs(0.25 - D_DENSITY(x)),
             -2.0,
@@ -407,44 +433,71 @@ class TestL1Distance:
             exact = -exact
         tails = invariant_cdf(lo) + (1.0 - invariant_cdf(hi))
         p = StepDensity(np.array([lo, hi]), np.array([v]))
-        assert abs(l1_distance(p, D_DENSITY) - (exact + tails)) < 1e-9
+        assert abs(l1_to_invariant(p) - (exact + tails)) < 1e-12
 
     @pytest.mark.parametrize("lo, hi", [(0.5, 1.9), (-1.9, -0.3), (1.0, 1.99), (-2.0, 2.0)])
     def test_declared_crossings_need_few_calls(self, monkeypatch, lo, hi):
-        # the crossings of D with v = 1/4 are declared, so the cell's
-        # quadrature (tails included) converges without halving the kink
-        calls = []
+        # the crossings of D with v = 1/4 are closed forms, so the distance
+        # (tails included) takes no quadrature and no root solve at all
+        def refused(*args, **kwargs):
+            raise AssertionError("no quadrature or root solve expected")
 
-        def counted(f, *args, **kwargs):
-            def g(*x):
-                calls.append(1)
-                return f(*x)
-
-            return quad_singular(g, *args, **kwargs)
-
-        monkeypatch.setattr(transfer, "quad_singular", counted)
+        for name in ("quad_singular", "find_roots"):
+            monkeypatch.setattr(numerics, name, refused)
+            monkeypatch.setattr(transfer, name, refused, raising=False)
         v = 0.25
         cross = math.sqrt(4.0 - 1.0 / (math.pi * v) ** 2)
         pts = [lo, *(c for c in (-cross, cross) if lo < c < hi), hi]
         exact = sum(abs(v * (b - a) - (invariant_cdf(b) - invariant_cdf(a)))
                     for a, b in zip(pts[:-1], pts[1:]))
         tails = invariant_cdf(lo) + (1.0 - invariant_cdf(hi))
-        got = l1_distance(StepDensity(np.array([lo, hi]), np.array([v])), D_DENSITY)
-        assert abs(got - (exact + tails)) < 1e-9
-        assert len(calls) <= 12
+        got = l1_to_invariant(StepDensity(np.array([lo, hi]), np.array([v])))
+        assert abs(got - (exact + tails)) < 1e-12
 
     def test_many_cells_in_one_quadrature(self):
         # the cells of a step density against the cell-by-cell sum
         p = StepDensity(np.linspace(-2.0, 2.0, 9), np.linspace(0.1, 0.4, 8))
-        one_by_one = sum(l1_distance(StepDensity(p.edges[i:i + 2], p.values[i:i + 1]), D_DENSITY)
+        one_by_one = sum(l1_to_invariant(StepDensity(p.edges[i:i + 2], p.values[i:i + 1]))
                          - invariant_cdf(p.edges[i]) - (1.0 - invariant_cdf(p.edges[i + 1]))
                          for i in range(8))
-        assert abs(l1_distance(p, D_DENSITY) - one_by_one) < 1e-10
+        assert abs(l1_to_invariant(p) - one_by_one) < 1e-10
 
     def test_domain_mismatch(self):
         p = StepDensity(np.array([-3.0, 0.0]), np.array([1.0]))
         with pytest.raises(DomainError):
+            l1_to_invariant(p)
+
+    def test_smooth_density_refused(self):
+        p = StepDensity(np.array([-1.0, 1.0]), np.array([0.5]))
+        with pytest.raises(TypeError, match="l1_to_invariant"):
             l1_distance(p, D_DENSITY)
+
+    @pytest.mark.parametrize("edges, values", [
+        # v at D's minimum 1/(2 pi), and just above it, on a cell across 0
+        ([-1.0, 1.0], [0.5 / math.pi]),
+        ([-1.0, 1.0], [np.nextafter(0.5 / math.pi, 1.0)]),
+        ([-1.0, 0.0, 1.0], [0.5 / math.pi * (1.0 + 1e-9), 0.5 / math.pi * (1.0 + 1e-6)]),
+        # cells holding both crossings, and one holding a single crossing
+        ([-1.9, 1.9], [0.2]),
+        ([-2.0, 2.0], [0.9]),
+        ([-2.0, -1.5, 1.99, 2.0], [0.3, 0.17, 1.5]),
+        # edges within 1e-9 past +-2, where D is 0
+        ([-2.0 - 9e-10, -1.0, 1.0, 2.0 + 5e-10], [0.4, 0.1, 0.6]),
+        ([-2.0 - 1e-9, 2.0 + 1e-9], [-0.3]),
+    ])
+    def test_against_the_quadrature_oracle(self, edges, values):
+        p = StepDensity(np.array(edges), np.array(values))
+        assert abs(l1_to_invariant(p) - arcsine_l1_oracle(p)) < 1e-10
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_signed_densities_against_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
+        lo, hi = (-2.0 if seed % 2 else lo), (2.0 if seed % 3 == 0 else hi)
+        edges = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, n - 1)]))
+        p = StepDensity(edges, rng.uniform(-0.5, 1.0, n))
+        assert abs(l1_to_invariant(p) - arcsine_l1_oracle(p)) < 1e-10
 
 
 class TestVariation:
@@ -520,6 +573,19 @@ class TestInvariantDensities:
             with pytest.raises(DomainError):
                 invariant_quantile(np.array(bad))
 
+    def test_cdf_of_array(self):
+        x = np.array([[-2.0, -1.3, 0.0], [0.4, 1.999, 2.0]])
+        got = invariant_cdf(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert np.array_equal(got, [[invariant_cdf(float(v)) for v in row] for row in x])
+        assert np.allclose(got, 0.5 + np.vectorize(math.asin)(x / 2.0) / math.pi,
+                           rtol=0, atol=1e-15)
+        assert isinstance(invariant_cdf(np.float64(0.5)), float)
+        assert invariant_cdf(np.empty(0)).shape == (0,)
+        for bad in ([0.5, 2.5], [-2.0 - 1e-15, 0.5], [0.5, np.nan], 3.0):
+            with pytest.raises(DomainError):
+                invariant_cdf(np.array(bad))
+
     @pytest.mark.parametrize("kind, lo, hi", [("logistic_q", 0.0, 1.0),
                                               ("discriminant_D", -2.0, 2.0)])
     def test_array_equals_the_scalar_loop(self, kind, lo, hi):
@@ -554,7 +620,7 @@ class TestDiscriminantDensity:
 
     def test_is_the_invariant_density(self):
         # D_DENSITY, the callable that quadrature callers integrate against
-        assert D_DENSITY.domain == (-2.0, 2.0) and D_DENSITY.singularities == (-2.0, 2.0)
+        assert D_DENSITY.domain == (-2.0, 2.0)
         for delta in (-1.999, -0.3, 0.0, 1.2):
             assert D_DENSITY(delta) == discriminant_D(delta)
 
