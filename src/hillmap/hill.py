@@ -497,6 +497,11 @@ def _turning_edges(V: Potential, lo, hi):
     return found, np.repeat(lam_stars[~gap], 2).tolist(), brackets
 
 
+# (sub-piece, lam) pairs per pass of _edge_count: its matrices hold one entry
+# per pair, and both counts grow with a deep cell's bands
+_COUNT_PAIRS = 2**16
+
+
 def _edge_count(V: Potential, lams):
     """E(lam), the number of band edges at or below each lam (one period of a
     piecewise-linear cell); Q(lam) = 2n + [sign Delta != (-1)^n]; and where G
@@ -505,16 +510,25 @@ def _edge_count(V: Potential, lams):
     one per closed gap (Eastham, 1973, ch. 2), lie pi / sqrt(lam - min V)
     apart at least (compare with min V): n sign changes of u at the ends of
     sub-pieces half that long.  Q steps at Delta's zero in band m and at gap
-    m's Dirichlet eigenvalue, never at an edge; E = 2m - 1 in band m, 2m in gap m."""
+    m's Dirichlet eigenvalue, never at an edge; E = 2m - 1 in band m, 2m in gap m.
+    Every lam runs on the sub-pieces of the largest, in passes of at most
+    _COUNT_PAIRS (sub-piece, lam) pairs."""
+    lams = np.asarray(lams, dtype=float)
     _, s, h = np.array(V._pieces).T
     k = 1 + (2.0 / math.pi * math.sqrt(max(np.max(lams) - V.min_value(), 0.0)) * h).astype(int)
     s, h = np.repeat(s, k), np.repeat(h / k, k)
-    T, _ = _piece(V(np.cumsum(h) - h)[:, None] - lams, s[:, None], h[:, None], False)
-    M, u = np.eye(2), []
-    for Tj in T:
-        M = Tj @ M
-        u.append(M[..., 0, 1])
-    n = np.count_nonzero(np.diff(np.array(u) > 0.0, axis=0, prepend=True), axis=0)  # u'(0) = 1
+    q0, width = V(np.cumsum(h) - h)[:, None], max(1, _COUNT_PAIRS // h.size)
+    n, M = [], []
+    for i in range(0, lams.size, width):
+        T, _ = _piece(q0 - lams[i:i + width], s[:, None], h[:, None], False)
+        Mi, u = np.eye(2), []
+        for Tj in T:
+            Mi = Tj @ Mi
+            u.append(Mi[..., 0, 1])
+        u = np.array(u) > 0.0  # u'(0) = 1
+        n.append(np.count_nonzero(np.diff(u, axis=0, prepend=True), axis=0))
+        M.append(Mi)
+    n, M = np.concatenate(n), np.concatenate(M)
     Q = 2 * n + ((_trace(M) > 0.0) != (n % 2 == 0))
     G, err = _gap_function(M)
     return Q + ((G <= err) == (Q % 2 == 0)), Q, G < -err
@@ -526,16 +540,23 @@ def _band_points(V: Potential, bands: int, ceiling: float):
     V], where comparison puts it.  Every Q narrows every bracket."""
     m2 = np.arange(bands + 1.0) ** 2 * math.pi**2
     lo, hi = m2[:-1] + V.min_value(), np.minimum(m2[1:] + V.max_value(), ceiling)
-    below = np.arange(0, 2 * bands, 2)[:, None]  # Q in band m below its middle
     while True:
         mids = 0.5 * (lo + hi)
         lams = mids[(lo < mids) & (mids < hi)]
         if lams.size == 0:
             return mids
         _, Q, inside = _edge_count(V, lams)
-        inside = inside & (Q // 2 == below // 2)
-        lo = np.maximum(lo, np.where(inside | (Q <= below), lams, -np.inf).max(axis=1))
-        hi = np.minimum(hi, np.where(inside | (Q > below), lams, np.inf).min(axis=1))
+        # lam raises the bracket of band j + 1 for every j >= j_lo (Q <= 2j,
+        # or inside that band) and lowers it for every j <= j_hi (Q > 2j, or
+        # inside): a running max and min over j, linear in the bands
+        half, odd = Q // 2, Q % 2 == 1
+        j_lo = half + (odd & ~inside)
+        j_hi = np.minimum(half - 1 + (odd | inside), bands - 1)
+        up, down = np.full(bands, -np.inf), np.full(bands, np.inf)
+        np.maximum.at(up, j_lo[j_lo < bands], lams[j_lo < bands])
+        np.minimum.at(down, j_hi[j_hi >= 0], lams[j_hi >= 0])
+        lo = np.maximum(lo, np.maximum.accumulate(up))
+        hi = np.minimum(hi, np.minimum.accumulate(down[::-1])[::-1])
 
 
 def _exact_edges(V: Potential, lambda_max: float):

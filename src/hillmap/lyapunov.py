@@ -15,7 +15,6 @@ from .ensemble import CHUNK
 from .errors import SingularityError
 from .maps import MapDescriptor, trace_poly
 from .numerics import QUAD_TOL, ToleranceSpec, quad_singular
-from .transfer import invariant_density
 
 BURN_IN = 100
 CRITICAL_EPS = 1e-13
@@ -121,8 +120,11 @@ def average_lyapunov_quadrature(m: int) -> LyapunovResult:
     if m < 2:
         raise ValueError("m must be at least 2")
 
+    floor = m * m * np.finfo(float).eps  # f_m' rounds to 0 at nodes beside theta_j
+
     def integrand(theta: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(trace_poly(m, 2.0 * np.cos(theta), derivative=True)))
+        return np.log(np.maximum(np.abs(trace_poly(m, 2.0 * np.cos(theta), derivative=True)),
+                                 floor))
 
     sing = [j * math.pi / m for j in range(1, m)]
     val, bound = quad_singular(integrand, 0.0, math.pi, sing, EXPONENT_TOL)
@@ -223,9 +225,9 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     return LyapunovResult(m, mean, "orbit_average", stderr, restarts, warnings)
 
 
-def _log_gap_outside(y, gap, sign):
-    # |a| - 2 sin(sign y) = (|a| - 2) + 4 sin^2((pi/2 - sign y)/2)
-    half = np.sin(0.5 * (math.pi / 2.0 - sign * y))
+def _log_gap_outside(phi, gap):
+    # |a| - 2 sin(sign y) = (|a| - 2) + 4 sin^2(phi/2), phi = pi/2 - sign y
+    half = np.sin(0.5 * phi)
     return np.log(gap + 4.0 * half * half)
 
 
@@ -242,46 +244,48 @@ def I_integral(a, tol: ToleranceSpec = QUAD_TOL):
     it vanishes identically on [-2, 2] and equals log((|a| + sqrt(a^2 - 4))/2)
     outside.  The integrand's singularity at y = asin(a/2) is declared.
     ``a`` may be an array: every element is integrated in the same
-    quadrature calls, one for the elements inside [-2, 2] and one for those
-    outside, and each value equals that of a scalar call bit for bit.  A
+    quadrature calls, one for the elements inside (-2, 2) and one for the
+    others, and each value equals that of a scalar call bit for bit.  A
     scalar gives a float.
     """
     # |2 sin y - a| in factored forms: near a = +-2 the difference cancels, so
     # that it is 0 in floating point at nodes beside its zero, or rounds away
     # the part that sets the integral's value just outside [-2, 2].  There
     # the integrand dips like log((|a| - 2) + phi^2) within phi ~ sqrt(|a| - 2)
-    # of the end y = sign pi/2, where the tanh-sinh nodes crowd.
+    # of the end y = sign pi/2, phi = 0 (log phi^2 at |a| = 2): in phi the end
+    # is 0, where the floats, like the tanh-sinh nodes, crowd.
     a = np.asarray(a, dtype=float)
     out = np.empty(a.shape)
-    ends = (-math.pi / 2.0, math.pi / 2.0)
-    outside = np.abs(a) > 2.0
+    outside = np.abs(a) >= 2.0
     if outside.any():
-        gap, sign = np.abs(a[outside]) - 2.0, np.copysign(1.0, a[outside])
-        out[outside] = quad_singular(_log_gap_outside, *ends, (), tol, args=(gap, sign))[0]
+        out[outside] = quad_singular(_log_gap_outside, 0.0, math.pi, [0.0], tol,
+                                     args=(np.abs(a[outside]) - 2.0,))[0]
     if not outside.all():
         ys = np.arcsin(a[~outside] / 2.0)
-        out[~outside] = quad_singular(_log_gap_inside, *ends, [ys], tol, args=(ys,))[0]
+        out[~outside] = quad_singular(_log_gap_inside, -math.pi / 2.0, math.pi / 2.0, [ys], tol,
+                                      args=(ys,))[0]
     out /= math.pi
     return float(out) if out.ndim == 0 else out
 
 
+def _log_gap_halves(t, u):
+    # |x - a| = |u - t^2| on a half x = s (2 - t^2), with u = 2 - s a: where
+    # u > 0 as |sqrt u - t| (sqrt u + t), which keeps the zero at sqrt u
+    su = np.sqrt(np.maximum(u, 0.0))
+    gap = np.abs(su - t) * (su + t) + np.maximum(-u, 0.0)
+    return np.log(gap) * (2.0 / math.pi) / np.sqrt(4.0 - t * t)
+
+
 def I_integral_xform(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:
     """Independent evaluation of the same potential in the x variable: the
-    integral of log |x - a| against the arcsine density on [-2, 2]."""
+    integral of log |x - a| against the arcsine density on [-2, 2].
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(x - a)) * invariant_density("discriminant_D", x)
-
-    sing = [-2.0, 2.0]
-    if -2.0 < a < 2.0:
-        sing.append(a)
-    elif abs(a) > 2.0:
-        # just outside an edge, log|x - a| changes at the scale |a| - 2 beside
-        # it, where the end model alone would not see it: panels end at the
-        # points (|a| - 2) 4^j inside the edge, on each of which the integrand
-        # is smooth across a distance comparable to the panel itself
-        gap = abs(a) - 2.0
-        while gap < 1.0:
-            sing.append(math.copysign(2.0 - gap, a))
-            gap *= 4.0
-    return quad_singular(integrand, -2.0, 2.0, sing, tol)[0]
+    Each half x = s (2 - t^2), s = +-1, t in [0, sqrt 2], takes the arcsine
+    weight to 2 / (pi sqrt(4 - t^2)) dt, with no singular end.  The point
+    t = sqrt(2 - s a), where x = a, is declared.  Both halves run in one
+    quadrature call, each held to ``tol``.
+    """
+    u = 2.0 - np.array([1.0, -1.0]) * a
+    halves = quad_singular(_log_gap_halves, 0.0, math.sqrt(2.0), [np.sqrt(np.maximum(u, 0.0))],
+                           tol, args=(u,))[0]
+    return float(halves.sum())

@@ -1,8 +1,11 @@
 """Shared numerical kernels: ODE initial-value integration, bracketed root
 finding (one algorithm, Chandrupatla's, on many brackets together or on
 one), the trace polynomials f_m, and tanh-sinh quadrature (one interval, or
-many integrated together) that tolerates logarithmic / inverse-square-root
-singularities.
+many integrated together).  The quadrature converges at declared
+logarithmic singularities.  At a declared power-law end |x - e|^alpha,
+alpha >= -0.9, it converges if the mass within an ulp of e, or within
+1e-37 of the panel's width, is below the request (e = 0, alpha >= -0.7),
+and otherwise raises with a bound that covers its error.
 
 All routines are pure functions of their inputs and safe to call from any
 number of threads.
@@ -224,27 +227,16 @@ def trace_poly(m: int, x, derivative: bool = False):
 # (the centre, t = 0, is evaluated from both ends at half weight).  A panel
 # still open after QUAD_LEVELS levels is halved.
 QUAD_LEVELS = 5
-# Near a declared singular end e the integrand is evaluated no closer than
-# s = min(2^20 ulp(e), r/16 rounded down to a power of two).  Nodes nearer e
-# round onto e or beside it, and the mass within an ulp of e can lie beyond
-# every float: ~5e-9 for 1/sqrt(2 - x) at 2.  Nearer nodes take their value
-# from the model B + C d^alpha through f at distances s, 2s and 4s from e
-# (floats exactly, where s is a multiple of ulp(e)); it is exact for power
-# laws and, as alpha -> 0, for A log d + B.  For other end behaviour the
-# model through 2s, 4s and 8s differs from it, and _MISFIT times the
-# difference over the modelled nodes joins the error: for log^k d (k = 2,
-# 3), d^alpha log d (alpha = -1/2, -0.3, 1/2), log^2 d / sqrt d, 1 / log d
-# and log log d at an end of 2 the model's error over [0, s] was at most
-# 2.4 times the difference.  A panel narrower than 16 ulp beside a
-# declared end has no room for the fit: its bound is infinite.
-_MODEL_ULPS = 2.0**20
-_MISFIT = 4.0
+# The mass of |x - e|^alpha between an end e and a node at distance d from
+# it is d |f(node)| / (1 + alpha).  A declared end adds _TAIL d |f| for its
+# outermost node, which covers alpha >= ALPHA_MIN.
+ALPHA_MIN = -0.9
+_TAIL = 1.0 / (1.0 + ALPHA_MIN)
 _INTO_PANEL = np.array([[1.0], [-1.0]])  # from its left end, from its right end
 
 
 def _tanh_sinh_level(level: int):
-    """(delta, log2 delta, w, step) of the nodes ``level`` adds at each end
-    of a panel."""
+    """(delta, w, step) of the nodes ``level`` adds at each end of a panel."""
     step = 0.25 / 2**level
     if level == 0:
         t = np.arange(0.0, 4.0 + step / 2, step)
@@ -253,34 +245,10 @@ def _tanh_sinh_level(level: int):
     u = 0.5 * np.pi * np.sinh(t)
     w = 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
     w[t == 0.0] *= 0.5  # the centre, reached from both ends
-    delta = 1.0 / (np.exp(u) * np.cosh(u))
-    return delta, np.log2(delta), w, step
+    return 1.0 / (np.exp(u) * np.cosh(u)), w, step
 
 
 _LEVELS = [_tanh_sinh_level(level) for level in range(QUAD_LEVELS)]
-_DELTA_MIN = float(_LEVELS[0][0].min())
-
-
-def _end_model(fit: np.ndarray):
-    """(f1, f2 - f1, log r), on the last axis, of the model through f at
-    distances s, 2s, 4s (the columns of ``fit``), r = (f3 - f2) / (f2 - f1)
-    = 2^alpha.  Where r is not in (1/2, inf), alpha > -1, the model is the
-    constant f1."""
-    f1, f2, f3 = fit.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (f3 - f2) / (f2 - f1)
-        ok = (ratio > 0.5) & np.isfinite(ratio)
-        return np.stack([f1, np.where(ok, f2 - f1, 0.0),
-                         np.where(ok, np.log(np.where(ok, ratio, 1.0)), 0.0)], axis=-1)
-
-
-def _model_values(model, u):
-    """The model (f1, df, log r) at distances d = 2^u s: f1 + df (r^u - 1)
-    / (r - 1), and f1 + df u where r = 1."""
-    f1, df, log_r = model.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.where(log_r == 0.0, u, np.expm1(u * log_r) / np.expm1(log_r))
-    return f1 + df * phi
 
 
 def quad_singular(
@@ -303,25 +271,28 @@ def quad_singular(
 
     Each interval is split at its interior singular points into panels, so
     that singularities sit only at panel ends, and each panel runs the
-    tanh-sinh rule, whose nodes crowd doubly exponentially toward the ends:
-    logarithmic and x^(-1/2)-type end singularities keep full accuracy.
+    tanh-sinh rule, whose nodes crowd doubly exponentially toward the ends.
     Every level of the rule evaluates all open panels of all intervals in
     one call of ``f``.  A panel's error at level l is E = max(|Q_l -
-    Q_(l-1)|, |Q_(l-1) - Q_(l-2)|) + R + M.  Two differences, not one:
+    Q_(l-1)|, |Q_(l-1) - Q_(l-2)|) + R + T.  Two differences, not one:
     where a kink slows the rule, one difference can fall below the error.
     R is a rounding term, eps sum |w f| plus the change of f under a
     half-spacing move of each node, relative to its distance from the
-    declared points beside its panel.  M is the end model's misfit (see
-    ``_MODEL_ULPS``): a declared end is meant to behave like B + C d^alpha
-    (alpha > -1) or A log d + B at distance d, up to terms smaller by a
-    power of d, and M covers milder departures such as log^2 d.  A panel
-    stops once E meets its share of its interval's request ``max(abs_tol,
-    rel_tol |I|)`` (the request over the interval's panels, halved at each
-    halving).  A panel still open after QUAD_LEVELS levels is halved, and
-    ``max_steps`` bounds the halvings per interval.  ``bound`` is the sum of
-    the panels' E.  ``f`` is never evaluated at a panel end.  Every
-    interval's value and bound depend on its own inputs only, not on the
-    others evaluated with it.
+    declared points beside its panel.  T is the mass the rule leaves out
+    between each declared end and its outermost node (t = 4, or an ulp
+    inside the end): _TAIL d |f(node)| at distance d, which bounds it for
+    ends like |x - e|^alpha with alpha >= ALPHA_MIN = -0.9, and for
+    logarithmic ends.  At an inverse-square-root end e != 0 the mass
+    within an ulp of e, ~2 sqrt(ulp(e)), lies beyond every float beside
+    it: T reaches ~1e-7 there, and the call raises rather than returning
+    a wrong value.  A panel stops once E meets its share of its interval's
+    request ``max(abs_tol, rel_tol |I|)`` (the request over the interval's
+    panels, halved at each halving).  A panel still open after QUAD_LEVELS
+    levels is halved, and ``max_steps`` bounds the halvings per interval.
+    ``bound`` is the sum of the panels' E.  ``f`` is evaluated an ulp or
+    more inside each panel end, but on panels a few ulps wide, where a
+    node can round onto an end.  Every interval's value and bound depend
+    on its own inputs only, not on the others evaluated with it.
 
     An interval whose bound misses the request (its halvings spent, or a
     value not finite) raises :class:`NonConvergenceError` carrying
@@ -361,71 +332,41 @@ def quad_singular(
     while owner.size:
         # one generation: every open panel runs levels 0.. in step
         r = 0.5 * (hi - lo)
-        end = np.stack([lo, hi], axis=1)
-        ulp = np.spacing(np.abs(end))
-        s = np.minimum(_MODEL_ULPS * ulp, np.exp2(np.floor(np.log2(r / 16.0)))[:, None])
-        cramped = declared & (s < ulp)
-        model = declared & ~cramped & (_DELTA_MIN * r[:, None] < s)
-        fit_row, fit_side = np.nonzero(model)
-        fit_d = s[fit_row, fit_side, None] * [1.0, 2.0, 4.0, 8.0]
-        fit_x = end[fit_row, fit_side, None] + _INTO_PANEL[fit_side] * fit_d
-        # a node nearer a modelled end than s is not evaluated but takes the
-        # model's value, and its rounding term is the fit's: none where the
-        # fit points are floats exactly.  A node within an ulp of another end
-        # is evaluated an ulp inside it, so that f never sees a panel end.
-        exact = np.zeros(model.shape, dtype=bool)
-        exact[fit_row, fit_side] = (np.abs(fit_x - end[fit_row, fit_side, None]) == fit_d).all(axis=1)
-        p = {"owner": owner, "declared": declared, "share": share, "r": r, "end": end,
-             "ulp": ulp, "model": model, "cramped": cramped.any(axis=1),
-             "reach": np.where(model, s, 0.0), "log2_rs": np.log2(r)[:, None] - np.log2(s),
-             "pos": pos, "gap": gap, "fit_rho": np.where(exact, 0.0, pos) / (gap + s),
+        p = {"owner": owner, "declared": declared, "share": share, "r": r,
+             "end": np.stack([lo, hi], axis=1), "pos": pos, "gap": gap,
              "far": _EPS + pos[:, ::-1] / (r[:, None] + gap[:, ::-1]),
-             "fits": np.zeros((r.size, 2, 2, 3)), "S": np.zeros(r.size), "A": np.zeros(r.size),
-             "M": np.zeros(r.size), "q": np.zeros(r.size), "diff": np.full(r.size, np.inf)}
-        for level, (delta, log2_delta, w, step) in enumerate(_LEVELS):
-            # (panel, end, node)
+             "S": np.zeros(r.size), "A": np.zeros(r.size), "T": np.zeros(r.size),
+             "q": np.zeros(r.size), "diff": np.full(r.size, np.inf)}
+        for level, (delta, w, step) in enumerate(_LEVELS):
+            # (panel, end, node); a node within an ulp of its end is
+            # evaluated an ulp inside it
             d = p["r"][:, None, None] * delta
-            live = d > p["reach"][:, :, None]
-            xs = (p["end"][:, :, None]
-                  + _INTO_PANEL * np.maximum(d, p["ulp"][:, :, None]))[live]
-            n_live = xs.size
-            rows = np.nonzero(live)[0] if args else None
-            if level == 0:
-                xs = np.concatenate([xs, fit_x.ravel()])
-                rows = np.concatenate([rows, np.repeat(fit_row, 4)]) if args else None
-            fx = np.asarray(f(xs, *(arg[p["owner"][rows]] for arg in args)), dtype=float)
-            if level == 0 and fit_row.size:
-                fit = fx[n_live:].reshape(-1, 4)
-                p["fits"][fit_row, fit_side] = np.stack(
-                    [_end_model(fit[:, :3]), _end_model(fit[:, 1:])], axis=1)
-            v = np.zeros(live.shape)
-            v[live] = fx[:n_live]
-            near = ~live  # only beside a modelled end
-            if near.any():
-                # the model's values, and their distance from the model at 2s
-                row, side, node = np.nonzero(near)
-                u = p["log2_rs"][row, side] + log2_delta[node]
-                fits = p["fits"][row, side]
-                v[near] = near_v = _model_values(fits[:, 0], u)
-                misfit = np.abs(w[node] * (near_v - _model_values(fits[:, 1], u - 1.0)))
-                p["M"] = p["M"] + np.bincount(row, misfit, minlength=p["r"].size)
+            ulp = np.spacing(np.abs(p["end"]))[:, :, None]
+            xs = p["end"][:, :, None] + _INTO_PANEL * np.maximum(d, ulp)
+            rows = np.repeat(p["owner"], xs[0].size)
+            v = np.asarray(f(xs.ravel(), *(arg[rows] for arg in args)), dtype=float)
+            v = v.reshape(xs.shape)
+            if level == 0:  # t = 4 is the outermost node
+                tail = np.abs(xs[:, :, -1] - p["end"]) * np.abs(v[:, :, -1])
+                p["T"] = _TAIL * np.where(p["declared"], tail, 0.0).sum(axis=1)
             wv = w * v
             # eps, and the change of f under the rounding of the node's
-            # distance from the declared points on either side
+            # distance from the declared points on either side (none for a
+            # node an ulp inside its end: it is a float, and T covers it)
             rho = p["far"][:, :, None] + np.where(
-                live, p["pos"][:, :, None] / (p["gap"][:, :, None] + d), p["fit_rho"][:, :, None])
+                d > ulp, p["pos"][:, :, None] / (p["gap"][:, :, None] + d), 0.0)
             p["S"] = p["S"] + wv.sum(axis=(1, 2))
             p["A"] = p["A"] + (np.abs(wv) * rho).sum(axis=(1, 2))
             q = p["r"] * step * p["S"]
             if level:
                 diff = np.abs(q - p["q"])
-                err = np.maximum(diff, p["diff"]) + p["r"] * step * (p["A"] + _MISFIT * p["M"])
+                err = np.maximum(diff, p["diff"]) + p["r"] * step * p["A"] + p["T"]
                 p["diff"] = diff
                 request = np.full(q.size, tol.abs_tol)
                 if tol.rel_tol:
                     estimate = closed_sum + np.bincount(p["owner"], q, minlength=n)
                     request = np.maximum(request, tol.rel_tol * np.abs(estimate[p["owner"]]))
-                bad = ~np.isfinite(q) | p["cramped"]
+                bad = ~np.isfinite(q)
                 close = bad | (err <= request * p["share"])
                 if level == QUAD_LEVELS - 1:
                     # out of levels: halve, unless that overruns the budget
@@ -462,7 +403,7 @@ def quad_singular(
     owners = np.concatenate([np.zeros(0, dtype=int), *done_owner])
     value = np.bincount(owners, np.concatenate([np.zeros(0), *done_value]), minlength=n)
     bound = np.bincount(owners, np.concatenate([np.zeros(0), *done_bound]), minlength=n)
-    failed = ~(bound <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(value)))
+    failed = ~(bound <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(value))) | ~np.isfinite(value)
     if shape == ():
         value, bound = float(value[0]), float(bound[0])
     else:

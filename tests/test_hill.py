@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1008,6 +1009,55 @@ class TestEdgeCount:
         far = np.min(np.abs(lams[:, None] - edges), axis=1, initial=np.inf) > 1e-9
         listed = np.searchsorted(edges, lams, side="right")
         assert np.array_equal(E[far], listed[far]), lams[far][E[far] != listed[far]]
+
+    def test_passes_change_no_bit(self, monkeypatch):
+        # every lam runs on the sub-pieces of the largest: one lam a pass
+        # gives the counts and flags of one pass over all of them
+        V = Potential.piecewise_linear([0.0, 0.3, 0.6], [1.0, -2.5e3, 3.9e3])
+        lams = np.linspace(V.min_value() - 1.0, 4e4, 301)
+        whole = hill._edge_count(V, lams)
+        monkeypatch.setattr(hill, "_COUNT_PAIRS", 1)
+        for got, want in zip(hill._edge_count(V, lams), whole):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("V", [
+        Potential.piecewise_linear([0.0, 0.5], [0.0, 2e3]),
+        Potential.piecewise_linear([0.0, 0.3, 0.6], [1.0, -2.5e3, 3.9e3]),
+    ])
+    def test_band_points_narrow_every_bracket_by_every_count(self, V):
+        # a running max and min over the bands: the (bands x lam) reduction,
+        # written out here, to the last bit
+        def matrix_form(bands, ceiling):
+            m2 = np.arange(bands + 1.0) ** 2 * math.pi**2
+            lo, hi = m2[:-1] + V.min_value(), np.minimum(m2[1:] + V.max_value(), ceiling)
+            below = np.arange(0, 2 * bands, 2)[:, None]
+            while True:
+                mids = 0.5 * (lo + hi)
+                lams = mids[(lo < mids) & (mids < hi)]
+                if lams.size == 0:
+                    return mids
+                _, Q, inside = hill._edge_count(V, lams)
+                inside = inside & (Q // 2 == below // 2)
+                lo = np.maximum(lo, np.where(inside | (Q <= below), lams, -np.inf).max(axis=1))
+                hi = np.minimum(hi, np.where(inside | (Q > below), lams, np.inf).min(axis=1))
+
+        n0 = first_clear_window(V, 1.0)
+        ceiling = (n0 * math.pi) ** 2 + V.min_value()
+        for bands in (1, n0 // 2, n0 - 1):
+            assert np.array_equal(hill._band_points(V, bands, ceiling), matrix_form(bands, ceiling))
+
+    def test_deep_cell_memory_is_linear_in_its_bands(self):
+        # 428 bands below 2.5e6, with ~1000 sub-pieces: one pass over every
+        # band point held (sub-pieces x bands) matrices, a 134 MB peak
+        V = Potential.piecewise_linear([0.0, 0.5], [0.0, 2e5])
+        tracemalloc.start()
+        try:
+            got = spectrum_bands(V, 1.0, 2.5e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got.bands) == 428
+        assert peak < 40e6
 
     def test_lambda_max_just_past_a_band_top(self):
         # |M| = 1.6e6 at the top of the band [77.2639, 77.2688]: the rounding

@@ -57,3 +57,10 @@ def test_no_module_calls_quadpack():
     quadpack = re.compile(r"integrate\.quad\b|from scipy\.integrate import[^\n]*\bquad\b")
     for path in Path(hillmap.__file__).resolve().parent.glob("*.py"):
         assert not quadpack.search(path.read_text()), path.name
+
+
+def test_no_module_imports_mpmath():
+    # mpmath is in the test extra only: the tests' oracles use it
+    mpmath = re.compile(r"^\s*(import|from)\s+mpmath\b|import_module\(\s*['\"]mpmath", re.M)
+    for path in Path(hillmap.__file__).resolve().parent.glob("*.py"):
+        assert not mpmath.search(path.read_text()), path.name

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hillmap import lyapunov
 from hillmap.ensemble import CHUNK
-from hillmap.errors import NonConvergenceError, SingularityError
+from hillmap.errors import SingularityError
 from hillmap.lyapunov import (
     BURN_IN,
     CRITICAL_EPS,
@@ -240,7 +240,7 @@ class TestQuadrature:
         res = average_lyapunov_quadrature(m)
         err = abs(res.value - math.log(m))
         assert err <= res.error_estimate <= EXPONENT_TOL.abs_tol / math.pi
-        assert err <= 1e-12
+        assert err <= (3e-14 if m in (63, 113, 128) else 2e-14)
 
     def test_decomposition_identity(self):
         for m in range(2, 8):
@@ -420,30 +420,20 @@ class TestIIntegral:
         assert abs(got - closed) < 1e-6
         assert abs(got - I_integral_xform(3.0)) < 1e-6
 
-    @pytest.mark.parametrize("a", [2.0 - 1e-9, -2.0 + 1e-9, 2.0 - 1e-6, 2.0 + 1e-6])
+    @pytest.mark.parametrize("a", [2.0 - 1e-9, -2.0 + 1e-9, 2.0 - 1e-6, 2.0 + 1e-6, 2.0, -2.0])
     def test_xform_beside_the_edges_is_right_or_raises(self, a):
-        # in x the panel [a, 2] is narrower than the end model's usual s,
-        # with a log singularity at one end and 1/sqrt at the other: the
-        # value meets the request, or the call raises with a bound that
-        # covers the error
+        # x = a sits at or beside an edge, where x = +-(2 - t^2) puts it at
+        # t = sqrt(2 -+ a) on [0, sqrt 2], at an end or beside it
         closed = math.acosh(abs(a) / 2.0) if abs(a) > 2.0 else 0.0
-        try:
-            assert abs(I_integral_xform(a) - closed) <= QUAD_TOL.abs_tol
-        except NonConvergenceError as exc:
-            assert abs(exc.estimate - closed) <= exc.error_bound
+        assert abs(I_integral_xform(a) - closed) <= 1e-12
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("k", range(3, 15))
     def test_xform_just_outside_the_edges_is_right_or_raises(self, sign, k):
-        # log|x - a| has a feature at scale |a| - 2 beside the edge: the
-        # value meets the request, or the call raises with a bound that
-        # covers the error
+        # log|x - a| has a feature at scale |a| - 2 beside the edge, which is
+        # log(t^2 + |a| - 2) beside the end t = 0, where the nodes crowd
         a = sign * (2.0 + 10.0**-k)
-        closed = math.acosh(abs(a) / 2.0)
-        try:
-            assert abs(I_integral_xform(a) - closed) <= QUAD_TOL.abs_tol
-        except NonConvergenceError as exc:
-            assert abs(exc.estimate - closed) <= exc.error_bound
+        assert abs(I_integral_xform(a) - math.acosh(abs(a) / 2.0)) <= 1e-12
 
     def test_even(self):
         for a in (0.5, 1.0, 1.5, 3.0):

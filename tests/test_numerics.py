@@ -5,6 +5,7 @@ import pytest
 
 from hillmap.errors import BracketError, NonConvergenceError
 from hillmap.numerics import (
+    ALPHA_MIN,
     IVP_TOL,
     QUAD_LEVELS,
     QUAD_TOL,
@@ -237,9 +238,14 @@ class TestQuadSingular:
         assert abs(val - (-1.0)) <= bound <= QUAD_TOL.abs_tol
 
     def test_arcsine_endpoints(self):
+        # 1/sqrt ends at +-1 raise; the halves x = +-(1 - t^2), t in [0, 1],
+        # take them away, with 1 / sqrt(1 - x^2) dx = 2 / sqrt(2 - t^2) dt
         f = lambda x: 1.0 / np.sqrt(1.0 - x * x)
-        val, _ = quad_singular(f, -1.0, 1.0, singular_points=[-1.0, 1.0])
-        assert abs(val - math.pi) < 1e-9
+        with pytest.raises(NonConvergenceError) as info:
+            quad_singular(f, -1.0, 1.0, singular_points=[-1.0, 1.0])
+        assert abs(info.value.estimate - math.pi) <= info.value.error_bound
+        half, bound = quad_singular(lambda t: 2.0 / np.sqrt(2.0 - t * t), 0.0, 1.0)
+        assert abs(2.0 * half - math.pi) <= max(2.0 * bound, 1e-15)
 
     def test_log_sine_interior_singularity(self):
         f = lambda y: np.log(np.abs(2.0 * np.sin(y)))
@@ -368,29 +374,39 @@ class TestQuadSingularBatches:
     @pytest.mark.parametrize("end", [1.0, 2.0, 4.5])
     def test_inverse_sqrt_at_a_nonzero_end(self, end):
         # the mass within an ulp of the end (~sqrt(ulp)) lies beyond every
-        # float next to it, and comes from the end model
+        # float next to it: the call raises, with a bound that covers it
         f = lambda x: 1.0 / np.sqrt(end - x)
-        val, bound = quad_singular(f, 0.0, end, [end], ToleranceSpec(1e-10, 0.0, 400))
-        assert abs(val - 2.0 * math.sqrt(end)) <= min(bound, 1e-11)
-        assert bound <= 1e-10
+        with pytest.raises(NonConvergenceError) as info:
+            quad_singular(f, 0.0, end, [end], ToleranceSpec(1e-10, 0.0, 400))
+        assert abs(info.value.estimate - 2.0 * math.sqrt(end)) <= info.value.error_bound
 
     @pytest.mark.parametrize("width", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11])
     def test_inverse_sqrt_on_a_narrow_panel(self, width):
-        # a panel narrower than 16 s: the model is fitted at r/16, so the
-        # mass within an ulp of the end is still counted.  The narrowest
-        # miss the request on the rounding of the nodes' distances from 2,
-        # and raise with a bound that still covers the error.
+        # at every width the mass within an ulp of 2 is out of reach
         a = 2.0 - width
-        try:
-            val, bound = quad_singular(lambda x: 1.0 / np.sqrt(2.0 - x), a, 2.0, [2.0])
-        except NonConvergenceError as exc:
-            assert width <= 1e-10
-            val, bound = exc.estimate, exc.error_bound
-        assert abs(val - 2.0 * math.sqrt(2.0 - a)) <= bound
+        with pytest.raises(NonConvergenceError) as info:
+            quad_singular(lambda x: 1.0 / np.sqrt(2.0 - x), a, 2.0, [2.0])
+        assert abs(info.value.estimate - 2.0 * math.sqrt(2.0 - a)) <= info.value.error_bound
+
+    @pytest.mark.parametrize("alpha", [-0.3, -0.5, -0.6, -0.7, -0.8, -0.9])
+    def test_power_law_ends_are_right_or_raise(self, alpha):
+        # |x - e|^alpha, alpha >= ALPHA_MIN, on both sides of a declared end
+        # e: every call returns within its bound, or raises with a bound that
+        # covers its error
+        assert alpha >= ALPHA_MIN
+        for e in (0.0, 1.0, 2.0, -3.0):
+            for width in (1.0, 1e-3, 1e-6, 1e-9):
+                for lo, hi in ((e, e + width), (e - width, e)):
+                    exact = width ** (1.0 + alpha) / (1.0 + alpha)
+                    try:
+                        val, bound = quad_singular(lambda x: np.abs(x - e) ** alpha, lo, hi, [e])
+                    except NonConvergenceError as exc:
+                        val, bound = exc.estimate, exc.error_bound
+                    assert abs(val - exact) <= bound, (e, width, lo)
 
     def test_panel_of_a_few_ulps_beside_a_declared_end_raises(self):
-        # no room for the end model: the bound is infinite, not the value
-        # of the floats inside (which miss ~2 sqrt(1e-14))
+        # the bound is infinite, not the value of the floats inside (which
+        # miss ~2 sqrt(ulp) of 2 sqrt(1e-14))
         with pytest.raises(NonConvergenceError) as info:
             quad_singular(lambda x: 1.0 / np.sqrt(2.0 - x), 2.0 - 1e-14, 2.0, [2.0])
         assert info.value.error_bound == np.inf
@@ -413,9 +429,8 @@ class TestQuadSingularBatches:
         (lambda x: np.log(2.0 - x) / np.sqrt(2.0 - x), 2.0, -4.0),
     ])
     def test_end_model_misfit_joins_the_bound(self, f, end, exact):
-        # log^2 d and d^alpha log d are not B + C d^alpha: the difference of
-        # the fits at s and 2s enters the bound, which covers the error
-        # whether or not it meets the request
+        # log^2 d and d^alpha log d ends: the bound covers the error whether
+        # or not it meets the request
         for tol in (QUAD_TOL, ToleranceSpec(1e-12, 0.0, 400)):
             try:
                 val, bound = quad_singular(f, 1.0, 2.0, [end], tol)
@@ -433,8 +448,8 @@ class TestQuadSingularBatches:
             quad_singular(lambda x: evaluated.append(x.size) or g(x), -1.0, 1.0, [0.0], tol)
         panels_run = 2 + 2 * tol.max_steps
         # per panel: 16 2^l nodes at each end at level l, the centre from
-        # both ends, 4 model points at each declared end
-        per_panel = 2 * (1 + 16 * 2 ** (QUAD_LEVELS - 1)) + 8
+        # both ends
+        per_panel = 2 * (1 + 16 * 2 ** (QUAD_LEVELS - 1))
         assert sum(evaluated) <= panels_run * per_panel
         assert np.isfinite(info.value.estimate) and info.value.error_bound > 1e-30
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hillmap import numerics, transfer
 from hillmap.errors import DomainError
 from hillmap.maps import MapDescriptor, eval_map
-from hillmap.numerics import ToleranceSpec, quad_singular
+from hillmap.numerics import quad_singular
 from hillmap.transfer import (
     _fold_grid,
     COUNTEREXAMPLE_ERROR_CONSTANT,
@@ -43,28 +43,26 @@ EPS = np.finfo(float).eps
 
 
 def arcsine_l1_oracle(p: StepDensity) -> float:
-    """L1 distance from p to the arcsine law D by quadrature: |v - D| over
-    each cell and D over the rest of [-2, 2], with +-2 and the points where
-    D = v declared, and D taken as 0 past +-2."""
-    def gap(x, v):
-        inside = np.abs(x) < 2.0
-        d = np.zeros_like(x)
-        d[inside] = invariant_density("discriminant_D", x[inside])
-        return np.abs(v - d)
-
+    """L1 distance from p to the arcsine law D by 30-digit quadrature
+    (mpmath): |v - D| over each cell and D over the rest of [-2, 2], split at
+    +-2 and at the points where D = v, with D taken as 0 past +-2."""
+    mpmath = pytest.importorskip("mpmath")
     edges, values = list(p.edges), list(p.values)
     if edges[0] > -2.0:
         edges, values = [-2.0, *edges], [0.0, *values]
     if edges[-1] < 2.0:
         edges, values = [*edges, 2.0], [*values, 0.0]
-    total = 0.0
-    for a, b, v in zip(edges[:-1], edges[1:], values):
-        points = [-2.0, 2.0]
-        if v > 0.5 / math.pi:
-            c = math.sqrt(4.0 - 1.0 / (math.pi * v) ** 2)
-            points += [-c, c]
-        total += quad_singular(gap, a, b, points, ToleranceSpec(1e-11, 0.0, 800), args=(v,))[0]
-    return total
+    total = 0
+    with mpmath.workdps(30):
+        density = lambda x: 1 / (mpmath.pi * mpmath.sqrt(4 - x * x)) if abs(x) < 2 else 0
+        for a, b, v in zip(edges[:-1], edges[1:], values):
+            points = [mpmath.mpf(-2), mpmath.mpf(2)]
+            if v > 0.5 / math.pi:
+                c = mpmath.sqrt(4 - 1 / (mpmath.pi * v) ** 2)
+                points += [-c, c]
+            points = sorted({mpmath.mpf(a), mpmath.mpf(b), *(x for x in points if a < x < b)})
+            total += mpmath.quad(lambda x: abs(v - density(x)), points)
+    return float(total)
 
 
 def arcsine_discretized(n_cells: int) -> StepDensity:
@@ -405,20 +403,13 @@ class TestL1Distance:
 
     def test_uniform_vs_arcsine_closed_form(self):
         # |1/4 - D| integrates to dstar - 4 asin(dstar/2)/pi for the crossing
-        # point dstar = 2 sqrt(1 - 4/pi^2); quad_singular oracle agrees
+        # point dstar = 2 sqrt(1 - 4/pi^2); the quadrature oracle agrees
         u = StepDensity(np.array([-2.0, 2.0]), np.array([0.25]))
         dstar = 2.0 * math.sqrt(1.0 - 4.0 / math.pi**2)
         closed = dstar - 4.0 * math.asin(dstar / 2.0) / math.pi
         got = l1_to_invariant(u)
         assert abs(got - closed) < 1e-12
-        oracle, _ = quad_singular(
-            lambda x: abs(0.25 - D_DENSITY(x)),
-            -2.0,
-            2.0,
-            singular_points=[-2.0, dstar, -dstar, 2.0],
-            tol=ToleranceSpec(1e-10, 1e-10, 800),
-        )
-        assert abs(got - oracle) < 1e-8
+        assert abs(got - arcsine_l1_oracle(u)) < 1e-8
 
     @pytest.mark.parametrize("lo, hi, at", [(0.5, 1.9, 0.37), (-1.9, -0.3, 0.6),
                                             (1.0, 1.99, 0.2), (-2.0, -1.0, 0.5)])
@@ -605,8 +596,13 @@ class TestInvariantDensities:
                 invariant_density(kind, np.array(bad))
 
     def test_q_density_normalised(self):
-        val, _ = quad_singular(Q_DENSITY, 0.0, 1.0, singular_points=[0.0, 1.0])
-        assert abs(val - 1.0) < 1e-9
+        # the halves x = t^2 and x = 1 - t^2, t in [t0, sqrt(1/2)], have no
+        # 1/sqrt end (dx = 2t dt); t < t0, where x rounds onto the end, holds
+        # (2/pi) asin(t0) of each
+        t0 = 2.0**-10
+        halves = quad_singular(lambda t, end, sign: Q_DENSITY(end + sign * t * t) * 2.0 * t,
+                               t0, math.sqrt(0.5), args=([0.0, 1.0], [1.0, -1.0]))[0]
+        assert abs(halves.sum() + 4.0 / math.pi * math.asin(t0) - 1.0) < 1e-9
 
 
 def discriminant_D(delta):
@@ -630,8 +626,13 @@ class TestDiscriminantDensity:
                 discriminant_D(bad)
 
     def test_normalisation(self):
-        val, _ = quad_singular(discriminant_D, -2.0, 2.0, singular_points=[-2.0, 2.0])
-        assert abs(val - 1.0) < 1e-10
+        # the halves x = +-(2 - t^2), t in [t0, sqrt 2], have no 1/sqrt end
+        # (dx = 2t dt); t < t0, where x rounds onto the end, holds
+        # (2/pi) asin(t0/2) of each
+        t0 = 2.0**-10
+        halves = quad_singular(lambda t, sign: discriminant_D(sign * (2.0 - t * t)) * 2.0 * t,
+                               t0, math.sqrt(2.0), args=([1.0, -1.0],))[0]
+        assert abs(halves.sum() + 4.0 / math.pi * math.asin(t0 / 2.0) - 1.0) < 1e-10
 
 
 class TestPreimages:
