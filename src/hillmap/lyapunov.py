@@ -11,12 +11,12 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import CHUNK
 from .errors import SingularityError
 from .maps import MapDescriptor, trace_poly
 from .numerics import QUAD_TOL, ToleranceSpec, quad_singular
 
 BURN_IN = 100
+ORBIT_BLOCK = 2**16  # orbit points stored, tested and averaged at a time
 CRITICAL_EPS = 1e-13
 # An absolute request on the angle integral: with QUAD_TOL's relative part each
 # of the m panels may stop at 1e-10 of its own value, and the sum drifts past
@@ -50,9 +50,11 @@ def roots_fm(m: int) -> np.ndarray:
 
 
 def orbit_kernel(m: int) -> Callable:
-    """``fill(x, buf, lo, hi)``: buf[lo:hi] = the orbit of x under the
-    clipped f_m, buf[i] set before its step; returns the point after
-    buf[hi - 1].  Compiled once per process per order.
+    """``fill(x, buf, lo, hi)``: buf[lo:hi] = the orbit of a finite x under
+    f_m, buf[i] set before its step; returns the point after buf[hi - 1].
+    Each step is ``trace_poly(m, x)``, bit for bit on floats and exactly on
+    Fractions, and nothing else: an orbit that leaves [-2, 2] runs on
+    unclipped, to inf and NaN.  Compiled once per process per order.
 
     A non-integral m raises TypeError here, before the cache is consulted
     (3.0 hashes as 3 and would otherwise be handed the kernel of 3).
@@ -65,20 +67,22 @@ def _compile_orbit_kernel(m: int) -> Callable:
     # m is an int here: it is the only value formatted into the source.
     # trace_poly's loop is written out, from the same starts with the same
     # operations in the same order, so with the same values on floats and
-    # Fractions; the starts are substituted into the first two steps.  Three
-    # names rotate as the new value, so the source grows with m and the
-    # locals do not.
+    # Fractions; the starts are substituted into the first two steps, and
+    # the last step assigns x.  Three names rotate as the new value, so the
+    # source grows with m and the locals do not.  The start 2 is a local of
+    # x's type: with the int literal, x * x - 2 misses CPython's float-float
+    # subtraction at every step.
     if m < 1:
         raise ValueError("m must be a positive integer")
-    prev, y, lines = "2", "x", []
+    prev, y, lines = "two", "x", []
     for k in range(m - 1):
-        new = "abc"[k % 3]
+        new = "x" if k == m - 2 else "abc"[k % 3]
         lines.append(f"{new} = x * {y} - {prev}")
         prev, y = y, new
-    clip = f"x = -2.0 if {y} < -2.0 else (2.0 if {y} > 2.0 else {y})"
     source = ("def fill(x, buf, lo, hi):\n"
+              "    two = x * 0 + 2\n"
               "    for i in range(lo, hi):\n"
-              + "".join(f"        {line}\n" for line in ["buf[i] = x", *lines, clip])
+              + "".join(f"        {line}\n" for line in ["buf[i] = x", *lines])
               + "    return x\n")
     namespace = {}
     exec(compile(source, f"<orbit kernel, m = {m}>", "exec"), namespace)
@@ -159,14 +163,32 @@ def _first_critical(xs: np.ndarray, crit: np.ndarray, cells: np.ndarray) -> int 
     return int(near[hits[0]]) if hits.size else None
 
 
+def _fill_clipped(fill, x, xs: np.ndarray, lo: int, hi: int) -> float:
+    """``fill`` of xs[lo:hi] from x, then each escape from [-2, 2] clipped
+    to +-2 where it first lands and the rest refilled from there; returns
+    the next point, clipped alike.  These are the values of clipping every
+    step; the point at xs[lo] is stored as it is."""
+    view = memoryview(xs)
+    x = fill(x, view, lo, hi)
+    # not <= 2: an unclipped run past an escape reaches inf, then NaN
+    while (out := np.flatnonzero(~(np.abs(xs[lo + 1:hi]) <= 2.0))).size:
+        lo += 1 + int(out[0])
+        x = fill(-2.0 if xs[lo] < -2.0 else 2.0, view, lo, hi)
+    return -2.0 if x < -2.0 else (2.0 if x > 2.0 else x)
+
+
 def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     """Birkhoff average of log |f_m'| along one orbit of the degree-m map,
     after a fixed burn-in.
 
-    The orbit, burn-in included, is stepped by ``orbit_kernel(m)``: the
-    trace recursion compiled for this m into straight-line code, with the
-    same operations as ``trace_poly`` in the same order, and the clip to
-    [-2, 2] inline.  A non-integral m raises TypeError.
+    Every step clips f_m to [-2, 2].  The orbit, burn-in included, is
+    stepped by ``orbit_kernel(m)``: the trace recursion compiled for this m
+    into straight-line code, with the same operations as ``trace_poly`` in
+    the same order, and no clip.  One NumPy scan of each filled stretch
+    finds the first point outside [-2, 2], clips it and refills the
+    stretch from there, so the values are those of clipping every step.
+    An escape lands the orbit on +-2, which f_m keeps exactly, so it
+    wastes at most one block of steps.  A non-integral m raises TypeError.
 
     An orbit point landing within machine distance of a critical point is
     perturbed by 1e-9 and the restart is counted.  The repelling fixed points
@@ -188,26 +210,25 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     crit = critical_points(m)
     cells = _critical_cells(crit)
     restarts = 0
-    x = fill(x0, memoryview(np.empty(BURN_IN)), 0, BURN_IN)
+    x = _fill_clipped(fill, float(x0), np.empty(BURN_IN), 0, BURN_IN)
 
-    # The orbit is built one CHUNK block at a time and tested for critical
-    # points once per block; a hit at index i refills the block from there,
-    # starting at the perturbed point, which is stored untested, so the
-    # values are those of testing each point before its step.  log |f'| is
-    # taken per block, and the blocks' means and sums of squared deviations
-    # are merged by Chan's update.
-    buf = np.empty(min(n, CHUNK))
-    view = memoryview(buf)
+    # The orbit is built one ORBIT_BLOCK block at a time and tested for
+    # critical points once per block; a hit at index i refills the block
+    # from there, starting at the perturbed point, which is stored untested,
+    # so the values are those of testing each point before its step.
+    # log |f'| is taken per block, and the blocks' means and sums of squared
+    # deviations are merged by Chan's update.
+    buf = np.empty(min(n, ORBIT_BLOCK))
     count, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, n, CHUNK):
-        size = min(CHUNK, n - start)
+    for start in range(0, n, ORBIT_BLOCK):
+        size = min(ORBIT_BLOCK, n - start)
         xs = buf[:size]
-        x = fill(x, view, 0, size)
+        x = _fill_clipped(fill, x, xs, 0, size)
         tested = 0  # xs[:tested] is free of critical points
         while (hit := _first_critical(xs[tested:], crit, cells)) is not None:
             i = tested + hit
             restarts += 1
-            x = fill(float(xs[i]) + 1e-9, view, i, size)
+            x = _fill_clipped(fill, float(xs[i]) + 1e-9, xs, i, size)
             tested = i + 1
         logs = np.log(np.abs(trace_poly(m, xs, derivative=True)))
         block_mean = float(np.mean(logs))

@@ -289,10 +289,11 @@ def quad_singular(
     request ``max(abs_tol, rel_tol |I|)`` (the request over the interval's
     panels, halved at each halving).  A panel still open after QUAD_LEVELS
     levels is halved, and ``max_steps`` bounds the halvings per interval.
-    ``bound`` is the sum of the panels' E.  ``f`` is evaluated an ulp or
-    more inside each panel end, but on panels a few ulps wide, where a
-    node can round onto an end.  Every interval's value and bound depend
-    on its own inputs only, not on the others evaluated with it.
+    A panel that would leave a half with no float inside it closes with
+    its E instead.  ``bound`` is the sum of the panels' E.  Each node is
+    an ulp or more inside the panel end it is placed from.  Every
+    interval's value and bound depend on its own inputs only, not on the
+    others evaluated with it.
 
     An interval whose bound misses the request (its halvings spent, or a
     value not finite) raises :class:`NonConvergenceError` carrying
@@ -370,6 +371,11 @@ def quad_singular(
                 close = bad | (err <= request * p["share"])
                 if level == QUAD_LEVELS - 1:
                     # out of levels: halve, unless that overruns the budget
+                    # or leaves a half with no float inside it, whose nodes
+                    # an ulp inside one end would round onto the other
+                    left, right = p["end"].T
+                    mid = 0.5 * (left + right)
+                    close |= (np.nextafter(left, right) >= mid) | (np.nextafter(right, left) <= mid)
                     need = np.bincount(p["owner"][~close], minlength=n)
                     over = halvings + need > tol.max_steps
                     halvings += np.where(over, 0, need)
@@ -412,7 +418,7 @@ def quad_singular(
         worst = int(np.argmax(np.where(failed, np.nan_to_num(bound, nan=np.inf), -1.0)))
         raise NonConvergenceError(
             f"quadrature error bound {np.ravel(bound)[worst]:.3g} exceeds the request "
-            f"on [{a[worst]:.6g}, {b[worst]:.6g}] ({int(failed.sum())} of {n} intervals)",
+            f"on [{float(a[worst])!r}, {float(b[worst])!r}] ({int(failed.sum())} of {n} intervals)",
             estimate=value,
             error_bound=bound,
         )

@@ -64,3 +64,16 @@ def test_no_module_imports_mpmath():
     mpmath = re.compile(r"^\s*(import|from)\s+mpmath\b|import_module\(\s*['\"]mpmath", re.M)
     for path in Path(hillmap.__file__).resolve().parent.glob("*.py"):
         assert not mpmath.search(path.read_text()), path.name
+
+
+def test_lyapunov_loads_neither_ensemble_nor_transfer():
+    # the orbit's block size is lyapunov's own: the exponents need no
+    # sampling and no density evolution
+    root = str(Path(hillmap.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {root!r}); import hillmap.lyapunov\n"
+        "loaded = {'hillmap.ensemble', 'hillmap.transfer'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillmap import lyapunov
-from hillmap.ensemble import CHUNK
 from hillmap.errors import SingularityError
 from hillmap.lyapunov import (
     BURN_IN,
     CRITICAL_EPS,
     EXPONENT_TOL,
+    ORBIT_BLOCK,
     I_integral,
     I_integral_xform,
     average_lyapunov_orbit,
@@ -33,22 +33,29 @@ from hillmap.numerics import QUAD_TOL, ToleranceSpec, quad_singular
 # and 49, 63 and 113, where a relative request let the error pass 1e-12.
 QUADRATURE_ORDERS = [*range(2, 25), 32, 49, 63, 64, 113, 128]
 
+# An escape from [-2, 2] is clipped at orbit level, and an unclipped one would
+# show as inf - inf in trace_poly's f_m'
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def scalar_orbit_average(m, x0, n):
-    """The orbit average with the critical-point test inside the step: each
-    point is tested before it is stored, one trace_poly call per step.  Reads
-    BURN_IN, CRITICAL_EPS and critical_points from the module at call time,
-    so that monkeypatching them reaches both this and the package."""
+    """The orbit average with the critical-point test and the clip inside
+    the step: each point is tested before it is stored, one trace_poly call
+    per step.  Returns the mean, the standard error, the restarts and the
+    last point.  Reads BURN_IN, ORBIT_BLOCK, CRITICAL_EPS and
+    critical_points from the module at call time, so that monkeypatching
+    them reaches both this and the package."""
     crit = tuple(float(c) for c in lyapunov.critical_points(m))
     restarts = 0
     x = x0
     for _ in range(lyapunov.BURN_IN):
         y = trace_poly(m, x)
         x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
-    block = np.empty(min(n, CHUNK))
+    chunk = lyapunov.ORBIT_BLOCK
+    block = np.empty(min(n, chunk))
     count, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, n, CHUNK):
-        size = min(CHUNK, n - start)
+    for start in range(0, n, chunk):
+        size = min(chunk, n - start)
         for i in range(size):
             for c in crit:
                 if abs(c - x) < lyapunov.CRITICAL_EPS:
@@ -67,12 +74,14 @@ def scalar_orbit_average(m, x0, n):
         m2 += float(np.dot(logs, logs)) + delta * delta * count * weight
         count += size
     stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
-    return mean, stderr, restarts
+    return mean, stderr, restarts, x
 
 
 def assert_matches_scalar_loop(m, x0, n):
     res = average_lyapunov_orbit(m, x0, n)
-    assert (res.value, res.error_estimate, res.restarts) == scalar_orbit_average(m, x0, n)
+    mean, stderr, restarts, last = scalar_orbit_average(m, x0, n)
+    assert (res.value, res.error_estimate, res.restarts) == (mean, stderr, restarts)
+    assert bool(res.warnings) == (abs(last) == 2.0)
     return res
 
 
@@ -84,6 +93,10 @@ def orbit_point(m, x0, index):
     return x
 
 
+# f_5 takes this point to 2.0000000000000004, one ulp past the fixed point 2
+ESCAPE_X0 = -1.6180339886488457
+
+
 def same_float(got, want):
     return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
@@ -93,8 +106,8 @@ def clipped(y):
 
 
 class TestTraceKernels:
-    """The compiled orbit step against trace_poly's loop, with ==, and
-    trace_poly's f_m' on arrays against its scalar calls and, on
+    """The compiled orbit step against trace_poly's loop, unclipped, with ==,
+    and trace_poly's f_m' on arrays against its scalar calls and, on
     Fractions, against the identity (x^2 - 4) f_m' = m (x f_m - 2 f_(m-1))."""
 
     @pytest.mark.parametrize("m", range(2, 131))
@@ -109,38 +122,70 @@ class TestTraceKernels:
         ]
         buf = np.empty(1)
         for x in map(float, points):
-            assert same_float(fill(x, memoryview(buf), 0, 1), clipped(trace_poly(m, x))), x
+            assert same_float(fill(x, memoryview(buf), 0, 1), trace_poly(m, x)), x
             assert same_float(float(buf[0]), x), x
         # the quadrature's integrand evaluates f_m' on arrays: the same bits
         xs = np.array(points, dtype=float)
         want = [trace_poly(m, float(x), derivative=True) for x in xs]
         assert all(map(same_float, trace_poly(m, xs, derivative=True).tolist(), want))
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 7, 24, 130])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 24, 130])
     def test_exact_on_fractions(self, m):
         fill = orbit_kernel(m)
         for x in (Fraction(0), Fraction(1, 3), Fraction(-7, 5), Fraction(2), Fraction(9, 4)):
-            step = fill(x, [None], 0, 1)
-            assert step == clipped(trace_poly(m, x))
-            assert type(step) is type(clipped(trace_poly(m, x)))
+            buf = [None]
+            step = fill(x, buf, 0, 1)
+            assert step == trace_poly(m, x) and buf == [x]
+            assert type(step) is Fraction
+            if m == 1:
+                continue
             fm, dfm = trace_poly(m, x), trace_poly(m, x, derivative=True)
             assert (x * x - 4) * dfm == m * (x * fm - 2 * trace_poly(m - 1, x))
             assert type(dfm) is Fraction
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 24, 64])
-    def test_fill_is_the_clipped_orbit(self, m):
-        n, x0 = 10_000, 0.37071
+    def test_order_one_is_the_identity(self):
+        buf = np.full(3, np.nan)
+        for x in (0.37071, -0.0, 2.5):
+            assert same_float(orbit_kernel(1)(x, memoryview(buf), 0, 3), x)
+            assert all(same_float(v, x) for v in buf.tolist())
+
+    @pytest.mark.parametrize("m, x0", [*((m, 0.37071) for m in (2, 3, 4, 5, 7, 24, 64)),
+                                       (5, ESCAPE_X0)])
+    def test_fill_is_the_bare_recursion(self, m, x0):
+        # no clip: from ESCAPE_X0 the orbit leaves [-2, 2] at its first step
+        # and runs on to inf and NaN
+        n = 10_000
         want = np.empty(n)
         x = x0
         for i in range(n):
             want[i] = x
-            y = trace_poly(m, x)
-            x = -2.0 if y < -2.0 else (2.0 if y > 2.0 else y)
+            x = trace_poly(m, x)
         buf = np.full(n + 2, np.nan)
         # a fill of buf[1:n + 1] leaves both neighbours alone
-        assert orbit_kernel(m)(x0, memoryview(buf), 1, n + 1) == x
-        assert np.array_equal(buf[1:-1], want)
+        got = orbit_kernel(m)(x0, memoryview(buf), 1, n + 1)
+        assert same_float(got, x) or math.isnan(got) and math.isnan(x)
+        assert np.array_equal(buf[1:-1], want, equal_nan=True)
         assert np.isnan(buf[0]) and np.isnan(buf[-1])
+        assert np.isnan(want[-1]) == (x0 == ESCAPE_X0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 24, 64])
+    def test_fill_is_the_clipped_orbit(self, m):
+        # the kernel's fill with the orbit-level clip of each escape: the
+        # orbit that clips every step, from a generic start and from starts
+        # beside the critical points, some of which escape
+        starts = [(0.37071, 10_000)]
+        starts += [(float(c) + d, 200) for c in critical_points(m) for d in (-3e-11, 3e-11)]
+        for x0, n in starts:
+            want = np.empty(n)
+            x = x0
+            for i in range(n):
+                want[i] = x
+                x = clipped(trace_poly(m, x))
+            buf = np.full(n + 2, np.nan)
+            got = lyapunov._fill_clipped(orbit_kernel(m), x0, buf[1:-1], 0, n)
+            assert same_float(got, x), x0
+            assert np.array_equal(buf[1:-1], want), x0
+            assert np.isnan(buf[0]) and np.isnan(buf[-1])
 
 
 class TestOrderIsAnInteger:
@@ -260,9 +305,9 @@ class TestOrbitAverage:
         assert res.error_estimate > 0.01
 
     def test_blocks_merge_to_the_one_shot_mean_and_error(self):
-        # the orbit's log |f'| is taken per CHUNK block and the blocks merged;
-        # compare with the whole orbit held at once
-        m, x0, n = 3, 0.37071, 3 * CHUNK + 5
+        # the orbit's log |f'| is taken per ORBIT_BLOCK block and the blocks
+        # merged; compare with the whole orbit held at once
+        m, x0, n = 3, 0.37071, 3 * ORBIT_BLOCK + 5
         res = average_lyapunov_orbit(m, x0, n)
         x = x0
         for _ in range(BURN_IN):
@@ -280,7 +325,7 @@ class TestOrbitAverage:
     @given(
         m=st.integers(2, 8),
         x0=st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True),
-        n=st.integers(1, 2 * CHUNK + 7),
+        n=st.integers(1, 2 * ORBIT_BLOCK + 7),
     )
     def test_bit_identical_to_scalar_loop(self, m, x0, n):
         assert_matches_scalar_loop(m, x0, n)
@@ -291,28 +336,28 @@ class TestOrbitAverage:
         # at its first step; the blocked test must count and place it alike
         monkeypatch.setattr(lyapunov, "BURN_IN", 0)
         for c in critical_points(m):
-            for n in (1, 2, 2 * CHUNK + 7):
+            for n in (1, 2, 2 * ORBIT_BLOCK + 7):
                 res = assert_matches_scalar_loop(m, float(c), n)
                 assert res.restarts >= 1
 
     def test_restart_in_the_second_block(self, monkeypatch):
-        # declare the orbit's point at index CHUNK + 10 critical: the hit
+        # declare the orbit's point at index ORBIT_BLOCK + 10 critical: the hit
         # cuts the second block there and the orbit goes on from x + 1e-9
-        m, x0, n = 3, 0.37071, 2 * CHUNK + 7
+        m, x0, n = 3, 0.37071, 2 * ORBIT_BLOCK + 7
         x = x0
-        for _ in range(BURN_IN + CHUNK + 10):
+        for _ in range(BURN_IN + ORBIT_BLOCK + 10):
             x = min(2.0, max(-2.0, trace_poly(m, x)))
         real = critical_points(m)
         monkeypatch.setattr(lyapunov, "critical_points", lambda k: np.append(real, x))
         res = assert_matches_scalar_loop(m, x0, n)
         assert res.restarts == 1
 
-    @pytest.mark.parametrize("index", [CHUNK - 1, CHUNK])
+    @pytest.mark.parametrize("index", [ORBIT_BLOCK - 1, ORBIT_BLOCK])
     def test_restart_at_a_block_edge(self, index, monkeypatch):
         # a hit on the last point of the first block refills one point and
         # carries the step into the next; a hit on the first point of the
         # second block restarts it from index 0
-        m, x0, n = 3, 0.37071, 2 * CHUNK + 7
+        m, x0, n = 3, 0.37071, 2 * ORBIT_BLOCK + 7
         hit = orbit_point(m, x0, index)
         real = critical_points(m)
         monkeypatch.setattr(lyapunov, "critical_points", lambda k: np.append(real, hit))
@@ -322,7 +367,7 @@ class TestOrbitAverage:
     def test_perturbed_point_critical_again(self, monkeypatch):
         # the perturbed point is stored untested, as in the scalar loop: a
         # point critical again at the same index is not perturbed twice
-        m, x0, n = 4, 0.2345, CHUNK + 9
+        m, x0, n = 4, 0.2345, ORBIT_BLOCK + 9
         hit = orbit_point(m, x0, 17)
         real = critical_points(m)
         monkeypatch.setattr(lyapunov, "critical_points",
@@ -330,7 +375,7 @@ class TestOrbitAverage:
         res = assert_matches_scalar_loop(m, x0, n)
         assert res.restarts == 1
 
-    @pytest.mark.parametrize("n", [CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("n", [ORBIT_BLOCK, ORBIT_BLOCK + 1])
     def test_one_block_and_one_point_more(self, n, monkeypatch):
         m, x0 = 5, 0.2345
         assert assert_matches_scalar_loop(m, x0, n).restarts == 0
@@ -342,13 +387,13 @@ class TestOrbitAverage:
     def test_many_restarts_across_blocks(self, monkeypatch):
         # a wide critical neighbourhood makes hits frequent in every block
         monkeypatch.setattr(lyapunov, "CRITICAL_EPS", 1e-4)
-        res = assert_matches_scalar_loop(5, 0.2345, 2 * CHUNK + 7)
+        res = assert_matches_scalar_loop(5, 0.2345, 2 * ORBIT_BLOCK + 7)
         assert res.restarts >= 10
 
-    @pytest.mark.parametrize("index", [0, 17, CHUNK - 1, CHUNK])
+    @pytest.mark.parametrize("index", [0, 17, ORBIT_BLOCK - 1, ORBIT_BLOCK])
     def test_planted_hit_at_order_24(self, index, monkeypatch):
         # 23 critical points and a planted one in the binned test
-        m, x0, n = 24, 0.37071, CHUNK + 3
+        m, x0, n = 24, 0.37071, ORBIT_BLOCK + 3
         hit = orbit_point(m, x0, index)
         real = critical_points(m)
         monkeypatch.setattr(lyapunov, "critical_points", lambda k: np.append(real, hit))
@@ -378,7 +423,7 @@ class TestOrbitAverage:
             assert lyapunov._first_critical(xs[start:], crit, cells) == scan(xs[start:], crit)
 
     @pytest.mark.parametrize("m", [2, 4])
-    @pytest.mark.parametrize("n", [2, 7, 1000, CHUNK + 3, 500_000])
+    @pytest.mark.parametrize("n", [2, 7, 1000, ORBIT_BLOCK + 3, 500_000])
     def test_orbit_on_the_fixed_point_reads_twice_log_m(self, m, n):
         # x0 = 0 reaches 2 in the burn-in (m = 2: 0, -2, 2; m = 4: 0, 2) and
         # stays there: every term is log f_m'(2) = log m^2, so the average is
@@ -403,6 +448,71 @@ class TestOrbitAverage:
             quad = average_lyapunov_quadrature(m)
             combined = 3.0 * (orbit.error_estimate + quad.error_estimate)
             assert abs(orbit.value - quad.value) < combined
+
+
+def escapes(m, x0, steps):
+    """The steps of the clipped orbit of x0 whose f_m leaves [-2, 2]."""
+    count, x = 0, x0
+    for _ in range(steps):
+        y = trace_poly(m, x)
+        count += abs(y) > 2.0
+        x = clipped(y)
+    return count
+
+
+class TestEscapes:
+    """Orbits whose f_m rounds past +-2: the block scan clips each escape
+    where it lands and refills from there, and every result equals the
+    scalar loop's, which clips each step."""
+
+    @pytest.mark.parametrize("burn_in", [0, 1, BURN_IN])
+    @pytest.mark.parametrize("block", [1, 2, ORBIT_BLOCK])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_start_on_an_escape_point(self, burn_in, block, n, monkeypatch):
+        # the escape is the orbit's first step: with no burn-in, the last
+        # point of a block of 2 or the carry of a block of 1; with a burn-in
+        # of 1, the burn-in's carry
+        assert escapes(5, ESCAPE_X0, 1) == 1
+        monkeypatch.setattr(lyapunov, "BURN_IN", burn_in)
+        monkeypatch.setattr(lyapunov, "ORBIT_BLOCK", block)
+        res = assert_matches_scalar_loop(5, ESCAPE_X0, n)
+        assert res.warnings  # clipped onto the fixed point 2, it stays there
+
+    def test_numpy_start_steps_as_a_float(self):
+        # a NumPy scalar's unclipped run past the escape would overflow with
+        # a warning; the orbit is stepped in Python floats
+        res = average_lyapunov_orbit(5, np.float64(ESCAPE_X0), 10)
+        assert res == average_lyapunov_orbit(5, ESCAPE_X0, 10)
+
+    @pytest.mark.parametrize("burn_in", [0, BURN_IN])
+    def test_starts_beside_every_critical_point(self, burn_in, monkeypatch):
+        monkeypatch.setattr(lyapunov, "BURN_IN", burn_in)
+        escaped = 0
+        for m in (4, 5, 8, 16):
+            for c in critical_points(m):
+                for offset in (1e-12, 2e-11, 3e-11, 1e-10, 5e-9):
+                    for x0 in (float(c) - offset, float(c) + offset):
+                        assert_matches_scalar_loop(m, x0, 50)
+                        escaped += escapes(m, x0, burn_in + 50) > 0
+        assert escaped >= 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(4, 8),
+        j=st.integers(0, 6),
+        offset=st.floats(1e-13, 1e-8),
+        sign=st.sampled_from([-1.0, 1.0]),
+        n=st.integers(1, 300),
+        burn_in=st.sampled_from([0, BURN_IN]),
+        block=st.sampled_from([1, 2, 3, ORBIT_BLOCK]),
+    )
+    def test_near_critical_starts_equal_the_scalar_loop(self, m, j, offset, sign, n, burn_in,
+                                                        block):
+        x0 = float(critical_points(m)[j % (m - 1)]) + sign * offset
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lyapunov, "BURN_IN", burn_in)
+            mp.setattr(lyapunov, "ORBIT_BLOCK", block)
+            assert_matches_scalar_loop(m, x0, n)
 
 
 class TestIIntegral:

@@ -17,6 +17,8 @@ from hillmap.numerics import (
     quad_singular,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_tolerance_spec_validation():
     with pytest.raises(ValueError):
@@ -405,11 +407,24 @@ class TestQuadSingularBatches:
                     assert abs(val - exact) <= bound, (e, width, lo)
 
     def test_panel_of_a_few_ulps_beside_a_declared_end_raises(self):
-        # the bound is infinite, not the value of the floats inside (which
-        # miss ~2 sqrt(ulp) of 2 sqrt(1e-14))
+        # the floats inside miss ~2 sqrt(ulp) of 2 sqrt(1e-14): halving
+        # stops before a panel holds no float inside, so the declared end
+        # is never a node, and the call raises with a finite bound
+        a, nodes = 2.0 - 1e-14, []
         with pytest.raises(NonConvergenceError) as info:
-            quad_singular(lambda x: 1.0 / np.sqrt(2.0 - x), 2.0 - 1e-14, 2.0, [2.0])
-        assert info.value.error_bound == np.inf
+            quad_singular(lambda x: nodes.append(x) or 1.0 / np.sqrt(2.0 - x), a, 2.0, [2.0])
+        assert not any((x == 2.0).any() for x in nodes)
+        bound = info.value.error_bound
+        assert math.isfinite(bound)
+        for exact in (2.0 * math.sqrt(2.0 - a), 2.0 * math.sqrt(1e-14)):
+            assert abs(info.value.estimate - exact) <= bound
+
+    def test_failure_names_the_interval_in_full(self):
+        # an interval 1e-10 wide at 2 is not printed as [2, 2]
+        a = 2.0 - 1e-10
+        with pytest.raises(NonConvergenceError) as info:
+            quad_singular(lambda x: 1.0 / np.sqrt(2.0 - x), a, 2.0, [2.0])
+        assert f"on [{a!r}, 2.0]" in str(info.value)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_narrow_panel_keeps_the_mass_beside_its_ends(self, scale):
