@@ -22,7 +22,7 @@ CRITICAL_EPS = 1e-13
 # of the m panels may stop at 1e-10 of its own value, and the sum drifts past
 # 1e-12 of log m (m = 49, 63, 113); with this one it stays within 4e-13 for m
 # up to 128 at the same cost.
-EXPONENT_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=0.0, max_steps=400)
+EXPONENT_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=0.0)
 LOG_4 = math.log(4.0)
 
 

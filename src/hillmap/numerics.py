@@ -1,11 +1,11 @@
 """Shared numerical kernels: ODE initial-value integration, bracketed root
 finding (one algorithm, Chandrupatla's, on many brackets together or on
-one), the trace polynomials f_m, and tanh-sinh quadrature (one interval, or
-many integrated together).  The quadrature converges at declared
-logarithmic singularities.  At a declared power-law end |x - e|^alpha,
-alpha >= -0.9, it converges if the mass within an ulp of e, or within
-1e-37 of the panel's width, is below the request (e = 0, alpha >= -0.7),
-and otherwise raises with a bound that covers its error.
+one), the trace polynomials f_m, and tanh-sinh quadrature (one pass of
+QUAD_LEVELS levels, on one interval or many together).  The quadrature
+converges at declared logarithmic singularities.  At a declared power-law
+end |x - e|^alpha, alpha >= -0.9, it converges if the mass within an ulp
+of e, or within 1e-37 of the panel's width, is below the request (e = 0,
+alpha >= -0.7), and otherwise raises with a bound that covers its error.
 
 All routines are pure functions of their inputs and safe to call from any
 number of threads.
@@ -28,9 +28,8 @@ class ToleranceSpec:
     """Accuracy contract for a numerical routine.
 
     ``abs_tol`` and ``rel_tol`` are error targets; ``max_steps`` bounds the
-    work (accepted ODE steps, root iterations, or panel halvings per
-    quadrature interval).  :func:`quad_singular` accepts a result whose
-    summed error bound is at most ``max(abs_tol, rel_tol * |result|)``.
+    accepted ODE steps or root iterations.  :func:`quad_singular` accepts a
+    result whose summed error bound is at most ``max(abs_tol, rel_tol * |result|)``.
     """
 
     abs_tol: float
@@ -49,7 +48,7 @@ class ToleranceSpec:
 # Defaults of the kernels.  No package result depends on IVP_TOL any more.
 IVP_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=1e-10, max_steps=1_000_000)
 ROOT_TOL = ToleranceSpec(abs_tol=1e-12, rel_tol=0.0, max_steps=256)
-QUAD_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=1e-10, max_steps=400)
+QUAD_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=1e-10)
 
 
 def integrate_ivp(
@@ -225,8 +224,8 @@ def trace_poly(m: int, x, derivative: bool = False):
 # w = (pi/2) cosh t / cosh^2 u.  Level l adds the nodes of step 2^-l / 4 out
 # to t = 4 (delta ~ 1e-37): levels 0..l hold 1 + 32 2^l nodes per panel
 # (the centre, t = 0, is evaluated from both ends at half weight).  A panel
-# still open after QUAD_LEVELS levels is halved.
-QUAD_LEVELS = 5
+# still open after QUAD_LEVELS levels closes with its error bound.
+QUAD_LEVELS = 6
 # The mass of |x - e|^alpha between an end e and a node at distance d from
 # it is d |f(node)| / (1 + alpha).  A declared end adds _TAIL d |f| for its
 # outermost node, which covers alpha >= ALPHA_MIN.
@@ -279,25 +278,23 @@ def quad_singular(
     R is a rounding term, eps sum |w f| plus the change of f under a
     half-spacing move of each node, relative to its distance from the
     declared points beside its panel.  T is the mass the rule leaves out
-    between each declared end and its outermost node (t = 4, or an ulp
-    inside the end): _TAIL d |f(node)| at distance d, which bounds it for
+    between each declared end and its outermost node (t = 4, or the float
+    beside the end): _TAIL d |f(node)| at distance d, which bounds it for
     ends like |x - e|^alpha with alpha >= ALPHA_MIN = -0.9, and for
     logarithmic ends.  At an inverse-square-root end e != 0 the mass
     within an ulp of e, ~2 sqrt(ulp(e)), lies beyond every float beside
     it: T reaches ~1e-7 there, and the call raises rather than returning
-    a wrong value.  A panel stops once E meets its share of its interval's
-    request ``max(abs_tol, rel_tol |I|)`` (the request over the interval's
-    panels, halved at each halving).  A panel still open after QUAD_LEVELS
-    levels is halved, and ``max_steps`` bounds the halvings per interval.
-    A panel that would leave a half with no float inside it closes with
-    its E instead.  ``bound`` is the sum of the panels' E.  Each node is
-    an ulp or more inside the panel end it is placed from.  Every
-    interval's value and bound depend on its own inputs only, not on the
-    others evaluated with it.
+    a wrong value.  A panel stops once E meets its even share of its
+    interval's request ``max(abs_tol, rel_tol |I|)``, or after QUAD_LEVELS
+    levels; ``bound`` is the sum of the panels' E.  Each node lies at the
+    float beside its panel end or further inside; a panel with no float
+    inside and a declared end is not evaluated, and its bound is inf.
+    Every interval's value and bound depend on its own inputs only, not on
+    the others evaluated with it.
 
-    An interval whose bound misses the request (its halvings spent, or a
-    value not finite) raises :class:`NonConvergenceError` carrying
-    ``estimate`` and ``error_bound``.
+    An interval whose bound misses the request (or whose value is not
+    finite) raises :class:`NonConvergenceError` carrying ``estimate`` and
+    ``error_bound``.
     """
     a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
     shape = a.shape
@@ -320,95 +317,67 @@ def quad_singular(
     declared = np.stack([(points[:, owner] == lo).any(axis=0),
                          (points[:, owner] == hi).any(axis=0)], axis=1)
     share = 1.0 / np.bincount(owner, minlength=n)[owner]  # of the request
-    # the rounding of a node's position near a declared point: half the
-    # spacing of the floats beside the point, inside the panel, and the
-    # distance from each panel end to the point
-    pos = np.where(declared, 0.5 * np.abs(np.stack(
-        [np.nextafter(lo, hi) - lo, np.nextafter(hi, lo) - hi], axis=1)), 0.0)
-    gap = np.zeros(pos.shape)
-
-    done_owner, done_value, done_bound = [], [], []
+    # the float beside each panel end, inside the panel, and its distance from
+    # the end; half that is the rounding of a node's position at a declared end
+    inner = np.stack([np.nextafter(lo, hi), np.nextafter(hi, lo)], axis=1)
+    end = np.stack([lo, hi], axis=1)
+    ulp = np.abs(inner - end)
+    pos = np.where(declared, 0.5 * ulp, 0.0)
+    r = 0.5 * (hi - lo)
+    p = {"owner": owner, "declared": declared, "share": share, "r": r, "end": end,
+         "ulp": ulp, "pos": pos, "far": _EPS + pos[:, ::-1] / r[:, None],
+         "S": np.zeros(r.size), "A": np.zeros(r.size), "T": np.zeros(r.size),
+         "q": np.zeros(r.size), "diff": np.full(r.size, np.inf)}
+    # a panel with no float inside and a declared end is not evaluated (its
+    # nodes would fall on that end): it closes with value 0 and bound inf
+    blind = (inner[:, 0] == hi) & declared.any(axis=1)
+    done_owner, done_value = [owner[blind]], [np.zeros(blind.sum())]
+    done_bound = [np.full(blind.sum(), np.inf)]
+    p = {key: val[~blind] for key, val in p.items()}
     closed_sum = np.zeros(n)  # values of the closed panels, per interval
-    halvings = np.zeros(n, dtype=int)
-    while owner.size:
-        # one generation: every open panel runs levels 0.. in step
-        r = 0.5 * (hi - lo)
-        p = {"owner": owner, "declared": declared, "share": share, "r": r,
-             "end": np.stack([lo, hi], axis=1), "pos": pos, "gap": gap,
-             "far": _EPS + pos[:, ::-1] / (r[:, None] + gap[:, ::-1]),
-             "S": np.zeros(r.size), "A": np.zeros(r.size), "T": np.zeros(r.size),
-             "q": np.zeros(r.size), "diff": np.full(r.size, np.inf)}
-        for level, (delta, w, step) in enumerate(_LEVELS):
-            # (panel, end, node); a node within an ulp of its end is
-            # evaluated an ulp inside it
-            d = p["r"][:, None, None] * delta
-            ulp = np.spacing(np.abs(p["end"]))[:, :, None]
-            xs = p["end"][:, :, None] + _INTO_PANEL * np.maximum(d, ulp)
-            rows = np.repeat(p["owner"], xs[0].size)
-            v = np.asarray(f(xs.ravel(), *(arg[rows] for arg in args)), dtype=float)
-            v = v.reshape(xs.shape)
-            if level == 0:  # t = 4 is the outermost node
-                tail = np.abs(xs[:, :, -1] - p["end"]) * np.abs(v[:, :, -1])
-                p["T"] = _TAIL * np.where(p["declared"], tail, 0.0).sum(axis=1)
-            wv = w * v
-            # eps, and the change of f under the rounding of the node's
-            # distance from the declared points on either side (none for a
-            # node an ulp inside its end: it is a float, and T covers it)
-            rho = p["far"][:, :, None] + np.where(
-                d > ulp, p["pos"][:, :, None] / (p["gap"][:, :, None] + d), 0.0)
-            p["S"] = p["S"] + wv.sum(axis=(1, 2))
-            p["A"] = p["A"] + (np.abs(wv) * rho).sum(axis=(1, 2))
-            q = p["r"] * step * p["S"]
-            if level:
-                diff = np.abs(q - p["q"])
-                err = np.maximum(diff, p["diff"]) + p["r"] * step * p["A"] + p["T"]
-                p["diff"] = diff
-                request = np.full(q.size, tol.abs_tol)
-                if tol.rel_tol:
-                    estimate = closed_sum + np.bincount(p["owner"], q, minlength=n)
-                    request = np.maximum(request, tol.rel_tol * np.abs(estimate[p["owner"]]))
-                bad = ~np.isfinite(q)
-                close = bad | (err <= request * p["share"])
-                if level == QUAD_LEVELS - 1:
-                    # out of levels: halve, unless that overruns the budget
-                    # or leaves a half with no float inside it, whose nodes
-                    # an ulp inside one end would round onto the other
-                    left, right = p["end"].T
-                    mid = 0.5 * (left + right)
-                    close |= (np.nextafter(left, right) >= mid) | (np.nextafter(right, left) <= mid)
-                    need = np.bincount(p["owner"][~close], minlength=n)
-                    over = halvings + need > tol.max_steps
-                    halvings += np.where(over, 0, need)
-                    close |= over[p["owner"]]
-                if close.any():
-                    done_owner.append(p["owner"][close])
-                    done_value.append(q[close])
-                    done_bound.append(np.where(bad, np.inf, err)[close])
-                    closed_sum += np.bincount(p["owner"][close], q[close], minlength=n)
-                    keep = ~close
-                    p = {key: val[keep] for key, val in p.items()}
-                    q = q[keep]
-                    if not keep.any():
-                        break
-            p["q"] = q
-        # halve what is left; the outer ends keep their declarations
-        left, right = p["end"].T
-        mid = 0.5 * (left + right)
-        lo = np.stack([left, mid], axis=1).ravel()
-        hi = np.stack([mid, right], axis=1).ravel()
-        owner = np.repeat(p["owner"], 2)
-        share = np.repeat(0.5 * p["share"], 2)
-        declared = np.zeros((lo.size, 2), dtype=bool)
-        declared[0::2, 0] = p["declared"][:, 0]
-        declared[1::2, 1] = p["declared"][:, 1]
-        pos = np.repeat(p["pos"], 2, axis=0)
-        gap = np.repeat(p["gap"], 2, axis=0)
-        gap[0::2, 1] += right - mid
-        gap[1::2, 0] += mid - left
+    for level, (delta, w, step) in enumerate(_LEVELS):
+        if not p["owner"].size:
+            break
+        # (panel, end, node); a node within an ulp of its end is at the float beside it
+        d = p["r"][:, None, None] * delta
+        ulp = p["ulp"][:, :, None]
+        xs = p["end"][:, :, None] + _INTO_PANEL * np.maximum(d, ulp)
+        rows = np.repeat(p["owner"], xs[0].size)
+        v = np.asarray(f(xs.ravel(), *(arg[rows] for arg in args)), dtype=float).reshape(xs.shape)
+        if level == 0:  # t = 4 is the outermost node
+            tail = np.abs(xs[:, :, -1] - p["end"]) * np.abs(v[:, :, -1])
+            p["T"] = _TAIL * np.where(p["declared"], tail, 0.0).sum(axis=1)
+        wv = w * v
+        # eps, and the change of f under the rounding of the node's distance
+        # from the declared points on either side (none for a node an ulp
+        # inside its end: it is a float, and T covers it)
+        rho = p["far"][:, :, None] + np.where(d > ulp, p["pos"][:, :, None] / d, 0.0)
+        p["S"] = p["S"] + wv.sum(axis=(1, 2))
+        p["A"] = p["A"] + (np.abs(wv) * rho).sum(axis=(1, 2))
+        q = p["r"] * step * p["S"]
+        if level:
+            diff = np.abs(q - p["q"])
+            err = np.maximum(diff, p["diff"]) + p["r"] * step * p["A"] + p["T"]
+            p["diff"] = diff
+            request = np.full(q.size, tol.abs_tol)
+            if tol.rel_tol:
+                estimate = closed_sum + np.bincount(p["owner"], q, minlength=n)
+                request = np.maximum(request, tol.rel_tol * np.abs(estimate[p["owner"]]))
+            bad = ~np.isfinite(q)
+            # out of levels, a panel closes with its bound
+            close = bad | (err <= request * p["share"]) | (level == QUAD_LEVELS - 1)
+            if close.any():
+                done_owner.append(p["owner"][close])
+                done_value.append(q[close])
+                done_bound.append(np.where(bad, np.inf, err)[close])
+                closed_sum += np.bincount(p["owner"][close], q[close], minlength=n)
+                p = {key: val[~close] for key, val in p.items()}
+                q = q[~close]
+        p["q"] = q
 
-    owners = np.concatenate([np.zeros(0, dtype=int), *done_owner])
-    value = np.bincount(owners, np.concatenate([np.zeros(0), *done_value]), minlength=n)
-    bound = np.bincount(owners, np.concatenate([np.zeros(0), *done_bound]), minlength=n)
+    owners = np.concatenate(done_owner)
+    value = np.bincount(owners, np.concatenate(done_value), minlength=n)
+    bound = np.bincount(owners, np.concatenate(done_bound), minlength=n)
     failed = ~(bound <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(value))) | ~np.isfinite(value)
     if shape == ():
         value, bound = float(value[0]), float(bound[0])

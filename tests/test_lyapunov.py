@@ -26,7 +26,7 @@ from hillmap.lyapunov import (
     roots_fm,
 )
 from hillmap.maps import MapDescriptor, eval_map, trace_poly
-from hillmap.numerics import QUAD_TOL, ToleranceSpec, quad_singular
+from hillmap.numerics import QUAD_LEVELS, QUAD_TOL, ToleranceSpec, quad_singular
 
 # Every order the angle quadrature is checked at: all of 2-24 (the range the
 # Horner-based x quadrature failed from m = 17 on), powers of two up to 128,
@@ -647,7 +647,7 @@ class TestIIntegralQuadrature:
         lo, hi = j * math.pi / m, (j + 1) * math.pi / m
         lo[0], hi[-1] = 0.0, math.pi
         declared = [np.where(j > 0, lo, np.nan), np.where(j < m - 1, hi, np.nan)]
-        share = ToleranceSpec(EXPONENT_TOL.abs_tol / m, 0.0, EXPONENT_TOL.max_steps)
+        share = ToleranceSpec(EXPONENT_TOL.abs_tol / m, 0.0)
         value, bound = quad_singular(
             lambda t: np.log(np.abs(trace_poly(m, 2.0 * np.cos(t), derivative=True))),
             lo, hi, declared, share)
@@ -659,3 +659,53 @@ class TestIIntegralQuadrature:
             assert abs(sum(exact) / mpmath.pi - mpmath.log(m)) < 1e-15
         for k in range(m):
             assert abs(value[k] - float(exact[k])) <= bound[k] <= share.abs_tol, k
+
+
+def recorded_quadratures(monkeypatch):
+    """Patch ``lyapunov.quad_singular`` to record each call's value, bound
+    and calls of f."""
+    calls = []
+
+    def recording(f, *args, **kwargs):
+        count = [0]
+
+        def counted(x, *f_args):
+            count[0] += 1
+            return f(x, *f_args)
+
+        value, bound = quad_singular(counted, *args, **kwargs)
+        calls.append((value, bound, count[0]))
+        return value, bound
+
+    monkeypatch.setattr(lyapunov, "quad_singular", recording)
+    return calls
+
+
+class TestQuadratureHeadroom:
+    """At the default tolerance the package's integrands close a level or
+    more before the kernel's last; that last level serves tighter requests
+    beside the edges of [-2, 2]."""
+
+    @pytest.mark.parametrize("m", range(2, 25))
+    def test_exponent_closes_before_the_last_level(self, m, monkeypatch):
+        calls = recorded_quadratures(monkeypatch)
+        average_lyapunov_quadrature(m)
+        ((_, _, count),) = calls
+        assert count <= QUAD_LEVELS - 1
+
+    def test_readme_sweep_closes_before_the_last_level(self, monkeypatch):
+        calls = recorded_quadratures(monkeypatch)
+        I_integral(np.linspace(-3.0, 3.0, 61))
+        assert len(calls) == 2
+        assert all(count <= QUAD_LEVELS - 1 for _, _, count in calls)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_tight_request_beside_the_edges(self, k, monkeypatch):
+        tol = ToleranceSpec(1e-12, QUAD_TOL.rel_tol)
+        calls = recorded_quadratures(monkeypatch)
+        for a in (s * (2.0 + side * 10.0**-k) for s in (1.0, -1.0) for side in (1.0, -1.0)):
+            calls.clear()
+            got = I_integral(a, tol)
+            ((_, bound, _),) = calls
+            exact = math.acosh(abs(a) / 2.0) if abs(a) > 2.0 else 0.0
+            assert abs(got - exact) <= bound / math.pi, a

@@ -256,7 +256,7 @@ class TestQuadSingular:
 
     def test_additive_over_subintervals(self):
         f = lambda x: np.log(np.abs(x))
-        tol = ToleranceSpec(abs_tol=1e-11, rel_tol=1e-11, max_steps=400)
+        tol = ToleranceSpec(abs_tol=1e-11, rel_tol=1e-11)
         whole, _ = quad_singular(f, -1.0, 2.0, singular_points=[0.0], tol=tol)
         left, _ = quad_singular(f, -1.0, 0.5, singular_points=[0.0], tol=tol)
         right, _ = quad_singular(f, 0.5, 2.0, singular_points=[], tol=tol)
@@ -294,10 +294,10 @@ class TestQuadSingular:
     def test_bound_sums_the_panels(self):
         # log|x| on [-1, 2] split at 0: the reported bound is the sum of the
         # two panels' achieved bounds, and it covers the error of the sum
-        # (the halves get the same per-panel request and budget as the whole)
+        # (the halves get the same per-panel request as the whole)
         f = lambda x: np.log(np.abs(x))
-        whole, bound = quad_singular(f, -1.0, 2.0, [0.0], ToleranceSpec(2e-10, 0.0, 400))
-        half = ToleranceSpec(1e-10, 0.0, 200)
+        whole, bound = quad_singular(f, -1.0, 2.0, [0.0], ToleranceSpec(2e-10, 0.0))
+        half = ToleranceSpec(1e-10, 0.0)
         _, left = quad_singular(f, -1.0, 0.0, [0.0], half)
         _, right = quad_singular(f, 0.0, 2.0, [0.0], half)
         exact = -1.0 + (2.0 * math.log(2.0) - 2.0)
@@ -308,12 +308,12 @@ class TestQuadSingular:
         # accepted when the bound is within max(abs_tol, rel_tol |I|); with
         # rel_tol = 0 abs_tol alone binds
         f = lambda x: 1e6 * np.log(x)
-        tol = ToleranceSpec(abs_tol=1e-12, rel_tol=1e-10, max_steps=400)
+        tol = ToleranceSpec(abs_tol=1e-12, rel_tol=1e-10)
         val, bound = quad_singular(f, 0.0, 1.0, [0.0], tol)
         assert abs(val + 1e6) < 1e-4
         assert tol.abs_tol < bound <= tol.rel_tol * abs(val)
         with pytest.raises(NonConvergenceError):
-            quad_singular(f, 0.0, 1.0, [0.0], ToleranceSpec(1e-12, 0.0, 400))
+            quad_singular(f, 0.0, 1.0, [0.0], ToleranceSpec(1e-12, 0.0))
 
 
 class TestQuadSingularBatches:
@@ -364,14 +364,17 @@ class TestQuadSingularBatches:
 
     @pytest.mark.parametrize("kink", [-0.918, -0.46, 0.274, 0.627, 0.826])
     def test_undeclared_kink_is_halved_and_bounded(self, kink):
-        # |x - k| converges slowly in the tanh-sinh levels; its panel is
-        # halved, and the bound still covers the error
-        g, calls = self.counted(lambda x: np.abs(x - kink))
-        tol = ToleranceSpec(1e-10, 0.0, 400)
-        val, bound = quad_singular(g, -1.0, 1.0, tol=tol)
+        # |x - k| converges slowly in the tanh-sinh levels: undeclared, its
+        # panel runs out of levels and the call raises with a bound that
+        # covers the error; declared, the kink is a panel end and converges
+        f = lambda x: np.abs(x - kink)
+        tol = ToleranceSpec(1e-10, 0.0)
         exact = ((1.0 + kink) ** 2 + (1.0 - kink) ** 2) / 2.0
+        with pytest.raises(NonConvergenceError) as info:
+            quad_singular(f, -1.0, 1.0, tol=tol)
+        assert abs(info.value.estimate - exact) <= info.value.error_bound
+        val, bound = quad_singular(f, -1.0, 1.0, [kink], tol)
         assert abs(val - exact) <= bound <= tol.abs_tol
-        assert len(calls) > 6  # more than one generation
 
     @pytest.mark.parametrize("end", [1.0, 2.0, 4.5])
     def test_inverse_sqrt_at_a_nonzero_end(self, end):
@@ -379,7 +382,7 @@ class TestQuadSingularBatches:
         # float next to it: the call raises, with a bound that covers it
         f = lambda x: 1.0 / np.sqrt(end - x)
         with pytest.raises(NonConvergenceError) as info:
-            quad_singular(f, 0.0, end, [end], ToleranceSpec(1e-10, 0.0, 400))
+            quad_singular(f, 0.0, end, [end], ToleranceSpec(1e-10, 0.0))
         assert abs(info.value.estimate - 2.0 * math.sqrt(end)) <= info.value.error_bound
 
     @pytest.mark.parametrize("width", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11])
@@ -407,9 +410,8 @@ class TestQuadSingularBatches:
                     assert abs(val - exact) <= bound, (e, width, lo)
 
     def test_panel_of_a_few_ulps_beside_a_declared_end_raises(self):
-        # the floats inside miss ~2 sqrt(ulp) of 2 sqrt(1e-14): halving
-        # stops before a panel holds no float inside, so the declared end
-        # is never a node, and the call raises with a finite bound
+        # the floats inside miss ~2 sqrt(ulp) of 2 sqrt(1e-14): the declared
+        # end is never a node, and the call raises with a finite bound
         a, nodes = 2.0 - 1e-14, []
         with pytest.raises(NonConvergenceError) as info:
             quad_singular(lambda x: nodes.append(x) or 1.0 / np.sqrt(2.0 - x), a, 2.0, [2.0])
@@ -418,6 +420,28 @@ class TestQuadSingularBatches:
         assert math.isfinite(bound)
         for exact in (2.0 * math.sqrt(2.0 - a), 2.0 * math.sqrt(1e-14)):
             assert abs(info.value.estimate - exact) <= bound
+
+    def test_node_within_an_ulp_of_an_end_is_the_float_beside_it(self):
+        # the floats below 2 are 2^-52 apart, half the spacing of 2: on
+        # [2 - 2^-51, 2] the one float inside is every node, and the
+        # declared left end is none
+        lo, nodes = 2.0 - 2.0**-51, []
+        val, bound = quad_singular(lambda x: nodes.append(x) or np.log(x - lo), lo, 2.0, [lo])
+        assert nodes and all((x == 2.0 - 2.0**-52).all() for x in nodes)
+        width = 2.0 - lo
+        assert abs(val - width * (math.log(width) - 1.0)) <= bound
+
+    def test_interval_with_no_float_inside_skips_its_declared_end(self):
+        # [2 - 2^-52, 2] holds no float strictly inside: f is not evaluated
+        # at the declared 2, and the result, returned or raised, is bounded
+        lo, nodes = 2.0 - 2.0**-52, []
+        try:
+            val, bound = quad_singular(lambda x: nodes.append(x) or 1.0 / np.sqrt(2.0 - x),
+                                       lo, 2.0, [2.0])
+        except NonConvergenceError as exc:
+            val, bound = exc.estimate, exc.error_bound
+        assert not any((x == 2.0).any() for x in nodes)
+        assert abs(val - 2.0 * math.sqrt(2.0 - lo)) <= bound
 
     def test_failure_names_the_interval_in_full(self):
         # an interval 1e-10 wide at 2 is not printed as [2, 2]
@@ -433,7 +457,7 @@ class TestQuadSingularBatches:
         # inside the end, not dropped
         hi = 1.0 + 2.0**-40
         val, bound = quad_singular(lambda x: scale * np.exp(x - 1.0), 1.0, hi,
-                                   tol=ToleranceSpec(1e-30, 1e-13, 400))
+                                   tol=ToleranceSpec(1e-30, 1e-13))
         exact = scale * math.expm1(2.0**-40)
         assert abs(val - exact) <= bound <= 1e-13 * exact
 
@@ -446,26 +470,23 @@ class TestQuadSingularBatches:
     def test_end_model_misfit_joins_the_bound(self, f, end, exact):
         # log^2 d and d^alpha log d ends: the bound covers the error whether
         # or not it meets the request
-        for tol in (QUAD_TOL, ToleranceSpec(1e-12, 0.0, 400)):
+        for tol in (QUAD_TOL, ToleranceSpec(1e-12, 0.0)):
             try:
                 val, bound = quad_singular(f, 1.0, 2.0, [end], tol)
             except NonConvergenceError as exc:
                 val, bound = exc.estimate, exc.error_bound
             assert abs(val - exact) <= bound
 
-    def test_budget_caps_the_halvings(self):
-        # an unreachable request: every panel halves until the budget stops
-        # it, then the call raises; at most max_steps halvings were made
+    def test_unreachable_request_raises_after_one_pass(self):
+        # an unreachable request: each panel runs its QUAD_LEVELS levels,
+        # one call of f each, and the call raises with the partial result
         g, calls = self.counted(lambda x: np.log(np.abs(x)))
-        evaluated = []
-        tol = ToleranceSpec(1e-30, 0.0, 40)
         with pytest.raises(NonConvergenceError) as info:
-            quad_singular(lambda x: evaluated.append(x.size) or g(x), -1.0, 1.0, [0.0], tol)
-        panels_run = 2 + 2 * tol.max_steps
+            quad_singular(g, -1.0, 1.0, [0.0], ToleranceSpec(1e-30, 0.0))
         # per panel: 16 2^l nodes at each end at level l, the centre from
         # both ends
         per_panel = 2 * (1 + 16 * 2 ** (QUAD_LEVELS - 1))
-        assert sum(evaluated) <= panels_run * per_panel
+        assert len(calls) == QUAD_LEVELS and sum(calls) == 2 * per_panel
         assert np.isfinite(info.value.estimate) and info.value.error_bound > 1e-30
 
     def test_nan_integrand_raises(self):

@@ -514,7 +514,7 @@ class TestStepApproximate:
         approx = step_approximate(q, 4)
         # exact L1 error of the midpoint staircase of x is 1/(4 l)
         err = sum(
-            quad_singular(lambda x, v=v: abs(x - v), lo, hi)[0]
+            quad_singular(lambda x, v=v: abs(x - v), lo, hi, [v])[0]
             for (lo, hi, v) in approx.to_csv_rows()
         )
         assert abs(err - 1.0 / 16.0) < 1e-10
