@@ -271,7 +271,7 @@ def _cmd_lyapunov(cfg, timestamp):
 
 
 def _cmd_integral_sweep(cfg, timestamp):
-    tol = ToleranceSpec(cfg["abs_tol"], QUAD_TOL.rel_tol)
+    tol = ToleranceSpec(cfg["abs_tol"])
     grid = np.linspace(cfg["a_min"], cfg["a_max"], cfg["count"])
     rows = [(float(a), float(i)) for a, i in zip(grid, lyapunov.I_integral(grid, tol))]
     _write_csv(cfg["out"], ["a", "I"], rows, cfg, timestamp)

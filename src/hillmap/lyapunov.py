@@ -18,11 +18,6 @@ from .numerics import QUAD_TOL, ToleranceSpec, quad_singular
 BURN_IN = 100
 ORBIT_BLOCK = 2**16  # orbit points stored, tested and averaged at a time
 CRITICAL_EPS = 1e-13
-# An absolute request on the angle integral: with QUAD_TOL's relative part each
-# of the m panels may stop at 1e-10 of its own value, and the sum drifts past
-# 1e-12 of log m (m = 49, 63, 113); with this one it stays within 4e-13 for m
-# up to 128 at the same cost.
-EXPONENT_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=0.0)
 LOG_4 = math.log(4.0)
 
 
@@ -131,36 +126,23 @@ def average_lyapunov_quadrature(m: int) -> LyapunovResult:
                                  floor))
 
     sing = [j * math.pi / m for j in range(1, m)]
-    val, bound = quad_singular(integrand, 0.0, math.pi, sing, EXPONENT_TOL)
+    val, bound = quad_singular(integrand, 0.0, math.pi, sing, QUAD_TOL)
     return LyapunovResult(m, val / math.pi, "quadrature", bound / math.pi)
 
 
-# The critical-point test of an orbit block bins the block into CELLS equal
-# cells of [-2, 2], one pass for any m, and compares with the critical
-# points only the entries in a cell that a critical point's CRITICAL_EPS
-# neighbourhood reaches.
-CELLS = 2**16
+def _slope_bound(m: int, crit: np.ndarray) -> float:
+    """Above the computed |f_m'| within CRITICAL_EPS of ``crit``: the max on ``crit``
+    plus m^4 CRITICAL_EPS (sup |f_m''| = m^2 (m^2 - 1) / 6, V. A. Markov) and m^4 4 eps."""
+    top = float(np.abs(trace_poly(m, crit, derivative=True)).max())
+    return top + m**4 * (CRITICAL_EPS + 4 * np.finfo(float).eps)
 
 
-def _critical_cells(crit: np.ndarray) -> np.ndarray:
-    """Flags of the cells within reach of a critical point, one cell more on
-    each side for the rounding of the binning."""
-    scale = CELLS / 4.0
-    first = np.clip(((crit - CRITICAL_EPS + 2.0) * scale).astype(int) - 1, 0, CELLS)
-    last = np.clip(((crit + CRITICAL_EPS + 2.0) * scale).astype(int) + 1, 0, CELLS)
-    marks = np.zeros(CELLS + 2, dtype=int)
-    np.add.at(marks, first, 1)
-    np.add.at(marks, last + 1, -1)
-    return np.cumsum(marks[:-1]) > 0
-
-
-def _first_critical(xs: np.ndarray, crit: np.ndarray, cells: np.ndarray) -> int | None:
-    """Index of the first entry of ``xs`` within CRITICAL_EPS of a critical
-    point, or None; ``cells`` is ``_critical_cells(crit)``."""
-    binned = np.clip((xs + 2.0) * (CELLS / 4.0), 0, CELLS).astype(int)
-    near = np.flatnonzero(cells[binned])
-    hits = np.flatnonzero((np.abs(xs[near, None] - crit) < CRITICAL_EPS).any(axis=1))
-    return int(near[hits[0]]) if hits.size else None
+def _first_critical(xs, slopes, crit, near: float) -> int | None:
+    """Index of the first entry of ``xs`` within CRITICAL_EPS of ``crit``, or
+    None; only the entries whose |f_m'|, ``slopes``, is below ``near`` are compared."""
+    low = np.flatnonzero(slopes < near)
+    hits = np.flatnonzero((np.abs(xs[low, None] - crit) < CRITICAL_EPS).any(axis=1))
+    return int(low[hits[0]]) if hits.size else None
 
 
 def _fill_clipped(fill, x, xs: np.ndarray, lo: int, hi: int) -> float:
@@ -191,12 +173,14 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     wastes at most one block of steps.  A non-integral m raises TypeError.
 
     An orbit point landing within machine distance of a critical point is
-    perturbed by 1e-9 and the restart is counted.  The repelling fixed points
-    2 and -2 hold a float orbit that lands on them (m = 2, x0 = 0 goes 0, -2,
-    2, 2, ...): the average then reads log |f_m'(+-2)| = 2 log m, not log m,
-    to an ulp, with an ``error_estimate`` of 0 up to the rounding of the
-    mean, so the standard error does not show it; ``warnings`` says so when
-    the orbit ends on +-2.
+    perturbed by 1e-9 and the restart is counted; only the points whose
+    |f_m'|, taken for the log, is below ``_slope_bound`` are compared with
+    the critical points.  The repelling fixed points 2 and -2 hold a float
+    orbit that lands on them (m = 2, x0 = 0 goes 0, -2, 2, 2, ...): the
+    average then reads log |f_m'(+-2)| = 2 log m, not log m, to an ulp, with
+    an ``error_estimate`` of 0 up to the rounding of the mean, so the
+    standard error does not show it; ``warnings`` says so when the orbit
+    ends on +-2.
     """
     m = operator.index(m)
     if m < 2:
@@ -208,14 +192,14 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
 
     fill = orbit_kernel(m)
     crit = critical_points(m)
-    cells = _critical_cells(crit)
+    near = _slope_bound(m, crit)
     restarts = 0
     x = _fill_clipped(fill, float(x0), np.empty(BURN_IN), 0, BURN_IN)
 
     # The orbit is built one ORBIT_BLOCK block at a time and tested for
-    # critical points once per block; a hit at index i refills the block
-    # from there, starting at the perturbed point, which is stored untested,
-    # so the values are those of testing each point before its step.
+    # critical points once per block; a hit at index i refills the block and
+    # its |f_m'| from there, starting at the perturbed point, which is stored
+    # untested, so the values are those of testing each point before its step.
     # log |f'| is taken per block, and the blocks' means and sums of squared
     # deviations are merged by Chan's update.
     buf = np.empty(min(n, ORBIT_BLOCK))
@@ -224,13 +208,15 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
         size = min(ORBIT_BLOCK, n - start)
         xs = buf[:size]
         x = _fill_clipped(fill, x, xs, 0, size)
+        slopes = np.abs(trace_poly(m, xs, derivative=True))
         tested = 0  # xs[:tested] is free of critical points
-        while (hit := _first_critical(xs[tested:], crit, cells)) is not None:
+        while (hit := _first_critical(xs[tested:], slopes[tested:], crit, near)) is not None:
             i = tested + hit
             restarts += 1
             x = _fill_clipped(fill, float(xs[i]) + 1e-9, xs, i, size)
+            slopes[i:] = np.abs(trace_poly(m, xs[i:], derivative=True))
             tested = i + 1
-        logs = np.log(np.abs(trace_poly(m, xs, derivative=True)))
+        logs = np.log(slopes)
         block_mean = float(np.mean(logs))
         logs -= block_mean
         delta = block_mean - mean
@@ -307,6 +293,9 @@ def I_integral_xform(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:
     quadrature call, each held to ``tol``.
     """
     u = 2.0 - np.array([1.0, -1.0]) * a
+    # A sqrt u one float below sqrt 2 leaves no float past it and puts the
+    # zero on an outermost node: u = 2 moves both onto the end (a ~ 0, I = 0)
+    u[np.sqrt(np.maximum(u, 0.0)) == np.nextafter(math.sqrt(2.0), 0.0)] = 2.0
     halves = quad_singular(_log_gap_halves, 0.0, math.sqrt(2.0), [np.sqrt(np.maximum(u, 0.0))],
                            tol, args=(u,))[0]
     return float(halves.sum())

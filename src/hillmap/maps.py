@@ -82,10 +82,6 @@ class PolynomialCoeffs:
 
     coefficients: tuple
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __call__(self, x):
         """Horner's rule: exact on ints and Fractions.  For floats on [-2, 2]
         use :func:`trace_poly`, whose rounding error does not grow with the

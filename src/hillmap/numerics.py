@@ -28,8 +28,8 @@ class ToleranceSpec:
     """Accuracy contract for a numerical routine.
 
     ``abs_tol`` and ``rel_tol`` are error targets; ``max_steps`` bounds the
-    accepted ODE steps or root iterations.  :func:`quad_singular` accepts a
-    result whose summed error bound is at most ``max(abs_tol, rel_tol * |result|)``.
+    accepted ODE steps or root iterations.  :func:`quad_singular` reads
+    ``abs_tol`` alone: it accepts a summed error bound up to ``abs_tol``.
     """
 
     abs_tol: float
@@ -48,7 +48,7 @@ class ToleranceSpec:
 # Defaults of the kernels.  No package result depends on IVP_TOL any more.
 IVP_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=1e-10, max_steps=1_000_000)
 ROOT_TOL = ToleranceSpec(abs_tol=1e-12, rel_tol=0.0, max_steps=256)
-QUAD_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=1e-10)
+QUAD_TOL = ToleranceSpec(abs_tol=1e-10)
 
 
 def integrate_ivp(
@@ -284,15 +284,16 @@ def quad_singular(
     logarithmic ends.  At an inverse-square-root end e != 0 the mass
     within an ulp of e, ~2 sqrt(ulp(e)), lies beyond every float beside
     it: T reaches ~1e-7 there, and the call raises rather than returning
-    a wrong value.  A panel stops once E meets its even share of its
-    interval's request ``max(abs_tol, rel_tol |I|)``, or after QUAD_LEVELS
-    levels; ``bound`` is the sum of the panels' E.  Each node lies at the
-    float beside its panel end or further inside; a panel with no float
-    inside and a declared end is not evaluated, and its bound is inf.
+    a wrong value.  A panel stops once E meets its even share of the
+    absolute request ``tol.abs_tol`` (``rel_tol`` and ``max_steps`` play no
+    part), or after QUAD_LEVELS levels; ``bound`` is the sum of the panels'
+    E.  Each node lies at the float beside its panel end or further inside;
+    a panel with no float inside and a declared end is not evaluated, and
+    its bound is inf.
     Every interval's value and bound depend on its own inputs only, not on
     the others evaluated with it.
 
-    An interval whose bound misses the request (or whose value is not
+    An interval whose bound exceeds ``tol.abs_tol`` (or whose value is not
     finite) raises :class:`NonConvergenceError` carrying ``estimate`` and
     ``error_bound``.
     """
@@ -314,13 +315,12 @@ def quad_singular(
     ends = np.sort(np.vstack([a, b, cuts]), axis=0)  # NaN sorts last
     owner, j = np.nonzero((ends[1:] > ends[:-1]).T)
     lo, hi = ends[j, owner], ends[j + 1, owner]
-    declared = np.stack([(points[:, owner] == lo).any(axis=0),
-                         (points[:, owner] == hi).any(axis=0)], axis=1)
+    end = np.stack([lo, hi], axis=1)
+    declared = (points[:, owner, None] == end).any(axis=0)
     share = 1.0 / np.bincount(owner, minlength=n)[owner]  # of the request
     # the float beside each panel end, inside the panel, and its distance from
     # the end; half that is the rounding of a node's position at a declared end
     inner = np.stack([np.nextafter(lo, hi), np.nextafter(hi, lo)], axis=1)
-    end = np.stack([lo, hi], axis=1)
     ulp = np.abs(inner - end)
     pos = np.where(declared, 0.5 * ulp, 0.0)
     r = 0.5 * (hi - lo)
@@ -331,10 +331,8 @@ def quad_singular(
     # a panel with no float inside and a declared end is not evaluated (its
     # nodes would fall on that end): it closes with value 0 and bound inf
     blind = (inner[:, 0] == hi) & declared.any(axis=1)
-    done_owner, done_value = [owner[blind]], [np.zeros(blind.sum())]
-    done_bound = [np.full(blind.sum(), np.inf)]
+    done = [(owner[blind], np.zeros(blind.sum()), np.full(blind.sum(), np.inf))]
     p = {key: val[~blind] for key, val in p.items()}
-    closed_sum = np.zeros(n)  # values of the closed panels, per interval
     for level, (delta, w, step) in enumerate(_LEVELS):
         if not p["owner"].size:
             break
@@ -359,30 +357,21 @@ def quad_singular(
             diff = np.abs(q - p["q"])
             err = np.maximum(diff, p["diff"]) + p["r"] * step * p["A"] + p["T"]
             p["diff"] = diff
-            request = np.full(q.size, tol.abs_tol)
-            if tol.rel_tol:
-                estimate = closed_sum + np.bincount(p["owner"], q, minlength=n)
-                request = np.maximum(request, tol.rel_tol * np.abs(estimate[p["owner"]]))
             bad = ~np.isfinite(q)
             # out of levels, a panel closes with its bound
-            close = bad | (err <= request * p["share"]) | (level == QUAD_LEVELS - 1)
+            close = bad | (err <= tol.abs_tol * p["share"]) | (level == QUAD_LEVELS - 1)
             if close.any():
-                done_owner.append(p["owner"][close])
-                done_value.append(q[close])
-                done_bound.append(np.where(bad, np.inf, err)[close])
-                closed_sum += np.bincount(p["owner"][close], q[close], minlength=n)
+                done.append((p["owner"][close], q[close], np.where(bad, np.inf, err)[close]))
                 p = {key: val[~close] for key, val in p.items()}
                 q = q[~close]
         p["q"] = q
 
-    owners = np.concatenate(done_owner)
-    value = np.bincount(owners, np.concatenate(done_value), minlength=n)
-    bound = np.bincount(owners, np.concatenate(done_bound), minlength=n)
-    failed = ~(bound <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(value))) | ~np.isfinite(value)
+    owners, values, bounds = map(np.concatenate, zip(*done))
+    value = np.bincount(owners, values, minlength=n).reshape(shape)
+    bound = np.bincount(owners, bounds, minlength=n).reshape(shape)
+    failed = ~(bound <= tol.abs_tol) | ~np.isfinite(value)
     if shape == ():
-        value, bound = float(value[0]), float(bound[0])
-    else:
-        value, bound = value.reshape(shape), bound.reshape(shape)
+        value, bound = float(value), float(bound)
     if failed.any():
         worst = int(np.argmax(np.where(failed, np.nan_to_num(bound, nan=np.inf), -1.0)))
         raise NonConvergenceError(

@@ -54,6 +54,18 @@ def test_bands_json(tmp_path):
     assert abs(doc["bands"][0][1] - math.pi**2) < 1e-6
 
 
+def test_bands_band_list_warning_goes_to_stderr(tmp_path, capsys, monkeypatch):
+    from hillmap import hill
+
+    blist = hill.BandList(((0.0, 1.0),), ("planted band-list warning",))
+    monkeypatch.setattr(hill, "spectrum_bands", lambda V, l, lambda_max: blist)
+    out = tmp_path / "w.json"
+    assert run(["bands", "--l", "1", "--lambda-max", "1", "--out", str(out),
+                "--no-timestamp"]) == 0
+    assert "warning: planted band-list warning" in capsys.readouterr().err
+    assert json.loads(out.read_text())["warnings"] == ["planted band-list warning"]
+
+
 def test_bands_piecewise_potential(tmp_path):
     out = tmp_path / "pw.json"
     assert run([
@@ -153,6 +165,22 @@ def test_density_evolve_json(tmp_path):
     assert report[3]["l1_to_invariant"] < report[1]["l1_to_invariant"]
 
 
+def test_density_evolve_csv_and_saved_density(tmp_path):
+    # the CSV rows are the JSON records, and the saved final density has mass 1
+    argv = ["density-evolve", "--m", "3", "--steps", "2", "--resolution", "1000",
+            "--no-timestamp"]
+    out_json, out_csv, saved = tmp_path / "e.json", tmp_path / "e.txt", tmp_path / "p.csv"
+    assert run(argv + ["--out", str(out_json)]) == 0
+    assert run(argv + ["--out", str(out_csv), "--format", "csv",
+                       "--save-density", str(saved)]) == 0
+    keys = ("step", "l1_to_invariant", "mass", "resolution")
+    records = json.loads(out_json.read_text())["report"]
+    assert read_rows(out_csv, 4) == [[float(r[k]) for k in keys] for r in records]
+    cells = read_rows(saved, 3)
+    assert cells and all(lo < hi for lo, hi, _ in cells)
+    assert abs(sum((hi - lo) * v for lo, hi, v in cells) - 1.0) < 1e-12
+
+
 def test_ensemble_json_and_determinism(tmp_path):
     # 65537 samples leave a last chunk of one, and at seed 65 its first draw
     # lies past 2: the chunk rejects all of its first draws and must redraw
@@ -181,6 +209,15 @@ def test_threads_do_not_change_the_report(tmp_path):
         docs.append(json.loads(out.read_text())["report"])
     assert [d["config"].pop("threads") for d in docs] == [1, 3]
     assert docs[0] == docs[1]
+
+
+def test_ensemble_uniform_initial_law(tmp_path):
+    out = tmp_path / "u.json"
+    assert run(["ensemble", "--m", "2", "--samples", "5000", "--iters", "2",
+                "--dist", "uniform", "--seed", "3", "--out", str(out), "--no-timestamp"]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["config"]["dist"]["kind"] == "uniform"
+    assert report["rejections"] == 0 and len(report["distances"]) == 3
 
 
 def test_negative_threads_rejected(tmp_path, capsys):

@@ -9,7 +9,7 @@ from scipy.optimize import brentq, elementwise
 from scipy.special import mathieu_a, mathieu_b
 
 from hillmap import hill
-from hillmap.errors import DomainError
+from hillmap.errors import DomainError, NonConvergenceError
 from hillmap.hill import (
     Monodromy,
     Potential,
@@ -1148,6 +1148,18 @@ class TestBandFunction:
         a, b = bands.bands[band - 1]
         assert sorted((lams[0], lams[-1])) == pytest.approx([a, b], abs=1e-9)
         assert np.all((a <= lams) & (lams <= b))
+
+    def test_band_clipped_at_lambda_max_raises(self):
+        # band 2 of this cell ends near 39.6; clipped at 15, the eigenvalue at
+        # k = 1 (about 25 on the whole band) is not bracketed by the clipped
+        # edges. k = 3 (about 11) lies below the clip and is still found.
+        V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
+        clipped, whole = bands_of(V, lambda_max=15.0), bands_of(V)
+        assert clipped.bands[1][1] == 15.0 < band_function(V, 1.0, whole, 2, 1.0)
+        with pytest.raises(NonConvergenceError, match="clipped at lambda_max"):
+            band_function(V, 1.0, clipped, 2, 1.0)
+        assert band_function(V, 1.0, clipped, 2, 3.0) == pytest.approx(
+            band_function(V, 1.0, whole, 2, 3.0), abs=1e-9)
 
     def test_array_with_bad_k_rejected(self):
         with pytest.raises(DomainError):

@@ -266,7 +266,7 @@ class TestQuadSingular:
     def test_panels_of_opposite_sign_meet_the_summed_request(self, a):
         # the integrand of lyapunov.I_integral for |a| > 2, split at the dip
         # y = +-(pi/2 - sqrt(|a| - 2)): the two panels' integrals differ in
-        # sign, and each panel's relative request summed misses rel_tol |I|
+        # sign, and their summed bound meets the request
         sign = math.copysign(1.0, a)
 
         def f(y):
@@ -276,7 +276,7 @@ class TestQuadSingular:
         cut = sign * (math.pi / 2.0 - math.sqrt(abs(a) - 2.0))
         val, bound = quad_singular(f, -math.pi / 2, math.pi / 2, singular_points=[cut])
         exact = math.pi * math.log((abs(a) + math.sqrt(a * a - 4.0)) / 2.0)
-        assert bound <= max(QUAD_TOL.abs_tol, QUAD_TOL.rel_tol * abs(val))
+        assert bound <= QUAD_TOL.abs_tol
         assert abs(val - exact) <= max(bound, 1e-15)
 
     def test_nonconvergence_carries_partial(self):
@@ -304,16 +304,23 @@ class TestQuadSingular:
         assert 0.0 < bound == left + right
         assert abs(whole - exact) <= bound
 
-    def test_relative_acceptance_rule(self):
-        # accepted when the bound is within max(abs_tol, rel_tol |I|); with
-        # rel_tol = 0 abs_tol alone binds
-        f = lambda x: 1e6 * np.log(x)
-        tol = ToleranceSpec(abs_tol=1e-12, rel_tol=1e-10)
-        val, bound = quad_singular(f, 0.0, 1.0, [0.0], tol)
-        assert abs(val + 1e6) < 1e-4
-        assert tol.abs_tol < bound <= tol.rel_tol * abs(val)
-        with pytest.raises(NonConvergenceError):
-            quad_singular(f, 0.0, 1.0, [0.0], ToleranceSpec(1e-12, 0.0))
+    def test_rel_tol_plays_no_part(self):
+        # the request is absolute: rel_tol (and max_steps) change neither the
+        # outcome nor its bits; 1e6 log x misses 1e-12 and raises, log x meets it
+        def outcome(f, tol):
+            try:
+                return ("returned", *(v.hex() for v in quad_singular(f, 0.0, 1.0, [0.0], tol)))
+            except NonConvergenceError as exc:
+                return ("raised", exc.estimate.hex(), exc.error_bound.hex())
+
+        for scale, kind in ((1e6, "raised"), (1.0, "returned")):
+            f = lambda x: scale * np.log(x)
+            got = [outcome(f, tol) for tol in (ToleranceSpec(1e-12, 1e-10),
+                                               ToleranceSpec(1e-12, 0.0),
+                                               ToleranceSpec(1e-12, 0.0, max_steps=1))]
+            assert got[0][0] == kind and got[1:] == got[:-1], scale
+            val, bound = (float.fromhex(h) for h in got[0][1:])
+            assert abs(val + scale) <= bound
 
 
 class TestQuadSingularBatches:
@@ -456,9 +463,9 @@ class TestQuadSingularBatches:
         # ~ulp / 2^-40 ~ 2e-4 of the integral: they are evaluated an ulp
         # inside the end, not dropped
         hi = 1.0 + 2.0**-40
-        val, bound = quad_singular(lambda x: scale * np.exp(x - 1.0), 1.0, hi,
-                                   tol=ToleranceSpec(1e-30, 1e-13))
         exact = scale * math.expm1(2.0**-40)
+        val, bound = quad_singular(lambda x: scale * np.exp(x - 1.0), 1.0, hi,
+                                   tol=ToleranceSpec(1e-13 * exact))
         assert abs(val - exact) <= bound <= 1e-13 * exact
 
     @pytest.mark.parametrize("f, end, exact", [

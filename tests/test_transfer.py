@@ -225,6 +225,12 @@ class TestPushforwardFold:
         mids = 0.5 * (grid[:-1] + grid[1:])
         assert np.array_equal(out(mids), p(mids))
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_zero_density_maps_to_zero_on_the_unit_interval(self, l):
+        # every image carries weight 0, so no cell of [0, 1] is covered
+        out = pushforward_fold(StepDensity(np.array([0.0, 0.5, 2.0]), np.zeros(2)), l)
+        assert np.array_equal(out.edges, [0.0, 1.0]) and np.array_equal(out.values, [0.0])
+
     def test_bounded_variation_decay_bound(self):
         p = StepDensity(np.array([0.0, 0.7, 1.3, 2.0]), np.array([0.9, 0.35, 0.25]))
         p = StepDensity(p.edges, p.values / p.mass())
