@@ -6,6 +6,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -28,7 +29,7 @@ EXIT_NUMERICAL = 2
 OUT_DIR_ENV = "HILLMAP_OUT_DIR"
 
 # the values an enumerated option may take, from a flag or a config file
-_CHOICES = {"method": ("quadrature", "orbit"), "dist": ("shifted_gamma", "uniform"),
+_CHOICES = {"method": ("quadrature", "orbit"), "dist": ensemble.DIST_KINDS,
             "format": ("csv", "json")}
 
 
@@ -81,20 +82,6 @@ def _write_json(path, payload, config, timestamp):
     out.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _load_config_file(path: str) -> dict:
-    text = Path(path).read_text()
-    values = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"config line is not 'key = value': {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
 def _parse_bool(key: str, raw: str) -> bool:
     word = raw.lower()
     if word in ("1", "true", "yes", "on"):
@@ -104,29 +91,29 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigurationError(f"config key {key!r} needs a boolean, not {raw!r}")
 
 
-def _merge_config(args, parser_defaults: dict) -> dict:
-    """flags > config file > defaults; unknown config keys rejected."""
-    resolved = dict(parser_defaults)
-    if getattr(args, "config", None):
-        file_vals = _load_config_file(args.config)
-        unknown = set(file_vals) - set(parser_defaults)
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        for key, raw in file_vals.items():
-            default = parser_defaults[key]
-            cast = type(default) if default is not None else str
-            if cast is bool:
-                resolved[key] = _parse_bool(key, raw)
-            else:
-                resolved[key] = cast(raw)
-    for key in parser_defaults:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-    for key, allowed in _CHOICES.items():
-        if resolved.get(key) not in (None, *allowed):
-            raise ConfigurationError(f"{key} must be one of {allowed}, not {resolved[key]!r}")
-    return resolved
+def _config_flags(path: str, options: dict) -> list[str]:
+    """A ``key = value`` config file as flags of the subcommand whose
+    ``options`` it sets; unknown keys are refused."""
+    values = {}
+    for raw in Path(path).read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"config line is not 'key = value': {raw!r}")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
+    unknown = set(values) - set(options)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
+    for key, raw in values.items():
+        flag = key.replace("_", "-")
+        if isinstance(options[key], bool):
+            flags.append(("--" if _parse_bool(key, raw) else "--no-") + flag)
+        else:
+            flags.append(f"--{flag}={raw}")
+    return flags
 
 
 def _potential_from(cfg) -> hill.Potential:
@@ -166,8 +153,10 @@ def _cmd_bands(cfg, timestamp):
     fmt = cfg["format"] or ("json" if cfg["out"].endswith(".json") else "csv")
     if fmt == "json":
         blist = hill.spectrum_bands(V, l, lambda_max)
-        _write_json(cfg["out"], json.loads(blist.to_json()), cfg, timestamp)
+        _write_json(cfg["out"], dataclasses.asdict(blist), cfg, timestamp)
     else:
+        if not l > 0:
+            raise ValueError("cell length must be positive")
         # Rows need whole bands.  Band n lies in [((n-1) pi/l)^2 + min V,
         # (n pi/l)^2 + max V] (the edges grow with V), so each band that starts
         # at or below lambda_max (above min V, as for the JSON) ends below top.
@@ -204,14 +193,8 @@ def _cmd_density_evolve(cfg, timestamp):
     records, final = transfer.evolve_genlogistic(cfg["m"], cfg["steps"], cfg["resolution"])
     fmt = cfg["format"] or ("csv" if cfg["out"].endswith(".csv") else "json")
     if fmt == "csv":
-        rows = [
-            (r["step"], r["l1_to_invariant"], r["mass"], r["resolution"])
-            for r in records
-        ]
-        _write_csv(
-            cfg["out"], ["step", "l1_to_invariant", "mass", "resolution"], rows,
-            cfg, timestamp,
-        )
+        rows = [r.values() for r in records]
+        _write_csv(cfg["out"], list(records[0]), rows, cfg, timestamp)
     else:
         _write_json(cfg["out"], {"report": records}, cfg, timestamp)
     if cfg["save_density"]:
@@ -242,7 +225,7 @@ def _cmd_ensemble(cfg, timestamp):
         rows = list(enumerate(report.distances))
         _write_csv(cfg["out"], ["iteration", "wasserstein1"], rows, cfg, timestamp)
     else:
-        payload = json.loads(report.to_json())
+        payload = dataclasses.asdict(report)
         payload["config"]["threads"] = threads
         _write_json(cfg["out"], {"report": payload}, cfg, timestamp)
     if report.fitted_slope is not None:
@@ -257,14 +240,7 @@ def _cmd_lyapunov(cfg, timestamp):
         res = lyapunov.average_lyapunov_orbit(cfg["m"], cfg["x0"], cfg["n"])
     print(f"lyapunov({cfg['m']}) = {res.value:.10f} [{res.method}]")
     if cfg["out"]:
-        _write_json(
-            cfg["out"],
-            {"result": {"m": res.m, "value": res.value, "method": res.method,
-                        "error_estimate": res.error_estimate, "restarts": res.restarts,
-                        "warnings": list(res.warnings)}},
-            cfg,
-            timestamp,
-        )
+        _write_json(cfg["out"], {"result": dataclasses.asdict(res)}, cfg, timestamp)
     for warning in res.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
@@ -309,7 +285,7 @@ def _cmd_mixing_check(cfg, timestamp):
 
 # ------------------------------------------------------------------- wiring
 
-@functools.cache  # one per process: _merge_config copies the defaults it reads
+@functools.cache  # one per process: parsing leaves no state on it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hillmap", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -317,17 +293,16 @@ def _build_parser() -> _Parser:
 
     def add(name, func, options):
         p = sub.add_parser(name)
-        p.set_defaults(_func=func, _defaults=dict(options))
+        p.set_defaults(_func=func, _options=dict(options))
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--no-timestamp", action="store_true")
         for key, default in options.items():
             flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
-                p.add_argument(flag, dest=key, default=None,
-                               action=argparse.BooleanOptionalAction)
+                p.add_argument(flag, default=default, action=argparse.BooleanOptionalAction)
             else:
                 cast = type(default) if default is not None else str
-                p.add_argument(flag, dest=key, type=cast, default=None)
+                p.add_argument(flag, type=cast, default=default, choices=_CHOICES.get(key))
         return p
 
     add("coeffs", _cmd_coeffs, {"m": 2, "out": None})
@@ -368,14 +343,18 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _merge_config(args, args._defaults)
+        if args.config:  # the file's flags go first, so flags > file > defaults
+            at = argv.index(args.subcommand) + 1
+            args = parser.parse_args(
+                [*argv[:at], *_config_flags(args.config, args._options), *argv[at:]])
+        cfg = {key: getattr(args, key) for key in args._options}
         cfg["subcommand"] = args.subcommand
         return args._func(cfg, timestamp=not args.no_timestamp)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:  # ConfigurationError and DomainError among them
+    except (ValueError, OSError) as exc:  # ConfigurationError, DomainError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonConvergenceError as exc:

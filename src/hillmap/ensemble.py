@@ -34,6 +34,7 @@ BLOCK = 1 << 15
 # of the report's noise_floor (the benchmark's ensemble oracle among them) take
 # it as it stands, and a larger value would widen their tolerance.
 W1_FLOOR_COEFF = 1.0
+DIST_KINDS = ("shifted_gamma", "uniform")
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,12 @@ class InitialDistribution:
     (or, with ``clamp_to_domain``, by clipping); ``uniform`` is U(-2, 2).
     """
 
-    kind: str  # "shifted_gamma" | "uniform"
+    kind: str  # one of DIST_KINDS
     clamp_to_domain: bool = False  # alternative policy: clip instead of redraw
+
+    def __post_init__(self):
+        if self.kind not in DIST_KINDS:
+            raise ValueError(f"unknown distribution kind {self.kind!r}")
 
     @classmethod
     def shifted_gamma(cls, clamp_to_domain: bool = False) -> "InitialDistribution":
@@ -63,11 +68,9 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _draw(dist: InitialDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    if dist.kind == "shifted_gamma":
-        return rng.gamma(1.0, 1.0, size) - 2.0
     if dist.kind == "uniform":
         return rng.uniform(DOMAIN[0], DOMAIN[1], size)
-    raise ValueError(f"unknown distribution kind {dist.kind!r}")
+    return rng.gamma(1.0, 1.0, size) - 2.0
 
 
 def sample_initial(

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import DomainError, SingularityError
 from .maps import MapDescriptor, trace_poly
 from .numerics import QUAD_TOL, ToleranceSpec, quad_singular
 
@@ -253,7 +253,7 @@ def I_integral(a, tol: ToleranceSpec = QUAD_TOL):
     ``a`` may be an array: every element is integrated in the same
     quadrature calls, one for the elements inside (-2, 2) and one for the
     others, and each value equals that of a scalar call bit for bit.  A
-    scalar gives a float.
+    scalar gives a float.  A non-finite ``a`` raises DomainError.
     """
     # |2 sin y - a| in factored forms: near a = +-2 the difference cancels, so
     # that it is 0 in floating point at nodes beside its zero, or rounds away
@@ -262,6 +262,8 @@ def I_integral(a, tol: ToleranceSpec = QUAD_TOL):
     # of the end y = sign pi/2, phi = 0 (log phi^2 at |a| = 2): in phi the end
     # is 0, where the floats, like the tanh-sinh nodes, crowd.
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise DomainError("I_integral needs a finite a")
     out = np.empty(a.shape)
     outside = np.abs(a) >= 2.0
     if outside.any():

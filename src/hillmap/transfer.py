@@ -306,7 +306,7 @@ def evolve_genlogistic(
     m: int,
     steps: int,
     resolution: int = 2**14,
-    initial: StepDensity | str = "uniform",
+    initial: StepDensity | None = None,
 ) -> tuple[list[dict], StepDensity]:
     """Iterate the exact transfer operator and record convergence.
 
@@ -319,11 +319,12 @@ def evolve_genlogistic(
     step while m divides it, unchanged otherwise.  ``mass`` and
     ``l1_to_invariant`` are sums over the grid's values.  Returns the
     per-step records and the final density, cells of equal value merged,
-    mapped back to [-2, 2].
+    mapped back to [-2, 2].  ``initial`` is a step density on [-2, 2], or
+    None for the uniform density there.
     """
-    if isinstance(initial, str):
-        if initial != "uniform":
-            raise ValueError("initial must be 'uniform' or a StepDensity")
+    if m < 1 or steps < 0:
+        raise ValueError("need m >= 1 and steps >= 0")
+    if initial is None:
         v = uniform_kappa_projection(resolution).values
     else:
         v = delta_to_kappa(initial, resolution).values
@@ -441,11 +442,12 @@ def _exactish(x):
     return Fraction(x) if isinstance(x, (int, Fraction)) else x
 
 
-def _check_preimage_args(m: int, n: int, a, b) -> None:
+def _check_preimage_args(m: int, n: int, *intervals) -> None:
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    if a > b or a < 0 or b > 1:
-        raise DomainError("target must be a subinterval of [0, 1]")
+    for a, b in intervals:
+        if a > b or a < 0 or b > 1:
+            raise DomainError(f"[{a}, {b}] is not a subinterval of [0, 1]")
 
 
 def _branch_preimage(j: int, M: int, a, b) -> tuple:
@@ -464,7 +466,7 @@ def preimage_intervals(m: int, n: int, target: tuple) -> list[tuple]:
     processed in exact rational arithmetic.
     """
     a, b = (_exactish(v) for v in target)
-    _check_preimage_args(m, n, a, b)
+    _check_preimage_args(m, n, (a, b))
     M = m**n
     intervals = []
     for j in range(M):
@@ -491,15 +493,16 @@ def mixing_correlation(m: int, n: int, A: tuple, B: tuple):
     once n reaches their digit resolution, which is the strong-mixing
     mechanism of the tent maps.
 
-    Integer and Fraction inputs give an exact Fraction.  Float inputs are
-    taken exactly as Fractions and the result is rounded to a float.
+    A and B must be subintervals of [0, 1] (DomainError).  Integer and
+    Fraction inputs give an exact Fraction.  Float inputs are taken exactly
+    as Fractions and the result is rounded to a float.
     """
     ends = (*A, *B)
     exact = all(isinstance(v, (int, Fraction)) for v in ends)
     a1, a2, b1, b2 = (Fraction(v) for v in ends)
-    _check_preimage_args(m, n, a1, a2)
+    _check_preimage_args(m, n, (a1, a2), (b1, b2))
     M = m**n
-    first, stop = max(math.ceil(b1 * M), 0), min(math.floor(b2 * M), M)
+    first, stop = math.ceil(b1 * M), math.floor(b2 * M)
     inter = max(stop - first, 0) * (a2 - a1) / M
     for j in {math.floor(b1 * M), math.ceil(b2 * M) - 1}:
         if 0 <= j < M and not first <= j < stop:

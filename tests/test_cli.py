@@ -433,6 +433,75 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["coeffs", "--config", str(conf)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--m=3", "--method=orbit", "--n=5000", "--x0=-0.4", "--out=l.json"],
+    ["ensemble", "--m=3", "--samples=3000", "--iters=3", "--clamp", "--dist=shifted_gamma",
+     "--format=csv", "--out=e.csv"],
+    ["ensemble", "--samples=3000", "--iters=3", "--no-clamp", "--out=e.json"],
+    ["bands", "--potential=piecewise", "--breakpoints=0,0.3,0.7", "--values=0,1,-0.5",
+     "--lambda-max=20", "--k-points=3", "--out=b.csv"],
+    ["integral-sweep", "--a-min=-2.5", "--a-max=2.5", "--count=5", "--abs-tol=1e-9",
+     "--out=i.csv"],
+    ["density-evolve", "--m=3", "--steps=2", "--resolution=81", "--save-density=d.csv",
+     "--out=v.csv"],
+], ids=lambda argv: argv[0])
+def test_config_file_entries_are_the_same_flags(tmp_path, monkeypatch, argv):
+    # each entry is parsed as the subcommand's own flag, so a run from the
+    # file writes the bytes of the run with those flags
+    lines = []
+    for flag in argv[1:]:
+        key, _, value = flag[2:].partition("=")
+        if key.startswith("no-") and not value:
+            key, value = key[3:], "off"
+        lines.append(f"{key} = {value or 'on'}")
+    (tmp_path / "run.conf").write_text("\n".join(lines) + "\n")
+    written = []
+    for args in (argv, [argv[0], "--config", str(tmp_path / "run.conf")]):
+        out_dir = tmp_path / f"out{len(written)}"
+        monkeypatch.setenv("HILLMAP_OUT_DIR", str(out_dir))
+        assert run([*args, "--no-timestamp"]) == 0
+        written.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("sub, conf", [
+    ("coeffs", "m = 2.5"), ("bands", "lambda = 30"), ("ensemble", "no-clamp = on"),
+    ("coeffs", "config = x.conf"),
+], ids=["cast", "abbreviation", "negated-switch", "config"])
+def test_config_entry_that_is_no_flag_value_exits_one(tmp_path, capsys, sub, conf):
+    # the flag's cast applies to the file's value; a key must name an option
+    # in full, although a flag may abbreviate it
+    (tmp_path / "run.conf").write_text(conf + "\n")
+    assert run([sub, "--config", str(tmp_path / "run.conf"), "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--l", "0", "--out", "b.csv"],
+    ["bands", "--l", "-1", "--out", "b.csv"],
+    ["coeffs", "--config", "missing.conf"],
+    ["coeffs", "--m", "3", "--out", "a_file/c.csv"],
+    ["integral-sweep", "--a-min", "nan", "--count", "3", "--out", "i.csv"],
+    ["density-evolve", "--m", "0", "--out", "e.json"],
+    ["density-evolve", "--steps", "-1", "--out", "e.json"],
+    ["mixing-check", "--b-left", "1/2", "--b-right", "1/4", "--out", "m.csv"],
+    ["mixing-check", "--b-left", "-1", "--b-right", "3", "--n-max", "3", "--out", "m.csv"],
+], ids=["l-zero", "l-negative", "missing-config", "out-under-a-file", "a-nan", "m-zero",
+        "negative-steps", "b-reversed", "b-past-the-unit-interval"])
+def test_input_fault_exits_one_with_an_error_line(tmp_path, monkeypatch, capsys, argv):
+    # each of these once raised out of run or exited 2 (a-nan), or wrote a
+    # table and exited 0 (negative-steps, b-*)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "a_file").write_text("")
+    monkeypatch.setenv("HILLMAP_OUT_DIR", str(out_dir))
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--no-timestamp"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in out_dir.iterdir()] == ["a_file"]
+
+
 def test_bad_flag_exits_one(capsys):
     assert run(["coeffs", "--bogus"]) == 1
     assert "usage" in capsys.readouterr().err.lower()

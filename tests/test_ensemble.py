@@ -116,6 +116,12 @@ class TestSampleInitial:
         # clamping piles the out-of-domain tail onto the boundary
         assert np.count_nonzero(samples == 2.0) == rejections > 0
 
+    @pytest.mark.parametrize("kind", ["bogus", "Uniform", "shifted-gamma"])
+    def test_unknown_kind_refused_when_built(self, kind):
+        # refused before any experiment runs, not at the first draw
+        with pytest.raises(ValueError, match="unknown distribution kind"):
+            InitialDistribution(kind)
+
 
 class TestWasserstein1:
     def test_quantile_matched_sample_is_zero(self):

@@ -1,6 +1,8 @@
 """Every hillmap submodule imports when it is the first one imported, so an
 import cycle fails here and not only in the order some caller happens to use.
 """
+import ast
+import importlib.util
 import pkgutil
 import re
 import subprocess
@@ -77,3 +79,28 @@ def test_lyapunov_loads_neither_ensemble_nor_transfer():
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_only_imports_are_wrapped_by_the_tracer():
+    # a name imported under "noqa: F401" is used in its module or wrapped
+    # there by the benchmark's tracer, so no other dead import slips in
+    tracing_file = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_file)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = {(mod.__name__, attr) for mod, attr, *_ in tracing._KERNELS}
+    wrapped |= {(mod.__name__, attr) for mod, attr in tracing._LAYERS}
+    for path in sorted(Path(hillmap.__file__).resolve().parent.glob("*.py")):
+        module = f"hillmap.{path.stem}".removesuffix(".__init__")
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if not any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                assert name in used or (module, name) in wrapped, f"{path.name}: {name}"

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillmap import lyapunov
-from hillmap.errors import SingularityError
+from hillmap.errors import DomainError, SingularityError
 from hillmap.lyapunov import (
     BURN_IN,
     CRITICAL_EPS,
@@ -521,6 +522,15 @@ class TestEscapes:
 
 
 class TestIIntegral:
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, [0.5, math.nan, 3.0]])
+    def test_non_finite_a_refused_before_the_quadrature(self, a):
+        # nan reached the quadrature and raised NonConvergenceError; inf
+        # warned "invalid value" first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                I_integral(a)
+
     def test_vanishes_at_zero(self):
         assert abs(I_integral(0.0)) < 1e-6
 

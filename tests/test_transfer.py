@@ -366,6 +366,21 @@ class TestEvolution:
         recs, _ = evolve_genlogistic(4, 3, resolution=2**5)
         assert [r["resolution"] for r in recs] == [32, 8, 2, 2]
 
+    def test_none_starts_from_the_uniform_density(self):
+        recs, final = evolve_genlogistic(3, 2, resolution=243, initial=None)
+        v = uniform_kappa_projection(243).values
+        assert recs[0]["l1_to_invariant"] == float(np.sum(np.abs(v - 1.0))) / v.size
+        default_recs, default_final = evolve_genlogistic(3, 2, resolution=243)
+        assert recs == default_recs
+        assert np.array_equal(final.edges, default_final.edges)
+        assert np.array_equal(final.values, default_final.values)
+
+    @pytest.mark.parametrize("m, steps", [(0, 3), (-2, 3), (2, -1)])
+    def test_order_below_one_or_negative_steps_refused(self, m, steps):
+        # m = 0 divided by zero in _fold_grid; steps = -1 gave no records
+        with pytest.raises(ValueError, match="need m >= 1 and steps >= 0"):
+            evolve_genlogistic(m, steps, resolution=64)
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_mass_to_rounding(self, m):
         for log_n in (10, 14, 17, 20):
@@ -785,3 +800,12 @@ class TestMixing:
             mixing_correlation(0, 1, (0, 1), (0, 1))
         with pytest.raises(DomainError):
             mixing_correlation(2, 1, (Fraction(1, 2), Fraction(1, 3)), (0, 1))
+
+    @pytest.mark.parametrize("n, B", [
+        (1, (Fraction(1, 2), Fraction(1, 4))),  # reversed: gave 1/16
+        (3, (-1, 3)),  # past [0, 1]: gave -3/4, beyond 2 |A| / m^n = 1/16
+        (2, (Fraction(1, 2), Fraction(5, 4))),
+    ], ids=["reversed", "wider-than-the-unit-interval", "past-one"])
+    def test_b_outside_the_unit_interval_refused(self, n, B):
+        with pytest.raises(DomainError):
+            mixing_correlation(2, n, (0, Fraction(1, 4)), B)
