@@ -157,6 +157,10 @@ def _cmd_bands(cfg, timestamp):
     else:
         if not l > 0:
             raise ValueError("cell length must be positive")
+        if cfg["k_points"] < 2:
+            raise ConfigurationError("--k-points must be at least 2, the ends of the k grid")
+        if not math.isfinite(lambda_max):
+            raise ValueError(f"lambda_max must be finite, not {lambda_max}")
         # Rows need whole bands.  Band n lies in [((n-1) pi/l)^2 + min V,
         # (n pi/l)^2 + max V] (the edges grow with V), so each band that starts
         # at or below lambda_max (above min V, as for the JSON) ends below top.
@@ -248,6 +252,11 @@ def _cmd_lyapunov(cfg, timestamp):
 
 def _cmd_integral_sweep(cfg, timestamp):
     tol = ToleranceSpec(cfg["abs_tol"])
+    if not (math.isfinite(cfg["a_min"]) and math.isfinite(cfg["a_max"])):
+        raise ConfigurationError(
+            f"--a-min and --a-max must be finite, not {cfg['a_min']} and {cfg['a_max']}")
+    if cfg["count"] < 1:
+        raise ConfigurationError(f"--count must be at least 1, not {cfg['count']}")
     grid = np.linspace(cfg["a_min"], cfg["a_max"], cfg["count"])
     rows = [(float(a), float(i)) for a, i in zip(grid, lyapunov.I_integral(grid, tol))]
     _write_csv(cfg["out"], ["a", "I"], rows, cfg, timestamp)
@@ -275,6 +284,8 @@ def _cmd_mathieu(cfg, timestamp):
 def _cmd_mixing_check(cfg, timestamp):
     A = (Fraction(cfg["a_left"]), Fraction(cfg["a_right"]))
     B = (Fraction(cfg["b_left"]), Fraction(cfg["b_right"]))
+    if cfg["n_max"] < 1:
+        raise ConfigurationError(f"--n-max must be at least 1, not {cfg['n_max']}")
     rows = []
     for n in range(1, cfg["n_max"] + 1):
         corr = transfer.mixing_correlation(cfg["m"], n, A, B)

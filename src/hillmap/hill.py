@@ -642,6 +642,8 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
     ValueError.
     """
     _periods(l, V.max_value() == V.min_value())
+    if not math.isfinite(lambda_max):
+        raise ValueError(f"lambda_max must be finite, not {lambda_max}")
     if lambda_max <= V.min_value():
         raise ValueError("lambda_max must exceed the spectral floor")
     _check_size(V, l, lambda_max)

@@ -1,7 +1,10 @@
 """Density evolution under the piecewise-linear fold maps and their polynomial
-conjugates: exact pushforwards of step densities, L1 distances, bounded
-variation machinery, the arcsine-type invariant densities, and exact mixing
-checks in rational arithmetic.
+conjugates: exact pushforwards of step densities, L1 distances, the
+arcsine-type invariant densities, and exact mixing checks in rational
+arithmetic.  A density q enters as its step approximation, the cell masses
+from its CDF (:func:`delta_to_kappa`), within (h/2) V(q) in L1 on cells of
+width h; :func:`variation` gives V of a step density, and
+:func:`counterexample_density` shows the decay rate needs V(q) finite.
 """
 from __future__ import annotations
 
@@ -9,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -100,17 +102,6 @@ class StepDensity:
         return json.dumps({"edges": self.edges.tolist(), "values": self.values.tolist()})
 
 
-@dataclass(frozen=True)
-class SmoothDensity:
-    """A pointwise-evaluable density on a closed interval."""
-
-    evaluation: Callable[[float], float]
-    domain: tuple[float, float]
-
-    def __call__(self, x: float) -> float:
-        return self.evaluation(x)
-
-
 # Invariant densities ---------------------------------------------------------
 
 def invariant_density(kind: str, x: float | np.ndarray) -> float | np.ndarray:
@@ -135,10 +126,6 @@ def invariant_density(kind: str, x: float | np.ndarray) -> float | np.ndarray:
     inner = x * (1.0 - x) if kind == "logistic_q" else 4.0 - x * x
     out = 1.0 / (math.pi * np.sqrt(inner))
     return float(out) if out.ndim == 0 else out
-
-
-D_DENSITY = SmoothDensity(lambda x: invariant_density("discriminant_D", x), (-2.0, 2.0))
-Q_DENSITY = SmoothDensity(lambda x: invariant_density("logistic_q", x), (0.0, 1.0))
 
 
 def invariant_cdf(delta: float | np.ndarray) -> float | np.ndarray:
@@ -322,8 +309,8 @@ def evolve_genlogistic(
     mapped back to [-2, 2].  ``initial`` is a step density on [-2, 2], or
     None for the uniform density there.
     """
-    if m < 1 or steps < 0:
-        raise ValueError("need m >= 1 and steps >= 0")
+    if m < 1 or steps < 0 or resolution < 1:
+        raise ValueError("need m >= 1 and steps >= 0 and a resolution >= 1")
     if initial is None:
         v = uniform_kappa_projection(resolution).values
     else:
@@ -384,37 +371,6 @@ def variation(p: StepDensity) -> float:
     values plus all interior jumps."""
     v = p.values
     return float(abs(v[0]) + np.sum(np.abs(np.diff(v))) + abs(v[-1]))
-
-
-def _sampled_variation(q: SmoothDensity, n: int) -> float:
-    lo, hi = q.domain
-    xs = np.linspace(lo, hi, n + 1)[1:-1]  # avoid endpoint singularities
-    vals = np.array([q(x) for x in xs])
-    return float(np.sum(np.abs(np.diff(vals))))
-
-
-def step_approximate(q: SmoothDensity, l: int) -> StepDensity:
-    """Width-1/l midpoint-sampled step approximation of a BV density.
-
-    The approximation error in L1 is bounded by ess V(q) / l, which is only
-    meaningful for densities of bounded variation; unbounded variation is
-    detected by sampling and reported as a precondition violation.
-    """
-    if l < 1:
-        raise ValueError("l must be a positive integer")
-    lo, hi = q.domain
-    n_cells = round((hi - lo) * l)
-    if n_cells < 1 or abs(n_cells - (hi - lo) * l) > 1e-9:
-        raise ValueError("domain width must be a multiple of 1/l")
-    coarse = _sampled_variation(q, 4096)
-    fine = _sampled_variation(q, 8192)
-    if fine > 1.25 * coarse + 1e-9:
-        raise DomainError(
-            "density is not of bounded variation (sampled variation diverges)"
-        )
-    edges = lo + np.arange(n_cells + 1) / l
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return StepDensity(edges, np.array([q(x) for x in mids]))
 
 
 def counterexample_density(i_max: int) -> StepDensity:

@@ -502,6 +502,31 @@ def test_input_fault_exits_one_with_an_error_line(tmp_path, monkeypatch, capsys,
     assert [p.name for p in out_dir.iterdir()] == ["a_file"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["bands", "--k-points", "0", "--out", "b.csv"], "--k-points"),
+    (["bands", "--k-points", "1", "--out", "b.csv"], "--k-points"),
+    (["mixing-check", "--n-max", "0", "--out", "m.csv"], "--n-max"),
+    (["mixing-check", "--n-max", "-1", "--out", "m.csv"], "--n-max"),
+    (["integral-sweep", "--count", "0", "--out", "i.csv"], "--count"),
+    (["bands", "--lambda-max", "nan", "--out", "b.csv"], "lambda_max"),
+    (["bands", "--lambda-max", "nan", "--out", "b.json"], "lambda_max"),
+    (["integral-sweep", "--a-max", "inf", "--out", "i.csv"], "--a-max"),
+    (["integral-sweep", "--a-min=-inf", "--count", "3", "--out", "i.csv"], "--a-min"),
+    (["density-evolve", "--resolution", "0", "--out", "e.json"], "resolution"),
+], ids=["k-points-0", "k-points-1", "n-max-0", "n-max-negative", "count-0",
+        "lambda-max-nan-csv", "lambda-max-nan-json", "a-max-inf", "a-min-inf",
+        "resolution-0"])
+def test_input_that_names_its_fault(tmp_path, monkeypatch, capsys, argv, name):
+    # each of these once wrote a table with no rows (or only k = 0) and
+    # exited 0, or exited 1 with another reason (NaN bands, NumPy's
+    # RuntimeWarning from the grid, "need n+1 edges")
+    monkeypatch.setenv("HILLMAP_OUT_DIR", str(tmp_path))
+    assert run([*argv, "--no-timestamp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_flag_exits_one(capsys):
     assert run(["coeffs", "--bogus"]) == 1
     assert "usage" in capsys.readouterr().err.lower()

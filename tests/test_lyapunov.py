@@ -33,10 +33,6 @@ from hillmap.numerics import QUAD_LEVELS, QUAD_TOL, ToleranceSpec, quad_singular
 # and 49, 63 and 113, where a relative request let the error pass 1e-12.
 QUADRATURE_ORDERS = [*range(2, 25), 32, 49, 63, 64, 113, 128]
 
-# An escape from [-2, 2] is clipped at orbit level, and an unclipped one would
-# show as inf - inf in trace_poly's f_m'
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def scalar_orbit_average(m, x0, n):
     """The orbit average with the critical-point test and the clip inside

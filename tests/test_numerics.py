@@ -17,8 +17,6 @@ from hillmap.numerics import (
     quad_singular,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_tolerance_spec_validation():
     with pytest.raises(ValueError):

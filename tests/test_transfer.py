@@ -1,4 +1,5 @@
 import bisect
+import functools
 import math
 from fractions import Fraction
 
@@ -15,9 +16,6 @@ from hillmap.transfer import (
     _fold_grid,
     COUNTEREXAMPLE_ERROR_CONSTANT,
     COUNTEREXAMPLE_LIMIT_MASS,
-    D_DENSITY,
-    Q_DENSITY,
-    SmoothDensity,
     StepDensity,
     counterexample_density,
     delta_to_kappa,
@@ -34,7 +32,6 @@ from hillmap.transfer import (
     pushforward_fold,
     pushforward_genlogistic,
     pushforward_tent,
-    step_approximate,
     uniform_kappa_projection,
     variation,
 )
@@ -437,7 +434,7 @@ class TestL1Distance:
     def test_cell_holding_the_crossing(self, lo, hi, at):
         # v = D at a point inside the cell: |v - D| has a kink there; the
         # closed form splits at the crossing and uses the arcsine CDF
-        v = D_DENSITY(lo + at * (hi - lo))
+        v = invariant_density("discriminant_D", lo + at * (hi - lo))
         cross = math.copysign(math.sqrt(4.0 - 1.0 / (math.pi * v) ** 2), lo + hi)
         exact = (v * (cross - lo) - (invariant_cdf(cross) - invariant_cdf(lo))
                  + (invariant_cdf(hi) - invariant_cdf(cross)) - v * (hi - cross))
@@ -482,7 +479,7 @@ class TestL1Distance:
     def test_smooth_density_refused(self):
         p = StepDensity(np.array([-1.0, 1.0]), np.array([0.5]))
         with pytest.raises(TypeError, match="l1_to_invariant"):
-            l1_distance(p, D_DENSITY)
+            l1_distance(p, functools.partial(invariant_density, "discriminant_D"))
 
     @pytest.mark.parametrize("edges, values", [
         # v at D's minimum 1/(2 pi), and just above it, on a cell across 0
@@ -524,26 +521,90 @@ class TestVariation:
         assert variation(p) == 4.0
 
 
-class TestStepApproximate:
-    def test_constant_exact(self):
-        q = SmoothDensity(lambda x: 0.5, (0.0, 2.0))
-        approx = step_approximate(q, 4)
-        assert np.allclose(approx.values, 0.5)
+def delta_grid(n):
+    """The Delta edges of the n uniform kappa cells, increasing."""
+    return -2.0 * np.cos(np.pi * np.arange(n + 1) / n)
 
-    def test_linear_error(self):
-        q = SmoothDensity(lambda x: x, (0.0, 1.0))
-        approx = step_approximate(q, 4)
-        # exact L1 error of the midpoint staircase of x is 1/(4 l)
-        err = sum(
-            quad_singular(lambda x, v=v: abs(x - v), lo, hi, [v])[0]
-            for (lo, hi, v) in approx.to_csv_rows()
-        )
-        assert abs(err - 1.0 / 16.0) < 1e-10
-        assert err <= 1.0 / 4.0  # V(q)/l bound
 
-    def test_unbounded_variation_rejected(self):
-        with pytest.raises(DomainError):
-            step_approximate(D_DENSITY, 8)
+def projected_in_delta(p, n):
+    """p's cell masses on the kappa grid, as a step density in Delta."""
+    return kappa_to_delta(delta_to_kappa(p, n))
+
+
+def sine_mass(u, w):
+    """Integral of (pi/2) sin(pi x) over [u, w], free of cancellation."""
+    return np.sin(0.5 * np.pi * (u + w)) * np.sin(0.5 * np.pi * (w - u))
+
+
+def l1_to_sine(values):
+    """Exact L1 distance on [0, 1] from the step density with ``values`` on
+    equal cells to q(x) = (pi/2) sin(pi x).  With an even cell count q is
+    monotone on every cell, so it meets a cell's value v once, at x*, and
+    |v - q| keeps one sign on each side of it."""
+    n = values.size
+    a = np.arange(n) / n
+    b = np.arange(1, n + 1) / n
+    base = np.arcsin(np.clip(2.0 * values / np.pi, 0.0, 1.0)) / np.pi
+    xs = np.clip(np.where(b <= 0.5, base, 1.0 - base), a, b)
+    left = values * (xs - a) - sine_mass(a, xs)
+    right = sine_mass(xs, b) - values * (b - xs)
+    return float(np.sum(np.abs(left) + np.abs(right)))
+
+
+class TestCellMassProjection:
+    """The step approximation of a density q is its cell masses from the CDF
+    (delta_to_kappa, uniform_kappa_projection).  On cells of width at most h
+    its L1 error is at most (h/2) V(q): a cell's mean lies within the cell's
+    variation of every value there, and a single jump J at offset t costs
+    exactly 2 t (h - t) J / h <= h J / 2.  Each oracle is computed here."""
+
+    @pytest.mark.parametrize("cell, frac, jump", [
+        (0, 0.3, 0.5), (31, 0.5, -0.15), (32, 0.5, 0.7), (40, 0.01, 1.2), (63, 0.77, -0.1),
+    ])
+    def test_one_jump_costs_its_exact_error(self, cell, frac, jump):
+        n = 64
+        edges = delta_grid(n)
+        h = edges[cell + 1] - edges[cell]
+        x0 = edges[cell] + frac * h
+        t = x0 - edges[cell]
+        p = StepDensity(np.array([-2.0, x0, 2.0]), np.array([0.2, 0.2 + jump]))
+        err = l1_distance(projected_in_delta(p, n), p)
+        assert abs(err - 2.0 * t * (h - t) * abs(jump) / h) < 1e-12
+        assert err <= np.max(np.diff(edges)) / 2.0 * abs(jump) * (1.0 + 1e-12)
+
+    def test_uniform_start_meets_the_closed_form(self):
+        # the uniform density on [-2, 2] is (pi/2) sin(pi kappa) in kappa, of
+        # variation pi (up from 0 to pi/2 and back), so the bound is pi/2^15
+        n = 2**14
+        exact_means = sine_mass(np.arange(n) / n, np.arange(1, n + 1) / n) * n
+        oracle = l1_to_sine(exact_means)
+        assert abs(oracle - 4.79e-5) < 5e-8
+        for pk in (uniform_kappa_projection(n), delta_to_kappa(StepDensity.uniform(-2.0, 2.0), n)):
+            # each cell mass is a difference of CDF values of size <= 1
+            assert np.max(np.abs(pk.values - exact_means)) <= 2.0 * EPS * n
+            err = l1_to_sine(pk.values)
+            assert abs(err - oracle) < 1e-12
+            assert err <= math.pi / 2**15
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_oscillating_density_within_the_bound(self, seed):
+        rng = np.random.default_rng(seed)
+        n, cells = 128, 3000
+        p_edges = np.concatenate([[-2.0], np.sort(rng.uniform(-2.0, 2.0, cells - 1)), [2.0]])
+        p_values = np.where(np.arange(cells) % 2, 0.05, 0.45) + rng.uniform(0.0, 0.1, cells)
+        p = StepDensity(p_edges, p_values)
+        # each grid cell's pieces of p: their values, lengths and grid cell
+        edges = delta_grid(n)
+        cuts = np.union1d(edges, p_edges)
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        values = p_values[np.searchsorted(p_edges, mids) - 1]
+        lengths = np.diff(cuts)
+        owner = np.searchsorted(edges, mids) - 1
+        means = np.bincount(owner, values * lengths) / np.diff(edges)
+        exact = float(np.sum(np.abs(values - means[owner]) * lengths))
+        err = l1_distance(projected_in_delta(p, n), p)
+        assert abs(err - exact) < 1e-12
+        assert err <= np.max(np.diff(edges)) / 2.0 * np.sum(np.abs(np.diff(p_values)))
 
 
 class TestInvariantDensities:
@@ -621,7 +682,8 @@ class TestInvariantDensities:
         # 1/sqrt end (dx = 2t dt); t < t0, where x rounds onto the end, holds
         # (2/pi) asin(t0) of each
         t0 = 2.0**-10
-        halves = quad_singular(lambda t, end, sign: Q_DENSITY(end + sign * t * t) * 2.0 * t,
+        q = functools.partial(invariant_density, "logistic_q")
+        halves = quad_singular(lambda t, end, sign: q(end + sign * t * t) * 2.0 * t,
                                t0, math.sqrt(0.5), args=([0.0, 1.0], [1.0, -1.0]))[0]
         assert abs(halves.sum() + 4.0 / math.pi * math.asin(t0) - 1.0) < 1e-9
 
@@ -634,12 +696,6 @@ class TestDiscriminantDensity:
     def test_values(self):
         assert abs(discriminant_D(0.0) - 1.0 / (2 * math.pi)) < 1e-15
         assert abs(discriminant_D(math.sqrt(3.0)) - 1.0 / math.pi) < 1e-14
-
-    def test_is_the_invariant_density(self):
-        # D_DENSITY, the callable that quadrature callers integrate against
-        assert D_DENSITY.domain == (-2.0, 2.0)
-        for delta in (-1.999, -0.3, 0.0, 1.2):
-            assert D_DENSITY(delta) == discriminant_D(delta)
 
     def test_domain_error(self):
         for bad in (-2.0, 2.0, 2.5):
