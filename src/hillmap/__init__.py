@@ -9,7 +9,7 @@ their conjugacies (:mod:`hillmap.maps`), exact density evolution
 
 __version__ = "0.1.0"
 
-from .numerics import ToleranceSpec, integrate_ivp, find_root, quad_singular
+from .numerics import integrate_ivp, find_root, quad_singular
 from .errors import (
     BracketError,
     ConfigurationError,
@@ -20,7 +20,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ToleranceSpec",
     "integrate_ivp",
     "find_root",
     "quad_singular",

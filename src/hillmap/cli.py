@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, ensemble, hill, lyapunov, maps, transfer
 from .errors import ConfigurationError, NonConvergenceError
-from .numerics import QUAD_TOL, ToleranceSpec
+from .numerics import QUAD_TOL
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -251,14 +251,13 @@ def _cmd_lyapunov(cfg, timestamp):
 
 
 def _cmd_integral_sweep(cfg, timestamp):
-    tol = ToleranceSpec(cfg["abs_tol"])
     if not (math.isfinite(cfg["a_min"]) and math.isfinite(cfg["a_max"])):
         raise ConfigurationError(
             f"--a-min and --a-max must be finite, not {cfg['a_min']} and {cfg['a_max']}")
     if cfg["count"] < 1:
         raise ConfigurationError(f"--count must be at least 1, not {cfg['count']}")
     grid = np.linspace(cfg["a_min"], cfg["a_max"], cfg["count"])
-    rows = [(float(a), float(i)) for a, i in zip(grid, lyapunov.I_integral(grid, tol))]
+    rows = [(float(a), float(i)) for a, i in zip(grid, lyapunov.I_integral(grid, cfg["abs_tol"]))]
     _write_csv(cfg["out"], ["a", "I"], rows, cfg, timestamp)
     return EXIT_OK
 
@@ -339,7 +338,7 @@ def _build_parser() -> _Parser:
         "m": 2, "method": "quadrature", "x0": 0.123456, "n": 10**6, "out": None,
     })
     add("integral-sweep", _cmd_integral_sweep, {
-        "a_min": -3.0, "a_max": 3.0, "count": 61, "abs_tol": QUAD_TOL.abs_tol,
+        "a_min": -3.0, "a_max": 3.0, "count": 61, "abs_tol": QUAD_TOL,
         "out": "integral.csv",
     })
     add("mathieu", _cmd_mathieu, {"x0": 0.2, "n": 4, "out": None})

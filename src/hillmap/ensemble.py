@@ -5,7 +5,6 @@ distance to the arcsine invariant measure, and decay-slope fits.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -264,9 +263,6 @@ class EnsembleReport:
     noise_floor: float
     rejections: int = 0
     config: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def _trace_in_place(m: int, x: np.ndarray, scratch: np.ndarray) -> None:

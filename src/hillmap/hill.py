@@ -3,7 +3,6 @@ discriminants, spectral bands and band functions.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -15,7 +14,7 @@ from scipy.special import airy, zeta
 from .errors import DomainError, NonConvergenceError
 # find_root and integrate_ivp are not called here: perfbench/tracing.py
 # counts root and ODE solves under hill.find_root and hill.integrate_ivp.
-from .numerics import ToleranceSpec, find_root, find_roots, integrate_ivp, trace_poly  # noqa: F401
+from .numerics import find_root, find_roots, integrate_ivp, trace_poly  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,9 +151,11 @@ class Monodromy:
 
 
 def _periods(l: float, flat: bool = False) -> int:
-    """round(l) for a cell of whole periods; flat potentials take any l > 0."""
+    """round(l) for a cell of whole periods; flat potentials take any finite l > 0."""
     if not l > 0:
         raise ValueError("cell length must be positive")
+    if not math.isfinite(l):
+        raise ValueError(f"cell length must be finite, not {l}")
     if not flat and (abs(l - round(l)) > 1e-9 or round(l) == 0):
         raise ValueError("cell length must be a positive multiple of the period")
     return round(l)
@@ -366,14 +367,9 @@ class BandList:
                 raise ValueError("bands must be ordered with a_1 < b_1 <= a_2 < b_2 ...")
             prev_a, prev_b = a, b
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"bands": [list(b) for b in self.bands], "warnings": list(self.warnings)}
-        )
-
 
 # Accuracy in lam of refined band edges, turning points and dispersion points.
-_EDGE_TOL = ToleranceSpec(1e-10, 0.0, 256)
+_EDGE_TOL = 1e-10
 # Accuracy of the exact transfer matrices' entries relative to max |M|
 # (transfer_matrices), behind the rounding bound of the gap function.
 _ROUNDING = 1e-13
@@ -648,7 +644,7 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
         raise ValueError("lambda_max must exceed the spectral floor")
     _check_size(V, l, lambda_max)
     warnings = []
-    if V.max_value() - V.min_value() <= _EDGE_TOL.abs_tol:
+    if V.max_value() - V.min_value() <= _EDGE_TOL:
         # flat, or within the root tolerance of it: every edge lies in its
         # window, so v at the windows' middle is exact to that tolerance
         v = 0.5 * (V.min_value() + V.max_value())

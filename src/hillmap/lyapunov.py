@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .maps import MapDescriptor, trace_poly
-from .numerics import QUAD_TOL, ToleranceSpec, quad_singular
+from .numerics import QUAD_TOL, quad_singular
 
 BURN_IN = 100
 ORBIT_BLOCK = 2**16  # orbit points stored, tested and averaged at a time
@@ -244,7 +244,7 @@ def _log_gap_inside(y, ys):
             + np.log(np.abs(np.cos(0.5 * (y + ys)))))
 
 
-def I_integral(a, tol: ToleranceSpec = QUAD_TOL):
+def I_integral(a, tol: float = QUAD_TOL):
     """(1/pi) integral of log |2 sin y - a| over [-pi/2, pi/2].
 
     This is the logarithmic potential of the arcsine law evaluated at ``a``;
@@ -285,7 +285,7 @@ def _log_gap_halves(t, u):
     return np.log(gap) * (2.0 / math.pi) / np.sqrt(4.0 - t * t)
 
 
-def I_integral_xform(a: float, tol: ToleranceSpec = QUAD_TOL) -> float:
+def I_integral_xform(a: float, tol: float = QUAD_TOL) -> float:
     """Independent evaluation of the same potential in the x variable: the
     integral of log |x - a| against the arcsine density on [-2, 2].
 

@@ -12,7 +12,6 @@ number of threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,32 +22,13 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal number
 
 
-@dataclass(frozen=True)
-class ToleranceSpec:
-    """Accuracy contract for a numerical routine.
-
-    ``abs_tol`` and ``rel_tol`` are error targets; ``max_steps`` bounds the
-    accepted ODE steps or root iterations.  :func:`quad_singular` reads
-    ``abs_tol`` alone: it accepts a summed error bound up to ``abs_tol``.
-    """
-
-    abs_tol: float
-    rel_tol: float = 0.0
-    max_steps: int = 10_000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be nonnegative")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-
-
-# Defaults of the kernels.  No package result depends on IVP_TOL any more.
-IVP_TOL = ToleranceSpec(abs_tol=1e-10, rel_tol=1e-10, max_steps=1_000_000)
-ROOT_TOL = ToleranceSpec(abs_tol=1e-12, rel_tol=0.0, max_steps=256)
-QUAD_TOL = ToleranceSpec(abs_tol=1e-10)
+# Absolute requests of the kernels, and the fixed parts of their contracts:
+# find_roots' relative term and iteration budget, integrate_ivp's step budget.
+ROOT_TOL = 1e-12
+ROOT_XRTOL = 4 * _EPS
+ROOT_STEPS = 256
+QUAD_TOL = 1e-10
+IVP_STEPS = 1_000_000
 
 
 def integrate_ivp(
@@ -56,13 +36,14 @@ def integrate_ivp(
     y0: Sequence[float],
     t0: float,
     t1: float,
-    tol: ToleranceSpec = IVP_TOL,
+    tol: float = 1e-10,
 ) -> np.ndarray:
     """Integrate ``y' = rhs(t, y)`` from ``t0`` to ``t1`` and return ``y(t1)``.
 
-    Uses an adaptive Dormand-Prince 8(5,3) pair.  Raises
-    :class:`NonConvergenceError` carrying the last accepted ``(t, state)`` if
-    the accepted-step budget is exhausted.
+    Uses an adaptive Dormand-Prince 8(5,3) pair with ``tol`` as both its
+    absolute and its relative tolerance (the latter at least 100 eps).
+    Raises :class:`NonConvergenceError` carrying the last accepted
+    ``(t, state)`` after IVP_STEPS accepted steps.
     """
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
@@ -72,14 +53,14 @@ def integrate_ivp(
 
     from scipy.integrate import DOP853  # deferred: no package path integrates an ODE
 
-    solver = DOP853(rhs, t0, y, t1, rtol=max(tol.rel_tol, 100 * _EPS), atol=tol.abs_tol)
+    solver = DOP853(rhs, t0, y, t1, rtol=max(tol, 100 * _EPS), atol=tol)
     steps = 0
     while solver.status == "running":
         solver.step()
         steps += 1
-        if steps > tol.max_steps:
+        if steps > IVP_STEPS:
             raise NonConvergenceError(
-                f"step budget {tol.max_steps} exhausted at t={solver.t:.6g}",
+                f"step budget {IVP_STEPS} exhausted at t={solver.t:.6g}",
                 t=solver.t,
                 state=np.array(solver.y),
             )
@@ -96,7 +77,7 @@ def find_root(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: ToleranceSpec = ROOT_TOL,
+    tol: float = ROOT_TOL,
 ) -> float:
     """Root of the scalar ``f`` in ``[a, b]``: one bracket of :func:`find_roots`.
     A bracket whose ends share a sign raises :class:`BracketError`."""
@@ -110,7 +91,7 @@ def find_roots(
     f: Callable[..., np.ndarray],
     a,
     b,
-    tol: ToleranceSpec = ROOT_TOL,
+    tol: float = ROOT_TOL,
     args: Sequence = (),
 ) -> np.ndarray:
     """Roots of ``f`` in every bracket ``[a[i], b[i]]``, all solved together.
@@ -124,18 +105,20 @@ def find_roots(
     iterates, the stopping rule and the outcomes are SciPy's
     (``scipy.optimize.elementwise.find_root``): a bracket stops when
     ``|f| <= tiny`` at its better end ``x_min`` or when its width is below
-    ``|x_min| xrtol + xatol``, with ``xatol = abs_tol``,
-    ``xrtol = max(rel_tol, 4 eps)``; ``max_steps`` bounds the iterations.
+    ``|x_min| xrtol + xatol``, with the absolute request ``xatol = tol`` and
+    ``xrtol = ROOT_XRTOL = 4 eps``; ROOT_STEPS = 256 bounds the iterations.
+    A request that is not > 0 raises ValueError.
 
     A bracket whose ends share a sign gives NaN, and the caller decides
-    what that means.  A bracket still open after ``max_steps`` iterations,
+    what that means.  A bracket still open after ROOT_STEPS iterations,
     or one that comes to have an infinite end or NaN at both ends, raises
     :class:`NonConvergenceError`.
     """
+    if not tol > 0:
+        raise ValueError(f"abs_tol must be positive, not {tol}")
     a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
     if a.size == 0:
         return np.empty(a.shape)
-    xatol, xrtol = tol.abs_tol, max(tol.rel_tol, 4 * _EPS)
     f1, f2 = (np.asarray(f(x, *args), dtype=float).ravel() for x in (a, b))
     x1, x2 = a.ravel(), b.ravel()
     args = [v.ravel() for v in args]
@@ -157,7 +140,7 @@ def find_roots(
             ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2)))
         xmin[one_sign | invalid] = np.nan
         dx = np.abs(x2 - x1)
-        xtol = np.abs(xmin) * xrtol + xatol
+        xtol = np.abs(xmin) * ROOT_XRTOL + tol
         done |= dx < xtol
         stop = done | one_sign | invalid
         if stop.any():
@@ -169,7 +152,7 @@ def find_roots(
             args = [v[go] for v in args]
         if active.size == 0:
             break
-        if nit == tol.max_steps:
+        if nit == ROOT_STEPS:
             out[active], status[active] = xmin, -2
             break
         # inverse quadratic interpolation through the last three points
@@ -255,7 +238,7 @@ def quad_singular(
     a,
     b,
     singular_points: Sequence = (),
-    tol: ToleranceSpec = QUAD_TOL,
+    tol: float = QUAD_TOL,
     args: Sequence = (),
 ):
     """Integrals of ``f`` over ``[a[i], b[i]]`` with declared singular
@@ -285,18 +268,19 @@ def quad_singular(
     within an ulp of e, ~2 sqrt(ulp(e)), lies beyond every float beside
     it: T reaches ~1e-7 there, and the call raises rather than returning
     a wrong value.  A panel stops once E meets its even share of the
-    absolute request ``tol.abs_tol`` (``rel_tol`` and ``max_steps`` play no
-    part), or after QUAD_LEVELS levels; ``bound`` is the sum of the panels'
-    E.  Each node lies at the float beside its panel end or further inside;
-    a panel with no float inside and a declared end is not evaluated, and
-    its bound is inf.
+    absolute request ``tol``, or after QUAD_LEVELS levels; ``bound`` is the
+    sum of the panels' E.  Each node lies at the float beside its panel end
+    or further inside; a panel with no float inside and a declared end is
+    not evaluated, and its bound is inf.
     Every interval's value and bound depend on its own inputs only, not on
     the others evaluated with it.
 
-    An interval whose bound exceeds ``tol.abs_tol`` (or whose value is not
-    finite) raises :class:`NonConvergenceError` carrying ``estimate`` and
-    ``error_bound``.
+    An interval whose bound exceeds ``tol`` (or whose value is not finite)
+    raises :class:`NonConvergenceError` carrying ``estimate`` and
+    ``error_bound``; a request that is not > 0 raises ValueError.
     """
+    if not tol > 0:
+        raise ValueError(f"abs_tol must be positive, not {tol}")
     a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
     shape = a.shape
     a, b = a.ravel(), b.ravel()
@@ -359,7 +343,7 @@ def quad_singular(
             p["diff"] = diff
             bad = ~np.isfinite(q)
             # out of levels, a panel closes with its bound
-            close = bad | (err <= tol.abs_tol * p["share"]) | (level == QUAD_LEVELS - 1)
+            close = bad | (err <= tol * p["share"]) | (level == QUAD_LEVELS - 1)
             if close.any():
                 done.append((p["owner"][close], q[close], np.where(bad, np.inf, err)[close]))
                 p = {key: val[~close] for key, val in p.items()}
@@ -369,7 +353,7 @@ def quad_singular(
     owners, values, bounds = map(np.concatenate, zip(*done))
     value = np.bincount(owners, values, minlength=n).reshape(shape)
     bound = np.bincount(owners, bounds, minlength=n).reshape(shape)
-    failed = ~(bound <= tol.abs_tol) | ~np.isfinite(value)
+    failed = ~(bound <= tol) | ~np.isfinite(value)
     if shape == ():
         value, bound = float(value), float(bound)
     if failed.any():

@@ -513,13 +513,21 @@ def test_input_fault_exits_one_with_an_error_line(tmp_path, monkeypatch, capsys,
     (["integral-sweep", "--a-max", "inf", "--out", "i.csv"], "--a-max"),
     (["integral-sweep", "--a-min=-inf", "--count", "3", "--out", "i.csv"], "--a-min"),
     (["density-evolve", "--resolution", "0", "--out", "e.json"], "resolution"),
+    (["bands", "--l", "inf", "--out", "b.json"], "cell length"),
+    (["bands", "--l", "inf", "--out", "b.csv"], "cell length"),
+    (["bands", "--potential", "cosine", "--l", "inf", "--out", "b.json"], "cell length"),
+    (["integral-sweep", "--abs-tol", "0", "--out", "i.csv"], "abs_tol"),
+    (["integral-sweep", "--abs-tol", "nan", "--out", "i.csv"], "abs_tol"),
 ], ids=["k-points-0", "k-points-1", "n-max-0", "n-max-negative", "count-0",
         "lambda-max-nan-csv", "lambda-max-nan-json", "a-max-inf", "a-min-inf",
-        "resolution-0"])
+        "resolution-0", "l-inf-json", "l-inf-csv", "l-inf-cosine", "abs-tol-0",
+        "abs-tol-nan"])
 def test_input_that_names_its_fault(tmp_path, monkeypatch, capsys, argv, name):
     # each of these once wrote a table with no rows (or only k = 0) and
     # exited 0, or exited 1 with another reason (NaN bands, NumPy's
-    # RuntimeWarning from the grid, "need n+1 edges")
+    # RuntimeWarning from the grid, "need n+1 edges"), or ended in a
+    # traceback (l = inf); the abs-tol cases guard a refusal that moved
+    # into the quadrature kernel
     monkeypatch.setenv("HILLMAP_OUT_DIR", str(tmp_path))
     assert run([*argv, "--no-timestamp"]) == 1
     err = capsys.readouterr().err

@@ -4,6 +4,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -290,7 +291,7 @@ class TestSortedImage:
 
 def _report_or_error(*args, **kwargs):
     try:
-        return convergence_experiment(*args, **kwargs).to_json()
+        return json.dumps(asdict(convergence_experiment(*args, **kwargs)))
     except ConfigurationError as e:
         return repr(e)
 
@@ -454,10 +455,8 @@ class TestConvergenceExperiment:
         assert np.max(np.abs(emp - pred)) < 3.0 / math.sqrt(n)
 
     def test_report_json(self):
-        import json
-
         rep = convergence_experiment(2, InitialDistribution.shifted_gamma(), 5_000, 3, seed=2)
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(asdict(rep)))
         assert data["m"] == 2
         assert data["seed"] == 2
         assert len(data["distances"]) == 4

@@ -26,7 +26,7 @@ from hillmap.lyapunov import (
     roots_fm,
 )
 from hillmap.maps import MapDescriptor, eval_map, trace_poly
-from hillmap.numerics import QUAD_LEVELS, QUAD_TOL, ToleranceSpec, quad_singular
+from hillmap.numerics import QUAD_LEVELS, QUAD_TOL, quad_singular
 
 # Every order the angle quadrature is checked at: all of 2-24 (the range the
 # Horner-based x quadrature failed from m = 17 on), powers of two up to 128,
@@ -280,7 +280,7 @@ class TestQuadrature:
         # request on the angle integral
         res = average_lyapunov_quadrature(m)
         err = abs(res.value - math.log(m))
-        assert err <= res.error_estimate <= QUAD_TOL.abs_tol / math.pi
+        assert err <= res.error_estimate <= QUAD_TOL / math.pi
         assert err <= (3e-14 if m in (63, 113, 128) else 2e-14)
 
     def test_decomposition_identity(self):
@@ -557,7 +557,7 @@ class TestIIntegral:
         got = I_integral_xform(a)
         ((_, bound, _),) = calls
         assert abs(got) <= bound.sum()
-        assert (bound <= QUAD_TOL.abs_tol).all()
+        assert (bound <= QUAD_TOL).all()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("k", range(3, 15))
@@ -643,7 +643,7 @@ class TestIIntegralQuadrature:
             got = I_integral(a)
         ((value, bound),) = calls
         assert abs(got - log_potential(a)) <= max(1e-12, bound / math.pi)
-        assert bound <= QUAD_TOL.abs_tol
+        assert bound <= QUAD_TOL
 
     @settings(max_examples=25, deadline=None)
     @given(lo=st.floats(-6.0, 6.0), hi=st.floats(-6.0, 6.0), count=st.integers(1, 61))
@@ -669,7 +669,7 @@ class TestIIntegralQuadrature:
         lo, hi = j * math.pi / m, (j + 1) * math.pi / m
         lo[0], hi[-1] = 0.0, math.pi
         declared = [np.where(j > 0, lo, np.nan), np.where(j < m - 1, hi, np.nan)]
-        share = ToleranceSpec(QUAD_TOL.abs_tol / m, 0.0)
+        share = QUAD_TOL / m
         value, bound = quad_singular(
             lambda t: np.log(np.abs(trace_poly(m, 2.0 * np.cos(t), derivative=True))),
             lo, hi, declared, share)
@@ -680,7 +680,7 @@ class TestIIntegralQuadrature:
             # the oracle sums to log m, short of the float pi's missing 1e-16
             assert abs(sum(exact) / mpmath.pi - mpmath.log(m)) < 1e-15
         for k in range(m):
-            assert abs(value[k] - float(exact[k])) <= bound[k] <= share.abs_tol, k
+            assert abs(value[k] - float(exact[k])) <= bound[k] <= share, k
 
 
 def recorded_quadratures(monkeypatch):
@@ -723,7 +723,7 @@ class TestQuadratureHeadroom:
 
     @pytest.mark.parametrize("k", range(1, 16))
     def test_tight_request_beside_the_edges(self, k, monkeypatch):
-        tol = ToleranceSpec(1e-12)
+        tol = 1e-12
         calls = recorded_quadratures(monkeypatch)
         for a in (s * (2.0 + side * 10.0**-k) for s in (1.0, -1.0) for side in (1.0, -1.0)):
             calls.clear()

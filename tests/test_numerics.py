@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hillmap import numerics
 from hillmap.errors import BracketError, NonConvergenceError
 from hillmap.numerics import (
     ALPHA_MIN,
-    IVP_TOL,
     QUAD_LEVELS,
     QUAD_TOL,
     ROOT_TOL,
-    ToleranceSpec,
     find_root,
     find_roots,
     integrate_ivp,
@@ -18,13 +17,14 @@ from hillmap.numerics import (
 )
 
 
-def test_tolerance_spec_validation():
-    with pytest.raises(ValueError):
-        ToleranceSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceSpec(abs_tol=1e-8, rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        ToleranceSpec(abs_tol=1e-8, max_steps=0)
+def test_request_must_be_positive():
+    for tol in (0.0, -1e-8, math.nan):
+        with pytest.raises(ValueError, match="abs_tol must be positive"):
+            quad_singular(np.exp, 0.0, 1.0, tol=tol)
+        with pytest.raises(ValueError, match="abs_tol must be positive"):
+            find_roots(np.cos, 1.0, 2.0, tol)
+        with pytest.raises(ValueError, match="abs_tol must be positive"):
+            find_root(math.cos, 1.0, 2.0, tol)
 
 
 class TestIntegrateIvp:
@@ -44,17 +44,17 @@ class TestIntegrateIvp:
 
     def test_two_pass_matches_single_pass(self):
         rhs = lambda t, y: np.array([y[1], -math.sin(t) * y[0]])
-        tol = ToleranceSpec(abs_tol=1e-10, rel_tol=1e-10, max_steps=100000)
+        tol = 1e-10
         mid = integrate_ivp(rhs, [1.0, 0.5], 0.0, 1.3, tol)
         two = integrate_ivp(rhs, mid, 1.3, 3.1, tol)
         one = integrate_ivp(rhs, [1.0, 0.5], 0.0, 3.1, tol)
-        assert np.all(np.abs(two - one) < 2 * tol.abs_tol)
+        assert np.all(np.abs(two - one) < 2 * tol)
 
-    def test_step_budget_error_carries_state(self):
-        tight = ToleranceSpec(abs_tol=1e-12, rel_tol=1e-12, max_steps=3)
+    def test_step_budget_error_carries_state(self, monkeypatch):
+        monkeypatch.setattr(numerics, "IVP_STEPS", 3)
         rhs = lambda t, y: np.array([y[1], -100.0 * y[0]])
         with pytest.raises(NonConvergenceError) as info:
-            integrate_ivp(rhs, [1.0, 0.0], 0.0, 50.0, tight)
+            integrate_ivp(rhs, [1.0, 0.0], 0.0, 50.0, 1e-12)
         assert 0.0 < info.value.t < 50.0
         assert info.value.state.shape == (2,)
 
@@ -124,31 +124,27 @@ class TestFindRoots:
         )
 
     def test_tolerance_is_met(self):
-        tol = ToleranceSpec(1e-6, 0.0, 256)
-        roots = find_roots(lambda x: np.tanh(x - 0.123456789), [-2.0], [2.0], tol)
+        roots = find_roots(lambda x: np.tanh(x - 0.123456789), [-2.0], [2.0], 1e-6)
         assert abs(roots[0] - 0.123456789) <= 1e-6
 
     def test_shapes(self):
         assert find_roots(np.cos, [], []).shape == (0,)
         assert find_roots(np.cos, 1.0, 2.0).shape == ()
 
-    def test_step_budget(self):
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ROOT_STEPS", 2)
         with pytest.raises(NonConvergenceError):
-            find_roots(
-                lambda x: np.tanh(50.0 * (x - 0.3)), [0.0], [1.0],
-                ToleranceSpec(1e-15, 0.0, 2),
-            )
+            find_roots(lambda x: np.tanh(50.0 * (x - 0.3)), [0.0], [1.0], 1e-15)
 
 
-def scipy_roots(f, a, b, tol=ROOT_TOL, args=()):
+def scipy_roots(f, a, b, tol=ROOT_TOL, args=(), maxiter=256):
     """SciPy's Chandrupatla solver asked what find_roots is asked: the roots,
     NaN where a bracket's ends share a sign, and the statuses."""
     from scipy.optimize.elementwise import find_root as chandrupatla
 
     res = chandrupatla(
         f, (np.asarray(a, dtype=float), np.asarray(b, dtype=float)), args=args,
-        tolerances={"xatol": tol.abs_tol, "xrtol": max(tol.rel_tol, 4 * np.finfo(float).eps)},
-        maxiter=tol.max_steps,
+        tolerances={"xatol": tol, "xrtol": 4 * np.finfo(float).eps}, maxiter=maxiter,
     )
     return np.where(res.status == -1, np.nan, res.x), res.status
 
@@ -165,7 +161,7 @@ class TestFindRootsIsScipysChandrupatla:
     """find_roots runs SciPy's iterates and stopping rule: the same roots to
     the last bit, batch by batch."""
 
-    TOLS = (ROOT_TOL, ToleranceSpec(1e-10, 0.0, 256), ToleranceSpec(1e-6, 1e-8, 256))
+    TOLS = (ROOT_TOL, 1e-10, 1e-6)
 
     @pytest.mark.parametrize("family", ["smooth", "steep", "extremum_at_end"])
     def test_random_batches(self, family):
@@ -216,16 +212,16 @@ class TestFindRootsIsScipysChandrupatla:
         with pytest.raises(NonConvergenceError, match=r"1 of 2 .*statuses \[-3\]"):
             find_roots(f, [a, 0.0], [b, 2.0])
 
-    def test_step_budget_is_scipys(self):
+    def test_step_budget_is_scipys(self, monkeypatch):
         f = lambda x: np.tanh(50.0 * (x - 0.3))
         for steps in range(1, 40):
-            tol = ToleranceSpec(1e-15, 0.0, steps)
-            _, status = scipy_roots(f, [0.0, 0.25], [1.0, 0.35], tol)
+            monkeypatch.setattr(numerics, "ROOT_STEPS", steps)
+            _, status = scipy_roots(f, [0.0, 0.25], [1.0, 0.35], 1e-15, maxiter=steps)
             if -2 in status:
                 with pytest.raises(NonConvergenceError, match=r"statuses \[-2\]"):
-                    find_roots(f, [0.0, 0.25], [1.0, 0.35], tol)
+                    find_roots(f, [0.0, 0.25], [1.0, 0.35], 1e-15)
             else:
-                assert_matches_scipy(f, [0.0, 0.25], [1.0, 0.35], tol)
+                assert_matches_scipy(f, [0.0, 0.25], [1.0, 0.35], 1e-15)
                 break
         else:
             pytest.fail("no budget was enough")
@@ -235,7 +231,7 @@ class TestFindRootsIsScipysChandrupatla:
 class TestQuadSingular:
     def test_log_endpoint(self):
         val, bound = quad_singular(np.log, 0.0, 1.0, singular_points=[0.0])
-        assert abs(val - (-1.0)) <= bound <= QUAD_TOL.abs_tol
+        assert abs(val - (-1.0)) <= bound <= QUAD_TOL
 
     def test_arcsine_endpoints(self):
         # 1/sqrt ends at +-1 raise; the halves x = +-(1 - t^2), t in [0, 1],
@@ -254,11 +250,11 @@ class TestQuadSingular:
 
     def test_additive_over_subintervals(self):
         f = lambda x: np.log(np.abs(x))
-        tol = ToleranceSpec(abs_tol=1e-11, rel_tol=1e-11)
+        tol = 1e-11
         whole, _ = quad_singular(f, -1.0, 2.0, singular_points=[0.0], tol=tol)
         left, _ = quad_singular(f, -1.0, 0.5, singular_points=[0.0], tol=tol)
         right, _ = quad_singular(f, 0.5, 2.0, singular_points=[], tol=tol)
-        assert abs(whole - (left + right)) < 2 * tol.abs_tol
+        assert abs(whole - (left + right)) < 2 * tol
 
     @pytest.mark.parametrize("a", [2.072, -2.072, 2.252, 2.256])
     def test_panels_of_opposite_sign_meet_the_summed_request(self, a):
@@ -274,15 +270,14 @@ class TestQuadSingular:
         cut = sign * (math.pi / 2.0 - math.sqrt(abs(a) - 2.0))
         val, bound = quad_singular(f, -math.pi / 2, math.pi / 2, singular_points=[cut])
         exact = math.pi * math.log((abs(a) + math.sqrt(a * a - 4.0)) / 2.0)
-        assert bound <= QUAD_TOL.abs_tol
+        assert bound <= QUAD_TOL
         assert abs(val - exact) <= max(bound, 1e-15)
 
     def test_nonconvergence_carries_partial(self):
         # nastier than the budget allows: dense oscillation with limit=1 panels
-        bad_tol = ToleranceSpec(abs_tol=1e-13, rel_tol=1e-13, max_steps=1)
         f = lambda x: np.sin(1.0 / (x + 1e-12)) / np.sqrt(np.abs(x) + 1e-12)
         with pytest.raises(NonConvergenceError) as info:
-            quad_singular(f, 0.0, 1.0, tol=bad_tol)
+            quad_singular(f, 0.0, 1.0, tol=1e-13)
         assert hasattr(info.value, "estimate")
         assert hasattr(info.value, "error_bound")
 
@@ -294,31 +289,12 @@ class TestQuadSingular:
         # two panels' achieved bounds, and it covers the error of the sum
         # (the halves get the same per-panel request as the whole)
         f = lambda x: np.log(np.abs(x))
-        whole, bound = quad_singular(f, -1.0, 2.0, [0.0], ToleranceSpec(2e-10, 0.0))
-        half = ToleranceSpec(1e-10, 0.0)
-        _, left = quad_singular(f, -1.0, 0.0, [0.0], half)
-        _, right = quad_singular(f, 0.0, 2.0, [0.0], half)
+        whole, bound = quad_singular(f, -1.0, 2.0, [0.0], 2e-10)
+        _, left = quad_singular(f, -1.0, 0.0, [0.0], 1e-10)
+        _, right = quad_singular(f, 0.0, 2.0, [0.0], 1e-10)
         exact = -1.0 + (2.0 * math.log(2.0) - 2.0)
         assert 0.0 < bound == left + right
         assert abs(whole - exact) <= bound
-
-    def test_rel_tol_plays_no_part(self):
-        # the request is absolute: rel_tol (and max_steps) change neither the
-        # outcome nor its bits; 1e6 log x misses 1e-12 and raises, log x meets it
-        def outcome(f, tol):
-            try:
-                return ("returned", *(v.hex() for v in quad_singular(f, 0.0, 1.0, [0.0], tol)))
-            except NonConvergenceError as exc:
-                return ("raised", exc.estimate.hex(), exc.error_bound.hex())
-
-        for scale, kind in ((1e6, "raised"), (1.0, "returned")):
-            f = lambda x: scale * np.log(x)
-            got = [outcome(f, tol) for tol in (ToleranceSpec(1e-12, 1e-10),
-                                               ToleranceSpec(1e-12, 0.0),
-                                               ToleranceSpec(1e-12, 0.0, max_steps=1))]
-            assert got[0][0] == kind and got[1:] == got[:-1], scale
-            val, bound = (float.fromhex(h) for h in got[0][1:])
-            assert abs(val + scale) <= bound
 
 
 class TestQuadSingularBatches:
@@ -373,13 +349,13 @@ class TestQuadSingularBatches:
         # panel runs out of levels and the call raises with a bound that
         # covers the error; declared, the kink is a panel end and converges
         f = lambda x: np.abs(x - kink)
-        tol = ToleranceSpec(1e-10, 0.0)
+        tol = 1e-10
         exact = ((1.0 + kink) ** 2 + (1.0 - kink) ** 2) / 2.0
         with pytest.raises(NonConvergenceError) as info:
             quad_singular(f, -1.0, 1.0, tol=tol)
         assert abs(info.value.estimate - exact) <= info.value.error_bound
         val, bound = quad_singular(f, -1.0, 1.0, [kink], tol)
-        assert abs(val - exact) <= bound <= tol.abs_tol
+        assert abs(val - exact) <= bound <= tol
 
     @pytest.mark.parametrize("end", [1.0, 2.0, 4.5])
     def test_inverse_sqrt_at_a_nonzero_end(self, end):
@@ -387,7 +363,7 @@ class TestQuadSingularBatches:
         # float next to it: the call raises, with a bound that covers it
         f = lambda x: 1.0 / np.sqrt(end - x)
         with pytest.raises(NonConvergenceError) as info:
-            quad_singular(f, 0.0, end, [end], ToleranceSpec(1e-10, 0.0))
+            quad_singular(f, 0.0, end, [end], 1e-10)
         assert abs(info.value.estimate - 2.0 * math.sqrt(end)) <= info.value.error_bound
 
     @pytest.mark.parametrize("width", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11])
@@ -463,7 +439,7 @@ class TestQuadSingularBatches:
         hi = 1.0 + 2.0**-40
         exact = scale * math.expm1(2.0**-40)
         val, bound = quad_singular(lambda x: scale * np.exp(x - 1.0), 1.0, hi,
-                                   tol=ToleranceSpec(1e-13 * exact))
+                                   tol=1e-13 * exact)
         assert abs(val - exact) <= bound <= 1e-13 * exact
 
     @pytest.mark.parametrize("f, end, exact", [
@@ -475,7 +451,7 @@ class TestQuadSingularBatches:
     def test_end_model_misfit_joins_the_bound(self, f, end, exact):
         # log^2 d and d^alpha log d ends: the bound covers the error whether
         # or not it meets the request
-        for tol in (QUAD_TOL, ToleranceSpec(1e-12, 0.0)):
+        for tol in (QUAD_TOL, 1e-12):
             try:
                 val, bound = quad_singular(f, 1.0, 2.0, [end], tol)
             except NonConvergenceError as exc:
@@ -487,7 +463,7 @@ class TestQuadSingularBatches:
         # one call of f each, and the call raises with the partial result
         g, calls = self.counted(lambda x: np.log(np.abs(x)))
         with pytest.raises(NonConvergenceError) as info:
-            quad_singular(g, -1.0, 1.0, [0.0], ToleranceSpec(1e-30, 0.0))
+            quad_singular(g, -1.0, 1.0, [0.0], 1e-30)
         # per panel: 16 2^l nodes at each end at level l, the centre from
         # both ends
         per_panel = 2 * (1 + 16 * 2 ** (QUAD_LEVELS - 1))
@@ -500,6 +476,6 @@ class TestQuadSingularBatches:
 
 
 def test_defaults_are_sane():
-    assert IVP_TOL.abs_tol == 1e-10 and IVP_TOL.rel_tol == 1e-10
-    assert ROOT_TOL.abs_tol == 1e-12
-    assert QUAD_TOL.abs_tol == 1e-10
+    assert ROOT_TOL == 1e-12 and numerics.ROOT_STEPS == 256
+    assert numerics.ROOT_XRTOL == 4 * np.finfo(float).eps
+    assert QUAD_TOL == 1e-10 and numerics.IVP_STEPS == 1_000_000
