@@ -364,7 +364,9 @@ def run(argv: list[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError) as exc:  # ConfigurationError, DomainError among them
+    # ConfigurationError and DomainError are ValueErrors; a MemoryError is a
+    # size no array can take
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonConvergenceError as exc:

@@ -66,10 +66,20 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + chunk_index))
 
 
-def _draw(dist: InitialDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+def _draw(
+    dist: InitialDistribution, rng: np.random.Generator, size: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``size`` draws of the law's unrestricted form, written into ``out``
+    when given.  NumPy's uniform(lo, hi) is lo + (hi - lo) u and its
+    gamma(1, 1) is standard_gamma(1) * 1.0, both from the same stream, so
+    these are their values."""
     if dist.kind == "uniform":
-        return rng.uniform(DOMAIN[0], DOMAIN[1], size)
-    return rng.gamma(1.0, 1.0, size) - 2.0
+        vals = rng.random(size, out=out)
+        vals *= DOMAIN[1] - DOMAIN[0]
+    else:
+        vals = rng.standard_gamma(1.0, size, out=out)
+    vals += DOMAIN[0]
+    return vals
 
 
 def sample_initial(
@@ -86,6 +96,8 @@ def sample_initial(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), not {seed}")
     out = np.empty(n)
 
     def chunk(index: int) -> int:
@@ -99,23 +111,22 @@ def _sample_chunk(dist: InitialDistribution, seed: int, index: int, out: np.ndar
     """Fills ``out`` with chunk ``index`` of the ensemble; returns its
     rejections."""
     rng = _chunk_rng(seed, index)
-    vals = _draw(dist, rng, out.size)
-    bad = np.nonzero((vals < DOMAIN[0]) | (vals > DOMAIN[1]))[0]
+    _draw(dist, rng, out.size, out)
+    bad = np.nonzero((out < DOMAIN[0]) | (out > DOMAIN[1]))[0]
     rejections = bad.size
     if dist.clamp_to_domain:
-        np.clip(vals, DOMAIN[0], DOMAIN[1], out=vals)
+        np.clip(out, DOMAIN[0], DOMAIN[1], out=out)
     else:
         for _ in range(64):
             if bad.size == 0:
                 break
             redraw = _draw(dist, rng, bad.size)
             ok = (redraw >= DOMAIN[0]) & (redraw <= DOMAIN[1])
-            vals[bad[ok]] = redraw[ok]
+            out[bad[ok]] = redraw[ok]
             bad = bad[~ok]
             rejections += bad.size
         if bad.size:
             raise ConfigurationError("rejection resampling did not terminate")
-    out[...] = vals
     return rejections
 
 
@@ -188,13 +199,23 @@ def wasserstein1(samples: Sequence[float]) -> float:
 
 def _quantile_grid(n: int, executor: Executor | None = None, parts: int = 1) -> np.ndarray:
     """Invariant quantiles at the midpoints u_i = (i + 1/2)/n, in ``parts``
-    pieces, each BLOCK values at a time: the quantile is elementwise, so the
-    pieces give the same array, and their temporaries stay in cache."""
+    pieces, each BLOCK values at a time and in place: -2 cos(pi u) with
+    ``invariant_quantile``'s operations in its order, so the same array.
+    i + (lo + 1/2) and (lo + i) + 1/2 are one rounding of the same sum."""
     grid = np.empty(n)
+    ramp = np.arange(float(min(n, BLOCK)))
 
     def piece(span: tuple[int, int]) -> None:
         for lo, hi in _blocks(*span):
-            grid[lo:hi] = invariant_quantile((np.arange(lo, hi) + 0.5) / n)
+            g = grid[lo:hi]
+            np.add(ramp[: hi - lo], lo + 0.5, out=g)
+            g /= n
+            # u increases along the block, so its ends bound it
+            if not (g[0] >= 0.0 and g[-1] <= 1.0):
+                raise DomainError("u must lie in [0, 1]")
+            g *= math.pi
+            np.cos(g, out=g)
+            g *= -2.0
 
     _each(executor, piece, _spans(n, parts))
     return grid
@@ -282,11 +303,14 @@ def _sorted_image(
     m: int,
     s: np.ndarray,
     out: np.ndarray,
+    grid: np.ndarray,
     executor: Executor | None = None,
     parts: int = 1,
 ) -> float:
     """out = sort(clip(f_m(s), -2, 2)) for s sorted ascending in [-2, 2];
-    returns max |f_m(s)| before the clip, for the escape check.
+    returns max |f_m(s)| before the clip, for the escape check.  On return
+    ``s`` holds |s - grid| elementwise, the array whose mean is the W1 of s
+    (``_w1_sorted``), with the same bits.
 
     In the arcsine angle, s = -2 cos(pi u), f_m takes u to m u (m u + 1 for
     even m) folded into [0, 1].  So the arcsine quantiles at i / (m B) split s
@@ -299,7 +323,9 @@ def _sorted_image(
     samples each, are imaged independently, each with its own temporaries.
     Rounding can put a value across a block's end; the boundaries are then
     out of order, and one sort of the whole output mends that, since it holds
-    the same values either way.
+    the same values either way.  The cells partition s and each is gathered
+    once, so each is overwritten with its |s - grid| just after its copy,
+    while it is in cache.  The clip only touches the sorted block's ends.
     """
     n = s.size
     n_blocks = -(-n // BLOCK)
@@ -324,15 +350,23 @@ def _sorted_image(
             start, stop = edges[j], edges[j + 1]
             pos = start
             for a, b in zip(lo[j].tolist(), hi[j].tolist()):
-                out[pos : pos + b - a] = s[a:b]
+                cell = s[a:b]
+                out[pos : pos + b - a] = cell
                 pos += b - a
+                np.subtract(cell, grid[a:b], out=cell)
+                np.abs(cell, out=cell)
             block = out[start:stop]
+            if not block.size:
+                continue
             for c in range(0, block.size, BLOCK):
                 _trace_in_place(m, block[c : c + BLOCK], scratch)
             block.sort()
-            if block.size:
-                worst = max(worst, -float(block[0]), float(block[-1]))
-            np.clip(block, DOMAIN[0], DOMAIN[1], out=block)
+            low, high = float(block[0]), float(block[-1])
+            worst = max(worst, -low, high)
+            if low < DOMAIN[0]:
+                block[: np.searchsorted(block, DOMAIN[0])] = DOMAIN[0]
+            if high > DOMAIN[1]:
+                block[np.searchsorted(block, DOMAIN[1], side="right") :] = DOMAIN[1]
         return worst
 
     worst = max(_each(executor, run, zip(first, [*first[1:], n_blocks])))
@@ -364,11 +398,13 @@ def convergence_experiment(
     The ensemble is sorted once and kept sorted: each iteration writes the
     sorted, clipped image into the spare buffer block by block
     (``_sorted_image``), which gives the same array as mapping, clipping and
-    sorting the whole ensemble, and so the same distances.  W1 then uses the
-    stale buffer as scratch.
+    sorting the whole ensemble, and so the same distances.  As it gathers the
+    iterate it leaves |x - q| in that iterate's buffer, so the iterate's W1
+    is the mean of that buffer; only the last iterate takes a W1 pass of its
+    own, with the stale buffer as scratch.
 
     The independent parts of this work -- the sampling chunks, pieces of the
-    quantile grid, runs of value blocks and the |s - grid| pass of W1 -- run
+    quantile grid, runs of value blocks and the last |s - grid| pass -- run
     on min(threads, available CPUs, value blocks) threads of one pool that
     closes before the call returns; with one, all of it runs in the calling
     thread.  The initial sort, each W1 mean (one pairwise sum over the whole
@@ -391,16 +427,18 @@ def convergence_experiment(
         samples.sort()
         spare = np.empty_like(samples)
         grid = _quantile_grid(n_samples, pool, parts)
-        distances = [_w1_sorted(samples, grid, spare, pool, parts)]
+        distances = []
         for it in range(n_iters):
-            worst = _sorted_image(m, samples, spare, pool, parts)
+            worst = _sorted_image(m, samples, spare, grid, pool, parts)
             if worst > 2.0 + 1e-9:
                 raise ConfigurationError(
                     f"ensemble escaped to |x|={worst:.3g} at iteration {it + 1} "
                     f"(m={m}, dist={dist}, seed={seed})"
                 )
+            # the step left |x - q| of the iterate it read in that buffer
+            distances.append(float(np.mean(samples)))
             samples, spare = spare, samples
-            distances.append(_w1_sorted(samples, grid, spare, pool, parts))
+        distances.append(_w1_sorted(samples, grid, spare, pool, parts))
 
     noise_floor = W1_FLOOR_COEFF / math.sqrt(n_samples)
     slope = None

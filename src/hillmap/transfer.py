@@ -282,10 +282,12 @@ def uniform_kappa_projection(resolution: int) -> StepDensity:
     """Exact kappa projection of the uniform density on [-2, 2].
 
     The mass of the uniform density between the delta images of a kappa cell
-    has the closed form (cos(pi a) - cos(pi b)) / 2.
+    has the closed form (cos(pi a) - cos(pi b)) / 2, from one cosine per
+    edge.
     """
     k = np.linspace(0.0, 1.0, resolution + 1)
-    masses = 0.5 * (np.cos(np.pi * k[:-1]) - np.cos(np.pi * k[1:]))
+    c = np.cos(np.pi * k)
+    masses = 0.5 * (c[:-1] - c[1:])
     return StepDensity(k, masses * resolution)
 
 

@@ -487,11 +487,16 @@ def test_config_entry_that_is_no_flag_value_exits_one(tmp_path, capsys, sub, con
     ["density-evolve", "--steps", "-1", "--out", "e.json"],
     ["mixing-check", "--b-left", "1/2", "--b-right", "1/4", "--out", "m.csv"],
     ["mixing-check", "--b-left", "-1", "--b-right", "3", "--n-max", "3", "--out", "m.csv"],
+    # sizes past any address space, refused before any memory is touched
+    ["ensemble", "--samples", "100000000000000000", "--out", "e.json"],
+    ["density-evolve", "--resolution", "144115188075855872", "--out", "e.json"],
 ], ids=["l-zero", "l-negative", "missing-config", "out-under-a-file", "a-nan", "m-zero",
-        "negative-steps", "b-reversed", "b-past-the-unit-interval"])
+        "negative-steps", "b-reversed", "b-past-the-unit-interval", "samples-711-PiB",
+        "resolution-1-EiB"])
 def test_input_fault_exits_one_with_an_error_line(tmp_path, monkeypatch, capsys, argv):
     # each of these once raised out of run or exited 2 (a-nan), or wrote a
-    # table and exited 0 (negative-steps, b-*)
+    # table and exited 0 (negative-steps, b-*); the two sizes ended in
+    # NumPy's MemoryError traceback
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     (out_dir / "a_file").write_text("")
@@ -518,16 +523,19 @@ def test_input_fault_exits_one_with_an_error_line(tmp_path, monkeypatch, capsys,
     (["bands", "--potential", "cosine", "--l", "inf", "--out", "b.json"], "cell length"),
     (["integral-sweep", "--abs-tol", "0", "--out", "i.csv"], "abs_tol"),
     (["integral-sweep", "--abs-tol", "nan", "--out", "i.csv"], "abs_tol"),
+    (["ensemble", "--seed", "-1", "--out", "e.json"], "seed"),
+    (["ensemble", "--seed", str(1 << 64), "--out", "e.json"], "seed"),
 ], ids=["k-points-0", "k-points-1", "n-max-0", "n-max-negative", "count-0",
         "lambda-max-nan-csv", "lambda-max-nan-json", "a-max-inf", "a-min-inf",
         "resolution-0", "l-inf-json", "l-inf-csv", "l-inf-cosine", "abs-tol-0",
-        "abs-tol-nan"])
+        "abs-tol-nan", "seed-negative", "seed-2**64"])
 def test_input_that_names_its_fault(tmp_path, monkeypatch, capsys, argv, name):
     # each of these once wrote a table with no rows (or only k = 0) and
     # exited 0, or exited 1 with another reason (NaN bands, NumPy's
     # RuntimeWarning from the grid, "need n+1 edges"), or ended in a
     # traceback (l = inf); the abs-tol cases guard a refusal that moved
-    # into the quadrature kernel
+    # into the quadrature kernel; the seeds exited 1 with NumPy's message
+    # on the Philox key, which names neither the seed nor its range
     monkeypatch.setenv("HILLMAP_OUT_DIR", str(tmp_path))
     assert run([*argv, "--no-timestamp"]) == 1
     err = capsys.readouterr().err

@@ -86,10 +86,11 @@ class TestSampleInitial:
         every redraw stays out of it until round ``good_round``."""
         calls = []
 
-        def fake(dist, rng, size):
+        def fake(dist, rng, size, out=None):
             calls.append(size)
             if len(calls) == 1:
-                vals = np.zeros(size)
+                vals = np.zeros(size) if out is None else out
+                vals[...] = 0.0
                 vals[0] = 5.0
                 return vals
             return np.array([0.5 if len(calls) - 1 == good_round else 5.0])
@@ -116,6 +117,60 @@ class TestSampleInitial:
         assert np.all(samples >= -2.0) and np.all(samples <= 2.0)
         # clamping piles the out-of-domain tail onto the boundary
         assert np.count_nonzero(samples == 2.0) == rejections > 0
+
+    @pytest.mark.parametrize("dist", [
+        InitialDistribution.uniform(),
+        InitialDistribution.shifted_gamma(),
+        InitialDistribution.shifted_gamma(clamp_to_domain=True),
+    ], ids=["uniform", "gamma", "gamma-clamped"])
+    def test_each_chunk_is_numpys_draw_from_its_own_key(self, dist):
+        # oracle: chunk i comes from Generator(Philox(key=(seed << 64) + i))
+        # by NumPy's own uniform(-2, 2) or gamma(1, 1) - 2, each value out of
+        # [-2, 2] redrawn from the same stream until it falls inside (or
+        # clipped).  At seed 36 the gamma law rejects in every chunk, the
+        # 17-value one among them, and some redraws fall outside again.
+        n, seed = 2 * CHUNK + 17, 36
+        expect, rejected, first_round = [], 0, []
+        for i in range(-(-n // CHUNK)):
+            rng = np.random.Generator(np.random.Philox(key=(seed << 64) + i))
+            size = min(CHUNK, n - i * CHUNK)
+
+            def draw(k):
+                if dist.kind == "uniform":
+                    return rng.uniform(-2.0, 2.0, k)
+                return rng.gamma(1.0, 1.0, k) - 2.0
+
+            vals = draw(size)
+            bad = np.flatnonzero(np.abs(vals) > 2.0)
+            rejected += bad.size
+            first_round.append(bad.size)
+            if dist.clamp_to_domain:
+                vals, bad = np.clip(vals, -2.0, 2.0), bad[:0]
+            while bad.size:
+                redraw = draw(bad.size)
+                ok = np.abs(redraw) <= 2.0
+                vals[bad[ok]] = redraw[ok]
+                bad = bad[~ok]
+                rejected += bad.size
+            expect.append(vals)
+        samples, rejections = sample_initial(dist, n, seed)
+        assert np.array_equal(samples, np.concatenate(expect))
+        assert rejections == rejected
+        if dist.kind == "shifted_gamma":
+            assert min(first_round) > 0
+            assert dist.clamp_to_domain or rejections > sum(first_round)
+        else:
+            assert rejections == 0
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1 << 128])
+    def test_seed_outside_64_bits_refused_by_name(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            sample_initial(InitialDistribution.uniform(), 4, seed)
+
+    def test_largest_seed_runs(self):
+        for dist in (InitialDistribution.uniform(), InitialDistribution.shifted_gamma()):
+            samples, _ = sample_initial(dist, CHUNK + 1, (1 << 64) - 1)
+            assert np.all(np.abs(samples) <= 2.0)
 
     @pytest.mark.parametrize("kind", ["bogus", "Uniform", "shifted-gamma"])
     def test_unknown_kind_refused_when_built(self, kind):
@@ -230,13 +285,17 @@ ORDERS = [*range(2, 10), 24, 64]
 class TestSortedImage:
     @staticmethod
     def _check(m, s, expect_repair=None, parts=1):
+        # the step leaves |s - grid| in the source, the W1 pass's array
+        source = s.copy()
+        grid = ensemble._quantile_grid(s.size)
         out = np.empty_like(s).view(_SortSpy)
         _SortSpy.whole, _SortSpy.repairs = out, 0
         with ThreadPoolExecutor(parts) if parts > 1 else nullcontext() as pool:
-            worst = ensemble._sorted_image(m, s, out, pool, parts)
+            worst = ensemble._sorted_image(m, source, out, grid, pool, parts)
         image = trace_poly(m, s)
         assert np.array_equal(out, np.sort(np.clip(image, -2.0, 2.0)))
         assert worst == max(-image.min(), image.max())
+        assert np.array_equal(source, np.abs(s - grid))
         if expect_repair is not None:
             assert _SortSpy.repairs == int(expect_repair)
 
@@ -256,14 +315,16 @@ class TestSortedImage:
         special = _cut_points(m, n)
         rng = np.random.Generator(np.random.Philox(key=m))
         s = np.sort(np.concatenate((special, rng.uniform(-2.0, 2.0, n - special.size))))
-        self._check(m, s)
+        for parts in (1, 2):
+            self._check(m, s, parts=parts)
 
     @pytest.mark.parametrize("m", [2, 3, 24])
     def test_one_value_filling_many_blocks(self, m):
         # every sample in one cell: one block holds all of them, more than
         # its map's temporaries, and the rest are empty
         for value in (-2.0, 2.0, 0.3, _cut_points(m, 3 * BLOCK)[-1]):
-            self._check(m, np.full(3 * BLOCK, value), expect_repair=False)
+            for parts in (1, 2):
+                self._check(m, np.full(3 * BLOCK, value), expect_repair=False, parts=parts)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_each_misplaced_cut_forces_the_repair(self, monkeypatch, m):
@@ -287,6 +348,15 @@ class TestSortedImage:
             monkeypatch.setattr(ensemble, "invariant_quantile", moved)
             for parts in (1, 2):
                 self._check(m, s, expect_repair=True, parts=parts)
+
+
+@pytest.mark.parametrize("n", [1, 3, BLOCK - 1, BLOCK + 1, 5 * CHUNK + 3])
+def test_quantile_grid_is_invariant_quantile_of_the_midpoints(n):
+    # written in place block by block, with the bits of the public quantile
+    expect = invariant_quantile((np.arange(n) + 0.5) / n)
+    for parts in (1, 2, 3):
+        with ThreadPoolExecutor(parts) if parts > 1 else nullcontext() as pool:
+            assert np.array_equal(ensemble._quantile_grid(n, pool, parts), expect)
 
 
 def _report_or_error(*args, **kwargs):

@@ -399,6 +399,14 @@ class TestCoordinateChange:
         pk2 = delta_to_kappa(StepDensity(np.array([-2.0, 2.0]), np.array([0.25])), 64)
         assert np.allclose(pk.values, pk2.values, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3, 2**14, 2**20])
+    def test_uniform_projection_is_the_two_cosine_formula(self, n):
+        # one cosine per edge, differenced, has the bits of a cosine per cell
+        # end: np.cos gives an element the same value at any offset
+        k = np.linspace(0.0, 1.0, n + 1)
+        masses = 0.5 * (np.cos(np.pi * k[:-1]) - np.cos(np.pi * k[1:]))
+        assert np.array_equal(uniform_kappa_projection(n).values, masses * n)
+
     def test_density_off_domain_refused(self):
         # the projection onto the fold coordinate would drop the mass
         # outside [-2, 2]
