@@ -245,8 +245,6 @@ def _cmd_lyapunov(cfg, timestamp):
     print(f"lyapunov({cfg['m']}) = {res.value:.10f} [{res.method}]")
     if cfg["out"]:
         _write_json(cfg["out"], {"result": dataclasses.asdict(res)}, cfg, timestamp)
-    for warning in res.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 

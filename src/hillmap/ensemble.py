@@ -194,7 +194,7 @@ def wasserstein1(samples: Sequence[float]) -> float:
         raise ValueError("samples must be sorted ascending")
     if s[0] < DOMAIN[0] - 1e-9 or s[-1] > DOMAIN[1] + 1e-9:
         raise DomainError("samples must lie in [-2, 2]")
-    return _w1_sorted(s, _quantile_grid(s.size), np.empty_like(s))
+    return float(np.mean(np.abs(s - _quantile_grid(s.size))))
 
 
 def _quantile_grid(n: int, executor: Executor | None = None, parts: int = 1) -> np.ndarray:
@@ -219,27 +219,6 @@ def _quantile_grid(n: int, executor: Executor | None = None, parts: int = 1) -> 
 
     _each(executor, piece, _spans(n, parts))
     return grid
-
-
-def _w1_sorted(
-    s: np.ndarray,
-    grid: np.ndarray,
-    scratch: np.ndarray,
-    executor: Executor | None = None,
-    parts: int = 1,
-) -> float:
-    """mean |s - grid|, computed in ``scratch``; the callers have sorted s
-    and kept it in [-2, 2].  |s - grid| is written in ``parts`` pieces, each
-    BLOCK values at a time so that the abs pass reads from cache; the mean is
-    one pairwise sum over the whole scratch, whatever ``parts``."""
-
-    def piece(span: tuple[int, int]) -> None:
-        for lo, hi in _blocks(*span):
-            np.subtract(s[lo:hi], grid[lo:hi], out=scratch[lo:hi])
-            np.abs(scratch[lo:hi], out=scratch[lo:hi])
-
-    _each(executor, piece, _spans(s.size, parts))
-    return float(np.mean(scratch))
 
 
 def detect_linear_region(distances: Sequence[float], noise_floor: float) -> tuple[int, int]:
@@ -310,7 +289,7 @@ def _sorted_image(
     """out = sort(clip(f_m(s), -2, 2)) for s sorted ascending in [-2, 2];
     returns max |f_m(s)| before the clip, for the escape check.  On return
     ``s`` holds |s - grid| elementwise, the array whose mean is the W1 of s
-    (``_w1_sorted``), with the same bits.
+    (``wasserstein1``), with the same bits.
 
     In the arcsine angle, s = -2 cos(pi u), f_m takes u to m u (m u + 1 for
     even m) folded into [0, 1].  So the arcsine quantiles at i / (m B) split s
@@ -400,16 +379,16 @@ def convergence_experiment(
     (``_sorted_image``), which gives the same array as mapping, clipping and
     sorting the whole ensemble, and so the same distances.  As it gathers the
     iterate it leaves |x - q| in that iterate's buffer, so the iterate's W1
-    is the mean of that buffer; only the last iterate takes a W1 pass of its
-    own, with the stale buffer as scratch.
+    is the mean of that buffer; only the last iterate, which no step reads,
+    takes |x - q| in place in a pass of its own.
 
     The independent parts of this work -- the sampling chunks, pieces of the
-    quantile grid, runs of value blocks and the last |s - grid| pass -- run
-    on min(threads, available CPUs, value blocks) threads of one pool that
-    closes before the call returns; with one, all of it runs in the calling
-    thread.  The initial sort, each W1 mean (one pairwise sum over the whole
-    array) and the rare mending sort stay in the calling thread, so every
-    distance keeps its bits.
+    quantile grid and runs of value blocks -- run on min(threads, available
+    CPUs, value blocks) threads of one pool that closes before the call
+    returns; with one, all of it runs in the calling thread.  The initial
+    sort, the last |x - q| pass, each W1 mean (one pairwise sum over the
+    whole array) and the rare mending sort stay in the calling thread, so
+    every distance keeps its bits.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -438,7 +417,9 @@ def convergence_experiment(
             # the step left |x - q| of the iterate it read in that buffer
             distances.append(float(np.mean(samples)))
             samples, spare = spare, samples
-        distances.append(_w1_sorted(samples, grid, spare, pool, parts))
+        np.subtract(samples, grid, out=samples)
+        np.abs(samples, out=samples)
+        distances.append(float(np.mean(samples)))
 
     noise_floor = W1_FLOOR_COEFF / math.sqrt(n_samples)
     slope = None

@@ -18,6 +18,7 @@ from .numerics import QUAD_TOL, quad_singular
 BURN_IN = 100
 ORBIT_BLOCK = 2**16  # orbit points stored, tested and averaged at a time
 CRITICAL_EPS = 1e-13
+_EDGE = 2.0 - 1e-9  # where an orbit point at or past +-2 is moved
 LOG_4 = math.log(4.0)
 
 
@@ -28,7 +29,6 @@ class LyapunovResult:
     method: str  # quadrature | orbit_average
     error_estimate: float
     restarts: int = 0
-    warnings: tuple = ()
 
 
 def critical_points(m: int) -> np.ndarray:
@@ -130,57 +130,45 @@ def average_lyapunov_quadrature(m: int) -> LyapunovResult:
     return LyapunovResult(m, val / math.pi, "quadrature", bound / math.pi)
 
 
-def _slope_bound(m: int, crit: np.ndarray) -> float:
-    """Above the computed |f_m'| within CRITICAL_EPS of ``crit``: the max on ``crit``
-    plus m^4 CRITICAL_EPS (sup |f_m''| = m^2 (m^2 - 1) / 6, V. A. Markov) and m^4 4 eps."""
-    top = float(np.abs(trace_poly(m, crit, derivative=True)).max())
-    return top + m**4 * (CRITICAL_EPS + 4 * np.finfo(float).eps)
-
-
-def _first_critical(xs, slopes, crit, near: float) -> int | None:
-    """Index of the first entry of ``xs`` within CRITICAL_EPS of ``crit``, or
-    None; only the entries whose |f_m'|, ``slopes``, is below ``near`` are compared."""
-    low = np.flatnonzero(slopes < near)
-    hits = np.flatnonzero((np.abs(xs[low, None] - crit) < CRITICAL_EPS).any(axis=1))
-    return int(low[hits[0]]) if hits.size else None
-
-
-def _fill_clipped(fill, x, xs: np.ndarray, lo: int, hi: int) -> float:
-    """``fill`` of xs[lo:hi] from x, then each escape from [-2, 2] clipped
-    to +-2 where it first lands and the rest refilled from there; returns
-    the next point, clipped alike.  These are the values of clipping every
-    step; the point at xs[lo] is stored as it is."""
+def _fill_inside(fill, x, xs: np.ndarray, lo: int, hi: int) -> tuple[float, list[int]]:
+    """``fill`` of xs[lo:hi] from x, then each point that lands at or past
+    +-2 moved to +-(2 - 1e-9) where it first lands and the rest refilled
+    from there; returns the next point, moved alike, and the indices of the
+    moved points, hi for the next point.  These are the values of moving
+    every step; the point at xs[lo] is stored as it is."""
     view = memoryview(xs)
     x = fill(x, view, lo, hi)
-    # not <= 2: an unclipped run past an escape reaches inf, then NaN
-    while (out := np.flatnonzero(~(np.abs(xs[lo + 1:hi]) <= 2.0))).size:
+    moved = []
+    # not >= 2: an unmoved run past an escape reaches inf, then NaN
+    while (out := np.flatnonzero(~(np.abs(xs[lo + 1:hi]) < 2.0))).size:
         lo += 1 + int(out[0])
-        x = fill(-2.0 if xs[lo] < -2.0 else 2.0, view, lo, hi)
-    return -2.0 if x < -2.0 else (2.0 if x > 2.0 else x)
+        moved.append(lo)
+        x = fill(math.copysign(_EDGE, xs[lo]), view, lo, hi)
+    if not abs(x) < 2.0:
+        moved.append(hi)
+        x = math.copysign(_EDGE, x)
+    return x, moved
 
 
 def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
     """Birkhoff average of log |f_m'| along one orbit of the degree-m map,
     after a fixed burn-in.
 
-    Every step clips f_m to [-2, 2].  The orbit, burn-in included, is
-    stepped by ``orbit_kernel(m)``: the trace recursion compiled for this m
-    into straight-line code, with the same operations as ``trace_poly`` in
-    the same order, and no clip.  One NumPy scan of each filled stretch
-    finds the first point outside [-2, 2], clips it and refills the
-    stretch from there, so the values are those of clipping every step.
-    An escape lands the orbit on +-2, which f_m keeps exactly, so it
-    wastes at most one block of steps.  A non-integral m raises TypeError.
+    f_m keeps the repelling fixed points +-2, and sends every float within
+    about 1e-8 / m of a critical point exactly onto one of them, so a float
+    orbit would be trapped there for good and read log |f_m'(+-2)| =
+    2 log m.  So every point that lands at or past +-2 is moved to
+    +-(2 - 1e-9), from where the orbit leaves in about 15 steps; a point
+    whose |f_m'| rounds to 0, the one term the log cannot take, is moved
+    by +1e-9 and stored as it is.  ``restarts`` counts both kinds of move,
+    the burn-in's included.
 
-    An orbit point landing within machine distance of a critical point is
-    perturbed by 1e-9 and the restart is counted; only the points whose
-    |f_m'|, taken for the log, is below ``_slope_bound`` are compared with
-    the critical points.  The repelling fixed points 2 and -2 hold a float
-    orbit that lands on them (m = 2, x0 = 0 goes 0, -2, 2, 2, ...): the
-    average then reads log |f_m'(+-2)| = 2 log m, not log m, to an ulp, with
-    an ``error_estimate`` of 0 up to the rounding of the mean, so the
-    standard error does not show it; ``warnings`` says so when the orbit
-    ends on +-2.
+    The orbit, burn-in included, is stepped by ``orbit_kernel(m)``: the
+    trace recursion compiled for this m into straight-line code, with the
+    same operations as ``trace_poly`` in the same order, and no test.  One
+    NumPy scan of each filled stretch finds the first point not inside
+    (-2, 2), moves it and refills the stretch from there, so the values
+    are those of testing every step.  A non-integral m raises TypeError.
     """
     m = operator.index(m)
     if m < 2:
@@ -191,31 +179,30 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
         raise ValueError("x0 must lie in (-2, 2)")
 
     fill = orbit_kernel(m)
-    crit = critical_points(m)
-    near = _slope_bound(m, crit)
-    restarts = 0
-    x = _fill_clipped(fill, float(x0), np.empty(BURN_IN), 0, BURN_IN)
+    x, moved = _fill_inside(fill, float(x0), np.empty(BURN_IN), 0, BURN_IN)
+    restarts = len(moved)
 
-    # The orbit is built one ORBIT_BLOCK block at a time and tested for
-    # critical points once per block; a hit at index i refills the block and
-    # its |f_m'| from there, starting at the perturbed point, which is stored
-    # untested, so the values are those of testing each point before its step.
-    # log |f'| is taken per block, and the blocks' means and sums of squared
-    # deviations are merged by Chan's update.
+    # The orbit is built one ORBIT_BLOCK block at a time and its |f_m'|
+    # tested for 0 once per block; a zero at index i refills the block and
+    # its |f_m'| from there, starting at the moved point, which is stored
+    # untested, so the values are those of testing each point as it is
+    # stored.  log |f'| is taken per block, and the blocks' means and sums
+    # of squared deviations are merged by Chan's update.
     buf = np.empty(min(n, ORBIT_BLOCK))
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n, ORBIT_BLOCK):
         size = min(ORBIT_BLOCK, n - start)
         xs = buf[:size]
-        x = _fill_clipped(fill, x, xs, 0, size)
+        x, moved = _fill_inside(fill, x, xs, 0, size)
         slopes = np.abs(trace_poly(m, xs, derivative=True))
-        tested = 0  # xs[:tested] is free of critical points
-        while (hit := _first_critical(xs[tested:], slopes[tested:], crit, near)) is not None:
-            i = tested + hit
-            restarts += 1
-            x = _fill_clipped(fill, float(xs[i]) + 1e-9, xs, i, size)
+        tested = 0  # slopes[:tested] holds no zero
+        while (zeros := np.flatnonzero(slopes[tested:] == 0.0)).size:
+            i = tested + int(zeros[0])
+            x, tail = _fill_inside(fill, float(xs[i]) + 1e-9, xs, i, size)
+            moved = [j for j in moved if j <= i] + [i, *tail]  # the refill replaced the rest
             slopes[i:] = np.abs(trace_poly(m, xs[i:], derivative=True))
             tested = i + 1
+        restarts += len(moved)
         logs = np.log(slopes)
         block_mean = float(np.mean(logs))
         logs -= block_mean
@@ -225,11 +212,7 @@ def average_lyapunov_orbit(m: int, x0: float, n: int) -> LyapunovResult:
         m2 += float(np.dot(logs, logs)) + delta * delta * count * weight
         count += size
     stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
-    warnings = ()
-    if abs(x) == 2.0:  # f_m keeps {+-2} exactly: the orbit stays there
-        warnings = (f"orbit ended on the fixed point {x:+g} of f_{m}: the average "
-                    f"is log |f_{m}'({x:+g})| = 2 log {m}, not log {m}",)
-    return LyapunovResult(m, mean, "orbit_average", stderr, restarts, warnings)
+    return LyapunovResult(m, mean, "orbit_average", stderr, restarts)
 
 
 def _log_gap_outside(phi, gap):
