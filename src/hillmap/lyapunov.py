@@ -6,18 +6,19 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
-from .maps import MapDescriptor, trace_poly
+from .errors import DomainError
+from .maps import trace_poly
 from .numerics import QUAD_TOL, quad_singular
 
 BURN_IN = 100
 ORBIT_BLOCK = 2**16  # orbit points stored, tested and averaged at a time
-CRITICAL_EPS = 1e-13
+_UNROLL = 16  # orbit steps per pass of the kernel's main loop, stored in one call
 _EDGE = 2.0 - 1e-9  # where an orbit point at or past +-2 is moved
 LOG_4 = math.log(4.0)
 
@@ -51,6 +52,11 @@ def orbit_kernel(m: int) -> Callable:
     Fractions, and nothing else: an orbit that leaves [-2, 2] runs on
     unclipped, to inf and NaN.  Compiled once per process per order.
 
+    ``buf`` is a writable C-contiguous float64 buffer: the points go in
+    groups of 16, each stored raw by one ``struct.pack_into`` (so -0, inf
+    and NaN keep their bits), and the last (hi - lo) % 16 one at a time,
+    so a fill of fewer than 16 points may also go to a list of Fractions.
+
     A non-integral m raises TypeError here, before the cache is consulted
     (3.0 hashes as 3 and would otherwise be handed the kernel of 3).
     """
@@ -63,45 +69,40 @@ def _compile_orbit_kernel(m: int) -> Callable:
     # trace_poly's loop is written out, from the same starts with the same
     # operations in the same order, so with the same values on floats and
     # Fractions; the starts are substituted into the first two steps, and
-    # the last step assigns x.  Three names rotate as the new value, so the
-    # source grows with m and the locals do not.  The start 2 is a local of
-    # x's type: with the int literal, x * x - 2 misses CPython's float-float
-    # subtraction at every step.
+    # the last step assigns its output.  Three names rotate as the new
+    # value.  The start 2 is a local of x's type: with the int literal,
+    # x * x - 2 misses CPython's float-float subtraction at every step.
+    # The main loop writes out _UNROLL steps, x0 = x to x = f_m(x15), and
+    # stores them in one pack_into call, so the loop's and the stores'
+    # overheads, more than a step's arithmetic at m = 2, are paid once per
+    # group; the remainder loop steps and stores one point at a time.
     if m < 1:
         raise ValueError("m must be a positive integer")
-    prev, y, lines = "two", "x", []
-    for k in range(m - 1):
-        new = "x" if k == m - 2 else "abc"[k % 3]
-        lines.append(f"{new} = x * {y} - {prev}")
-        prev, y = y, new
+
+    def step(x, out):
+        prev, y, lines = "two", x, []
+        for k in range(m - 1):
+            new = out if k == m - 2 else "abc"[k % 3]
+            lines.append(f"{new} = {x} * {y} - {prev}")
+            prev, y = y, new
+        return lines or [f"{out} = {x}"]  # m = 1: the identity
+
+    names = [f"x{j}" for j in range(_UNROLL)]
+    group = ["x0 = x"]
+    for x, out in zip(names, [*names[1:], "x"]):
+        group += step(x, out)
     source = ("def fill(x, buf, lo, hi):\n"
               "    two = x * 0 + 2\n"
-              "    for i in range(lo, hi):\n"
-              + "".join(f"        {line}\n" for line in ["buf[i] = x", *lines])
+              f"    stop = max(lo, hi - (hi - lo) % {_UNROLL})\n"
+              f"    for i in range(lo, stop, {_UNROLL}):\n"
+              + "".join(f"        {line}\n" for line in group)
+              + f"        pack(buf, 8 * i, {', '.join(names)})\n"
+              "    for i in range(stop, hi):\n"
+              + "".join(f"        {line}\n" for line in ["buf[i] = x", *step("x", "x")])
               + "    return x\n")
-    namespace = {}
+    namespace = {"pack": struct.Struct(f"{_UNROLL}d").pack_into}
     exec(compile(source, f"<orbit kernel, m = {m}>", "exec"), namespace)
     return namespace["fill"]
-
-
-def local_lyapunov(md: MapDescriptor, x: float) -> float:
-    """log |f'(x)|; raises at tent breakpoints and polynomial critical points."""
-    if md.family == "tent":
-        t = x * md.m
-        if abs(t - round(t)) < CRITICAL_EPS:
-            raise SingularityError(f"tent map is not differentiable at x={x!r}")
-        return math.log(md.m)
-    if md.family == "logistic":
-        d = md.r * (1.0 - 2.0 * x)
-        if abs(d) < CRITICAL_EPS:
-            raise SingularityError(f"critical point of the logistic map at x={x!r}")
-        return math.log(abs(d))
-    if md.family == "gen_logistic":
-        d = trace_poly(md.m, x, derivative=True)
-        if abs(d) < math.sqrt(CRITICAL_EPS):
-            raise SingularityError(f"critical point at x={x!r}")
-        return math.log(abs(d))
-    raise ValueError(f"no local exponent for family {md.family!r}")
 
 
 def average_lyapunov_quadrature(m: int) -> LyapunovResult:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillmap import lyapunov
-from hillmap.errors import DomainError, SingularityError
+from hillmap.errors import DomainError
 from hillmap.lyapunov import (
     BURN_IN,
     ORBIT_BLOCK,
@@ -21,7 +21,6 @@ from hillmap.lyapunov import (
     average_lyapunov_orbit,
     average_lyapunov_quadrature,
     critical_points,
-    local_lyapunov,
     orbit_kernel,
     roots_fm,
 )
@@ -121,6 +120,10 @@ def same_float(got, want):
     return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+def same_float_or_nan(got, want):
+    return same_float(got, want) or math.isnan(got) and math.isnan(want)
+
+
 class TestTraceKernels:
     """The compiled orbit step against trace_poly's loop, unclipped, with ==,
     and trace_poly's f_m' on arrays against its scalar calls and, on
@@ -140,6 +143,14 @@ class TestTraceKernels:
         for x in map(float, points):
             assert same_float(fill(x, memoryview(buf), 0, 1), trace_poly(m, x)), x
             assert same_float(float(buf[0]), x), x
+        # 17 points: one group of 16 steps and one step of the remainder
+        buf = np.empty(17)
+        for x in map(float, points):
+            want = [x]
+            for _ in range(17):
+                want.append(trace_poly(m, want[-1]))
+            got = fill(x, memoryview(buf), 0, 17)
+            assert all(map(same_float_or_nan, [*buf.tolist(), got], want)), x
         # the quadrature's integrand evaluates f_m' on arrays: the same bits
         xs = np.array(points, dtype=float)
         want = [trace_poly(m, float(x), derivative=True) for x in xs]
@@ -183,6 +194,24 @@ class TestTraceKernels:
         assert np.array_equal(buf[1:-1], want, equal_nan=True)
         assert np.isnan(buf[0]) and np.isnan(buf[-1])
         assert np.isnan(want[-1]) == (x0 == ESCAPE_X0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 24])
+    @pytest.mark.parametrize("lo", [0, 1, 15])
+    @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 33, 10_001])
+    def test_fill_of_every_length_and_offset(self, m, lo, length):
+        # groups of 16 steps, a remainder after them or alone, at offsets
+        # that do not start a group on a multiple of 16; NaN on both sides
+        # (from ESCAPE_X0 the m = 5 orbit runs on to inf and NaN)
+        hi, x0 = lo + length, ESCAPE_X0 if m == 5 else 0.37071
+        want = np.full(hi + 2, np.nan)
+        x = x0
+        for i in range(lo, hi):
+            want[i] = x
+            x = trace_poly(m, x)
+        buf = np.full(hi + 2, np.nan)
+        got = orbit_kernel(m)(x0, memoryview(buf), lo, hi)
+        assert same_float_or_nan(got, x)
+        assert buf.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 24, 64])
     def test_fill_is_the_clipped_orbit(self, m):
@@ -247,28 +276,6 @@ class TestOrderIsAnInteger:
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-
-
-class TestLocalLyapunov:
-    def test_tent_slope(self):
-        assert local_lyapunov(MapDescriptor.tent(3), 0.1) == math.log(3)
-
-    def test_gen_logistic(self):
-        got = local_lyapunov(MapDescriptor.gen_logistic(2), 1.0)
-        assert abs(got - math.log(2.0)) < 1e-15
-
-    def test_critical_point_raises(self):
-        with pytest.raises(SingularityError):
-            local_lyapunov(MapDescriptor.gen_logistic(2), 0.0)
-
-    def test_tent_breakpoint_raises(self):
-        with pytest.raises(SingularityError):
-            local_lyapunov(MapDescriptor.tent(3), 1.0 / 3.0)
-
-    def test_logistic_critical(self):
-        with pytest.raises(SingularityError):
-            local_lyapunov(MapDescriptor.logistic(4.0), 0.5)
-        assert abs(local_lyapunov(MapDescriptor.logistic(4.0), 0.0) - math.log(4.0)) < 1e-15
 
 
 class TestRoots:
