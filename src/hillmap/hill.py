@@ -38,12 +38,14 @@ class Potential:
 
     def __post_init__(self):
         # Built once for piecewise-linear cells: the interpolation table
-        # (nodes, values) over one period, and the (v0, slope, length) of the
+        # (nodes, values) over one period, the (v0, slope, length) of the
         # linear pieces of [0, 1] in order, one exact matrix each in the
-        # closed-form kernel.  Not fields, so equality and the hash see only
-        # the defining data.
+        # closed-form kernel, and the same as the kernel's three (P, 1)
+        # columns.  Not fields, so equality and the hash see only the
+        # defining data.
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_pieces", None)
+        object.__setattr__(self, "_columns", None)
         if self.kind not in ("cosine", "piecewise_linear"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if not np.isfinite(np.hstack(self.params)).all():
@@ -69,6 +71,9 @@ class Potential:
         keep = h > 0.0  # a node that np.mod put on the period's end
         object.__setattr__(self, "_pieces", tuple(zip(
             v[:-1][keep].tolist(), (np.diff(v)[keep] / h[keep]).tolist(), h[keep].tolist())))
+        columns = np.array(self._pieces).T[..., None]
+        columns.flags.writeable = False
+        object.__setattr__(self, "_columns", columns)
 
     @classmethod
     def constant(cls, value: float) -> "Potential":
@@ -132,6 +137,8 @@ class Monodromy:
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (2, 2):
             raise ValueError("entries must be a 2x2 matrix")
+        if not np.isfinite(m).all():
+            raise ValueError(f"entries must be finite, not {m.tolist()}")
         object.__setattr__(self, "entries", m)
         # ad - bc cancels catastrophically once entries blow up (hyperbolic
         # lam far below the spectrum), so the 1e-8 contract is checked on the
@@ -224,54 +231,104 @@ def _airy_series_coeffs(order: int):
 
 
 _U_EVEN, _U_ODD, _V_EVEN, _V_ODD = _airy_series_coeffs(_SERIES_ORDER)
+# The four series as the rows of one table, each zero-padded in front to the
+# longest: one Horner pass evaluates all four, to the bit of each alone.
+_SERIES = np.array([np.pad(c, (_SERIES_ORDER // 2 + 1 - c.size, 0))
+                    for c in (_U_EVEN, _U_ODD, _V_EVEN, _V_ODD)])
+_SERIES_STEPS = _SERIES.T[:, :, None]  # Horner's steps, one (4, 1) column each
+
+
+def _series(y: np.ndarray) -> np.ndarray:
+    """The rows of _SERIES at y, shape (4,) + y.shape, in one Horner pass:
+    each row is ``np.polyval`` of its own coefficients to the bit."""
+    Y = y.reshape(1, -1).repeat(4, axis=0)
+    A = np.zeros(Y.shape, dtype=y.dtype)
+    for c in _SERIES_STEPS:
+        A *= Y
+        A += c
+    return A.reshape((4,) + y.shape)
 
 
 def _airy_piece(q0, s, h, derivative):
     c = np.cbrt(s)
-    z0 = q0 / (c * c)
-    z1 = z0 + c * h
-    a0, ap0, b0, bp0 = airy(z0)
-    a1, ap1, b1, bp1 = airy(z1)
+    cc = c * c
+    z0 = q0 / cc
+    z = np.array([z0, z0 + c * h])  # z at both ends
+    ai, aip, bi, bip = airy(z)
+    caip, cbip = c * aip, c * bip
     # T = Phi(h) Phi(0)^-1 with Phi = [[Ai, Bi], [c Ai', c Bi']], det c / pi
-    inv0 = _matrices(c * bp0, -b0, -c * ap0, a0) * (math.pi / c)[:, None, None]
-    phi1 = _matrices(a1, b1, c * ap1, c * bp1)
+    inv0, phi1 = W = np.empty((2,) + q0.shape + (2, 2))
+    W[..., 0, 0], W[..., 0, 1] = (cbip[0], ai[1]), (-bi[0], bi[1])
+    W[..., 1, 0], W[..., 1, 1] = (-caip[0], caip[1]), (ai[0], cbip[1])
+    inv0 *= (math.pi / c)[..., None, None]
     T = phi1 @ inv0
     if not derivative:
         return T, None
-    dz = -1.0 / (c * c)  # dz/dlam; Ai'' = z Ai
-    dinv0 = _matrices(c * z0 * b0, -bp0, -c * z0 * a0, ap0) * (dz * math.pi / c)[:, None, None]
-    dphi1 = _matrices(ap1, bp1, c * z1 * a1, c * z1 * b1) * dz[:, None, None]
+    dz = -1.0 / cc  # dz/dlam; Ai'' = z Ai
+    cz = c * z
+    cza, czb = cz * ai, cz * bi
+    dinv0, dphi1 = dW = np.empty_like(W)
+    dW[..., 0, 0], dW[..., 0, 1] = (czb[0], aip[1]), (-bip[0], bip[1])
+    dW[..., 1, 0], dW[..., 1, 1] = (-cza[0], cza[1]), (aip[0], czb[1])
+    dinv0 *= (dz * math.pi / c)[..., None, None]
+    dphi1 *= dz[..., None, None]
     return T, dphi1 @ inv0 + phi1 @ dinv0
 
 
+_NU_IF_OSC = np.array([1.0, -1.0])  # (nu, -nu) where oscillatory, else the reverse
+_NU_IF_FORBIDDEN = -_NU_IF_OSC
+
+
+# The complex-step forms take a complex q0 for the lam-derivative, and
+# NumPy's complex multiply rounds x * y and y * x apart (its imaginary part
+# is a fused multiply-add led by the first operand): every product in them
+# keeps its operand order, or dT/dlam moves by an ulp.
 def _asymptotic_piece(q0, s, h):
-    q1 = q0 + s * h
-    nu = np.where(q0.real < 0.0, 1.0, -1.0)  # 1 oscillatory, -1 forbidden
-    p0, p1 = -nu * q0, -nu * q1
-    r0, r1 = np.sqrt(p0), np.sqrt(p1)
-    f0, f1 = np.sqrt(r0), np.sqrt(r1)
+    q = np.array([q0, q0 + s * h])  # q at both ends
+    osc = q0.real < 0.0  # oscillatory, else forbidden
+    pair = (2,) + (1,) * q0.ndim
+    nus = np.where(osc, _NU_IF_OSC.reshape(pair), _NU_IF_FORBIDDEN.reshape(pair))
+    nu, mnu = nus  # nu: 1 oscillatory, -1 forbidden
+    p = mnu * q
+    r = np.sqrt(p)
+    f = np.sqrt(r)
+    (p0, p1), (r0, r1), (f0, f1) = p, r, f
     sg = np.copysign(1.0, s)
     # zeta(h) - zeta(0), with zeta = (2/3) p^(3/2) / |s|, times the direction
     phase = (2.0 / 3.0) * sg * h * (p0 + r0 * r1 + p1) / (r0 + r1)
-    osc = nu > 0
-    cd, sd = np.empty_like(phase), np.empty_like(phase)
-    cd[osc], sd[osc] = np.cos(phase[osc]), np.sin(phase[osc])
-    cd[~osc], sd[~osc] = np.cosh(phase[~osc]), np.sinh(phase[~osc])
-
-    def series(p, r):
-        w = 1.5 * np.abs(s) / (p * r)
-        y = -nu * w * w
-        return (_horner(_U_EVEN, y), w * _horner(_U_ODD, y),
-                _horner(_V_EVEN, y), w * _horner(_V_ODD, y))
-
-    P0, Q0, R0, S0 = series(p0, r0)  # Ai-type (P, Q), Ai'-type (R, S) sums
-    P1, Q1, R1, S1 = series(p1, r1)
-    return _matrices(
-        f0 / f1 * ((P1 * R0 + nu * Q1 * S0) * cd + nu * (P1 * S0 - Q1 * R0) * sd),
-        sg / (f0 * f1) * ((Q1 * P0 - P1 * Q0) * cd + (P1 * P0 + nu * Q1 * Q0) * sd),
-        -nu * sg * f0 * f1 * ((S1 * R0 - R1 * S0) * cd + (R1 * R0 + nu * S1 * S0) * sd),
-        f1 / f0 * ((R1 * P0 + nu * S1 * Q0) * cd - nu * (S1 * P0 - R1 * Q0) * sd),
-    )
+    n_osc = np.count_nonzero(osc)
+    if n_osc == osc.size:
+        cd, sd = np.cos(phase), np.sin(phase)
+    elif n_osc == 0:
+        cd, sd = np.cosh(phase), np.sinh(phase)
+    else:
+        cd, sd = np.empty_like(phase), np.empty_like(phase)
+        cd[osc], sd[osc] = np.cos(phase[osc]), np.sin(phase[osc])
+        cd[~osc], sd[~osc] = np.cosh(phase[~osc]), np.sinh(phase[~osc])
+    # A[k, e]: the Ai-type sums P, Q and the Ai'-type sums R, S (k = 0..3)
+    # at end e; Q and S are odd in w
+    w = 1.5 * np.abs(s) / (p * r)
+    y = mnu * w * w
+    A = _series(y)
+    np.multiply(w, A[1::2], out=A[1::2])
+    # T = [[E1, E2], [E3, E4]] with E = pre (X cd + Y sd), the pairs (E1, E4)
+    # and (E2, E3) each by the operations of one entry:
+    #   E1: pre f0 / f1, X P1 R0 + nu Q1 S0, Y nu (P1 S0 - Q1 R0)
+    #   E4: pre f1 / f0, X R1 P0 + nu S1 Q0, Y -nu (S1 P0 - R1 Q0)
+    #   E2: pre sg / (f0 f1), X Q1 P0 - P1 Q0, Y P1 P0 + nu Q1 Q0
+    #   E3: pre -nu sg f0 f1, X S1 R0 - R1 S0, Y R1 R0 + nu S1 S0
+    X, Y, pre = np.empty((3, 4) + q0.shape, dtype=y.dtype)
+    nu_QS1 = nu * A[1::2, 1]
+    np.add(A[0::2, 1] * A[2::-2, 0], nu_QS1 * A[3::-2, 0], out=X[0::3])
+    np.subtract(A[1::2, 1] * A[0::2, 0], A[0::2, 1] * A[1::2, 0], out=X[1:3])
+    np.multiply(nus, A[0::3, 1] * A[3::-3, 0] - A[1:3, 1] * A[2:0:-1, 0], out=Y[0::3])
+    np.add(A[0::2, 1] * A[0::2, 0], nu_QS1 * A[1::2, 0], out=Y[1:3])
+    np.divide(f, f[::-1], out=pre[0::3])
+    np.divide(sg, f0 * f1, out=pre[1])
+    np.multiply(mnu * sg * f0, f1, out=pre[2])
+    T = np.empty(q0.shape + (2, 2), dtype=y.dtype)
+    np.multiply(pre, X * cd + Y * sd, out=T.reshape(-1, 4).T.reshape(X.shape))
+    return T
 
 
 _COSH_SQRT = np.array([1.0 / math.factorial(2 * k) for k in range(5, -1, -1)])
@@ -288,33 +345,50 @@ def _magnus_piece(q0, s, h):
     return _matrices(C + S * d, S * h, S * low, C - S * d)
 
 
+def _form(form, q0, s, h, derivative):
+    """One form's matrices on the pairs (q0, s, h), and with ``derivative``
+    their lam-derivatives, else None: Airy's own, the others' by the complex
+    step."""
+    if form is _airy_piece:
+        return form(q0, s, h, derivative)
+    if not derivative:
+        return form(q0, s, h), None
+    Tc = form(q0 - 1j * _STEP, s, h)
+    return Tc.real, Tc.imag / _STEP
+
+
 def _piece(q0: np.ndarray, s: np.ndarray, h: np.ndarray, derivative: bool):
     """Exact transfer matrices of all linear pieces for every q0 = v0 - lam,
     in one pass: q0 has one row per piece, s and h are the pieces' (P, 1)
     columns of slopes and lengths.  Each form runs once, on the (piece, lam)
-    pairs it serves.  With ``derivative`` also their lam-derivatives, else
-    None."""
+    pairs it serves, and a form that serves them all takes the whole batch
+    as it is.  With ``derivative`` also their lam-derivatives, else None."""
     q1 = q0 + s * h
     p = np.minimum(np.abs(q0), np.abs(q1))
-    asymptotic = (q0 * q1 > 0) & (p * h * h >= _FLAT) & (p**1.5 >= 1.5 * _ZETA * np.abs(s))
-    magnus = ~asymptotic & (np.abs(s) ** (1.0 / 3.0) * h <= _CORNER)
+    abs_s = np.abs(s)
+    asymptotic = (q0 * q1 > 0) & (p * h * h >= _FLAT) & (p**1.5 >= 1.5 * _ZETA * abs_s)
+    magnus = ~asymptotic & (abs_s ** (1.0 / 3.0) * h <= _CORNER)
     rest = ~(asymptotic | magnus)
-    s, h = np.broadcast_to(s, q0.shape), np.broadcast_to(h, q0.shape)
+    forms = [(mask, form) for mask, form in ((asymptotic, _asymptotic_piece),
+             (magnus, _magnus_piece), (rest, _airy_piece)) if np.count_nonzero(mask)]
+    if len(forms) == 1:
+        return _form(forms[0][1], q0, s, h, derivative)
+    s, h = s.repeat(q0.shape[1], axis=1), h.repeat(q0.shape[1], axis=1)
     T = np.empty(q0.shape + (2, 2))
     dT = np.empty_like(T) if derivative else None
-    for mask, form in ((asymptotic, _asymptotic_piece), (magnus, _magnus_piece)):
-        if not mask.any():
-            continue
+    for mask, form in forms:
+        T[mask], dTm = _form(form, q0[mask], s[mask], h[mask], derivative)
         if derivative:
-            Tc = form(q0[mask] - 1j * _STEP, s[mask], h[mask])
-            T[mask], dT[mask] = Tc.real, Tc.imag / _STEP
-        else:
-            T[mask] = form(q0[mask], s[mask], h[mask])
-    if rest.any():
-        T[rest], dTr = _airy_piece(q0[rest], s[rest], h[rest], derivative)
-        if derivative:
-            dT[rest] = dTr
+            dT[mask] = dTm
     return T, dT
+
+
+def _finite(lams) -> np.ndarray:
+    """lams as a float array; a lam that is not finite raises ValueError."""
+    lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all():
+        raise ValueError(f"lambda must be finite, not {lams[~np.isfinite(lams)][0]}")
+    return lams
 
 
 def transfer_matrices(V: Potential, lams, derivative: bool = False):
@@ -328,18 +402,17 @@ def transfer_matrices(V: Potential, lams, derivative: bool = False):
     expansions, or one Magnus step, picked per piece and lam, accurate to
     ~1e-13 relative), all pieces and lam in one pass of :func:`_piece`, and
     the pieces are multiplied across the period.  Cosine cells are refused:
-    :func:`discriminant` serves them.
+    :func:`discriminant` serves them.  A lam that is not finite raises
+    ValueError.
     """
     if V.kind == "cosine":
         raise ValueError("transfer matrices and derivatives are for piecewise_linear cells; "
                          "cosine cells have discriminant()")
-    pieces = V._pieces
-    lams = np.asarray(lams, dtype=float)
-    M = np.tile(np.eye(2), (lams.size, 1, 1))
-    dM = np.zeros_like(M) if derivative else None
-    v0, s, h = np.array(pieces).T[..., None]
+    lams = _finite(lams)
+    v0, s, h = V._columns
     T, dT = _piece(v0 - lams.ravel(), s, h, derivative)
-    for p in range(len(pieces)):
+    M, dM = T[0], dT[0] if derivative else None
+    for p in range(1, len(T)):
         if derivative:
             dM = dT[p] @ M + T[p] @ dM
         M = T[p] @ M
@@ -436,7 +509,7 @@ def discriminant(V: Potential, l: float, lams, derivative: bool = False):
             delta = _trace(got[0])
             return trace_poly(c, delta), trace_poly(c, delta, derivative=True) * _trace(got[1])
         return trace_poly(c, _trace(got))
-    shape, lams = np.shape(lams), np.ravel(lams).astype(float)
+    shape, lams = np.shape(lams), np.ravel(_finite(lams))
     a = abs(V.params[0]) / (8.0 * math.pi**2)  # A/2 in units of (2 pi)^2
     top = float(np.max(np.abs(lams), initial=0.0))
     n = max(math.ceil(math.sqrt(top) / math.pi) + _FOURIER_MARGIN,
@@ -469,9 +542,12 @@ def _gap_function(M):
     in a band (|M| past ~3e6, tunnelling), G is (Delta - 2)(Delta + 2) instead,
     within 4 e (|Delta| + e)."""
     a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
-    e = _ROUNDING * np.max(np.abs(M), axis=(-2, -1))
-    G, err = (a - d) ** 2 + 4.0 * b * c, 4.0 * e * (abs(a - d) + abs(b) + abs(c) + 2.0 * e)
+    e = _ROUNDING * np.abs(M).max(axis=(-2, -1))
+    amd = a - d
+    G, err = amd**2 + 4.0 * b * c, 4.0 * e * (abs(amd) + abs(b) + abs(c) + 2.0 * e)
     deep = err >= 4.0
+    if not np.count_nonzero(deep):
+        return G, err
     return (np.where(deep, (a + d - 2.0) * (a + d + 2.0), G),
             np.where(deep, 4.0 * e * (abs(a + d) + e), err))
 
@@ -482,8 +558,8 @@ def _turning_edges(V: Potential, lo, hi):
     the touches (twice each), and the brackets (lo, hi) of the edges of the
     open gaps, across which G changes sign.  lam* lies in a closed gap, where
     G >= 0, so G above its rounding there is a gap and anything else a touch."""
-    lam_stars = find_roots(
-        lambda x: discriminant(V, 1.0, x, derivative=True)[1], lo, hi, _EDGE_TOL)
+    lam_stars = find_roots(  # dDelta/dlam, the trace of dM/dlam
+        lambda x: _trace(transfer_matrices(V, x, derivative=True)[1]), lo, hi, _EDGE_TOL)
     found = ~np.isnan(lam_stars)
     lo, hi, lam_stars = lo[found], hi[found], lam_stars[found]
     G, err = _gap_function(transfer_matrices(V, lam_stars))
@@ -510,7 +586,7 @@ def _edge_count(V: Potential, lams):
     Every lam runs on the sub-pieces of the largest, in passes of at most
     _COUNT_PAIRS (sub-piece, lam) pairs."""
     lams = np.asarray(lams, dtype=float)
-    _, s, h = np.array(V._pieces).T
+    _, s, h = V._columns[..., 0]
     k = 1 + (2.0 / math.pi * math.sqrt(max(np.max(lams) - V.min_value(), 0.0)) * h).astype(int)
     s, h = np.repeat(s, k), np.repeat(h / k, k)
     q0, width = V(np.cumsum(h) - h)[:, None], max(1, _COUNT_PAIRS // h.size)

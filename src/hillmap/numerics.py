@@ -120,58 +120,69 @@ def find_roots(
     if a.size == 0:
         return np.empty(a.shape)
     f1, f2 = (np.asarray(f(x, *args), dtype=float).ravel() for x in (a, b))
-    x1, x2 = a.ravel(), b.ravel()
-    args = [v.ravel() for v in args]
     # |f| <= tiny stops a bracket, but not one with NaN at an end or +-inf
     # at both (SciPy adds 0 min(|f(a)|, |f(b)|) to tiny)
     ftol = _TINY + 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    # The open brackets' state, one column each, so that a stop compacts it
+    # in one step: the points (x1, f1) (the newest), (x2, f2) (across the
+    # root from it) and (x3, f3) (the one before, none at first: the first
+    # step bisects), ftol, the bracket's index and its args.
+    S = np.array([a.ravel(), f1, b.ravel(), f2, b.ravel(), f2, ftol, np.arange(a.size),
+                  *(v.ravel() for v in args)])
     out = np.empty(a.size)
     # 0 converged, -1 ends of one sign, -2 step budget, -3 non-finite ends
     status = np.zeros(a.size, dtype=int)
-    active = np.arange(a.size)
-    x3, f3 = x2, f2  # no third point yet: the first step bisects
     nit = 0
+    x1, f1, x2, f2, x3, f3, ftol = S[:7]  # rows of S, which each step updates in place
     while True:
         better = np.abs(f1) < np.abs(f2)
-        xmin = np.where(better, x1, x2)
-        done = np.abs(np.where(better, f1, f2)) <= ftol
-        one_sign = ~done & (np.sign(f1) == np.sign(f2))
-        invalid = ~(done | one_sign) & (
-            ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2)))
-        xmin[one_sign | invalid] = np.nan
-        dx = np.abs(x2 - x1)
+        xmin, fmin = np.where(better, S[0:2], S[2:4])
+        done = np.abs(fmin) <= ftol
+        d21 = x2 - x1
+        dx = np.abs(d21)
         xtol = np.abs(xmin) * ROOT_XRTOL + tol
-        done |= dx < xtol
-        stop = done | one_sign | invalid
-        if stop.any():
-            out[active[stop]] = xmin[stop]
-            status[active[stop]] = np.where(one_sign, -1, np.where(invalid, -3, 0))[stop]
+        stop = done | (dx < xtol)
+        # Only the first step can meet ends of one sign: each step keeps a
+        # sign change between x1 and x2.  After it only (x1, f1) is new, and
+        # a bracket turns invalid only where that is not finite.
+        checked = nit == 0 or not np.isfinite(S[:2]).all()
+        if checked:
+            one_sign = ~done & (np.sign(f1) == np.sign(f2))
+            invalid = ~(done | one_sign) & (
+                ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2)))
+            xmin[one_sign | invalid] = np.nan
+            stop |= one_sign | invalid
+        if np.count_nonzero(stop):
+            index = S[7, stop].astype(int)
+            out[index] = xmin[stop]
+            if checked:
+                status[index] = np.where(one_sign, -1, np.where(invalid, -3, 0))[stop]
             go = ~stop
-            active, x1, f1, x2, f2, x3, f3, xmin, dx, xtol, ftol = (
-                v[go] for v in (active, x1, f1, x2, f2, x3, f3, xmin, dx, xtol, ftol))
-            args = [v[go] for v in args]
-        if active.size == 0:
-            break
+            S, d21, dx, xtol = S[:, go], d21[go], dx[go], xtol[go]
+            if S.shape[1] == 0:
+                break
+            x1, f1, x2, f2, x3, f3, ftol = S[:7]
         if nit == ROOT_STEPS:
-            out[active], status[active] = xmin, -2
+            index = S[7].astype(int)
+            out[index] = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+            status[index] = -2
             break
         # inverse quadratic interpolation through the last three points
         # where it is safe, else bisection; kept off the bracket's ends
         with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
+            # (x1 - x2, f1 - f2) and (x3 - x2, f3 - f2)
+            D12, D32 = S[0:2] - S[2:4], S[4:6] - S[2:4]
+            (xi, phi), f12, f32 = D12 / D32, D12[1], D32[1]
+            alpha = (x3 - x1) / d21
             iqi = ((1 - np.sqrt(1 - xi)) < phi) & (phi < np.sqrt(xi))
-            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
-                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-        tl = 0.5 * xtol / dx
-        t = np.clip(t, tl, 1 - tl)
-        x = x1 + t * (x2 - x1)
-        fx = np.asarray(f(x, *args), dtype=float)
-        keep = np.sign(fx) == np.sign(f1)  # x replaces x1, else x2 becomes x1
-        x3, f3 = np.where(keep, x1, x2), np.where(keep, f1, f2)
-        x2, f2 = np.where(keep, x2, x1), np.where(keep, f2, f1)
-        x1, f1 = x, fx
+            t = np.where(iqi, f1 / f12 * f3 / f32 - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        tl = 0.5 * xtol / dx  # np.clip(t, tl, 1 - tl), for 0 < tl <= 1/2
+        x = x1 + np.minimum(np.maximum(t, tl), 1 - tl) * d21
+        fx = np.asarray(f(x, *S[8:]), dtype=float)
+        # x replaces x1, else x2 becomes x1; x1 becomes x3 or x2
+        keep = np.sign(fx) == np.sign(f1)
+        S[2:6] = np.where(keep, S[[2, 3, 0, 1]], S[:4])
+        S[0], S[1] = x, fx
         nit += 1
     stuck = (status != 0) & (status != -1)
     if stuck.any():

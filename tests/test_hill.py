@@ -163,6 +163,32 @@ class TestMonodromy:
         with pytest.raises(ValueError):
             Monodromy(np.array([[2.0, 0.0], [0.0, 1.0]]), 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_refused(self, bad):
+        # a ValueError that names lam, not NaN matrices, RuntimeWarnings or
+        # an OverflowError from the cosine chain's size
+        V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
+        named = f"lambda must be finite, not {bad}"
+        for call in (lambda: transfer_matrices(V, [1.0, bad]),
+                     lambda: transfer_matrices(V, bad, derivative=True),
+                     lambda: transfer_matrices(FREE, [[2.0], [bad]]),
+                     lambda: discriminant(V, 1.0, bad),
+                     lambda: discriminant(V, 2.0, [3.0, bad], derivative=True),
+                     lambda: discriminant(COS, 1.0, bad),
+                     lambda: discriminant(COS, 3.0, [0.0, bad]),
+                     lambda: monodromy(V, 1.0, bad),
+                     lambda: monodromy(FREE, 2.0, bad)):
+            with pytest.raises(ValueError, match=named):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_refused(self, bad):
+        # the determinant check passes NaN: abs(nan - 1) > tol is False
+        for entries in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [0.0, 1.0]],
+                        [[bad, bad], [bad, bad]]):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                Monodromy(np.array(entries), 1.0, 0.0)
+
 
 class TestDiscriminant:
     def test_identity_trace(self):
@@ -578,6 +604,39 @@ class TestOnePassKernel:
             V = Potential.piecewise_linear(bps, vals)
             self.assert_same(V, [1.0, 3.0][trial % 2], self.lams_beside_nodes(V, rng))
 
+    # batches that one form serves whole, which it takes without the gather
+    # and scatter of a mixed batch: lam >= 200 on a sloped cell (asymptotic),
+    # lam at and between the node values of a steep cell (Airy), and lam
+    # within 3e-4 of a nearly flat cell's values (Magnus)
+    SINGLE_FORM = {
+        "_asymptotic_piece": (sloped_cells(1.0)[0][0], (200.0, 5000.0)),
+        "_airy_piece": (Potential.piecewise_linear([0.0, 0.5], [-30.0, 30.0]), (-30.0, 30.0)),
+        "_magnus_piece": (Potential.piecewise_linear([0.0, 0.5], [1.0, 1.0 + 1e-6]),
+                          (1.0 - 3e-4, 1.0 + 3e-4)),
+    }
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
+    @pytest.mark.parametrize("name", sorted(SINGLE_FORM))
+    def test_single_form_batches(self, monkeypatch, name, n):
+        calls = []
+        for form in ("_airy_piece", "_asymptotic_piece", "_magnus_piece"):
+            def spy(*args, _form=getattr(hill, form), _name=form):
+                calls.append(_name)
+                return _form(*args)
+            monkeypatch.setattr(hill, form, spy)
+        V, (lo, hi) = self.SINGLE_FORM[name]
+        lams = np.random.default_rng(n).uniform(lo, hi, n)
+        if name == "_airy_piece":
+            lams[:2] = [-30.0, 30.0][:n]  # the node values
+        for derivative in (False, True):
+            calls.clear()
+            got = transfer_matrices(V, lams, derivative=derivative)
+            assert calls == ([name] if n else [])
+            want = per_piece_transfer_matrices(V, 1.0, lams, derivative=derivative)
+            for g, w in zip(got, want) if derivative else [(got, want)]:
+                assert g.shape == w.shape == (n, 2, 2)
+                assert np.array_equal(g, w), (name, n, derivative)
+
 
 def mathieu_edges(amplitude: float, lam_cap: float) -> np.ndarray:
     """Band edges of the cosine cell below lam_cap and the next one, from
@@ -605,6 +664,43 @@ class TestMathieuOracle:
         assert np.max(np.abs(got[: below.sum()] - ref[below])) <= 1e-9
         # every gap stays open, however narrow
         assert np.all(np.diff(got)[1::2] > 0.0)
+
+
+class TestInterpolatedCosine:
+    """The piecewise-linear interpolant V_k of A cos(2 pi x) on k uniform
+    nodes lies within A (2 pi)^2 / (8 k^2) of the cosine, so by min-max
+    every periodic and antiperiodic eigenvalue, every band edge, lies within
+    that of the cosine cell's: Mathieu's characteristic values from scipy,
+    an oracle that shares no code with the exact-cell kernel, here on cells
+    of up to 512 pieces."""
+
+    @pytest.mark.parametrize("amplitude", [1.0, 5.0, 25.0])
+    def test_edges_within_the_interpolation_bound(self, amplitude):
+        ref = mathieu_edges(amplitude, 200.0)
+        ref = ref[ref <= 200.0]
+        ratios = []
+        for k in (8, 32, 128, 512):
+            x = np.arange(k) / k
+            V = Potential.piecewise_linear(x, amplitude * np.cos(2.0 * math.pi * x))
+            bound = amplitude * (2.0 * math.pi) ** 2 / (8.0 * k * k)
+            # past 200 by twice the bound, so no edge below 200 moves past it
+            got = spectrum_bands(V, 1.0, 200.0 + 2.0 * bound)
+            assert got.warnings == ()
+            edges = np.array(got.bands).ravel()
+            assert edges.size > ref.size
+            ratios.append(np.max(np.abs(edges[:ref.size] - ref)) / bound)
+        # within the bound, and at its h^2 rate: the ratio holds steady in k
+        # (0.33 to 0.42 of the bound on these cells)
+        assert max(ratios) <= 1.0 and max(ratios) <= 1.1 * min(ratios), ratios
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="three bands narrower than their brackets, where |M| "
+                              "reaches 1e20, are missing with 'no band edge found' warnings")
+    def test_deep_cell_lists_every_band(self):
+        # E(60) = 10 edges at or below 60: five bands
+        V = Potential.piecewise_linear([0.0, 0.3, 0.6], [1.0, -2.5e3, 3.9e3])
+        (edges,), _, _ = hill._edge_count(V, [60.0])
+        assert len(spectrum_bands(V, 1.0, 60.0).bands) == edges / 2
 
 
 class TestSpectrumBands:
@@ -969,9 +1065,22 @@ class TestComparisonWindows:
                 (-4.0, math.pi**2 - 4.0), (math.pi**2 - 4.0, 20.0))
 
     def test_kernel_matches_polyval_and_stack(self, monkeypatch):
-        # the Horner loop and the filled matrices are those of np.polyval and
-        # np.stack operation for operation: equal to the bit on a grid that
-        # meets the asymptotic, Magnus and Airy forms
+        # Each row of the asymptotic form's one Horner pass over its four
+        # series is np.polyval of that row's coefficients operation for
+        # operation (a zero in front changes no bit): equal to the bit, on
+        # real arguments and on the complex-step ones of the lam-derivative,
+        # in the shapes of a mixed batch (2, K) and of a whole one (2, P, N).
+        rng = np.random.default_rng(5)
+        for shape in ((2, 40), (2, 3, 5)):
+            w = rng.uniform(1e-6, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+            for y in (w * w, (w * (1.0 - 1e-31j * rng.uniform(-1.0, 1.0, shape))) ** 2):
+                got = hill._series(y)
+                assert got.shape == (4,) + shape
+                for row, coeffs in zip(got, (hill._U_EVEN, hill._U_ODD, hill._V_EVEN, hill._V_ODD)):
+                    assert np.array_equal(row, np.polyval(coeffs, y))
+        # The Magnus form's Horner loop and filled matrices are those of
+        # np.polyval and np.stack: equal to the bit on a grid that meets the
+        # asymptotic, Magnus and Airy forms
         cells = [V for slope in (0.0, 1e-8, 1e-2, 1.0, 60.0) for V, _ in sloped_cells(slope)]
         lams = np.linspace(-60.0, 400.0, 157)
         new = [(cell_matrices(V, l, lams), cell_matrices(V, l, lams, derivative=True))
