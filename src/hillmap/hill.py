@@ -14,7 +14,7 @@ from scipy.special import airy, zeta
 from .errors import DomainError, NonConvergenceError
 # find_root and integrate_ivp are not called here: perfbench/tracing.py
 # counts root and ODE solves under hill.find_root and hill.integrate_ivp.
-from .numerics import find_root, find_roots, integrate_ivp, trace_poly  # noqa: F401
+from .numerics import _chandrupatla, find_root, find_roots, integrate_ivp, trace_poly  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -552,21 +552,50 @@ def _gap_function(M):
             np.where(deep, 4.0 * e * (abs(a + d) + e), err))
 
 
-def _turning_edges(V: Potential, lo, hi):
-    """Which windows [lo, hi], whose ends lie in bands, hold a turning point
-    lam* of Delta, all in one batched root solve of dDelta/dlam; of those,
-    the touches (twice each), and the brackets (lo, hi) of the edges of the
-    open gaps, across which G changes sign.  lam* lies in a closed gap, where
-    G >= 0, so G above its rounding there is a gap and anything else a touch."""
-    lam_stars = find_roots(  # dDelta/dlam, the trace of dM/dlam
-        lambda x: _trace(transfer_matrices(V, x, derivative=True)[1]), lo, hi, _EDGE_TOL)
-    found = ~np.isnan(lam_stars)
-    lo, hi, lam_stars = lo[found], hi[found], lam_stars[found]
-    G, err = _gap_function(transfer_matrices(V, lam_stars))
-    gap = G > err
-    brackets = (np.concatenate([lo[gap], lam_stars[gap]]),
-                np.concatenate([lam_stars[gap], hi[gap]]))
-    return found, np.repeat(lam_stars[~gap], 2).tolist(), brackets
+def _turning_points(V: Potential, lo, hi):
+    """The turning point lam* of Delta in each window [lo, hi] whose ends
+    lie in bands, NaN where there is none, in one batched root solve of
+    dDelta/dlam; and Delta and dDelta/dlam at the windows' ends, shape (2,
+    2, windows) (value or slope, lo or hi), from the solve's first call."""
+    ends = []
+
+    def slope(x):  # dDelta/dlam, the trace of dM/dlam
+        M, dM = transfer_matrices(V, x, derivative=True)
+        if not ends:  # the first call: every window's lo, then its hi
+            ends.append(np.array([_trace(M), _trace(dM)]).reshape(2, 2, -1))
+        return _trace(dM)
+
+    stars = find_roots(slope, lo, hi, _EDGE_TOL)
+    return stars, ends[0] if ends else np.empty((2, 2, 0))  # no call without windows
+
+
+# Half the width of the probe pair about an edge's estimate, as a share of
+# the width of its bracket, and the Newton steps on each gap edge's model.
+_PROBE = 2e-3
+_MODEL_STEPS = 4
+
+
+def _gap_edge_estimates(end, delta_end, slope_end, star, delta_star):
+    """Where the cubic Hermite model of Delta on [end, lam*] meets the gap's
+    level 2 sign Delta(lam*), for windows' ends in bands and their turning
+    points.  The model takes Delta and dDelta/dlam at the end, Delta at lam*
+    and dDelta/dlam(lam*) = 0: with u = (lam* - lam) / (lam* - end) it is
+    Delta(lam*) + A u^2 + B u^3, and the level lies between its values at
+    u = 0 and 1.  Safeguarded Newton steps on u from sqrt(r / A), the root
+    of the quadratic part, which holds near lam* (narrow gaps)."""
+    r = 2.0 * np.sign(delta_star) - delta_star
+    D, LdE = delta_end - delta_star, (star - end) * slope_end
+    A, B = 3.0 * D + LdE, -LdE - 2.0 * D
+    lo, hi = np.zeros_like(r), np.ones_like(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.sqrt(np.clip(r / A, 0.0, 1.0))
+        for _ in range(_MODEL_STEPS):
+            F = u * u * (A + B * u) - r
+            below = F * r < 0.0  # F has its sign at u = 0, -r
+            lo, hi = np.where(below, u, lo), np.where(below, hi, u)
+            step = u - F / (u * (2.0 * A + 3.0 * B * u))
+            u = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    return star + u * (end - star)
 
 
 # (sub-piece, lam) pairs per pass of _edge_count: its matrices hold one entry
@@ -635,8 +664,18 @@ def _exact_edges(V: Potential, lambda_max: float):
     """Band edges at or below lambda_max of a piecewise-linear cell of one
     period, in order, with lambda_max closing a band it cuts; and the
     warnings.  Gap n's window is W_n from n0 on and, below W_n0, runs between
-    points of bands n and n + 1 (see :func:`spectrum_bands`).  The edges of
-    the gaps, and lam_0 on [min V - 1, a point of band 1], are roots of G."""
+    points of bands n and n + 1 (see :func:`spectrum_bands`).  lam* is a gap
+    iff G exceeds its rounding there (G >= 0 in a closed gap), else a touch.
+    The edges of each gap, and lam_0, are roots of G on brackets across
+    which G changes sign: [window end, lam*] and [lam*, window end], and
+    [min V, a point of band 1] for lam_0.  Each root solve starts on the
+    part of its bracket that one probe pass of G, at its ends and at its
+    estimate +- _PROBE of its width, picks out, from the values there, so
+    a poor estimate costs the probe pass only.  A
+    gap edge's estimate is a cubic Hermite model of Delta from values the
+    turning point solve and the gap test computed; lam_0's is a secant of
+    Delta's squared phase through min V and mean V, the Rayleigh quotient
+    of u = 1, an upper bound on lam_0 that lies in band 1 when n0 = 1."""
     v_min, v_max, step = V.min_value(), V.max_value(), math.pi**2
     n0 = math.floor(((v_max - v_min) / step + 1.0) / 2.0) + 1
     # gaps n0 .. the last whose window starts at or below lambda_max, and W_1
@@ -649,16 +688,50 @@ def _exact_edges(V: Potential, lambda_max: float):
         ends = np.concatenate([_band_points(V, min(gaps + 1, n0 - 1), ends[0]), ends])
         ns = np.concatenate([np.arange(1.0, gaps + 1), ns])
         lo, hi = np.concatenate([ends[:gaps], lo]), np.concatenate([ends[1:gaps + 1], hi])
-    found, events, (g_lo, g_hi) = _turning_edges(V, lo, hi)
+    stars, ((d_lo, d_hi), (s_lo, s_hi)) = _turning_points(V, lo, hi)
+    found = ~np.isnan(stars)
     warnings = [f"no turning point of Delta found in [{a:.6g}, {b:.6g}], the window of gap "
                 f"{n:.0f}" for a, b, n in zip(lo[~found], hi[~found], ns[~found])]
-    # lam_0: G >= 4 sinh(1)^2 at min V - 1, G < 0 in band 1
-    g_lo, g_hi = np.append(g_lo, v_min - 1.0), np.append(g_hi, ends[0])
-    roots = find_roots(lambda x: _gap_function(transfer_matrices(V, x))[0],
-                       g_lo, g_hi, _EDGE_TOL)
+    # one pass: the gap test at each lam*, and Delta at min V and at the
+    # lower of mean V and the point of band 1
+    v0, s, h = V._columns[..., 0]
+    top = min(float(np.sum(h * (v0 + 0.5 * s * h))), ends[0])
+    M = transfer_matrices(V, np.append(stars[found], [v_min, top]))
+    delta, (G, err) = _trace(M), _gap_function(M[:-2])
+    gap = G > err
+    events = np.repeat(stars[found][~gap], 2).tolist()
+    opened = np.flatnonzero(found)[gap]
+    star, d_star = stars[opened], delta[:-2][gap]
+    # the brackets [x0, x3] of the gaps' lower and upper edges and of lam_0
+    x0 = np.concatenate([lo[opened], star, [v_min]])
+    x3 = np.concatenate([star, hi[opened], [ends[0]]])
+    # lam_0's secant in the squared phase, arccosh(Delta / 2)^2 where Delta
+    # >= 2 and -arccos(Delta / 2)^2 in band 1: v - lam on a flat cell v
+    x_min, x_top = 0.5 * delta[-2:]
+    z_min, z_top = math.acosh(max(x_min, 1.0)) ** 2, -math.acos(min(max(x_top, -1.0), 1.0)) ** 2
+    secant = v_min + z_min / (z_min - z_top) * (top - v_min) if z_min > z_top else v_min
+    stars_of_edges = np.tile(star, 2)
+    estimate = np.append(_gap_edge_estimates(
+        np.append(lo[opened], hi[opened]), np.append(d_lo[opened], d_hi[opened]),
+        np.append(s_lo[opened], s_hi[opened]), stars_of_edges, np.tile(d_star, 2)), secant)
+    # G at x0, the estimate +- half and x3 in one pass; the root solve runs
+    # on the first of the three parts whose ends differ in sign, from those
+    # values, or on [x0, x3] if none does.  A probe pair that held lam*,
+    # where G turns, would stall the solve beside a narrow gap.
+    estimate = np.where(np.isfinite(estimate), estimate, x0)
+    half = np.minimum(_PROBE * (x3 - x0),
+                      0.5 * np.abs(estimate - np.append(stars_of_edges, np.inf)))
+    mid = np.clip(estimate, x0 + half, x3 - half)
+    pts = np.array([x0, mid - half, mid + half, x3])
+    g = _gap_function(transfer_matrices(V, pts))[0]
+    parts = np.sign(g[:-1]) != np.sign(g[1:])
+    i = np.where(parts.any(axis=0), parts.argmax(axis=0), 0), np.arange(x0.size)
+    j = np.where(parts.any(axis=0), i[0] + 1, 3), i[1]
+    roots = _chandrupatla(lambda x: _gap_function(transfer_matrices(V, x))[0],
+                          pts[i], pts[j], g[i], g[j], _EDGE_TOL)
     lost = np.isnan(roots)  # rounded to the same side of 0 at both ends
     warnings += [f"no band edge found between lambda={a:.6g} and {b:.6g}"
-                 for a, b in zip(g_lo[lost], g_hi[lost])]
+                 for a, b in zip(x0[lost], x3[lost])]
     events = sorted(e for e in events + roots[~lost].tolist() if e <= lambda_max)
     if len(events) % 2 == 1:
         events.append(float(lambda_max))  # last band clipped at lambda_max
@@ -698,9 +771,10 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
     * Piecewise-linear cells: one period, by comparison with constant
       potentials (Magnus & Winkler, *Hill's Equation*, 1966, ch. 2).  The
       periodic and antiperiodic eigenvalues grow with V by min-max, strictly
-      unless V is constant, so lam_0 lies in [min V, max V], both edges of
-      gap n in W_n = (n pi)^2 + [min V, max V], and dDelta/dlam has one zero
-      lam*_n in each closed gap and none inside a band.  From the first n0
+      unless V is constant, so lam_0 lies in [min V, mean V] (mean V is the
+      Rayleigh quotient of u = 1), both edges of gap n in W_n = (n pi)^2 +
+      [min V, max V], and dDelta/dlam has one zero lam*_n in each closed
+      gap and none inside a band.  From the first n0
       with (2 n0 - 1) pi^2 > max V - min V the windows are disjoint with ends
       in bands, so each brackets its lam*_n.  Below W_n0 (deep cells) gap
       n's window runs between points of bands n and n + 1, from bisection on

@@ -100,8 +100,9 @@ def find_roots(
     matching elements of ``args`` (arrays broadcast with ``a`` and ``b``),
     to an array of values.  Every bracket runs Chandrupatla's method (*Adv.
     Eng. Softw.* 28, 1997) in the same calls of ``f``, so a batched ``f``
-    pays one call per iteration for all of them, and each call sees only the
-    brackets still open.  The
+    pays one call for the ends of every bracket (all ``a``, then all ``b``,
+    flattened) and one per iteration for all of them, and each iteration's
+    call sees only the brackets still open.  The
     iterates, the stopping rule and the outcomes are SciPy's
     (``scipy.optimize.elementwise.find_root``): a bracket stops when
     ``|f| <= tiny`` at its better end ``x_min`` or when its width is below
@@ -119,7 +120,15 @@ def find_roots(
     a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
     if a.size == 0:
         return np.empty(a.shape)
-    f1, f2 = (np.asarray(f(x, *args), dtype=float).ravel() for x in (a, b))
+    # both ends in one call, the a's then the b's, each with its args
+    ends = f(np.concatenate([a.ravel(), b.ravel()]), *(np.tile(v.ravel(), 2) for v in args))
+    return _chandrupatla(f, a, b, *np.split(np.asarray(ends, dtype=float).ravel(), 2), tol, args)
+
+
+def _chandrupatla(f, a, b, f1, f2, tol, args=()):
+    """:func:`find_roots` on the brackets [a, b] (nonempty arrays of one
+    shape, as are ``args``) from f1 and f2, the values of f at a and at b,
+    flattened: a caller that holds them pays no call for the ends."""
     # |f| <= tiny stops a bracket, but not one with NaN at an end or +-inf
     # at both (SciPy adds 0 min(|f(a)|, |f(b)|) to tiny)
     ftol = _TINY + 0.0 * np.minimum(np.abs(f1), np.abs(f2))

@@ -720,9 +720,9 @@ class TestSpectrumBands:
         V = Potential.piecewise_linear([0.0, *knots], [-3.365, 2.554, -2.01, 0.086])
         blist = spectrum_bands(V, 1.0, 273.742)
         assert blist.warnings == ()
-        # lam_0's bracket starts at min V - 1, where V - lam >= 1 bounds Delta
-        # below by 2 cosh l (compare with u'' = u): outside the spectrum
-        assert discriminant(V, 1.0, [V.min_value() - 1.0])[0] >= 2.0 * math.cosh(1.0)
+        # lam_0's bracket starts at min V, where V - lam >= 0, not identically
+        # 0, puts Delta above 2 (compare with u'' = 0): outside the spectrum
+        assert discriminant(V, 1.0, [V.min_value()])[0] > 2.0
         gaps = [(b, a) for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])]
         inside = [(b, a) for b, a in gaps if 246.004 <= b < a <= 246.018]
         assert len(inside) == 1
@@ -1186,7 +1186,10 @@ class TestEdgeCount:
 
     def test_spectrum_bands_evaluates_no_lambda_grid(self, monkeypatch):
         # each pass of the transfer-matrix kernel over a deep cell gets a
-        # number of lam that follows the bands listed, not a grid's
+        # number of lam that follows the bands listed, not a grid's: at most
+        # four per bracket of the edge solve (its ends and the probe pair
+        # about its estimate, in one pass), of which there are at most
+        # 2 bands + 3
         sizes, piece = [], hill._piece
 
         def counted(q0, s, h, derivative):
@@ -1200,7 +1203,60 @@ class TestEdgeCount:
             for lambda_max in (0.0, 150.0, 2000.0):
                 sizes.clear()
                 bands = len(spectrum_bands(V, 1.0, lambda_max).bands)
-                assert sizes and max(sizes) <= 2 * bands + 3, (bands, max(sizes))
+                assert sizes and max(sizes) <= 4 * (2 * bands + 3), (bands, max(sizes))
+
+
+class TestEdgeSolve:
+    """The edge solve of exact cells starts each root of G from the part of
+    its bracket that one probe pass about the edge's estimate picks out."""
+
+    @pytest.mark.parametrize("breakpoints, values, lambda_max", [
+        # test_gap_narrower_than_touch_rule_of_exact_cell: a 1.27e-2-wide gap
+        ([0.0, 0.38, 0.545, 0.727], [-3.365, 2.554, -2.01, 0.086], 273.742),
+        ([0.0, 0.25, 0.5, 0.75], [-2.0, 1.5, -1.0, 3.0], 300.0),
+    ])
+    def test_kernel_passes_per_band_list(self, monkeypatch, breakpoints, values, lambda_max):
+        # 13 transfer-matrix passes on each, 26 when every edge was solved
+        # on its whole bracket: about 7 for the turning points, one gap
+        # test, one probe pass and 4 for the edges
+        calls, kernel = [], hill.transfer_matrices
+
+        def counted(V, lams, derivative=False):
+            calls.append(np.size(lams))
+            return kernel(V, lams, derivative)
+
+        monkeypatch.setattr(hill, "transfer_matrices", counted)
+        blist = spectrum_bands(Potential.piecewise_linear(breakpoints, values), 1.0, lambda_max)
+        assert len(blist.bands) == 6 and blist.warnings == ()
+        assert len(calls) <= 14, calls
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(exact_cells(60.0))
+    def test_lambda_0_lies_below_the_mean(self, V):
+        # mean V, the Rayleigh quotient of u = 1, bounds lam_0 above unless
+        # V is constant; min V bounds it below
+        mean = fourier_coefficient(*V.params, 0).real
+        E = hill._edge_count(V, [V.min_value(), mean])[0]
+        assert E[0] == 0 and E[1] >= 1
+        lam_0 = spectrum_bands(V, 1.0, mean + 1.0).bands[0][0]
+        assert V.min_value() < lam_0 < mean
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(exact_cells(40.0), st.floats(20.0, 400.0))
+    def test_every_gap_edge_is_a_sign_change_of_G(self, V, span):
+        # G, computed here, changes sign within 4 _EDGE_TOL of every listed
+        # edge but touches and a band's top clipped at lambda_max: no seeded
+        # bracket lost its root
+        lambda_max = V.min_value() + span
+        blist = spectrum_bands(V, 1.0, lambda_max)
+        assert blist.warnings == ()
+        edges = [blist.bands[0][0]] + [e for (_, b), (a, _) in zip(blist.bands, blist.bands[1:])
+                                       if b < a for e in (b, a)]
+        if blist.bands[-1][1] < lambda_max:
+            edges.append(blist.bands[-1][1])
+        M = transfer_matrices(V, np.array(edges) + 4.0 * hill._EDGE_TOL * np.array([[-1.0], [1.0]]))
+        G = (M[..., 0, 0] - M[..., 1, 1]) ** 2 + 4.0 * M[..., 0, 1] * M[..., 1, 0]
+        assert np.all(G[0] * G[1] < 0.0), (edges, G)
 
 
 def bands_of(V, l=1.0, lambda_max=45.0):

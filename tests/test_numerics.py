@@ -186,6 +186,30 @@ class TestFindRootsIsScipysChandrupatla:
                 b = c + rng.uniform(0.1, 2.0, n)
             assert_matches_scipy(f, a, b, self.TOLS[trial % 3], args)
 
+    def test_one_call_for_the_ends_and_one_per_iteration(self):
+        # the first call gets every a, then every b, each with its args;
+        # iteration k's call gets the brackets SciPy iterates k times or more
+        from scipy.optimize.elementwise import find_root as chandrupatla
+
+        rng = np.random.default_rng(11)
+        c = rng.uniform(-1.0, 1.0, 20)
+        a, b = c - rng.uniform(0.1, 2.0, 20), c + rng.uniform(1e-3, 2.0, 20)
+        f = lambda x, c: np.tanh(3.0 * (x - c))
+        calls = []
+
+        def counted(x, c):
+            calls.append((x.copy(), c.copy()))
+            return f(x, c)
+
+        find_roots(counted, a, b, args=(c,))
+        nit = chandrupatla(f, (a, b), args=(c,), tolerances={
+            "xatol": ROOT_TOL, "xrtol": 4 * np.finfo(float).eps}).nit
+        assert len(calls) == 1 + nit.max()
+        assert np.array_equal(calls[0][0], np.concatenate([a, b]))
+        assert np.array_equal(calls[0][1], np.concatenate([c, c]))
+        assert [x.size for x, _ in calls[1:]] == [
+            np.count_nonzero(nit >= k) for k in range(1, nit.max() + 1)]
+
     def test_same_sign_ends_and_zero_ends(self):
         f = lambda x, c: x**3 - c
         a = np.array([0.0, 1.0, 0.0, -2.0, 2.0, 0.0, 0.5])
