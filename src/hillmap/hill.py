@@ -14,7 +14,8 @@ from scipy.special import airy, zeta
 from .errors import DomainError, NonConvergenceError
 # find_root and integrate_ivp are not called here: perfbench/tracing.py
 # counts root and ODE solves under hill.find_root and hill.integrate_ivp.
-from .numerics import _chandrupatla, find_root, find_roots, integrate_ivp, trace_poly  # noqa: F401
+from .numerics import (  # noqa: F401
+    ROOT_XRTOL, _chandrupatla, find_root, find_roots, integrate_ivp, trace_poly)
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,9 +216,6 @@ _ZETA = 40.0
 _SERIES_ORDER = 12
 _FLAT = 1e-4
 _CORNER = 1.6e-2
-# Complex step for the lam-derivative of the asymptotic and Magnus forms:
-# T(q - i eps) = T(q) - i eps dT/dq + O(eps^2), without cancellation.
-_STEP = 1e-30
 
 
 def _airy_series_coeffs(order: int):
@@ -242,14 +240,14 @@ def _series(y: np.ndarray) -> np.ndarray:
     """The rows of _SERIES at y, shape (4,) + y.shape, in one Horner pass:
     each row is ``np.polyval`` of its own coefficients to the bit."""
     Y = y.reshape(1, -1).repeat(4, axis=0)
-    A = np.zeros(Y.shape, dtype=y.dtype)
+    A = np.zeros(Y.shape)
     for c in _SERIES_STEPS:
         A *= Y
         A += c
     return A.reshape((4,) + y.shape)
 
 
-def _airy_piece(q0, s, h, derivative):
+def _airy_piece(q0, s, h):
     c = np.cbrt(s)
     cc = c * c
     z0 = q0 / cc
@@ -261,31 +259,16 @@ def _airy_piece(q0, s, h, derivative):
     W[..., 0, 0], W[..., 0, 1] = (cbip[0], ai[1]), (-bi[0], bi[1])
     W[..., 1, 0], W[..., 1, 1] = (-caip[0], caip[1]), (ai[0], cbip[1])
     inv0 *= (math.pi / c)[..., None, None]
-    T = phi1 @ inv0
-    if not derivative:
-        return T, None
-    dz = -1.0 / cc  # dz/dlam; Ai'' = z Ai
-    cz = c * z
-    cza, czb = cz * ai, cz * bi
-    dinv0, dphi1 = dW = np.empty_like(W)
-    dW[..., 0, 0], dW[..., 0, 1] = (czb[0], aip[1]), (-bip[0], bip[1])
-    dW[..., 1, 0], dW[..., 1, 1] = (-cza[0], cza[1]), (aip[0], czb[1])
-    dinv0 *= (dz * math.pi / c)[..., None, None]
-    dphi1 *= dz[..., None, None]
-    return T, dphi1 @ inv0 + phi1 @ dinv0
+    return phi1 @ inv0
 
 
 _NU_IF_OSC = np.array([1.0, -1.0])  # (nu, -nu) where oscillatory, else the reverse
 _NU_IF_FORBIDDEN = -_NU_IF_OSC
 
 
-# The complex-step forms take a complex q0 for the lam-derivative, and
-# NumPy's complex multiply rounds x * y and y * x apart (its imaginary part
-# is a fused multiply-add led by the first operand): every product in them
-# keeps its operand order, or dT/dlam moves by an ulp.
 def _asymptotic_piece(q0, s, h):
     q = np.array([q0, q0 + s * h])  # q at both ends
-    osc = q0.real < 0.0  # oscillatory, else forbidden
+    osc = q0 < 0.0  # oscillatory, else forbidden
     pair = (2,) + (1,) * q0.ndim
     nus = np.where(osc, _NU_IF_OSC.reshape(pair), _NU_IF_FORBIDDEN.reshape(pair))
     nu, mnu = nus  # nu: 1 oscillatory, -1 forbidden
@@ -317,7 +300,7 @@ def _asymptotic_piece(q0, s, h):
     #   E4: pre f1 / f0, X R1 P0 + nu S1 Q0, Y -nu (S1 P0 - R1 Q0)
     #   E2: pre sg / (f0 f1), X Q1 P0 - P1 Q0, Y P1 P0 + nu Q1 Q0
     #   E3: pre -nu sg f0 f1, X S1 R0 - R1 S0, Y R1 R0 + nu S1 S0
-    X, Y, pre = np.empty((3, 4) + q0.shape, dtype=y.dtype)
+    X, Y, pre = np.empty((3, 4) + q0.shape)
     nu_QS1 = nu * A[1::2, 1]
     np.add(A[0::2, 1] * A[2::-2, 0], nu_QS1 * A[3::-2, 0], out=X[0::3])
     np.subtract(A[1::2, 1] * A[0::2, 0], A[0::2, 1] * A[1::2, 0], out=X[1:3])
@@ -326,7 +309,7 @@ def _asymptotic_piece(q0, s, h):
     np.divide(f, f[::-1], out=pre[0::3])
     np.divide(sg, f0 * f1, out=pre[1])
     np.multiply(mnu * sg * f0, f1, out=pre[2])
-    T = np.empty(q0.shape + (2, 2), dtype=y.dtype)
+    T = np.empty(q0.shape + (2, 2))
     np.multiply(pre, X * cd + Y * sd, out=T.reshape(-1, 4).T.reshape(X.shape))
     return T
 
@@ -345,24 +328,12 @@ def _magnus_piece(q0, s, h):
     return _matrices(C + S * d, S * h, S * low, C - S * d)
 
 
-def _form(form, q0, s, h, derivative):
-    """One form's matrices on the pairs (q0, s, h), and with ``derivative``
-    their lam-derivatives, else None: Airy's own, the others' by the complex
-    step."""
-    if form is _airy_piece:
-        return form(q0, s, h, derivative)
-    if not derivative:
-        return form(q0, s, h), None
-    Tc = form(q0 - 1j * _STEP, s, h)
-    return Tc.real, Tc.imag / _STEP
-
-
-def _piece(q0: np.ndarray, s: np.ndarray, h: np.ndarray, derivative: bool):
+def _piece(q0: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Exact transfer matrices of all linear pieces for every q0 = v0 - lam,
     in one pass: q0 has one row per piece, s and h are the pieces' (P, 1)
     columns of slopes and lengths.  Each form runs once, on the (piece, lam)
     pairs it serves, and a form that serves them all takes the whole batch
-    as it is.  With ``derivative`` also their lam-derivatives, else None."""
+    as it is."""
     q1 = q0 + s * h
     p = np.minimum(np.abs(q0), np.abs(q1))
     abs_s = np.abs(s)
@@ -372,15 +343,12 @@ def _piece(q0: np.ndarray, s: np.ndarray, h: np.ndarray, derivative: bool):
     forms = [(mask, form) for mask, form in ((asymptotic, _asymptotic_piece),
              (magnus, _magnus_piece), (rest, _airy_piece)) if np.count_nonzero(mask)]
     if len(forms) == 1:
-        return _form(forms[0][1], q0, s, h, derivative)
+        return forms[0][1](q0, s, h)
     s, h = s.repeat(q0.shape[1], axis=1), h.repeat(q0.shape[1], axis=1)
     T = np.empty(q0.shape + (2, 2))
-    dT = np.empty_like(T) if derivative else None
     for mask, form in forms:
-        T[mask], dTm = _form(form, q0[mask], s[mask], h[mask], derivative)
-        if derivative:
-            dT[mask] = dTm
-    return T, dT
+        T[mask] = form(q0[mask], s[mask], h[mask])
+    return T
 
 
 def _finite(lams) -> np.ndarray:
@@ -391,11 +359,11 @@ def _finite(lams) -> np.ndarray:
     return lams
 
 
-def transfer_matrices(V: Potential, lams, derivative: bool = False):
+def transfer_matrices(V: Potential, lams) -> np.ndarray:
     """Transfer matrices over one period of ``-u'' + V u = lam u`` for every lam.
 
     Returns an array of shape ``lams.shape + (2, 2)`` (columns as in
-    :class:`Monodromy`); with ``derivative``, the pair (M, dM/dlam).
+    :class:`Monodromy`).
 
     A piecewise-linear potential is linear on each piece of a period: each
     piece gets its exact matrix (Airy functions, their asymptotic
@@ -406,18 +374,15 @@ def transfer_matrices(V: Potential, lams, derivative: bool = False):
     ValueError.
     """
     if V.kind == "cosine":
-        raise ValueError("transfer matrices and derivatives are for piecewise_linear cells; "
+        raise ValueError("transfer matrices are for piecewise_linear cells; "
                          "cosine cells have discriminant()")
     lams = _finite(lams)
     v0, s, h = V._columns
-    T, dT = _piece(v0 - lams.ravel(), s, h, derivative)
-    M, dM = T[0], dT[0] if derivative else None
+    T = _piece(v0 - lams.ravel(), s, h)
+    M = T[0]
     for p in range(1, len(T)):
-        if derivative:
-            dM = dT[p] @ M + T[p] @ dM
         M = T[p] @ M
-    shape = lams.shape + (2, 2)
-    return (M.reshape(shape), dM.reshape(shape)) if derivative else M.reshape(shape)
+    return M.reshape(lams.shape + (2, 2))
 
 
 def monodromy(V: Potential, l: float, lam: float) -> Monodromy:
@@ -441,7 +406,7 @@ class BandList:
             prev_a, prev_b = a, b
 
 
-# Accuracy in lam of refined band edges, turning points and dispersion points.
+# Accuracy in lam of refined band edges and dispersion points.
 _EDGE_TOL = 1e-10
 # Accuracy of the exact transfer matrices' entries relative to max |M|
 # (transfer_matrices), behind the rounding bound of the gap function.
@@ -487,11 +452,10 @@ _COUPLED = 1e15
 _TAIL_TERMS = 27
 
 
-def discriminant(V: Potential, l: float, lams, derivative: bool = False):
+def discriminant(V: Potential, l: float, lams):
     """Delta_l(lam), the trace of the transfer matrix over ``[0, l]``, for
-    an array of lam (same shape out); with ``derivative``, the pair (Delta,
-    dDelta/dlam), of the exact kinds only.  Over c = round(l) periods it is
-    f_c(Delta_1) (:func:`trace_poly`), the derivative f_c'(Delta_1) dDelta_1.
+    an array of lam (same shape out).  Over c = round(l) periods it is
+    f_c(Delta_1) (:func:`trace_poly`).
 
     The exact kinds take Delta_1 as the trace of :func:`transfer_matrices`,
     cosine cells from Hill's determinant (Magnus & Winkler, 1966, ch. 2), to
@@ -503,12 +467,8 @@ def discriminant(V: Potential, l: float, lams, derivative: bool = False):
     couplings, exp(-sum e_k), e_k = (A/2)^2 / ((d_k - lam)(d_(k+1) - lam)).
     """
     c = _periods(l)
-    if V.kind != "cosine" or derivative:
-        got = transfer_matrices(V, lams, derivative=derivative)
-        if derivative:
-            delta = _trace(got[0])
-            return trace_poly(c, delta), trace_poly(c, delta, derivative=True) * _trace(got[1])
-        return trace_poly(c, _trace(got))
+    if V.kind != "cosine":
+        return trace_poly(c, _trace(transfer_matrices(V, lams)))
     shape, lams = np.shape(lams), np.ravel(_finite(lams))
     a = abs(V.params[0]) / (8.0 * math.pi**2)  # A/2 in units of (2 pi)^2
     top = float(np.max(np.abs(lams), initial=0.0))
@@ -552,52 +512,6 @@ def _gap_function(M):
             np.where(deep, 4.0 * e * (abs(a + d) + e), err))
 
 
-def _turning_points(V: Potential, lo, hi):
-    """The turning point lam* of Delta in each window [lo, hi] whose ends
-    lie in bands, NaN where there is none, in one batched root solve of
-    dDelta/dlam; and Delta and dDelta/dlam at the windows' ends, shape (2,
-    2, windows) (value or slope, lo or hi), from the solve's first call."""
-    ends = []
-
-    def slope(x):  # dDelta/dlam, the trace of dM/dlam
-        M, dM = transfer_matrices(V, x, derivative=True)
-        if not ends:  # the first call: every window's lo, then its hi
-            ends.append(np.array([_trace(M), _trace(dM)]).reshape(2, 2, -1))
-        return _trace(dM)
-
-    stars = find_roots(slope, lo, hi, _EDGE_TOL)
-    return stars, ends[0] if ends else np.empty((2, 2, 0))  # no call without windows
-
-
-# Half the width of the probe pair about an edge's estimate, as a share of
-# the width of its bracket, and the Newton steps on each gap edge's model.
-_PROBE = 2e-3
-_MODEL_STEPS = 4
-
-
-def _gap_edge_estimates(end, delta_end, slope_end, star, delta_star):
-    """Where the cubic Hermite model of Delta on [end, lam*] meets the gap's
-    level 2 sign Delta(lam*), for windows' ends in bands and their turning
-    points.  The model takes Delta and dDelta/dlam at the end, Delta at lam*
-    and dDelta/dlam(lam*) = 0: with u = (lam* - lam) / (lam* - end) it is
-    Delta(lam*) + A u^2 + B u^3, and the level lies between its values at
-    u = 0 and 1.  Safeguarded Newton steps on u from sqrt(r / A), the root
-    of the quadratic part, which holds near lam* (narrow gaps)."""
-    r = 2.0 * np.sign(delta_star) - delta_star
-    D, LdE = delta_end - delta_star, (star - end) * slope_end
-    A, B = 3.0 * D + LdE, -LdE - 2.0 * D
-    lo, hi = np.zeros_like(r), np.ones_like(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.sqrt(np.clip(r / A, 0.0, 1.0))
-        for _ in range(_MODEL_STEPS):
-            F = u * u * (A + B * u) - r
-            below = F * r < 0.0  # F has its sign at u = 0, -r
-            lo, hi = np.where(below, u, lo), np.where(below, hi, u)
-            step = u - F / (u * (2.0 * A + 3.0 * B * u))
-            u = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-    return star + u * (end - star)
-
-
 # (sub-piece, lam) pairs per pass of _edge_count: its matrices hold one entry
 # per pair, and both counts grow with a deep cell's bands
 _COUNT_PAIRS = 2**16
@@ -605,15 +519,16 @@ _COUNT_PAIRS = 2**16
 
 def _edge_count(V: Potential, lams):
     """E(lam), the number of band edges at or below each lam (one period of a
-    piecewise-linear cell); Q(lam) = 2n + [sign Delta != (-1)^n]; and where G
-    is below minus its rounding, inside a band.  The n zeros in (0, 1) of the
-    Dirichlet solution u = M_12, one per Dirichlet eigenvalue below lam and so
-    one per closed gap (Eastham, 1973, ch. 2), lie pi / sqrt(lam - min V)
-    apart at least (compare with min V): n sign changes of u at the ends of
-    sub-pieces half that long.  Q steps at Delta's zero in band m and at gap
-    m's Dirichlet eigenvalue, never at an edge; E = 2m - 1 in band m, 2m in gap m.
-    Every lam runs on the sub-pieces of the largest, in passes of at most
-    _COUNT_PAIRS (sub-piece, lam) pairs."""
+    piecewise-linear cell); G = Delta^2 - 4 there (:func:`_gap_function`);
+    and where |G| is past its rounding bound, as E may be off elsewhere.
+    The n zeros in (0, 1) of the Dirichlet solution u = M_12, one per
+    Dirichlet eigenvalue below lam and so one per closed gap (Eastham, 1973,
+    ch. 2), lie pi / sqrt(lam - min V) apart at least (compare with min V):
+    n sign changes of u at the ends of sub-pieces half that long.  Q = 2n +
+    [sign Delta != (-1)^n] steps at Delta's zero in band m and at gap m's
+    Dirichlet eigenvalue, never at an edge; E = 2m - 1 in band m (G <= 0),
+    2m in gap m.  Every lam runs on the sub-pieces of the largest, in passes
+    of at most _COUNT_PAIRS (sub-piece, lam) pairs."""
     lams = np.asarray(lams, dtype=float)
     _, s, h = V._columns[..., 0]
     k = 1 + (2.0 / math.pi * math.sqrt(max(np.max(lams) - V.min_value(), 0.0)) * h).astype(int)
@@ -621,7 +536,7 @@ def _edge_count(V: Potential, lams):
     q0, width = V(np.cumsum(h) - h)[:, None], max(1, _COUNT_PAIRS // h.size)
     n, M = [], []
     for i in range(0, lams.size, width):
-        T, _ = _piece(q0 - lams[i:i + width], s[:, None], h[:, None], False)
+        T = _piece(q0 - lams[i:i + width], s[:, None], h[:, None])
         Mi, u = np.eye(2), []
         for Tj in T:
             Mi = Tj @ Mi
@@ -632,117 +547,96 @@ def _edge_count(V: Potential, lams):
     n, M = np.concatenate(n), np.concatenate(M)
     Q = 2 * n + ((_trace(M) > 0.0) != (n % 2 == 0))
     G, err = _gap_function(M)
-    return Q + ((G <= err) == (Q % 2 == 0)), Q, G < -err
-
-
-def _band_points(V: Potential, bands: int, ceiling: float):
-    """A point inside each band m = 1 .. bands below ceiling: bisection on Q
-    toward Delta's zero in band m from [(m - 1)^2 pi^2 + min V, m^2 pi^2 + max
-    V], where comparison puts it.  Every Q narrows every bracket."""
-    m2 = np.arange(bands + 1.0) ** 2 * math.pi**2
-    lo, hi = m2[:-1] + V.min_value(), np.minimum(m2[1:] + V.max_value(), ceiling)
-    while True:
-        mids = 0.5 * (lo + hi)
-        lams = mids[(lo < mids) & (mids < hi)]
-        if lams.size == 0:
-            return mids
-        _, Q, inside = _edge_count(V, lams)
-        # lam raises the bracket of band j + 1 for every j >= j_lo (Q <= 2j,
-        # or inside that band) and lowers it for every j <= j_hi (Q > 2j, or
-        # inside): a running max and min over j, linear in the bands
-        half, odd = Q // 2, Q % 2 == 1
-        j_lo = half + (odd & ~inside)
-        j_hi = np.minimum(half - 1 + (odd | inside), bands - 1)
-        up, down = np.full(bands, -np.inf), np.full(bands, np.inf)
-        np.maximum.at(up, j_lo[j_lo < bands], lams[j_lo < bands])
-        np.minimum.at(down, j_hi[j_hi >= 0], lams[j_hi >= 0])
-        lo = np.maximum(lo, np.maximum.accumulate(up))
-        hi = np.minimum(hi, np.minimum.accumulate(down[::-1])[::-1])
+    return Q + ((G <= 0.0) == (Q % 2 == 0)), G, np.abs(G) > err
 
 
 def _exact_edges(V: Potential, lambda_max: float):
     """Band edges at or below lambda_max of a piecewise-linear cell of one
     period, in order, with lambda_max closing a band it cuts; and the
-    warnings.  Gap n's window is W_n from n0 on and, below W_n0, runs between
-    points of bands n and n + 1 (see :func:`spectrum_bands`).  lam* is a gap
-    iff G exceeds its rounding there (G >= 0 in a closed gap), else a touch.
-    The edges of each gap, and lam_0, are roots of G on brackets across
-    which G changes sign: [window end, lam*] and [lam*, window end], and
-    [min V, a point of band 1] for lam_0.  Each root solve starts on the
-    part of its bracket that one probe pass of G, at its ends and at its
-    estimate +- _PROBE of its width, picks out, from the values there, so
-    a poor estimate costs the probe pass only.  A
-    gap edge's estimate is a cubic Hermite model of Delta from values the
-    turning point solve and the gap test computed; lam_0's is a secant of
-    Delta's squared phase through min V and mean V, the Rayleigh quotient
-    of u = 1, an upper bound on lam_0 that lies in band 1 when n0 = 1."""
-    v_min, v_max, step = V.min_value(), V.max_value(), math.pi**2
-    n0 = math.floor(((v_max - v_min) / step + 1.0) / 2.0) + 1
-    # gaps n0 .. the last whose window starts at or below lambda_max, and W_1
-    last = max(1, math.floor(math.sqrt((lambda_max - v_min) / step)))
-    ns = np.arange(n0, last + 1, dtype=float)
-    lo, hi = ns * ns * step + v_min, ns * ns * step + v_max
-    ends = np.array([n0 * n0 * step + v_min])  # in band n0
-    if n0 > 1:  # gaps 1 .. n0 - 1 up to lambda_max's own, or the one above its band
-        gaps = min(n0 - 1, int(_edge_count(V, [min(lambda_max, ends[0])])[0][0] + 1) // 2)
-        ends = np.concatenate([_band_points(V, min(gaps + 1, n0 - 1), ends[0]), ends])
-        ns = np.concatenate([np.arange(1.0, gaps + 1), ns])
-        lo, hi = np.concatenate([ends[:gaps], lo]), np.concatenate([ends[1:gaps + 1], hi])
-    stars, ((d_lo, d_hi), (s_lo, s_hi)) = _turning_points(V, lo, hi)
-    found = ~np.isnan(stars)
-    warnings = [f"no turning point of Delta found in [{a:.6g}, {b:.6g}], the window of gap "
-                f"{n:.0f}" for a, b, n in zip(lo[~found], hi[~found], ns[~found])]
-    # one pass: the gap test at each lam*, and Delta at min V and at the
-    # lower of mean V and the point of band 1
-    v0, s, h = V._columns[..., 0]
-    top = min(float(np.sum(h * (v0 + 0.5 * s * h))), ends[0])
-    M = transfer_matrices(V, np.append(stars[found], [v_min, top]))
-    delta, (G, err) = _trace(M), _gap_function(M[:-2])
-    gap = G > err
-    events = np.repeat(stars[found][~gap], 2).tolist()
-    opened = np.flatnonzero(found)[gap]
-    star, d_star = stars[opened], delta[:-2][gap]
-    # the brackets [x0, x3] of the gaps' lower and upper edges and of lam_0
-    x0 = np.concatenate([lo[opened], star, [v_min]])
-    x3 = np.concatenate([star, hi[opened], [ends[0]]])
-    # lam_0's secant in the squared phase, arccosh(Delta / 2)^2 where Delta
-    # >= 2 and -arccos(Delta / 2)^2 in band 1: v - lam on a flat cell v
-    x_min, x_top = 0.5 * delta[-2:]
-    z_min, z_top = math.acosh(max(x_min, 1.0)) ** 2, -math.acos(min(max(x_top, -1.0), 1.0)) ** 2
-    secant = v_min + z_min / (z_min - z_top) * (top - v_min) if z_min > z_top else v_min
-    stars_of_edges = np.tile(star, 2)
-    estimate = np.append(_gap_edge_estimates(
-        np.append(lo[opened], hi[opened]), np.append(d_lo[opened], d_hi[opened]),
-        np.append(s_lo[opened], s_hi[opened]), stars_of_edges, np.tile(d_star, 2)), secant)
-    # G at x0, the estimate +- half and x3 in one pass; the root solve runs
-    # on the first of the three parts whose ends differ in sign, from those
-    # values, or on [x0, x3] if none does.  A probe pair that held lam*,
-    # where G turns, would stall the solve beside a narrow gap.
-    estimate = np.where(np.isfinite(estimate), estimate, x0)
-    half = np.minimum(_PROBE * (x3 - x0),
-                      0.5 * np.abs(estimate - np.append(stars_of_edges, np.inf)))
-    mid = np.clip(estimate, x0 + half, x3 - half)
-    pts = np.array([x0, mid - half, mid + half, x3])
-    g = _gap_function(transfer_matrices(V, pts))[0]
-    parts = np.sign(g[:-1]) != np.sign(g[1:])
-    i = np.where(parts.any(axis=0), parts.argmax(axis=0), 0), np.arange(x0.size)
-    j = np.where(parts.any(axis=0), i[0] + 1, 3), i[1]
-    roots = _chandrupatla(lambda x: _gap_function(transfer_matrices(V, x))[0],
-                          pts[i], pts[j], g[i], g[j], _EDGE_TOL)
-    lost = np.isnan(roots)  # rounded to the same side of 0 at both ends
-    warnings += [f"no band edge found between lambda={a:.6g} and {b:.6g}"
-                 for a, b in zip(x0[lost], x3[lost])]
-    events = sorted(e for e in events + roots[~lost].tolist() if e <= lambda_max)
+    warnings.  Edge j = 1 .. J = E(lambda_max) is min {lam : E(lam) >= j}
+    (:func:`_edge_count`), in e_j + [min V, max V] by comparison with
+    constant potentials, e_j = (floor(j / 2) pi)^2 the free cell's.  E at
+    those brackets' ends and at lambda_max, then at the middle of each
+    bracket still holding more than one edge, isolates every edge (E is
+    monotone, so every lam narrows every bracket); one root solve of G
+    then places them all, from the values of G the counts took at the
+    brackets' ends.
+
+    Only a lam where |G| is past its rounding bound ends a bracket: deep in
+    a well (|M| past 1e100) Delta's sign and the Dirichlet count are
+    rounding within ~1e-7 of a level, so a bracket with such lam inside is
+    split halfway between each end and the nearest of them, and the level
+    is listed as the bracket about that zone.  A bracket holding more than
+    one edge at the root solve's tolerance lists a band bottom (odd j) at
+    its lower end, a band top (even j) at its upper end, and a touch, a top
+    with the bottom above it, twice at its middle.  An isolated edge that G
+    cannot place (one sign at both ends), and a band whose two edges G puts
+    at one lam, are bisected on E to that tolerance; the first with a
+    warning that names the bracket."""
+    v_min = V.min_value()
+    # the brackets of every j whose bracket starts at or below lambda_max
+    e = (np.arange(1, 2 * math.floor(math.sqrt(lambda_max - v_min) / math.pi) + 2) // 2
+         * math.pi) ** 2
+    lams = np.unique(np.minimum(np.concatenate(
+        [e + v_min, e + V.max_value(), [lambda_max]]), lambda_max))
+    E, G, sure = _edge_count(V, lams)
+    sure[-1] = True  # lambda_max: J follows the sign of G there
+    j = np.arange(1, E[-1] + 1)
+
+    def bisect(more):
+        """Split, in one pass per step, every bracket of j that holds
+        more(count) edges, until its parts beside its ends are below
+        find_roots' tolerance; the indices in lams of each bracket's ends
+        and E's running max at them."""
+        nonlocal lams, E, G, sure
+        while True:
+            k = np.flatnonzero(sure)
+            Em = np.maximum.accumulate(E[k])
+            i = np.searchsorted(Em, j) - 1  # lams[k[i]] and lams[k[i + 1]] hold edge j
+            lo, hi = k[i], k[i + 1]
+            tol = np.abs(lams[lo] + lams[hi]) * (0.5 * ROOT_XRTOL) + _EDGE_TOL
+            parts = np.array([lams[lo], lams[lo + 1], lams[hi - 1], lams[hi]])
+            wide = more(Em[i + 1] - Em[i]) & (parts[1::2] - parts[0::2] >= tol)
+            mid = np.unique(0.5 * (parts[0::2] + parts[1::2])[wide])
+            if mid.size == 0:
+                return lo, hi, Em[i], Em[i + 1]
+            order = np.argsort(np.concatenate([lams, mid]))
+            lams, E, G, sure = (np.concatenate(pair)[order]
+                                for pair in zip((lams, E, G, sure), (mid, *_edge_count(V, mid))))
+
+    lo, hi, below, above = bisect(lambda count: count > 1)
+    one = above - below == 1
+    roots = np.full(j.size, np.nan)
+    if one.any():
+        roots[one] = _chandrupatla(lambda x: _gap_function(transfer_matrices(V, x))[0],
+                                   lams[lo[one]], lams[hi[one]], G[lo[one]], G[hi[one]],
+                                   _EDGE_TOL)
+    lost = one & np.isnan(roots)
+    warnings = [f"G has one sign at both ends of [{a!r}, {b!r}], which holds band edge {n} "
+                "by the edge count: placed by bisection on the count"
+                for a, b, n in zip(lams[lo[lost]].tolist(), lams[hi[lost]].tolist(),
+                                   j[lost].tolist())]
+    # a band narrower than the tolerance, its edges solved on either side of
+    # a lam inside it, can have both at that lam: bisect them on E instead
+    thin = roots[0:-1:2] >= roots[1::2]
+    lost[:2 * thin.size] |= np.repeat(thin, 2)
+    if lost.any():
+        lo, hi, below, above = bisect(lambda count: (count > 1) | lost)
+    a, b = lams[lo], lams[hi]
+    placed = np.where(j % 2 == 1, np.where(j == below + 1, a, 0.5 * (a + b)),
+                      np.where(j == above, b, 0.5 * (a + b)))
+    events = np.where(one & ~lost, roots, placed).tolist()
     if len(events) % 2 == 1:
         events.append(float(lambda_max))  # last band clipped at lambda_max
     return events, warnings
 
 
 # A cell asks for about l sqrt(lam - min V) / pi bands below lam and l (max V
-# - min V) / pi^2 deep gaps below the comparison windows, and a cosine chain
-# for about as many Fourier modes; the band list, the windows and the chains
-# are sized by that count.  Near 1e6 the free cell's bands took 0.8 s and
-# 180 MB, a cosine cell of A = 4.8e6 1.2 s; amplitudes of 1e12 ask for 1e11.
+# - min V) / pi^2 more edges in the overlap of their comparison brackets, and
+# a cosine chain for about as many Fourier modes; the band list, the brackets
+# and the chains are sized by that count.  Near 1e6 the free cell's bands
+# took 0.8 s and 180 MB, a cosine cell of A = 4.8e6 1.2 s; amplitudes of 1e12
+# ask for 1e11.
 _MAX_BANDS = 1e6
 
 
@@ -768,19 +662,15 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
       their mid-value v: lam_0 = v and touches v + (n pi/l)^2.
     * Cosine cells: the eigenvalues of the Fourier-Hill matrices at k = 0
       and k = pi/l (periodic and antiperiodic), sorted and paired.
-    * Piecewise-linear cells: one period, by comparison with constant
-      potentials (Magnus & Winkler, *Hill's Equation*, 1966, ch. 2).  The
-      periodic and antiperiodic eigenvalues grow with V by min-max, strictly
-      unless V is constant, so lam_0 lies in [min V, mean V] (mean V is the
-      Rayleigh quotient of u = 1), both edges of gap n in W_n = (n pi)^2 +
-      [min V, max V], and dDelta/dlam has one zero lam*_n in each closed
-      gap and none inside a band.  From the first n0
-      with (2 n0 - 1) pi^2 > max V - min V the windows are disjoint with ends
-      in bands, so each brackets its lam*_n.  Below W_n0 (deep cells) gap
-      n's window runs between points of bands n and n + 1, from bisection on
-      the Sturm count of the edges below lam (:func:`_edge_count`).  lam* is
-      a gap iff G = (a - d)^2 + 4bc, Delta^2 - 4 without its cancellation,
-      exceeds its rounding there, else a touch.  On c = round(l) > 1 periods
+    * Piecewise-linear cells: one period.  The band edges are the periodic
+      and antiperiodic eigenvalues, and E(lam), the number of them at or
+      below lam, is a Sturm count (:func:`_edge_count`): edge j is
+      min {lam : E(lam) >= j}.  They grow with V by min-max, so comparison
+      with constant potentials (Magnus & Winkler, *Hill's Equation*, 1966,
+      ch. 2) puts each within [min V, max V] of the free cell's.  Bisection
+      on E isolates every edge in that bracket, and one root solve of G =
+      (a - d)^2 + 4bc, Delta^2 - 4 without its cancellation, places them
+      all (:func:`_exact_edges`).  On c = round(l) > 1 periods
       Delta_c = 2 T_c(Delta_1 / 2): each one-period band splits into c bands
       touching where Delta_1 = 2 cos(j pi / c), j = 1 .. c - 1.
 
