@@ -169,12 +169,12 @@ def _cmd_bands(cfg, timestamp):
         top = (math.sqrt(lambda_max - V.min_value()) + math.pi / l) ** 2 + V.max_value()
         blist = hill.spectrum_bands(V, l, top)
         ks = np.linspace(0.0, math.pi / l, cfg["k_points"])
-        rows = []
-        for idx, (a, _) in enumerate(blist.bands, start=1):
-            if a > lambda_max:
-                break
-            lams = hill.band_function(V, l, blist, idx, ks)
-            rows.extend((idx, float(k), float(lam)) for k, lam in zip(ks, lams))
+        # the bands are in order, so those that start at or below
+        # lambda_max are the first ones
+        count = sum(a <= lambda_max for a, _ in blist.bands)
+        lams = hill.band_function(V, l, blist, range(1, count + 1), ks)
+        rows = [(idx, k, lam) for idx, row in enumerate(lams.tolist(), start=1)
+                for k, lam in zip(ks.tolist(), row)]
         _write_csv(cfg["out"], ["band_index", "k", "lambda"], rows, cfg, timestamp)
     for warning in blist.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -261,16 +261,15 @@ def _cmd_integral_sweep(cfg, timestamp):
 
 
 def _cmd_mathieu(cfg, timestamp):
-    lam0 = maps.mathieu_lambda0()
-    print(f"lambda0 = {lam0:.8f}")
-    md = maps.MapDescriptor.logistic(4.0)
-    direct = maps.iterate(md, cfg["x0"], cfg["n"]).values
+    # the direct orbit refuses an x0 or n out of range before anything prints
+    direct = maps.iterate(maps.MapDescriptor.logistic(4.0), cfg["x0"], cfg["n"]).values.tolist()
+    formula = maps.mathieu_formula(cfg["x0"], range(cfg["n"] + 1)).tolist()
+    print(f"lambda0 = {maps.mathieu_lambda0():.8f}")
     rows = []
     print(f"{'n':>3} {'cosine-cell':>22} {'direct':>22} {'diff':>10}")
-    for n in range(cfg["n"] + 1):
-        via = maps.mathieu_formula(cfg["x0"], n)
-        rows.append((n, via, float(direct[n]), abs(via - direct[n])))
-        print(f"{n:>3} {via:>22.15f} {direct[n]:>22.15f} {abs(via - direct[n]):>10.2e}")
+    for n, (via, x) in enumerate(zip(formula, direct)):
+        rows.append((n, via, x, abs(via - x)))
+        print(f"{n:>3} {via:>22.15f} {x:>22.15f} {abs(via - x):>10.2e}")
     if cfg["out"]:
         _write_csv(
             cfg["out"], ["n", "formula", "direct", "abs_diff"], rows, cfg, timestamp

@@ -4,6 +4,7 @@ discriminants, spectral bands and band functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -428,20 +429,25 @@ def _level_roots(V: Potential, lo, hi, levels):
     )
 
 
-def _hill_eigenvalues(V: Potential, qs, lam_top: float) -> np.ndarray:
-    """Sorted eigenvalues, exact to rounding below lam_top, of the
-    Fourier-Hill chains at the quasi-momenta qs (Deconinck & Kutz, J. Comput.
-    Phys. 219, 2006): ``A cos(2 pi x)`` couples the Bloch modes
-    exp(i (q + 2 pi j) x) of one q only to j +- 1, with A/2.  Chain q holds
-    the modes j = -n..n about q centred to |q| <= pi."""
+def _chain_size(V: Potential, lam_top: float) -> int:
+    """n, the modes a side of a cosine cell's Fourier-Hill chains whose
+    eigenvalues below lam_top are exact to rounding."""
     (amp,) = V.params
     reach = math.sqrt(max(lam_top, 0.0) + abs(amp)) + math.sqrt(abs(amp))
-    n = int(reach / TWO_PI) + _FOURIER_MARGIN
-    off = np.full(2 * n, 0.5 * amp)
+    return int(reach / TWO_PI) + _FOURIER_MARGIN
+
+
+def _hill_chains(V: Potential, qs, n: int) -> np.ndarray:
+    """The eigenvalues of the Fourier-Hill chain at each quasi-momentum in
+    qs, one row each (Deconinck & Kutz, J. Comput. Phys. 219, 2006):
+    ``A cos(2 pi x)`` couples the Bloch modes exp(i (q + 2 pi j) x) of one q
+    only to j +- 1, with A/2.  Chain q holds the modes j = -n..n about q
+    centred to |q| <= pi."""
+    off = np.full(2 * n, 0.5 * V.params[0])
     qs = qs - TWO_PI * np.round(qs / TWO_PI)
-    return np.sort(np.concatenate([eigvalsh_tridiagonal(
+    return np.array([eigvalsh_tridiagonal(
         (q + TWO_PI * np.arange(-n, n + 1)) ** 2, off, lapack_driver="stebz", tol=_TINY)
-        for q in qs]))
+        for q in qs])
 
 
 # A cosine chain's couplings past n modes a side, taken to first order, leave
@@ -696,7 +702,7 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
         # -q give one spectrum, whose doubled eigenvalues are touches
         m = np.arange(2 * round(l))
         qs = math.pi / l * np.minimum(m, m.size - m)
-        edges = _hill_eigenvalues(V, qs, lambda_max)
+        edges = np.sort(_hill_chains(V, qs, _chain_size(V, lambda_max)).ravel())
     else:
         edges, warnings = _exact_edges(V, lambda_max)
         c = round(l)
@@ -713,11 +719,15 @@ def spectrum_bands(V: Potential, l: float, lambda_max: float) -> BandList:
     return BandList(tuple(bands), tuple(warnings))
 
 
-def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
+def band_function(V: Potential, l: float, bands: BandList, band_index, k):
     """Eigenvalue on band ``band_index`` (1-based) of ``bands``, the caller's
     :func:`spectrum_bands` result, at reduced quasi-momentum ``k`` in
     [0, pi/l].  An array of ``k`` gives an array of eigenvalues, a scalar
-    ``k`` a float.
+    ``k`` a float.  A 1-D sequence of band indices gives one row per band,
+    shape ``(len(band_index),) + np.shape(k)``, row r exactly
+    ``band_function(V, l, bands, band_index[r], k)``, from one solve: every
+    row's root brackets in one batched root solve, and one Fourier-Hill
+    eigensolve per theta for the rows whose chains have one size.
 
     At k = 0 and pi/l it is the band's edge from ``bands``, so the band
     must be whole (not clipped at ``lambda_max``).  Inside the zone every
@@ -733,38 +743,64 @@ def band_function(V: Potential, l: float, bands: BandList, band_index: int, k):
     """
     flat = V.max_value() == V.min_value()
     c = _periods(l, flat)
-    if not 1 <= band_index <= len(bands.bands):
-        raise ValueError(f"band_index must lie in 1..{len(bands.bands)}")
+    if np.ndim(band_index) > 1:
+        raise ValueError("band_index must be an int or a 1-D sequence of them")
+    indices = [operator.index(i) for i in np.ravel(band_index).tolist()]
+    for index in indices:
+        if not 1 <= index <= len(bands.bands):
+            raise ValueError(f"band_index must lie in 1..{len(bands.bands)}")
     ks = np.asarray(k, dtype=float)
     if not np.all((0.0 <= ks) & (ks <= math.pi / l + 1e-12)):
         raise DomainError("k must lie in the reduced zone [0, pi/l]")
-    a, b = bands.bands[band_index - 1]
-    _check_size(V, l, b)
+    for index in indices:
+        _check_size(V, l, bands.bands[index - 1][1])
 
-    # On odd bands Delta runs +2 -> -2, on even bands -2 -> +2.
-    k_zero_edge = a if band_index % 2 == 1 else b
-    k_pi_edge = b if band_index % 2 == 1 else a
-    at_zero = ks < 1e-12
-    at_pi = ~at_zero & (ks > math.pi / l - 1e-12)
+    flat_ks = ks.ravel()
+    at_zero = flat_ks < 1e-12
+    at_pi = ~at_zero & (flat_ks > math.pi / l - 1e-12)
     inside = ~(at_zero | at_pi)
-    lam = np.where(at_zero, k_zero_edge, k_pi_edge)
-    if inside.any() and flat:
-        theta = math.pi * (band_index - band_index % 2) + (-1) ** (band_index + 1) * l * ks[inside]
-        lam[inside] = V.min_value() + (theta / l) ** 2
-    elif inside.any():
-        J, i = divmod(band_index - 1, c)  # J counts one-period bands from 0
+    lam = np.empty((len(indices), flat_ks.size))
+    chains = {}  # chain size n: (row, J, theta) of the cosine rows it serves
+    brackets = []  # (row, band, a, b, levels 2 cos theta) of the piecewise-linear rows
+    for r, index in enumerate(indices):
+        a, b = bands.bands[index - 1]
+        # On odd bands Delta runs +2 -> -2, on even bands -2 -> +2.
+        lam[r] = np.where(at_zero, a if index % 2 == 1 else b, b if index % 2 == 1 else a)
+        if not inside.any():
+            continue
+        if flat:
+            theta = math.pi * (index - index % 2) + (-1) ** (index + 1) * l * flat_ks[inside]
+            lam[r, inside] = V.min_value() + (theta / l) ** 2
+            continue
+        J, i = divmod(index - 1, c)  # J counts one-period bands from 0
         g = i if J % 2 == 0 else c - 1 - i
-        theta = (math.pi * (g + g % 2) + (-1) ** g * l * ks[inside]) / c
+        theta = (math.pi * (g + g % 2) + (-1) ** g * l * flat_ks[inside]) / c
         if V.kind == "cosine":
-            lam[inside] = [_hill_eigenvalues(V, t, b)[J] for t in theta[:, None]]
+            # a larger chain moves the eigenvalues in their last bits
+            chains.setdefault(_chain_size(V, b), []).append((r, J, theta))
         else:
-            lam[inside] = _level_roots(V, a, b, 2.0 * np.cos(theta))
-            if np.isnan(lam).any():
+            brackets.append((r, index, a, b, 2.0 * np.cos(theta)))
+    for n, group in chains.items():
+        thetas, at = np.unique(np.concatenate([theta for _, _, theta in group]),
+                               return_inverse=True)
+        eigs = np.sort(_hill_chains(V, thetas, n), axis=1)
+        for (r, J, _), at_r in zip(group, np.split(at, len(group))):
+            lam[r, inside] = eigs[at_r, J]
+    if brackets:
+        rows, numbers, los, his, levels = zip(*brackets)
+        m = np.count_nonzero(inside)
+        roots = _level_roots(V, np.repeat(los, m), np.repeat(his, m), np.concatenate(levels))
+        for r, band, a, b, row in zip(rows, numbers, los, his, np.split(roots, len(rows))):
+            if np.isnan(row).any():
                 raise NonConvergenceError(
-                    f"dispersion target not bracketed in band {band_index} "
+                    f"dispersion target not bracketed in band {band} "
                     f"[{a:.6g}, {b:.6g}]; is it clipped at lambda_max?"
                 )
-    return float(lam) if lam.ndim == 0 else lam
+            lam[r, inside] = row
+    lam = lam.reshape((len(indices),) + ks.shape)
+    if np.ndim(band_index):
+        return lam
+    return float(lam[0]) if ks.ndim == 0 else lam[0]
 
 
 def free_discriminant(l: float, lam: float) -> float:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -237,7 +238,7 @@ def _mathieu_lambda_top() -> float:
     return -_mathieu_bands().bands[0][0]
 
 
-def mathieu_formula(x0: float, n: int) -> float:
+def mathieu_formula(x0: float, n):
     """Logistic (r=4) orbit value x_n through the cosine-cell discriminants.
 
     The invertible branch x in [0, 1] is the first band, on which the trace
@@ -245,17 +246,25 @@ def mathieu_formula(x0: float, n: int) -> float:
     band function at quasi-momentum k.  Returns (2 - Delta_(2^n)(lam)) / 4
     there: doubling the cell squares the transfer matrix, so Delta_(2^n) is
     Delta_1(lam) taken n times through the logistic recursion d^2 - 2.
+
+    An int n gives a float.  A sequence of step counts gives an array of
+    their x_n, each exactly the int's value, from one band function and one
+    discriminant, squared once up to the largest n.
     """
     if not 0.0 <= x0 <= 1.0:
         raise DomainError("x0 must lie in [0, 1]")
-    if n < 0:
+    steps = [operator.index(m) for m in (n if np.ndim(n) else [n])]
+    if min(steps, default=0) < 0:
         raise ValueError("n must be nonnegative")
     k = math.pi * conj_cosine_inv(conj_mandelbrot_inv(x0))
     mu = hill.band_function(_MATHIEU_V, 1.0, _mathieu_bands(), 1, k)
     delta = float(hill.discriminant(_MATHIEU_V, 1.0, mu))
-    for _ in range(n):
+    deltas = [delta]
+    for _ in range(max(steps, default=0)):
         delta = delta * delta - 2.0
-    return conj_mandelbrot(delta)
+        deltas.append(delta)
+    x = [conj_mandelbrot(deltas[m]) for m in steps]
+    return np.array(x) if np.ndim(n) else x[0]
 
 
 # m-ary digit arithmetic ------------------------------------------------------

@@ -328,6 +328,50 @@ def test_mathieu_pipeline(capsys, tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("argv", [["--x0", "1.5"], ["--n", "-3"]], ids=["x0-1.5", "n-negative"])
+def test_mathieu_refuses_before_printing(argv, capsys):
+    # these once printed "lambda0 = ..." to stdout before the error
+    assert run(["mathieu", *argv, "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_mathieu_one_formula_call(monkeypatch, capsys):
+    from hillmap import maps
+
+    calls = []
+    formula = maps.mathieu_formula
+    monkeypatch.setattr(maps, "mathieu_formula", lambda x0, n: calls.append(n) or formula(x0, n))
+    assert run(["mathieu", "--x0", "0.3", "--n", "6", "--no-timestamp"]) == 0
+    assert calls == [range(7)]
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 7
+
+
+@pytest.mark.parametrize("cell", [
+    ["--potential", "free", "--l", "2"],
+    ["--potential", "cosine", "--value", "7.8326"],
+    ["--potential=piecewise", "--breakpoints=0,0.3,0.7", "--values=0,1,-0.5"],
+], ids=["free", "cosine", "piecewise"])
+def test_bands_csv_one_band_function_call(tmp_path, monkeypatch, cell):
+    # every band of the table from one call, each equal to its own call
+    from hillmap import hill
+
+    calls = []
+    band_function = hill.band_function
+    monkeypatch.setattr(hill, "band_function",
+                        lambda *args: calls.append(args) or band_function(*args))
+    out = tmp_path / "b.csv"
+    assert run(["bands", *cell, "--lambda-max", "40", "--k-points", "5", "--no-timestamp",
+                "--out", str(out)]) == 0
+    assert len(calls) == 1
+    V, l, bands, indices, ks = calls[0]
+    assert len(indices) >= 2
+    rows = read_rows(out, 3)
+    assert [r[0] for r in rows] == [i for i in indices for _ in ks]
+    assert [r[2] for r in rows] == [
+        lam for i in indices for lam in band_function(V, l, bands, i, ks).tolist()]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("m = 4\nout = ignored.csv\n")

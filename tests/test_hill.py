@@ -1301,8 +1301,8 @@ class TestBandFunction:
 
     def test_band_index_outside_the_list_rejected(self):
         bands = bands_of(FREE, lambda_max=5.0)  # one band
-        for index in (0, 2):
-            with pytest.raises(ValueError):
+        for index in (0, 2, [1, 0], [1, 2]):
+            with pytest.raises(ValueError, match="band_index must lie in 1..1"):
                 band_function(FREE, 1.0, bands, index, 0.5)
 
     @pytest.mark.parametrize(
@@ -1336,8 +1336,51 @@ class TestBandFunction:
         assert clipped.bands[1][1] == 15.0 < band_function(V, 1.0, whole, 2, 1.0)
         with pytest.raises(NonConvergenceError, match="clipped at lambda_max"):
             band_function(V, 1.0, clipped, 2, 1.0)
+        with pytest.raises(NonConvergenceError, match="in band 2 .*clipped at lambda_max"):
+            band_function(V, 1.0, clipped, [1, 2], 1.0)  # among rows, still named
         assert band_function(V, 1.0, clipped, 2, 3.0) == pytest.approx(
             band_function(V, 1.0, whole, 2, 3.0), abs=1e-9)
+
+    @pytest.mark.parametrize("l", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("V", [
+        FREE, Potential.cosine(7.8326), Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5]),
+    ], ids=["free", "cosine", "piecewise"])
+    def test_rows_equal_per_band_calls(self, V, l):
+        bands = spectrum_bands(V, l, 60.0)
+        indices = list(range(1, len(bands.bands)))  # the last band is clipped
+        ks = np.linspace(0.0, math.pi / l, 9)
+        rows = band_function(V, l, bands, indices, ks)
+        assert rows.shape == (len(indices), ks.size)
+        for row, index in zip(rows, indices):
+            assert np.array_equal(row, band_function(V, l, bands, index, ks))
+        at_k = band_function(V, l, bands, indices, 0.7 / l)
+        assert at_k.tolist() == [band_function(V, l, bands, i, 0.7 / l) for i in indices]
+        assert band_function(V, l, bands, [], ks).shape == (0, ks.size)
+
+    def test_cosine_rows_of_two_chain_sizes(self):
+        # bands up to 300 take chains of several sizes; each row keeps its own
+        V = Potential.cosine(7.8326)
+        bands = spectrum_bands(V, 1.0, 300.0)
+        indices = list(range(1, len(bands.bands)))
+        assert len({hill._chain_size(V, b) for _, b in bands.bands[:-1]}) >= 2
+        ks = np.linspace(0.0, math.pi, 7)
+        rows = band_function(V, 1.0, bands, indices, ks)
+        for row, index in zip(rows, indices):
+            assert np.array_equal(row, band_function(V, 1.0, bands, index, ks))
+
+    def test_piecewise_rows_one_root_solve(self, monkeypatch):
+        V = Potential.piecewise_linear([0.0, 0.3, 0.7], [0.0, 1.0, -0.5])
+        bands = bands_of(V)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return find_roots(*args, **kwargs)
+
+        find_roots = hill.find_roots
+        monkeypatch.setattr(hill, "find_roots", counting)
+        rows = band_function(V, 1.0, bands, [1, 2], np.linspace(0.0, math.pi, 7))
+        assert len(calls) == 1 and rows.shape == (2, 7)
 
     def test_array_with_bad_k_rejected(self):
         with pytest.raises(DomainError):
@@ -1457,6 +1500,8 @@ class TestSizeGuard:
                 spectrum_bands(V, 1.0, big)
         with pytest.raises(ValueError, match="lambda"):
             band_function(FREE, 1.0, hill.BandList(((0.0, big),)), 1, 0.5)
+        with pytest.raises(ValueError, match="lambda"):
+            band_function(FREE, 1.0, hill.BandList(((0.0, 25.0), (30.0, big))), [1, 2], 0.5)
 
     def test_long_cells_count(self):
         # c periods hold c times the bands: refused at c = 1e6 where one

@@ -353,11 +353,24 @@ class TestMathieuFormula:
                 gain *= abs(4.0 * (1.0 - 2.0 * float(x)))
                 x = 4 * x * (1 - x)
 
+    def test_steps_match_the_int_calls(self):
+        for x0 in (0.0, 1e-9, 0.03, 0.2, 0.5, 0.7071, 0.97, 1.0):
+            xs = mathieu_formula(x0, range(25))
+            assert isinstance(xs, np.ndarray) and xs.shape == (25,)
+            assert xs.tolist() == [mathieu_formula(x0, n) for n in range(25)], x0
+        assert isinstance(mathieu_formula(0.2, 3), float)
+        assert mathieu_formula(0.2, [5, 2, 5]).tolist() == [
+            mathieu_formula(0.2, 5), mathieu_formula(0.2, 2), mathieu_formula(0.2, 5)]
+        assert mathieu_formula(0.2, []).shape == (0,)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mathieu_formula(0.2, [3, -1])
+
     def test_doubles_one_period(self, monkeypatch):
         # Delta_(2^n) is Delta_1 taken n times through d^2 - 2: one
-        # one-period discriminant, and n = 24 in well under 0.1 s
+        # one-period discriminant, and n = 24 in well under 0.1 s; every
+        # step to 2000 from one band function and one discriminant
         mathieu_formula(0.2, 0)  # the band list is built once per process
-        lengths = []
+        lengths, band_calls = [], []
 
         def one_period(V, l, lams, *args, **kwargs):
             lengths.append(l)
@@ -365,11 +378,21 @@ class TestMathieuFormula:
                 raise AssertionError(f"a cell of {l} periods")
             return discriminant(V, l, lams, *args, **kwargs)
 
+        def counted(*args):
+            band_calls.append(args)
+            return band_function(*args)
+
+        band_function = hill.band_function
         monkeypatch.setattr(hill, "discriminant", one_period)
+        monkeypatch.setattr(hill, "band_function", counted)
         t0 = time.perf_counter()
         x = mathieu_formula(0.2, 24)
         assert time.perf_counter() - t0 < 0.1
         assert lengths == [1.0] and 0.0 <= x <= 1.0
+        lengths.clear(), band_calls.clear()
+        xs = mathieu_formula(0.2, range(2001))
+        assert lengths == [1.0] and len(band_calls) == 1
+        assert xs.shape == (2001,) and np.all((0.0 <= xs) & (xs <= 1.0))
 
 
 class TestDigits:
